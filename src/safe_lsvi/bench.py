@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ValueError("p must lie in (0, 1)")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
+        if self.c_beta < 0:
+            raise ValueError("c_beta must be >= 0")
+        if self.beta_override is not None and self.beta_override < 0:
+            raise ValueError("beta_override must be >= 0")
         if self.cost_width_scale < 0:
             raise ValueError("cost width scale must be >= 0")
 
@@ -141,10 +145,10 @@ def build_env(config: ExperimentConfig, builder_seed):
     return cmdp, fmap
 
 
-def _make_cost_model(config: ExperimentConfig, fmap):
+def _make_cost_model(config: ExperimentConfig, fmap, stats):
     if config.cost_model == "linear":
         return LinearCostModel(fmap, config.horizon, lam=config.lam, p=config.p,
-                               width_scale=config.cost_width_scale)
+                               width_scale=config.cost_width_scale, stats=stats)
     return GpCostModel(config.kernel, config.episodes, config.horizon,
                        lengthscale=config.lengthscale, p=config.p,
                        width_scale=config.cost_width_scale, feature_map=fmap)
@@ -179,8 +183,10 @@ def run_experiment(config: ExperimentConfig, env_override=None,
                           config.lam, beta)
     ledger = PenaltyLedger(H, AGENT_MODES[config.agent])
     # With the penalty off the estimated costs are never consumed, so the
-    # baseline skips fitting them.
-    cost_model = None if config.agent == "lsvi" else _make_cost_model(config, fmap)
+    # baseline skips fitting them.  A linear cost model shares the learner's
+    # design statistics.
+    cost_model = None if config.agent == "lsvi" else \
+        _make_cost_model(config, fmap, learner.stats)
 
     rewards = np.zeros(K)
     violations = np.zeros(K)
@@ -195,7 +201,7 @@ def run_experiment(config: ExperimentConfig, env_override=None,
             ghat = np.stack([cost_model.lcb_table(h) for h in range(H)])
             if not np.isfinite(ghat).all():
                 raise FloatingPointError(f"non-finite cost estimate at episode {k}")
-        plan = learner.backward_pass(ghat=ghat, z=ledger.z, copy_gram=False)
+        plan = learner.backward_pass(ghat=ghat, z=ledger.z)
 
         state = cmdp.initial_state
         episode: list[StepRecord] = []
@@ -234,8 +240,9 @@ def run_experiment(config: ExperimentConfig, env_override=None,
             log.debug("episode %d: max|w|=%.4g cond(Gram)=%s",
                       k, norms.max(), [f"{c:.3g}" for c in learner.condition_numbers()])
 
-    cum_regret = _running_sum(regret_inc)
-    cum_violation = _running_sum(violations)
+    # np.cumsum adds left to right, so the sums are those of a running loop.
+    cum_regret = np.cumsum(regret_inc)
+    cum_violation = np.cumsum(violations)
     summary = {
         "total_reward": float(rewards.sum()),
         "total_violation": float(cum_violation[-1]),
@@ -247,15 +254,6 @@ def run_experiment(config: ExperimentConfig, env_override=None,
     return Metrics(rewards=rewards, violations=violations, regret_inc=regret_inc,
                    cum_regret=cum_regret, cum_violation=cum_violation,
                    signed_costs=signed, summary=summary, trace=trace)
-
-
-def _running_sum(values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    total = 0.0
-    for i, v in enumerate(values):
-        total += float(v)
-        out[i] = total
-    return out
 
 
 def fit_growth_exponent(series) -> float:

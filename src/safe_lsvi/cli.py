@@ -76,6 +76,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         config = config_from_args(args)
+        if args.dump_values and not config.out:
+            raise ValueError("--dump-values needs an output directory (--out)")
         metrics = run_experiment(config)
         if config.out:
             path = emit_results(metrics, config, config.out)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .envs import FeatureMap
-from .lsvi import GramState
+from .lsvi import step_statistics
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-6
@@ -90,37 +90,51 @@ def make_kernel(name: str, lengthscale: float = 1.0) -> Callable:
 class LinearCostModel:
     """Per-step ridge regression of observed costs on features, queried as
     mean minus tilde_beta-width.  Incremental updates are algebraically
-    identical to a batch refit."""
+    identical to a batch refit.
+
+    stats, when given, are the learner's per-step statistics over the same
+    feature map (LsviLearner.stats): the learner ingests every step and this
+    model adds only its cost sums, so its estimates include a step once the
+    learner has ingested the episode.  Without stats the model keeps and
+    updates statistics of its own.
+    """
 
     def __init__(self, feature_map: FeatureMap, horizon: int, lam: float = 1.0,
-                 p: float = 0.1, width_scale: float = 1.0):
+                 p: float = 0.1, width_scale: float = 1.0,
+                 stats: Optional[list] = None):
         self.fmap = feature_map
         self.H = horizon
         self.d = feature_map.dim
         self.lam = lam
         self.p = p
         self.width_scale = width_scale
-        self.feats = feature_map.flat
-        self.gram = [GramState(self.d, lam) for _ in range(horizon)]
-        base = np.einsum("nd,nd->n", self.feats, self.feats) / lam
-        self._quad = [base.copy() for _ in range(horizon)]
+        self._owns_stats = stats is None
+        if stats is None:
+            stats = step_statistics(feature_map.flat, lam, horizon)
+        elif len(stats) != horizon or any(g.lam != lam or g.d != self.d
+                                          for g in stats):
+            raise ValueError("shared statistics must match the cost model's "
+                             "horizon, lam and feature dimension")
+        self.stats = stats
+        self.b = [np.zeros(self.d) for _ in range(horizon)]  # sum phi * cost
 
     def observe(self, h: int, phi: np.ndarray, cost: float) -> None:
         if abs(cost) > 1.0:
             raise ValueError(f"observed cost {cost} outside [-1, 1]")
-        v, denom = self.gram[h].update(phi, target=cost)
-        proj = self.feats @ v
-        self._quad[h] -= proj * proj / denom
+        phi = np.asarray(phi, dtype=float)
+        if self._owns_stats:
+            self.stats[h].update(phi)
+        self.b[h] += phi * cost
 
     def theta(self, h: int) -> np.ndarray:
-        return self.gram[h].ridge_weights()
+        return self.stats[h].solve(self.b[h])
 
     def _beta(self, h: int, k: Optional[int], p: Optional[float],
               beta_value: Optional[float]) -> float:
         if beta_value is not None:
             return beta_value
         if k is None:
-            k = self.gram[h].count + 1  # episode index: data through k-1
+            k = self.stats[h].count + 1  # episode index: data through k-1
         p = self.p if p is None else p
         return self.width_scale * tilde_beta(self.lam, self.d, k, p / self.H)
 
@@ -129,15 +143,16 @@ class LinearCostModel:
                 beta_value: Optional[float] = None) -> CostEstimate:
         phi = np.asarray(phi, dtype=float)
         mean = float(phi @ self.theta(h))
-        width = self._beta(h, k, p, beta_value) * math.sqrt(self.gram[h].quad_form(phi))
+        width = self._beta(h, k, p, beta_value) * math.sqrt(self.stats[h].quad_form(phi))
         return CostEstimate(value=mean - width, mean=mean, width=width)
 
     def lcb_table(self, h: int, k: Optional[int] = None,
                   p: Optional[float] = None) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape (S, A)."""
         S, A, _ = self.fmap.table.shape
-        mean = self.feats @ self.theta(h)
-        width = self._beta(h, k, p, None) * np.sqrt(np.maximum(self._quad[h], 0.0))
+        mean = self.stats[h].feature_dot(self.theta(h))
+        width = self._beta(h, k, p, None) * np.sqrt(
+            np.maximum(self.stats[h].quad_forms(), 0.0))
         return (mean - width).reshape(S, A)
 
 

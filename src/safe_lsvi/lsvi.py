@@ -1,15 +1,26 @@
 """Regularized least-squares value iteration with optimism bonuses.
 
-GramState keeps lam*I + sum(phi phi^T) together with an incrementally
-maintained inverse (rank-one identity), so one episode of updates costs
-O(d^2) per step instead of a dense refit.  The learner caches the quadratic
-forms phi^T Lambda^{-1} phi over the whole tabular feature set and downdates
-them with each ingested sample, which keeps the per-episode backward pass to
-a handful of matrix-vector products.
+The Q-function and the linear cost LCB regress on the same features, so the
+design statistics of step h are one GramState that the learner and the linear
+cost model share: Lambda_h = lam*I + sum phi phi^T, its inverse, the quadratic
+forms phi^T Lambda_h^{-1} phi over the whole feature set, and the sample
+count.  The learner ingests each (h, step) once; each model keeps only its own
+regression targets (reward and next-state sums; cost sums).
+
+A GramState picks its storage once, from the feature set.  When every feature
+row is a unit basis vector (one-hot features, the tabular case) Lambda_h stays
+diagonal: it keeps the two diagonals, an update costs O(1), and the quadratic
+form of a row is the inverse's entry at the row's column.  Otherwise it keeps
+the dense inverse, updated by the rank-one identity in O(d^2), and downdates
+the cached quadratic forms with the same identity, which keeps the
+per-episode backward pass to a handful of matrix-vector products.  On one-hot
+data the dense path only adds exact zeros to what the diagonal path computes,
+so both give the same bits.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,55 +31,146 @@ from .envs import FeatureMap, StepRecord
 
 NORM_SLACK = 1e-9
 RADICAND_TOL = 1e-12
+DENOM_TOL = 1e-12
+
+
+def _unit_index(phi: np.ndarray) -> Optional[int]:
+    """Index of the 1 when phi is a unit basis vector, else None."""
+    j = int(phi.argmax())
+    if phi[j] == 1.0 and np.count_nonzero(phi) == 1:
+        return j
+    return None
+
+
+def _unit_columns(feats: np.ndarray) -> Optional[np.ndarray]:
+    """Column of the 1 in each row when every row of feats is a unit basis
+    vector, else None.  The first row is tested alone, so a dense feature set
+    is turned down in O(d)."""
+    if len(feats) == 0 or _unit_index(feats[0]) is None:
+        return None
+    cols = feats.argmax(axis=1)
+    if np.count_nonzero(feats) == len(feats) \
+            and (feats[np.arange(len(feats)), cols] == 1.0).all():
+        return cols
+    return None
 
 
 class GramState:
-    """Ridge statistics for one step index: Gram matrix, inverse, targets."""
+    """Design statistics of one step index over a fixed feature set.
 
-    def __init__(self, d: int, lam: float):
+    gram and inv hold Lambda and Lambda^{-1}: (d, d) arrays, or their
+    diagonals, shape (d,), when every row of feats is a unit basis vector.
+    count is the number of samples ingested.  Without feats the storage is
+    dense and the quadratic-form cache empty.
+    """
+
+    def __init__(self, d: int, lam: float, feats: Optional[np.ndarray] = None):
         if lam <= 0:
             raise ValueError("lam must be positive")
         self.d = d
         self.lam = lam
-        self.gram = lam * np.eye(d)
-        self.inv = np.eye(d) / lam
-        self.b = np.zeros(d)
+        self.feats = np.zeros((0, d)) if feats is None else feats
         self.count = 0
+        self._cols = _unit_columns(self.feats)
+        if self.diagonal:
+            self.gram = np.full(d, lam)
+            self.inv = np.ones(d) / lam
+        else:
+            self.gram = lam * np.eye(d)
+            self.inv = np.eye(d) / lam
+            self._quad = np.einsum("nd,nd->n", self.feats, self.feats) / lam
 
-    def update(self, phi: np.ndarray, target: float = 0.0) -> tuple[np.ndarray, float]:
-        """Ingest one sample: Gram += phi phi^T, b += phi * target.
+    @property
+    def diagonal(self) -> bool:
+        return self._cols is not None
 
-        Returns (Lambda^{-1} phi, 1 + phi^T Lambda^{-1} phi) evaluated at the
-        pre-update state, which callers use to downdate cached quadratic
-        forms with the same rank-one identity.
-        """
+    def update(self, phi: np.ndarray) -> None:
+        """Ingest one sample: Lambda += phi phi^T.  The inverse and the cached
+        quadratic forms follow by the rank-one identity."""
         phi = np.asarray(phi, dtype=float)
+        if self.diagonal:
+            j = _unit_index(phi)
+            if j is not None:
+                # Lambda^{-1} phi is inv[j] e_j: the dense update without its
+                # zero terms, in the same order.
+                vj = float(self.inv[j])
+                denom = 1.0 + vj
+                if denom <= DENOM_TOL:
+                    raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
+                self.gram[j] += 1.0
+                self.inv[j] -= vj * vj / denom
+                self.count += 1
+                return
+            self._densify()
         norm = np.linalg.norm(phi)
         if norm > 1.0 + NORM_SLACK:
             raise ValueError(f"feature norm {norm:.6f} exceeds 1")
         v = self.inv @ phi
         denom = 1.0 + float(phi @ v)
-        if denom <= 1e-12:
+        if denom <= DENOM_TOL:
             raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
         self.gram += np.outer(phi, phi)
-        self.b += phi * target
         self.inv -= np.outer(v, v) / denom
+        proj = self.feats @ v
+        self._quad -= proj * proj / denom
         self.count += 1
-        return v, denom
 
-    def ridge_weights(self) -> np.ndarray:
-        return self.inv @ self.b
+    def _copy(self) -> "GramState":
+        """An independent copy; the read-only feature set is shared."""
+        twin = copy.copy(self)
+        twin.gram, twin.inv = self.gram.copy(), self.inv.copy()
+        if not self.diagonal:
+            twin._quad = self._quad.copy()
+        return twin
+
+    def _densify(self) -> None:
+        """Switch to dense storage for a sample that is not a unit vector
+        (a caller observing points outside the one-hot feature set)."""
+        self._quad = self.inv[self._cols]
+        self.gram = np.diag(self.gram)
+        self.inv = np.diag(self.inv)
+        self._cols = None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Lambda^{-1} b: the ridge weights for target sums b."""
+        return self.inv * b if self.diagonal else self.inv @ b
+
+    def feature_dot(self, w: np.ndarray) -> np.ndarray:
+        """<phi, w> for every row phi of feats."""
+        return w[self._cols] if self.diagonal else self.feats @ w
+
+    def quad_forms(self) -> np.ndarray:
+        """phi^T Lambda^{-1} phi for every row of feats (read-only)."""
+        return self.inv[self._cols] if self.diagonal else self._quad
 
     def quad_form(self, phi: np.ndarray) -> float:
         """phi^T Lambda^{-1} phi, clamped at 0 (roundoff below -1e-12 is an error)."""
-        q = float(phi @ self.inv @ phi)
+        phi = np.asarray(phi, dtype=float)
+        q = float(phi @ (self.inv * phi)) if self.diagonal else float(phi @ self.inv @ phi)
         if q < -RADICAND_TOL:
             raise RuntimeError(f"negative quadratic form {q:.3e}")
         return max(q, 0.0)
 
     def rebuild_dense(self) -> None:
-        """Debug mode: recompute the inverse from the Gram matrix directly."""
-        self.inv = np.linalg.inv(self.gram)
+        """Debug mode: recompute the inverse and the quadratic-form cache from
+        the Gram matrix directly."""
+        if self.diagonal:
+            self.inv = 1.0 / self.gram
+        else:
+            self.inv = np.linalg.inv(self.gram)
+            self._quad = np.einsum("nd,dk,nk->n", self.feats, self.inv, self.feats)
+
+    def condition_number(self) -> float:
+        if self.diagonal:
+            return float(self.gram.max() / self.gram.min())
+        return float(np.linalg.cond(self.gram))
+
+
+def step_statistics(feats: np.ndarray, lam: float, horizon: int) -> list[GramState]:
+    """Fresh statistics for each of `horizon` steps over one feature set; the
+    storage check and the initial quadratic forms run once."""
+    first = GramState(feats.shape[1], lam, feats)
+    return [first if h == 0 else first._copy() for h in range(horizon)]
 
 
 def beta_schedule(c: float, d: int, horizon: int, episodes: int, p: float) -> float:
@@ -86,14 +188,16 @@ class QModel:
     """Clipped optimistic Q-function for one episode.
 
     value(h, phi) = min(<w_h, phi> + beta * ||phi||_{Lambda_h^-1}, cap).
-    When built by the tabular backward pass, q_table/v_table/policy hold the
-    evaluation over every (state, action) and the penalized-argmax policy.
+    stats are the learner's own per-step statistics, not a copy, so the
+    bonus reflects every sample ingested so far.  When built by the tabular
+    backward pass, q_table/v_table/policy hold the evaluation over every
+    (state, action) and the penalized-argmax policy.
     """
 
     weights: np.ndarray  # (H, d)
     beta: float
     cap: float
-    gram_inv: list  # per-h (d, d) arrays
+    stats: list  # per-h GramState
     q_table: Optional[np.ndarray] = None  # (H, S, A)
     v_table: Optional[np.ndarray] = None  # (H, S)
     policy: Optional[np.ndarray] = None  # (H, S) int
@@ -102,20 +206,17 @@ class QModel:
         phi = np.asarray(phi, dtype=float)
         if np.linalg.norm(phi) > 1.0 + NORM_SLACK:
             raise ValueError("feature norm exceeds 1")
-        q = float(phi @ self.gram_inv[h] @ phi)
-        if q < -RADICAND_TOL:
-            raise RuntimeError(f"negative quadratic form {q:.3e}")
-        return min(float(self.weights[h] @ phi) + self.beta * math.sqrt(max(q, 0.0)),
-                   self.cap)
+        q = self.stats[h].quad_form(phi)
+        return min(float(self.weights[h] @ phi) + self.beta * math.sqrt(q), self.cap)
 
 
 class LsviLearner:
     """Backward-pass machinery over a tabular feature set.
 
-    Per step h it maintains the Gram state, the reward-weighted feature sum,
+    Per step h it owns the design statistics (a GramState, which a
+    LinearCostModel may share), the reward-weighted feature sum, and the
     features bucketed by observed next state (so regression targets
-    r + V_{h+1}(x') reduce to one (d, S) matvec), and cached quadratic forms
-    over all (s, a) features.  History is retained for debug rebuilds.
+    r + V_{h+1}(x') reduce to one (d, S) matvec).
     """
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
@@ -128,18 +229,13 @@ class LsviLearner:
         self.lam = lam
         self.beta = beta
         self.feats = feature_map.flat  # (S*A, d)
-        self.gram = [GramState(self.d, lam) for _ in range(horizon)]
+        self.stats = step_statistics(self.feats, lam, horizon)
         self.next_feats = [np.zeros((self.d, num_states)) for _ in range(horizon)]
         self.reward_feats = [np.zeros(self.d) for _ in range(horizon)]
-        base_quad = np.einsum("nd,nd->n", self.feats, self.feats) / lam
-        self.quad = [base_quad.copy() for _ in range(horizon)]
-        self.history: list[list[StepRecord]] = []
 
     def observe(self, h: int, s: int, a: int, reward: float, next_state: int) -> None:
         phi = self.feats[s * self.A + a]
-        v, denom = self.gram[h].update(phi)
-        proj = self.feats @ v
-        self.quad[h] -= proj * proj / denom
+        self.stats[h].update(phi)
         self.next_feats[h][:, next_state] += phi
         self.reward_feats[h] += phi * reward
 
@@ -148,11 +244,9 @@ class LsviLearner:
             raise ValueError(f"trace length {len(trace)} != horizon {self.H}")
         for h, rec in enumerate(trace):
             self.observe(h, rec.state, rec.action, rec.reward, rec.next_state)
-        self.history.append(list(trace))
 
     def backward_pass(self, ghat: Optional[np.ndarray] = None,
-                      z: Optional[np.ndarray] = None,
-                      copy_gram: bool = True) -> QModel:
+                      z: Optional[np.ndarray] = None) -> QModel:
         """One sweep h = H..1 of ridge regression plus bonus.
 
         Regression targets are r + V_{h+1}(x') where V_{h+1} comes from this
@@ -170,11 +264,11 @@ class LsviLearner:
         rows = np.arange(S)
         for h in range(H - 1, -1, -1):
             b = self.reward_feats[h] + self.next_feats[h] @ v_next
-            w = self.gram[h].inv @ b
+            w = self.stats[h].solve(b)
             if not np.isfinite(w).all():
                 raise FloatingPointError(f"non-finite regression weights at step {h}")
-            mean = self.feats @ w
-            bonus = self.beta * np.sqrt(np.maximum(self.quad[h], 0.0))
+            mean = self.stats[h].feature_dot(w)
+            bonus = self.beta * np.sqrt(np.maximum(self.stats[h].quad_forms(), 0.0))
             q = np.minimum(mean + bonus, float(H)).reshape(S, A)
             objective = q if ghat is None or z is None else \
                 q - z[h] * np.maximum(ghat[h], 0.0)
@@ -184,23 +278,20 @@ class LsviLearner:
             policy[h] = a_star
             v_next = q[rows, a_star]
             v_table[h] = v_next
-        gram_inv = [g.inv.copy() if copy_gram else g.inv for g in self.gram]
         return QModel(weights=weights, beta=self.beta, cap=float(H),
-                      gram_inv=gram_inv, q_table=q_table, v_table=v_table,
+                      stats=self.stats, q_table=q_table, v_table=v_table,
                       policy=policy)
 
     def rebuild_dense(self) -> None:
         """Debug cross-check: recompute inverses and cached quadratic forms
         from the raw Gram matrices."""
-        for h in range(self.H):
-            self.gram[h].rebuild_dense()
-            self.quad[h] = np.einsum("nd,dk,nk->n", self.feats,
-                                     self.gram[h].inv, self.feats)
+        for g in self.stats:
+            g.rebuild_dense()
 
     def weight_norm_bound(self) -> float:
         """Theory bound 2H sqrt(dk/lam) for the current episode count."""
-        k = len(self.history) + 1
+        k = self.stats[0].count + 1
         return 2.0 * self.H * math.sqrt(self.d * k / self.lam)
 
     def condition_numbers(self) -> list[float]:
-        return [float(np.linalg.cond(g.gram)) for g in self.gram]
+        return [g.condition_number() for g in self.stats]

@@ -80,6 +80,10 @@ def test_config_validation():
         ExperimentConfig(p=1.5).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(lam=0.0).validate()
+    with pytest.raises(ValueError, match="beta_override"):
+        ExperimentConfig(beta_override=-1.0).validate()
+    with pytest.raises(ValueError, match="c_beta"):
+        ExperimentConfig(c_beta=-0.5).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +355,22 @@ def test_cli_rejects_bad_input(capsys):
     code = main(["--env", "synthetic_linear", "--episodes", "0"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--beta-override", "-1.0"], "beta_override"),
+    (["--c-beta", "-0.5"], "c_beta"),
+    (["--dump-values"], "--out"),
+], ids=["negative-beta-override", "negative-c-beta", "dump-values-without-out"])
+def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
+                                                   monkeypatch, capsys):
+    from safe_lsvi.cli import main
+    monkeypatch.chdir(tmp_path)
+    code = main(["--env", "synthetic_linear", "--episodes", "3", "--horizon", "3",
+                 "--dim", "4"] + flags)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_map_file(tmp_path):

@@ -333,6 +333,33 @@ def test_describe_header_keys():
     assert len(lines) == 5 + 2 * 4 * 4
 
 
+def _replace_field(line, index, value):
+    parts = line.split()
+    parts[index] = value
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # lines 1-5 are the header, line 6 is the first body row (h=0, s=0, a=0)
+    (lambda ls: ls[:2] + ls[3:], r"header key 'initial' missing before line 5"),
+    (lambda ls: ls[:5] + [" ".join(ls[5].split()[:5])] + ls[6:],
+     r"line 6: row has 5 fields, want 9"),
+    (lambda ls: ls[:5] + [ls[5] + " 0.0"] + ls[6:], r"line 6: row has 10 fields"),
+    (lambda ls: ls[:5] + [_replace_field(ls[5], 0, "2")] + ls[6:],
+     r"line 6: index \(h, s, a\) = \(2, 0, 0\) out of range"),
+    (lambda ls: ls[:5] + [_replace_field(ls[5], 1, "4")] + ls[6:],
+     r"line 6: index .* out of range"),
+    (lambda ls: ls[:5] + [_replace_field(ls[5], 2, "-1")] + ls[6:],
+     r"line 6: index .* out of range"),
+], ids=["missing-header", "truncated-row", "long-row", "h-range", "s-range",
+        "a-range"])
+def test_parse_rejects_malformed_text_naming_the_line(edit, message):
+    cmdp, _ = build_frozen_lake(2, 2, set(), goal_cell=3, horizon=2)
+    lines = describe_cmdp(cmdp).splitlines()
+    with pytest.raises(ValueError, match=message):
+        parse_cmdp_text("\n".join(edit(lines)) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Validation of the container itself
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from safe_lsvi.costs import LinearCostModel
 from safe_lsvi.envs import FeatureMap, StepRecord, one_hot_features
 from safe_lsvi.lsvi import GramState, LsviLearner, QModel, beta_schedule
 
@@ -22,7 +24,7 @@ def test_gram_init_identity():
     g = GramState(3, 1.0)
     assert np.array_equal(g.gram, np.eye(3))
     assert np.array_equal(g.inv, np.eye(3))
-    assert np.array_equal(g.b, np.zeros(3))
+    assert g.count == 0
 
 
 def test_gram_init_scaled():
@@ -42,7 +44,7 @@ def test_gram_init_rejects_bad_lam():
 
 def test_gram_update_basis_vector_closed_form():
     g = GramState(2, 1.0)
-    g.update(np.array([1.0, 0.0]), target=0.0)
+    g.update(np.array([1.0, 0.0]))
     assert g.inv[0, 0] == pytest.approx(0.5)
     assert g.inv[1, 1] == pytest.approx(1.0)
 
@@ -51,7 +53,7 @@ def test_gram_update_matches_dense_inverse():
     rng = np.random.default_rng(0)
     g = GramState(8, 1.0)
     for phi in random_unit_features(rng, 50, 8):
-        g.update(phi, target=rng.normal())
+        g.update(phi)
     dense = np.linalg.inv(g.gram)
     assert np.abs(g.inv - dense).max() <= 1e-8
 
@@ -59,9 +61,9 @@ def test_gram_update_matches_dense_inverse():
 def test_gram_update_zero_feature_noop():
     g = GramState(3, 2.0)
     before_inv = g.inv.copy()
-    g.update(np.zeros(3), target=5.0)
+    g.update(np.zeros(3))
     assert np.array_equal(g.inv, before_inv)
-    assert np.array_equal(g.b, np.zeros(3))
+    assert g.count == 1
 
 
 def test_gram_update_rejects_large_norm():
@@ -97,7 +99,7 @@ def test_gram_inverse_consistency_random_sequences():
         d = int(rng.integers(2, 10))
         g = GramState(d, float(rng.uniform(0.5, 2.0)))
         for phi in random_unit_features(rng, 40, d, scale=rng.uniform(0.1, 1.0)):
-            g.update(phi, target=rng.normal())
+            g.update(phi)
         assert np.abs(g.inv @ g.gram - np.eye(d)).max() <= 1e-8
 
 
@@ -115,23 +117,25 @@ def test_ridge_weights_zero_targets():
     g = GramState(4, 1.0)
     rng = np.random.default_rng(1)
     for phi in random_unit_features(rng, 10, 4):
-        g.update(phi, target=0.0)
-    assert np.array_equal(g.ridge_weights(), np.zeros(4))
+        g.update(phi)
+    assert np.array_equal(g.solve(np.zeros(4)), np.zeros(4))
 
 
 def test_ridge_weights_single_sample_closed_form():
     g = GramState(2, 1.0)
-    g.update(np.array([1.0, 0.0]), target=1.0)
-    assert np.allclose(g.ridge_weights(), [0.5, 0.0])
+    g.update(np.array([1.0, 0.0]))  # one sample with target 1
+    assert np.allclose(g.solve(np.array([1.0, 0.0])), [0.5, 0.0])
 
 
 def test_ridge_weights_match_dense_solve():
     rng = np.random.default_rng(7)
     g = GramState(6, 1.0)
+    b = np.zeros(6)
     for phi in random_unit_features(rng, 20, 6):
-        g.update(phi, target=rng.normal())
-    dense = np.linalg.solve(g.gram, g.b)
-    assert np.abs(g.ridge_weights() - dense).max() <= 1e-8
+        g.update(phi)
+        b += phi * rng.normal()
+    dense = np.linalg.solve(g.gram, b)
+    assert np.abs(g.solve(b) - dense).max() <= 1e-8
 
 
 def test_elliptical_potential_bound():
@@ -194,14 +198,14 @@ def test_beta_schedule_rejects_bad_p():
 def test_q_value_clips_at_cap():
     H = 4
     model = QModel(weights=np.zeros((H, 3)), beta=2.0 * H, cap=float(H),
-                   gram_inv=[np.eye(3)] * H)
+                   stats=[GramState(3, 1.0)] * H)
     phi = np.array([1.0, 0.0, 0.0])
     assert model.value(0, phi) == float(H)
 
 
 def test_q_value_pure_linear_term():
     model = QModel(weights=np.array([[1.0, 0.0]]), beta=0.0, cap=5.0,
-                   gram_inv=[np.eye(2)])
+                   stats=[GramState(2, 1.0)])
     assert model.value(0, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
@@ -210,9 +214,9 @@ def test_q_value_matches_dense_solve():
     d = 6
     g = GramState(d, 1.0)
     for phi in random_unit_features(rng, 30, d):
-        g.update(phi, target=rng.normal())
+        g.update(phi)
     w = rng.normal(size=d)
-    model = QModel(weights=w[None, :], beta=1.7, cap=50.0, gram_inv=[g.inv])
+    model = QModel(weights=w[None, :], beta=1.7, cap=50.0, stats=[g])
     for phi in random_unit_features(rng, 10, d):
         expected = min(w @ phi + 1.7 * math.sqrt(phi @ np.linalg.solve(g.gram, phi)),
                        50.0)
@@ -345,7 +349,6 @@ def test_overestimation_frequency_small_instances():
     from safe_lsvi.lsvi import beta_schedule
     from safe_lsvi.envs import build_synthetic_linear, step
     from safe_lsvi.penalty import PenaltyLedger
-    from safe_lsvi.costs import LinearCostModel
 
     p = 0.1
     under = total = 0
@@ -375,3 +378,137 @@ def test_overestimation_frequency_small_instances():
             learner.ingest_episode(ep)
             ledger.end_episode([e.cost for e in ep], k)
     assert under / total <= p
+
+
+# ---------------------------------------------------------------------------
+# Storage forms and shared statistics (property tests)
+# ---------------------------------------------------------------------------
+
+LAMS = st.floats(min_value=0.05, max_value=5.0)
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+def _random_episodes(rng, S, A, H, K):
+    return [[StepRecord(int(rng.integers(S)), int(rng.integers(A)),
+                        float(rng.uniform(0, 1)), float(rng.uniform(-1, 1)),
+                        int(rng.integers(S))) for _ in range(H)]
+            for _ in range(K)]
+
+
+def _densified(learner):
+    """The learner with every step's statistics switched to dense storage
+    before any sample arrives, as a reference for the diagonal storage."""
+    for g in learner.stats:
+        g._densify()
+    return learner
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=LAMS, seed=SEEDS)
+def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
+    rng = np.random.default_rng(seed)
+    S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    fmap = one_hot_features(S, A)
+    diag = LsviLearner(fmap, S, A, H, lam, beta=float(rng.uniform(0, 3)))
+    dense = _densified(LsviLearner(fmap, S, A, H, lam, beta=diag.beta))
+    assert all(g.diagonal for g in diag.stats)
+    assert not any(g.diagonal for g in dense.stats)
+    for episode in _random_episodes(rng, S, A, H, int(rng.integers(0, 20))):
+        diag.ingest_episode(episode)
+        dense.ingest_episode(episode)
+    ghat = rng.uniform(-1, 1, size=(H, S, A))
+    z = rng.uniform(0, 5, size=H)
+    for g, ref in zip(diag.stats, dense.stats):
+        assert np.diag(g.inv).tobytes() == ref.inv.tobytes()
+        assert np.diag(g.gram).tobytes() == ref.gram.tobytes()
+        assert g.quad_forms().tobytes() == ref.quad_forms().tobytes()
+        b = rng.normal(size=S * A)
+        assert g.solve(b).tobytes() == ref.solve(b).tobytes()
+        assert g.count == ref.count
+    plan, ref_plan = diag.backward_pass(ghat, z), dense.backward_pass(ghat, z)
+    assert plan.weights.tobytes() == ref_plan.weights.tobytes()
+    assert plan.q_table.tobytes() == ref_plan.q_table.tobytes()
+    assert np.array_equal(plan.policy, ref_plan.policy)
+
+
+def _feature_map(rng, one_hot, S, A):
+    if one_hot:
+        return one_hot_features(S, A)
+    d = int(rng.integers(2, 6))
+    return FeatureMap(dim=d, table=random_unit_features(rng, S * A, d).reshape(S, A, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=LAMS, seed=SEEDS, one_hot=st.booleans())
+def test_cost_model_on_shared_statistics_matches_standalone(lam, seed, one_hot):
+    rng = np.random.default_rng(seed)
+    S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    fmap = _feature_map(rng, one_hot, S, A)
+    learner = LsviLearner(fmap, S, A, H, lam, beta=1.0)
+    shared = LinearCostModel(fmap, H, lam=lam, stats=learner.stats)
+    alone = LinearCostModel(fmap, H, lam=lam)
+    for episode in _random_episodes(rng, S, A, H, int(rng.integers(0, 15))):
+        for h, rec in enumerate(episode):
+            phi = fmap.table[rec.state, rec.action]
+            shared.observe(h, phi, rec.cost)
+            alone.observe(h, phi, rec.cost)
+        learner.ingest_episode(episode)
+    for h in range(H):
+        assert shared.theta(h).tobytes() == alone.theta(h).tobytes()
+        assert shared.lcb_table(h).tobytes() == alone.lcb_table(h).tobytes()
+
+
+def test_cost_model_rejects_mismatched_statistics():
+    fmap = one_hot_features(2, 2)
+    learner = LsviLearner(fmap, 2, 2, 3, lam=1.0, beta=1.0)
+    with pytest.raises(ValueError, match="shared statistics"):
+        LinearCostModel(fmap, 3, lam=2.0, stats=learner.stats)
+    with pytest.raises(ValueError, match="shared statistics"):
+        LinearCostModel(fmap, 2, lam=1.0, stats=learner.stats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=LAMS, seed=SEEDS, one_hot=st.booleans())
+def test_rebuild_dense_and_condition_numbers_for_both_storages(lam, seed, one_hot):
+    rng = np.random.default_rng(seed)
+    S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    fmap = _feature_map(rng, one_hot, S, A)
+    learner = LsviLearner(fmap, S, A, H, lam, beta=1.0)
+    assert all(g.diagonal == one_hot for g in learner.stats)
+    for episode in _random_episodes(rng, S, A, H, int(rng.integers(0, 15))):
+        learner.ingest_episode(episode)
+    gram = [np.diag(g.gram) if one_hot else g.gram.copy() for g in learner.stats]
+    quad = [g.quad_forms().copy() for g in learner.stats]
+    plan = learner.backward_pass()
+    assert np.allclose(learner.condition_numbers(),
+                       [np.linalg.cond(m) for m in gram], rtol=1e-10)
+    learner.rebuild_dense()
+    for g, m, q in zip(learner.stats, gram, quad):
+        inv = np.diag(g.inv) if one_hot else g.inv
+        assert np.abs(inv - np.linalg.inv(m)).max() <= 1e-10
+        assert np.abs(g.quad_forms() - q).max() <= 1e-10
+    rebuilt = learner.backward_pass()
+    assert np.abs(rebuilt.q_table - plan.q_table).max() <= 1e-8
+
+
+def test_diagonal_storage_turns_dense_on_a_sample_off_the_feature_set():
+    fmap = one_hot_features(2, 1)
+    g = GramState(2, 1.0, fmap.flat)
+    g.update(np.array([1.0, 0.0]))
+    assert g.diagonal
+    phi = np.array([0.6, 0.8])
+    g.update(phi)
+    assert not g.diagonal
+    expected = np.eye(2) + np.outer([1.0, 0.0], [1.0, 0.0]) + np.outer(phi, phi)
+    assert np.abs(g.gram - expected).max() <= 1e-12
+    assert np.abs(g.inv - np.linalg.inv(expected)).max() <= 1e-12
+    assert np.abs(g.quad_forms() - np.diag(np.linalg.inv(expected))).max() <= 1e-12
+
+
+def test_one_hot_check_gives_up_on_dense_rows():
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    assert not GramState(2, 1.0, feats).diagonal
+    assert GramState(2, 1.0, feats[:2]).diagonal
+    assert not GramState(2, 1.0, np.array([[0.0, 1.0], [0.0, 0.0]])).diagonal
+    assert not GramState(2, 1.0, np.array([[-1.0, 0.0]])).diagonal
+    assert not GramState(2, 1.0).diagonal
