@@ -19,9 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .costs import GpCostModel, LinearCostModel
-from .envs import (DEFAULT_LAKE_MAP, StepRecord, TabularCmdp,
-                   build_hard_instance, build_synthetic_linear,
-                   frozen_lake_from_grid, step)
+from .envs import (DEFAULT_LAKE_MAP, StepRecord, build_hard_instance,
+                   build_synthetic_linear, frozen_lake_from_grid, step)
 from .lsvi import LsviLearner, beta_schedule
 from .oracle import constrained_dp, policy_eval
 from .penalty import PenaltyLedger
@@ -74,6 +73,13 @@ class ExperimentConfig:
             raise ValueError("beta_override must be >= 0")
         if self.cost_width_scale < 0:
             raise ValueError("cost width scale must be >= 0")
+        # Settings the chosen models never read are rejected, not ignored.
+        if self.cost_model == "linear" and self.kernel != "linear":
+            raise ValueError("kernel is only read by cost_model=gp")
+        if self.lengthscale != 1.0 and (self.cost_model, self.kernel) != ("gp", "sqexp"):
+            raise ValueError("lengthscale is only read by cost_model=gp with kernel=sqexp")
+        if self.map_text is not None and self.env != "frozen_lake":
+            raise ValueError("map_text (--map) is only read by env=frozen_lake")
 
     def to_text(self) -> str:
         lines = []
@@ -120,6 +126,8 @@ class Metrics:
     ground-truth mean costs (positive parts, no cancellation); regret is
     measured against the exact optimal safe value.  signed_costs tracks the
     raw cost sum per episode so the no-cancellation gap is observable.
+    optimal_safe_values is the (H + 1, S) value table of the optimal safe
+    policy.
     """
 
     rewards: np.ndarray
@@ -130,6 +138,7 @@ class Metrics:
     signed_costs: np.ndarray
     summary: dict
     trace: Optional[list] = None
+    optimal_safe_values: Optional[np.ndarray] = None
 
 
 def build_env(config: ExperimentConfig, builder_seed):
@@ -183,9 +192,9 @@ def run_experiment(config: ExperimentConfig, env_override=None,
                           config.lam, beta)
     ledger = PenaltyLedger(H, AGENT_MODES[config.agent])
     # With the penalty off the estimated costs are never consumed, so the
-    # baseline skips fitting them.  A linear cost model shares the learner's
+    # run skips fitting them.  A linear cost model shares the learner's
     # design statistics.
-    cost_model = None if config.agent == "lsvi" else \
+    cost_model = None if ledger.mode == "off" else \
         _make_cost_model(config, fmap, learner.stats)
 
     rewards = np.zeros(K)
@@ -253,7 +262,8 @@ def run_experiment(config: ExperimentConfig, env_override=None,
     }
     return Metrics(rewards=rewards, violations=violations, regret_inc=regret_inc,
                    cum_regret=cum_regret, cum_violation=cum_violation,
-                   signed_costs=signed, summary=summary, trace=trace)
+                   signed_costs=signed, summary=summary, trace=trace,
+                   optimal_safe_values=star.v)
 
 
 def fit_growth_exponent(series) -> float:
@@ -298,14 +308,14 @@ def emit_results(metrics: Metrics, config: ExperimentConfig, out_dir) -> Path:
     return csv_path
 
 
-def dump_value_tables(cmdp: TabularCmdp, out_dir) -> Path:
-    """Optional inspection dump of the optimal safe values."""
-    _, star = constrained_dp(cmdp)
+def dump_value_tables(metrics: Metrics, out_dir) -> Path:
+    """Optional inspection dump of the run's optimal safe values."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "optimal_safe_values.txt"
     with open(path, "w") as fh:
-        for h in range(cmdp.horizon):
-            row = " ".join(repr(float(x)) for x in star.v[h])
+        # Rows 0..H-1; row H is the zero value past the horizon.
+        for h, values in enumerate(metrics.optimal_safe_values[:-1]):
+            row = " ".join(repr(float(x)) for x in values)
             fh.write(f"h={h} {row}\n")
     return path

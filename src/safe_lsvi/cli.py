@@ -12,10 +12,8 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bench import (ExperimentConfig, build_env, dump_value_tables,
-                    emit_results, run_experiment)
+from .bench import (ExperimentConfig, dump_value_tables, emit_results,
+                    run_experiment)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,9 +80,7 @@ def main(argv=None) -> int:
         if config.out:
             path = emit_results(metrics, config, config.out)
             if args.dump_values:
-                builder_seed = np.random.SeedSequence(config.seed).spawn(2)[0]
-                cmdp, _ = build_env(config, builder_seed)
-                dump_value_tables(cmdp, config.out)
+                dump_value_tables(metrics, config.out)
             print(path)
         summary = metrics.summary
         print(f"total_reward={summary['total_reward']:.6g} "

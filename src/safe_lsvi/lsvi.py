@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .envs import FeatureMap, StepRecord
+from .penalty import penalized_argmax
 
 NORM_SLACK = 1e-9
 RADICAND_TOL = 1e-12
@@ -185,29 +186,17 @@ def beta_schedule(c: float, d: int, horizon: int, episodes: int, p: float) -> fl
 
 @dataclass
 class QModel:
-    """Clipped optimistic Q-function for one episode.
+    """Clipped optimistic Q-function of one episode's backward pass.
 
-    value(h, phi) = min(<w_h, phi> + beta * ||phi||_{Lambda_h^-1}, cap).
-    stats are the learner's own per-step statistics, not a copy, so the
-    bonus reflects every sample ingested so far.  When built by the tabular
-    backward pass, q_table/v_table/policy hold the evaluation over every
-    (state, action) and the penalized-argmax policy.
+    q_table holds min(<w_h, phi> + beta * ||phi||_{Lambda_h^-1}, H) over every
+    (state, action), policy the penalized argmax of each row and v_table the
+    Q value of that action.
     """
 
     weights: np.ndarray  # (H, d)
-    beta: float
-    cap: float
-    stats: list  # per-h GramState
-    q_table: Optional[np.ndarray] = None  # (H, S, A)
-    v_table: Optional[np.ndarray] = None  # (H, S)
-    policy: Optional[np.ndarray] = None  # (H, S) int
-
-    def value(self, h: int, phi: np.ndarray) -> float:
-        phi = np.asarray(phi, dtype=float)
-        if np.linalg.norm(phi) > 1.0 + NORM_SLACK:
-            raise ValueError("feature norm exceeds 1")
-        q = self.stats[h].quad_form(phi)
-        return min(float(self.weights[h] @ phi) + self.beta * math.sqrt(q), self.cap)
+    q_table: np.ndarray  # (H, S, A)
+    v_table: np.ndarray  # (H, S)
+    policy: np.ndarray  # (H, S) int
 
 
 class LsviLearner:
@@ -270,16 +259,14 @@ class LsviLearner:
             mean = self.stats[h].feature_dot(w)
             bonus = self.beta * np.sqrt(np.maximum(self.stats[h].quad_forms(), 0.0))
             q = np.minimum(mean + bonus, float(H)).reshape(S, A)
-            objective = q if ghat is None or z is None else \
-                q - z[h] * np.maximum(ghat[h], 0.0)
-            a_star = objective.argmax(axis=1)
+            a_star = q.argmax(axis=1) if ghat is None or z is None else \
+                penalized_argmax(q, ghat[h], z[h])
             weights[h] = w
             q_table[h] = q
             policy[h] = a_star
             v_next = q[rows, a_star]
             v_table[h] = v_next
-        return QModel(weights=weights, beta=self.beta, cap=float(H),
-                      stats=self.stats, q_table=q_table, v_table=v_table,
+        return QModel(weights=weights, q_table=q_table, v_table=v_table,
                       policy=policy)
 
     def rebuild_dense(self) -> None:

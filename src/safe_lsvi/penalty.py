@@ -23,45 +23,30 @@ class PenaltyLedger:
         self.mode = mode
         self.z = np.ones(horizon) if mode == "rectified" else np.zeros(horizon)
 
-    def penalty_update(self, h: int, cost: float, k: int) -> None:
-        """Rectified update after episode k: Z_h <- max(Z_h + max(g, 0), k)."""
-        if self.mode != "rectified":
-            raise ValueError(f"penalty_update requires rectified mode, not {self.mode}")
-        if abs(cost) > 1.0:
+    def end_episode(self, costs, k: int) -> None:
+        """Apply episode k's observed costs g_1..g_H to every step's factor.
+
+        Rectified: Z_h <- max(Z_h + max(g_h, 0), k).  Virtual queue:
+        Z_h <- max(Z_h + g_h, 0).  Off: Z stays 0.
+        """
+        g = np.asarray(costs, dtype=float)
+        if g.shape != self.z.shape:
+            raise ValueError(f"{g.size} costs for horizon {self.z.size}")
+        if (np.abs(g) > 1.0).any():
             raise ValueError("observed cost outside [-1, 1]")
         if k < 1:
             raise ValueError("episode index must be >= 1")
-        self.z[h] = max(self.z[h] + max(cost, 0.0), float(k))
-
-    def virtual_queue_update(self, h: int, cost: float) -> None:
-        """Drift update: Z_h <- max(Z_h + g, 0)."""
-        if self.mode != "virtual_queue":
-            raise ValueError(f"virtual_queue_update requires virtual_queue mode, "
-                             f"not {self.mode}")
-        if abs(cost) > 1.0:
-            raise ValueError("observed cost outside [-1, 1]")
-        self.z[h] = max(self.z[h] + cost, 0.0)
-
-    def end_episode(self, costs, k: int) -> None:
-        """Apply this episode's observed costs to every step's factor."""
-        if self.mode == "off":
-            return
-        for h, g in enumerate(costs):
-            if self.mode == "rectified":
-                self.penalty_update(h, g, k)
-            else:
-                self.virtual_queue_update(h, g)
+        if self.mode == "rectified":
+            self.z[:] = np.maximum(self.z + np.maximum(g, 0.0), float(k))
+        elif self.mode == "virtual_queue":
+            self.z[:] = np.maximum(self.z + g, 0.0)
 
 
-def penalized_argmax(q_row: np.ndarray, ghat_row: np.ndarray,
-                     z: float) -> tuple[int, float]:
-    """argmax_a of Q(a) - z * max(ghat(a), 0); ties go to the lowest index."""
-    q_row = np.asarray(q_row, dtype=float)
-    ghat_row = np.asarray(ghat_row, dtype=float)
-    if q_row.size == 0:
+def penalized_argmax(q: np.ndarray, ghat: np.ndarray, z: float) -> np.ndarray:
+    """argmax over the last axis of Q - z * max(ghat, 0): the action of every
+    row of a (..., A) table.  Ties go to the lowest index."""
+    if q.shape != ghat.shape:
+        raise ValueError(f"Q shape {q.shape} != cost shape {ghat.shape}")
+    if not q.shape or q.shape[-1] == 0:
         raise ValueError("empty action set")
-    if q_row.shape != ghat_row.shape:
-        raise ValueError("Q and cost rows must have equal length")
-    objective = q_row - z * np.maximum(ghat_row, 0.0)
-    a = int(np.argmax(objective))
-    return a, float(objective[a])
+    return (q - z * np.maximum(ghat, 0.0)).argmax(axis=-1)

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from safe_lsvi.bench import (ExperimentConfig, Metrics, emit_results,
-                             fit_growth_exponent, run_experiment)
+from safe_lsvi.bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
+                             Metrics, emit_results, fit_growth_exponent,
+                             run_experiment)
 from safe_lsvi.costs import tilde_beta
 from safe_lsvi.envs import TabularCmdp, one_hot_features
 
@@ -84,6 +86,38 @@ def test_config_validation():
         ExperimentConfig(beta_override=-1.0).validate()
     with pytest.raises(ValueError, match="c_beta"):
         ExperimentConfig(c_beta=-0.5).validate()
+    # settings that the chosen models never read
+    with pytest.raises(ValueError, match="kernel"):
+        ExperimentConfig(kernel="sqexp").validate()
+    with pytest.raises(ValueError, match="lengthscale"):
+        ExperimentConfig(lengthscale=0.5).validate()
+    with pytest.raises(ValueError, match="lengthscale"):
+        ExperimentConfig(cost_model="gp", kernel="linear", lengthscale=0.5).validate()
+    with pytest.raises(ValueError, match="map_text"):
+        ExperimentConfig(env="synthetic_linear", map_text="S.G").validate()
+    ExperimentConfig(cost_model="gp", kernel="sqexp", lengthscale=0.5,
+                     map_text="S.G").validate()
+
+
+# Canonical values: what to_text writes and from_text reads back unchanged
+# (no surrounding whitespace, no line breaks, no ';' inside map_text).
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+WORD = st.text(alphabet="abcxyz019_-./", min_size=1, max_size=12)
+MAPS = st.lists(st.text(alphabet="SGH.", min_size=1, max_size=6),
+                min_size=1, max_size=4).map("\n".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(env=st.sampled_from(ENVS), agent=st.sampled_from(AGENTS),
+       episodes=st.integers(), horizon=st.integers(), p=FINITE, lam=FINITE,
+       c_beta=FINITE, beta_override=st.none() | FINITE,
+       cost_model=st.sampled_from(COST_MODELS),
+       kernel=st.sampled_from(("linear", "sqexp")), lengthscale=FINITE,
+       cost_width_scale=FINITE, dim=st.integers(), map_text=st.none() | MAPS,
+       seed=st.integers(min_value=0), out=st.none() | WORD)
+def test_config_text_roundtrip_on_canonical_values(**values):
+    config = ExperimentConfig(**values)
+    assert ExperimentConfig.from_text(config.to_text()) == config
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +159,20 @@ def test_no_cancellation_bound_on_every_run():
                                horizon=4, dim=4, beta_override=1.0, seed=2)
         m = run_experiment(cfg)
         assert m.cum_violation[-1] >= max(0.0, m.signed_costs.sum()) - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(agent=st.sampled_from(AGENTS), seed=st.integers(0, 2 ** 32 - 1),
+       env=st.sampled_from(("synthetic_linear", "hard_instance", "frozen_lake")))
+def test_violation_never_below_positive_signed_cost_per_episode(agent, seed, env):
+    # 14 episodes is the least the hard instance accepts at d=4, H=3.
+    cfg = ExperimentConfig(env=env, agent=agent, episodes=14, horizon=3, dim=4,
+                           beta_override=1.0, cost_width_scale=0.1, seed=seed,
+                           map_text="S.H\n..G" if env == "frozen_lake" else None)
+    m = run_experiment(cfg)
+    # Both sums run left to right and max(g, 0) >= g term by term, so the
+    # bound holds exactly in floating point.
+    assert np.all(m.violations >= np.maximum(m.signed_costs, 0.0))
 
 
 def test_rectified_floor_invariant_on_ae_run():
@@ -361,10 +409,19 @@ def test_cli_rejects_bad_input(capsys):
     (["--beta-override", "-1.0"], "beta_override"),
     (["--c-beta", "-0.5"], "c_beta"),
     (["--dump-values"], "--out"),
-], ids=["negative-beta-override", "negative-c-beta", "dump-values-without-out"])
+    (["--kernel", "sqexp"], "kernel"),
+    (["--lengthscale", "0.5"], "lengthscale"),
+    (["--map", "MAP"], "map_text"),
+], ids=["negative-beta-override", "negative-c-beta", "dump-values-without-out",
+        "kernel-with-linear-costs", "lengthscale-with-linear-costs",
+        "map-with-synthetic-env"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
+                                                   tmp_path_factory,
                                                    monkeypatch, capsys):
     from safe_lsvi.cli import main
+    map_file = tmp_path_factory.mktemp("map") / "map.txt"
+    map_file.write_text("S.H\n..G\n")
+    flags = [str(map_file) if f == "MAP" else f for f in flags]
     monkeypatch.chdir(tmp_path)
     code = main(["--env", "synthetic_linear", "--episodes", "3", "--horizon", "3",
                  "--dim", "4"] + flags)

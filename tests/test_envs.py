@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safe_lsvi.envs import (DEFAULT_LAKE_MAP, StepRecord, TabularCmdp,
                             build_frozen_lake, build_hard_instance,
@@ -322,6 +323,36 @@ def test_describe_parse_roundtrip():
     assert back.initial_state == cmdp.initial_state
     assert back.cost_noise == cmdp.cost_noise
     assert back.reward_scale == cmdp.reward_scale
+
+
+@st.composite
+def cmdps(draw):
+    """A valid CMDP with arbitrary floats: random transition rows, rewards in
+    [0, 1], and costs in [-1, 1] with action 0 safe everywhere."""
+    S, A, H = (draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = rng.dirichlet(np.ones(S), size=(H, S, A))
+    R = rng.uniform(0.0, 1.0, size=(H, S, A))
+    G = rng.uniform(-1.0, 1.0, size=(H, S, A))
+    G[..., 0] = -np.abs(G[..., 0])
+    return TabularCmdp(S, A, H, P, R, G,
+                       initial_state=draw(st.integers(0, S - 1)),
+                       cost_noise=draw(st.floats(0.0, 1.0)),
+                       reward_scale=draw(st.floats(1e-3, 1e3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cmdp=cmdps())
+def test_describe_parse_roundtrip_on_random_cmdps(cmdp):
+    text = describe_cmdp(cmdp)
+    back = parse_cmdp_text(text)
+    for name in ("transition", "reward", "cost_mean"):
+        assert getattr(back, name).tobytes() == getattr(cmdp, name).tobytes()
+    assert (back.num_states, back.num_actions, back.horizon, back.initial_state) \
+        == (cmdp.num_states, cmdp.num_actions, cmdp.horizon, cmdp.initial_state)
+    assert back.cost_noise == cmdp.cost_noise
+    assert back.reward_scale == cmdp.reward_scale
+    assert describe_cmdp(back) == text
 
 
 def test_describe_header_keys():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from safe_lsvi.costs import LinearCostModel
 from safe_lsvi.envs import FeatureMap, StepRecord, one_hot_features
-from safe_lsvi.lsvi import GramState, LsviLearner, QModel, beta_schedule
+from safe_lsvi.lsvi import GramState, LsviLearner, beta_schedule
 
 
 def random_unit_features(rng, n, d, scale=1.0):
@@ -192,36 +192,8 @@ def test_beta_schedule_rejects_bad_p():
 
 
 # ---------------------------------------------------------------------------
-# QModel.value
+# Optimistic Q-table
 # ---------------------------------------------------------------------------
-
-def test_q_value_clips_at_cap():
-    H = 4
-    model = QModel(weights=np.zeros((H, 3)), beta=2.0 * H, cap=float(H),
-                   stats=[GramState(3, 1.0)] * H)
-    phi = np.array([1.0, 0.0, 0.0])
-    assert model.value(0, phi) == float(H)
-
-
-def test_q_value_pure_linear_term():
-    model = QModel(weights=np.array([[1.0, 0.0]]), beta=0.0, cap=5.0,
-                   stats=[GramState(2, 1.0)])
-    assert model.value(0, np.array([1.0, 0.0])) == pytest.approx(1.0)
-
-
-def test_q_value_matches_dense_solve():
-    rng = np.random.default_rng(5)
-    d = 6
-    g = GramState(d, 1.0)
-    for phi in random_unit_features(rng, 30, d):
-        g.update(phi)
-    w = rng.normal(size=d)
-    model = QModel(weights=w[None, :], beta=1.7, cap=50.0, stats=[g])
-    for phi in random_unit_features(rng, 10, d):
-        expected = min(w @ phi + 1.7 * math.sqrt(phi @ np.linalg.solve(g.gram, phi)),
-                       50.0)
-        assert model.value(0, phi) == pytest.approx(expected, abs=1e-8)
-
 
 def test_q_value_never_exceeds_cap():
     rng = np.random.default_rng(8)
@@ -248,6 +220,11 @@ def test_backward_pass_empty_history():
     assert np.array_equal(plan.weights, np.zeros((4, 6)))
     # every Q value is min(beta * ||phi||, H) = 1.5 for unit one-hot features
     assert np.allclose(plan.q_table, 1.5)
+    # a bonus far above the horizon clips every value at the cap H = 4
+    learner = LsviLearner(fmap, 3, 2, 4, 1.0, beta=8.0)
+    plan = learner.backward_pass()
+    assert np.array_equal(plan.q_table, np.full((4, 3, 2), 4.0))
+    assert np.array_equal(plan.v_table, np.full((4, 3), 4.0))
 
 
 def _reference_lines_4_to_9(history, feats, S, A, H, lam, beta, ghat, z):
@@ -279,22 +256,25 @@ def _reference_lines_4_to_9(history, feats, S, A, H, lam, beta, ghat, z):
 
 def test_backward_pass_matches_reference():
     S, A, H = 2, 2, 2
-    fmap = one_hot_features(S, A)
+    rng = np.random.default_rng(5)
+    # one-hot (diagonal statistics) and dense unit-norm features of d = 3
+    dense = FeatureMap(3, random_unit_features(rng, S * A, 3).reshape(S, A, 3))
     history = [
         [StepRecord(0, 1, 0.5, -1.0, 1), StepRecord(1, 0, 0.2, -1.0, 0)],
         [StepRecord(0, 0, 0.1, -1.0, 0), StepRecord(0, 1, 0.9, -1.0, 1)],
         [StepRecord(1, 1, 0.7, -1.0, 1), StepRecord(1, 1, 0.3, -1.0, 0)],
     ]
-    learner = LsviLearner(fmap, S, A, H, 1.0, beta=0.8)
-    for episode in history:
-        learner.ingest_episode(episode)
-    ghat = -np.ones((H, S, A))
-    z = np.zeros(H)
-    plan = learner.backward_pass(ghat=ghat, z=z)
-    ref_w, ref_q = _reference_lines_4_to_9(history, fmap.flat, S, A, H, 1.0, 0.8,
-                                           ghat, z)
-    assert np.abs(plan.weights - ref_w).max() <= 1e-10
-    assert np.abs(plan.q_table - ref_q).max() <= 1e-10
+    for fmap in (one_hot_features(S, A), dense):
+        learner = LsviLearner(fmap, S, A, H, 1.0, beta=0.8)
+        for episode in history:
+            learner.ingest_episode(episode)
+        ghat = -np.ones((H, S, A))
+        z = np.zeros(H)
+        plan = learner.backward_pass(ghat=ghat, z=z)
+        ref_w, ref_q = _reference_lines_4_to_9(history, fmap.flat, S, A, H, 1.0,
+                                               0.8, ghat, z)
+        assert np.abs(plan.weights - ref_w).max() <= 1e-10
+        assert np.abs(plan.q_table - ref_q).max() <= 1e-10
 
 
 def test_backward_pass_penalty_dominates():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from safe_lsvi.penalty import PenaltyLedger, penalized_argmax
+from safe_lsvi.penalty import MODES, PenaltyLedger, penalized_argmax
 
 
 # ---------------------------------------------------------------------------
@@ -9,21 +10,21 @@ from safe_lsvi.penalty import PenaltyLedger, penalized_argmax
 # ---------------------------------------------------------------------------
 
 def test_rectified_safe_cost_adds_nothing():
-    ledger = PenaltyLedger(2, "rectified")
-    ledger.penalty_update(0, -1.0, k=1)
+    ledger = PenaltyLedger(1, "rectified")
+    ledger.end_episode([-1.0], k=1)
     assert ledger.z[0] == 1.0
 
 
 def test_rectified_positive_cost_accumulates():
     ledger = PenaltyLedger(1, "rectified")
-    ledger.penalty_update(0, 0.5, k=1)
+    ledger.end_episode([0.5], k=1)
     assert ledger.z[0] == 1.5
 
 
 def test_rectified_floor_activates():
     ledger = PenaltyLedger(1, "rectified")
     ledger.z[0] = 3.0
-    ledger.penalty_update(0, -0.2, k=10)
+    ledger.end_episode([-0.2], k=10)
     assert ledger.z[0] == 10.0
 
 
@@ -44,26 +45,20 @@ def test_rectified_floor_and_monotone_invariants():
         prev = ledger.z.copy()
 
 
-def test_rectified_mode_guard():
-    ledger = PenaltyLedger(2, "virtual_queue")
-    with pytest.raises(ValueError):
-        ledger.penalty_update(0, 0.5, k=1)
-
-
 # ---------------------------------------------------------------------------
 # Virtual queue update
 # ---------------------------------------------------------------------------
 
 def test_virtual_queue_floor_at_zero():
     ledger = PenaltyLedger(1, "virtual_queue")
-    ledger.virtual_queue_update(0, -1.0)
+    ledger.end_episode([-1.0], k=1)
     assert ledger.z[0] == 0.0
 
 
 def test_virtual_queue_signed_decrement():
     ledger = PenaltyLedger(1, "virtual_queue")
     ledger.z[0] = 2.0
-    ledger.virtual_queue_update(0, -0.5)
+    ledger.end_episode([-0.5], k=1)
     assert ledger.z[0] == 1.5
 
 
@@ -71,7 +66,7 @@ def test_virtual_queue_alternating_costs_oscillate():
     ledger = PenaltyLedger(1, "virtual_queue")
     seen = []
     for i in range(10):
-        ledger.virtual_queue_update(0, 1.0 if i % 2 == 0 else -1.0)
+        ledger.end_episode([1.0 if i % 2 == 0 else -1.0], k=i + 1)
         seen.append(ledger.z[0])
     assert seen == [1.0, 0.0] * 5
 
@@ -81,16 +76,10 @@ def test_virtual_queue_cancellation_is_possible():
     ledger = PenaltyLedger(1, "virtual_queue")
     costs = [1.0, -1.0] * 5
     positive_mass = sum(max(c, 0.0) for c in costs)
-    for c in costs:
-        ledger.virtual_queue_update(0, c)
+    for k, c in enumerate(costs, start=1):
+        ledger.end_episode([c], k)
     assert positive_mass == 5.0
     assert ledger.z[0] == 0.0
-
-
-def test_virtual_queue_mode_guard():
-    ledger = PenaltyLedger(2, "rectified")
-    with pytest.raises(ValueError):
-        ledger.virtual_queue_update(0, 0.5)
 
 
 def test_off_mode_stays_zero():
@@ -107,7 +96,51 @@ def test_unknown_mode_rejected():
 def test_cost_range_validated():
     ledger = PenaltyLedger(1, "rectified")
     with pytest.raises(ValueError):
-        ledger.penalty_update(0, 1.5, k=1)
+        ledger.end_episode([1.5], k=1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_end_episode_rejects_a_cost_list_of_the_wrong_length(mode):
+    # One cost for H = 3 would leave Z_2 and Z_3 below the floor k = 5.
+    ledger = PenaltyLedger(3, mode)
+    before = ledger.z.copy()
+    for costs in ([0.5], [0.5] * 4):
+        with pytest.raises(ValueError, match="horizon 3"):
+            ledger.end_episode(costs, k=5)
+    assert np.array_equal(ledger.z, before)
+
+
+def _scalar_recurrence(mode, horizon, episodes):
+    """Z after each episode, one step and one Python float at a time."""
+    z = [1.0 if mode == "rectified" else 0.0] * horizon
+    history = []
+    for k, costs in enumerate(episodes, start=1):
+        for h, g in enumerate(costs):
+            if mode == "rectified":
+                z[h] = max(z[h] + max(g, 0.0), float(k))
+            elif mode == "virtual_queue":
+                z[h] = max(z[h] + g, 0.0)
+        history.append(np.array(z))
+    return history
+
+
+COSTS = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode=st.sampled_from(MODES), data=st.data(),
+       horizon=st.integers(min_value=1, max_value=5))
+def test_end_episode_equals_scalar_recurrences_bitwise(mode, horizon, data):
+    episodes = data.draw(st.lists(st.lists(COSTS, min_size=horizon,
+                                           max_size=horizon),
+                                  min_size=1, max_size=12))
+    ledger = PenaltyLedger(horizon, mode)
+    for k, (costs, want) in enumerate(
+            zip(episodes, _scalar_recurrence(mode, horizon, episodes)), start=1):
+        ledger.end_episode(costs, k)
+        assert ledger.z.tobytes() == want.tobytes()
+        if mode == "rectified":
+            assert np.all(ledger.z >= k)
 
 
 # ---------------------------------------------------------------------------
@@ -115,30 +148,28 @@ def test_cost_range_validated():
 # ---------------------------------------------------------------------------
 
 def test_argmax_zero_penalty_is_plain_argmax():
-    a, value = penalized_argmax(np.array([1.0, 3.0, 2.0]),
-                                np.array([0.9, 0.9, 0.9]), z=0.0)
-    assert a == 1 and value == 3.0
+    a = penalized_argmax(np.array([1.0, 3.0, 2.0]),
+                         np.array([0.9, 0.9, 0.9]), z=0.0)
+    assert a == 1
 
 
 def test_argmax_hand_computed_case():
     q = np.array([5.0, 4.0])
     ghat = np.array([0.5, -1.0])
-    a, value = penalized_argmax(q, ghat, z=10.0)
+    a = penalized_argmax(q, ghat, z=10.0)
     # objectives are (0, 4): the penalty eliminates the Q-greedy action
-    assert a == 1 and value == 4.0
+    assert a == 1
 
 
 def test_argmax_all_safe_ignores_z():
     q = np.array([2.0, 7.0, 4.0])
     ghat = np.array([-0.1, -0.5, -0.9])
     for z in (0.0, 1.0, 1e9):
-        a, _ = penalized_argmax(q, ghat, z)
-        assert a == 1
+        assert penalized_argmax(q, ghat, z) == 1
 
 
 def test_argmax_ties_break_low_index():
-    a, _ = penalized_argmax(np.array([1.0, 1.0]), np.array([-1.0, -1.0]), 3.0)
-    assert a == 0
+    assert penalized_argmax(np.array([1.0, 1.0]), np.array([-1.0, -1.0]), 3.0) == 0
 
 
 def test_argmax_constant_shift_invariant():
@@ -147,9 +178,7 @@ def test_argmax_constant_shift_invariant():
         q = rng.normal(size=5)
         g = rng.uniform(-1, 1, size=5)
         z = float(rng.uniform(0, 10))
-        a1, _ = penalized_argmax(q, g, z)
-        a2, _ = penalized_argmax(q + 7.3, g, z)
-        assert a1 == a2
+        assert penalized_argmax(q, g, z) == penalized_argmax(q + 7.3, g, z)
 
 
 def test_argmax_rejects_empty_and_mismatched():
@@ -157,3 +186,22 @@ def test_argmax_rejects_empty_and_mismatched():
         penalized_argmax(np.array([]), np.array([]), 1.0)
     with pytest.raises(ValueError):
         penalized_argmax(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
+
+
+# Small integers make ties common, so the tie rule is exercised.
+SMALL = st.integers(min_value=-3, max_value=3).map(float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), shape=st.lists(st.integers(min_value=1, max_value=4),
+                                      min_size=1, max_size=3),
+       z=st.sampled_from([0.0, 0.5, 1.0, 7.0]))
+def test_argmax_on_a_table_equals_the_argmax_of_each_row(data, shape, z):
+    size = int(np.prod(shape))
+    q = np.array(data.draw(st.lists(SMALL, min_size=size, max_size=size))).reshape(shape)
+    ghat = np.array(data.draw(st.lists(SMALL, min_size=size, max_size=size))).reshape(shape)
+    got = penalized_argmax(q, ghat, z)
+    assert got.shape == tuple(shape[:-1])
+    for index in np.ndindex(*shape[:-1]):
+        objective = [qa - z * max(ga, 0.0) for qa, ga in zip(q[index], ghat[index])]
+        assert got[index] == objective.index(max(objective))
