@@ -80,6 +80,13 @@ class ExperimentConfig:
             raise ValueError("lengthscale is only read by cost_model=gp with kernel=sqexp")
         if self.map_text is not None and self.env != "frozen_lake":
             raise ValueError("map_text (--map) is only read by env=frozen_lake")
+        if self.env == "frozen_lake" and self.dim != 8:
+            raise ValueError("dim is only read by env=synthetic_linear and "
+                             "env=hard_instance (frozen_lake's features are "
+                             "one-hot over its grid)")
+        if self.agent == "lsvi" and self.cost_model != "linear":
+            raise ValueError("cost_model is not read by agent=lsvi: its "
+                             "penalty is off, so no cost model is built")
 
     def to_text(self) -> str:
         lines = []

@@ -95,6 +95,16 @@ def test_config_validation():
         ExperimentConfig(cost_model="gp", kernel="linear", lengthscale=0.5).validate()
     with pytest.raises(ValueError, match="map_text"):
         ExperimentConfig(env="synthetic_linear", map_text="S.G").validate()
+    with pytest.raises(ValueError, match="dim"):
+        ExperimentConfig(env="frozen_lake", dim=3).validate()
+    with pytest.raises(ValueError, match="cost_model"):
+        ExperimentConfig(agent="lsvi", cost_model="gp", kernel="sqexp").validate()
+    with pytest.raises(ValueError, match="cost_model"):
+        ExperimentConfig(agent="lsvi", cost_model="gp").validate()
+    # One lake config serves all three agents: plain lsvi accepts (and never
+    # reads) the cost width scale.
+    ExperimentConfig(agent="lsvi", cost_width_scale=0.02).validate()
+    ExperimentConfig(env="synthetic_linear", dim=3).validate()
     ExperimentConfig(cost_model="gp", kernel="sqexp", lengthscale=0.5,
                      map_text="S.G").validate()
 
@@ -166,9 +176,11 @@ def test_no_cancellation_bound_on_every_run():
        env=st.sampled_from(("synthetic_linear", "hard_instance", "frozen_lake")))
 def test_violation_never_below_positive_signed_cost_per_episode(agent, seed, env):
     # 14 episodes is the least the hard instance accepts at d=4, H=3.
-    cfg = ExperimentConfig(env=env, agent=agent, episodes=14, horizon=3, dim=4,
-                           beta_override=1.0, cost_width_scale=0.1, seed=seed,
-                           map_text="S.H\n..G" if env == "frozen_lake" else None)
+    lake = env == "frozen_lake"
+    cfg = ExperimentConfig(env=env, agent=agent, episodes=14, horizon=3,
+                           dim=8 if lake else 4, beta_override=1.0,
+                           cost_width_scale=0.1, seed=seed,
+                           map_text="S.H\n..G" if lake else None)
     m = run_experiment(cfg)
     # Both sums run left to right and max(g, 0) >= g term by term, so the
     # bound holds exactly in floating point.
@@ -412,9 +424,12 @@ def test_cli_rejects_bad_input(capsys):
     (["--kernel", "sqexp"], "kernel"),
     (["--lengthscale", "0.5"], "lengthscale"),
     (["--map", "MAP"], "map_text"),
+    (["--env", "frozen_lake"], "dim"),
+    (["--agent", "lsvi", "--cost-model", "gp", "--kernel", "sqexp",
+      "--lengthscale", "0.3"], "cost_model"),
 ], ids=["negative-beta-override", "negative-c-beta", "dump-values-without-out",
         "kernel-with-linear-costs", "lengthscale-with-linear-costs",
-        "map-with-synthetic-env"])
+        "map-with-synthetic-env", "dim-with-frozen-lake", "gp-costs-with-lsvi"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
                                                    tmp_path_factory,
                                                    monkeypatch, capsys):

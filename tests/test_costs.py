@@ -3,6 +3,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safe_lsvi.costs import (CostEstimate, GpCostModel, LinearCostModel,
                              gp_beta, make_kernel, tilde_beta)
@@ -365,3 +366,78 @@ def test_gp_rejects_out_of_range_cost():
     model = GpCostModel("sqexp", total_episodes=10, horizon=1)
     with pytest.raises(ValueError):
         model.observe(0, np.array([0.0, 0.0]), -1.2)
+
+
+# ---------------------------------------------------------------------------
+# The cached GP posterior over the feature set (property tests)
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+GP_KERNELS = st.sampled_from([("linear", 1.0), ("sqexp", 0.3), ("sqexp", 0.7),
+                              ("sqexp", 1.0), ("sqexp", 2.5)])
+
+
+def _observed_gp(rng, kernel, lengthscale, horizon):
+    """A GP cost model on a small feature map after a random observe
+    sequence: mostly rows of the map, repeats included, some points off it.
+    Returns the model and each step's (points, costs)."""
+    S, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    table = ball_features(rng, S * A, d) * rng.uniform(0.2, 1.0, size=(S * A, 1))
+    fmap = FeatureMap(dim=d, table=table.reshape(S, A, d))
+    model = GpCostModel(kernel, total_episodes=int(rng.integers(1, 50)),
+                        horizon=horizon, lengthscale=lengthscale,
+                        p=float(rng.uniform(0.01, 0.5)),
+                        width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
+    data = [([], []) for _ in range(horizon)]
+    for _ in range(int(rng.integers(0, 40))):
+        h = int(rng.integers(horizon))
+        if rng.uniform() < 0.8:
+            y = fmap.flat[rng.integers(S * A)]
+        else:
+            y = ball_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0)
+        cost = float(rng.uniform(-1, 1))
+        model.observe(h, y, cost)
+        data[h][0].append(y)
+        data[h][1].append(cost)
+    return model, data
+
+
+def _dense_gp_lcb(model, points, costs):
+    """The LCB table from a dense posterior: np.linalg.solve on
+    K(X, X) + lam*I and the information gain from slogdet."""
+    kern, feats, lam = model.kern, model.fmap.flat, model.lam
+    prior = np.diag(kern(feats, feats))
+    if not points:
+        mean, var, gamma = np.zeros(len(feats)), prior, 0.0
+    else:
+        x, g = np.array(points), np.array(costs)
+        kxx = kern(x, x) + lam * np.eye(len(x))
+        kfx = kern(feats, x)
+        mean = kfx @ np.linalg.solve(kxx, g)
+        var = prior - np.einsum("fn,nf->f", kfx, np.linalg.solve(kxx, kfx.T))
+        gamma = 0.5 * (np.linalg.slogdet(kxx)[1] - len(x) * math.log(lam))
+    beta = model.width_scale * gp_beta(gamma, model.p / model.H)
+    S, A, _ = model.fmap.table.shape
+    return (mean - beta * np.sqrt(np.maximum(var, 0.0))).reshape(S, A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=GP_KERNELS, seed=SEEDS)
+def test_gp_lcb_table_equals_dense_and_cholesky_posteriors(kernel, seed):
+    rng = np.random.default_rng(seed)
+    model, data = _observed_gp(rng, *kernel, horizon=2)
+    kern, calls = model.kern, []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return kern(a, b)
+    model.kern = counted
+    tables = [model.lcb_table(h) for h in range(model.H)]
+    model.kern = kern
+    assert calls == []  # served from the cache, without a kernel call
+    S, A, _ = model.fmap.table.shape
+    for h, (table, (points, costs)) in enumerate(zip(tables, data)):
+        assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-8
+        mean, sigma = model.posterior_batch(h, model.fmap.flat)
+        beta = model.width_scale * gp_beta(model.info_gain(h), model.p / model.H)
+        assert np.abs(table - (mean - beta * sigma).reshape(S, A)).max() <= 1e-8

@@ -411,6 +411,34 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     assert np.array_equal(plan.policy, ref_plan.policy)
 
 
+@settings(max_examples=80, deadline=None)
+@given(lam=LAMS, seed=SEEDS)
+def test_dense_rank_one_updates_equal_the_inverse_of_the_gram(lam, seed):
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+    # Rows of random direction and norm in (0.05, 1): never a unit basis
+    # vector, so the storage is dense.
+    feats = random_unit_features(rng, n, d) * rng.uniform(0.05, 1.0, size=(n, 1))
+    g = GramState(d, lam, feats)
+    assert not g.diagonal
+    samples = []
+    for _ in range(int(rng.integers(0, 40))):
+        if rng.uniform() < 0.5:
+            phi = feats[rng.integers(n)]
+        else:
+            phi = random_unit_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0)
+        g.update(phi)
+        samples.append(phi)
+    gram = lam * np.eye(d) + sum((np.outer(phi, phi) for phi in samples),
+                                 np.zeros((d, d)))
+    dense_inv = np.linalg.inv(gram)
+    assert np.abs(g.gram - gram).max() <= 1e-10
+    assert np.abs(g.inv - dense_inv).max() <= 1e-8
+    assert np.abs(g.quad_forms()
+                  - np.einsum("nd,de,ne->n", feats, dense_inv, feats)).max() <= 1e-8
+    assert g.count == len(samples)
+
+
 def _feature_map(rng, one_hot, S, A):
     if one_hot:
         return one_hot_features(S, A)
