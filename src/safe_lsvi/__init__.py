@@ -6,8 +6,8 @@ from .bench import (ExperimentConfig, Metrics, emit_results,
                     fit_growth_exponent, run_experiment)
 from .costs import (CostEstimate, GpCostModel, LinearCostModel, gp_beta,
                     make_kernel, tilde_beta)
-from .envs import (DEFAULT_LAKE_MAP, EpisodeTrace, FeatureMap, StepRecord,
-                   TabularCmdp, build_frozen_lake, build_hard_instance,
+from .envs import (DEFAULT_LAKE_MAP, FeatureMap, StepRecord, TabularCmdp,
+                   build_frozen_lake, build_hard_instance,
                    build_synthetic_linear, describe_cmdp,
                    frozen_lake_from_grid, one_hot_features, parse_cmdp_text,
                    step)
@@ -19,7 +19,7 @@ from .penalty import PenaltyLedger, penalized_argmax
 __all__ = [
     "ExperimentConfig", "Metrics", "emit_results", "fit_growth_exponent",
     "run_experiment", "CostEstimate", "GpCostModel", "LinearCostModel",
-    "gp_beta", "make_kernel", "tilde_beta", "DEFAULT_LAKE_MAP", "EpisodeTrace",
+    "gp_beta", "make_kernel", "tilde_beta", "DEFAULT_LAKE_MAP",
     "FeatureMap", "StepRecord", "TabularCmdp", "build_frozen_lake",
     "build_hard_instance", "build_synthetic_linear", "describe_cmdp",
     "frozen_lake_from_grid", "one_hot_features", "parse_cmdp_text", "step",

@@ -11,21 +11,18 @@ mean costs along the realized trajectory.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .costs import GpCostModel, LinearCostModel
+from .costs import KERNELS, GpCostModel, LinearCostModel
 from .envs import (DEFAULT_LAKE_MAP, StepRecord, build_hard_instance,
                    build_synthetic_linear, frozen_lake_from_grid, step)
 from .lsvi import LsviLearner, beta_schedule
 from .oracle import constrained_dp, policy_eval
 from .penalty import PenaltyLedger
-
-log = logging.getLogger(__name__)
 
 ENVS = ("frozen_lake", "synthetic_linear", "hard_instance")
 AGENTS = ("lsvi_ae", "lsvi", "lsvi_primal")
@@ -59,8 +56,8 @@ class ExperimentConfig:
             raise ValueError(f"agent must be one of {AGENTS}")
         if self.cost_model not in COST_MODELS:
             raise ValueError(f"cost_model must be one of {COST_MODELS}")
-        if self.kernel not in ("linear", "sqexp"):
-            raise ValueError("kernel must be 'linear' or 'sqexp'")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {KERNELS}")
         if self.episodes < 1 or self.horizon < 1:
             raise ValueError("episodes and horizon must be >= 1")
         if not 0 < self.p < 1:
@@ -87,6 +84,10 @@ class ExperimentConfig:
         if self.agent == "lsvi" and self.cost_model != "linear":
             raise ValueError("cost_model is not read by agent=lsvi: its "
                              "penalty is off, so no cost model is built")
+        if self.beta_override is not None and self.c_beta != 1.0:
+            raise ValueError("c_beta scales the schedule that beta_override replaces")
+        if self.beta_override is not None and self.agent == "lsvi" and self.p != 0.1:
+            raise ValueError("p is not read by agent=lsvi with beta_override")
 
     def to_text(self) -> str:
         lines = []
@@ -248,13 +249,7 @@ def run_experiment(config: ExperimentConfig, env_override=None,
                 "weights": plan.weights.copy(),
                 "z": ledger.z.copy(),
                 "actions": [rec.action for rec in episode],
-                "states": [rec.state for rec in episode],
-                "observed_costs": [rec.cost for rec in episode],
             })
-        if log.isEnabledFor(logging.DEBUG) and (k % 100 == 0 or k == K):
-            norms = np.linalg.norm(plan.weights, axis=1)
-            log.debug("episode %d: max|w|=%.4g cond(Gram)=%s",
-                      k, norms.max(), [f"{c:.3g}" for c in learner.condition_numbers()])
 
     # np.cumsum adds left to right, so the sums are those of a running loop.
     cum_regret = np.cumsum(regret_inc)

@@ -8,12 +8,13 @@ input or runtime failure.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .bench import (ExperimentConfig, dump_value_tables, emit_results,
-                    run_experiment)
+from .bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
+                    dump_value_tables, emit_results, run_experiment)
+from .costs import KERNELS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,9 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="safe-lsvi",
         description="Run a safe-RL benchmark episode loop and emit CSV metrics.")
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--env", choices=("frozen_lake", "synthetic_linear",
-                                          "hard_instance"))
-    parser.add_argument("--agent", choices=("lsvi_ae", "lsvi", "lsvi_primal"))
+    parser.add_argument("--env", choices=ENVS)
+    parser.add_argument("--agent", choices=AGENTS)
     parser.add_argument("--episodes", type=int, help="number of episodes K")
     parser.add_argument("--horizon", type=int, help="episode length H")
     parser.add_argument("--seed", type=int)
@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="constant in the theory bonus schedule")
     parser.add_argument("--beta-override", dest="beta_override", type=float,
                         help="use this bonus scale instead of the schedule")
-    parser.add_argument("--cost-model", dest="cost_model", choices=("linear", "gp"))
-    parser.add_argument("--kernel", choices=("linear", "sqexp"))
+    parser.add_argument("--cost-model", dest="cost_model", choices=COST_MODELS)
+    parser.add_argument("--kernel", choices=KERNELS)
     parser.add_argument("--lengthscale", type=float)
     parser.add_argument("--cost-width-scale", dest="cost_width_scale", type=float,
                         help="multiplier on the cost confidence width")
@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory for results.csv")
     parser.add_argument("--dump-values", action="store_true",
                         help="also write the optimal safe value tables")
-    parser.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -54,24 +53,17 @@ def config_from_args(args) -> ExperimentConfig:
         config = ExperimentConfig.from_text(Path(args.config).read_text())
     else:
         config = ExperimentConfig()
-    overrides = {}
-    for name in ("env", "agent", "episodes", "horizon", "seed", "p", "lam",
-                 "c_beta", "beta_override", "cost_model", "kernel",
-                 "lengthscale", "cost_width_scale", "dim", "out"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
+    # Every config field is a flag of its name but map_text (--map, a file).
+    for f in fields(ExperimentConfig):
+        if f.name != "map_text" and getattr(args, f.name) is not None:
+            setattr(config, f.name, getattr(args, f.name))
     if args.map_path:
-        overrides["map_text"] = Path(args.map_path).read_text()
-    for key, value in overrides.items():
-        setattr(config, key, value)
+        config.map_text = Path(args.map_path).read_text()
     return config
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         config = config_from_args(args)
         if args.dump_values and not config.out:

@@ -8,9 +8,10 @@ otherwise.  Both serve the (S, A) table of lower-confidence costs from state
 they update per observation: the ridge model from the shared design
 statistics, the GP from a cross factor L^-1 K(X, F) over the feature set F
 that grows one row per observation (O(n * S*A) to add, O(S*A) to query).
-Widths consume p/H internally (one union-bound share per step), and
-width_scale is a practical multiplier on the theoretical width (1.0
-reproduces the closed forms; benchmark configs shrink it).
+Queries are predict(h, point) and lcb_table(h); widths spend p/H of the
+model's own p (one union-bound share per step), and width_scale is a
+practical multiplier on the theoretical width (1.0 reproduces the closed
+forms; benchmark configs shrink it).
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ def _sqexp(d2: np.ndarray, inv2: float) -> np.ndarray:
     return np.exp(-np.maximum(d2, 0.0) * inv2)
 
 
+KERNELS = ("linear", "sqexp")
+
+
 def make_kernel(name: str, lengthscale: float = 1.0) -> Callable:
     """Kernel registry: 'linear' (dot product) or 'sqexp' (squared
     exponential with the given lengthscale).  Returns k(A, B) -> (n, m)."""
@@ -89,7 +93,7 @@ def make_kernel(name: str, lengthscale: float = 1.0) -> Callable:
             return _sqexp(_sq_norms(a)[:, None] + _sq_norms(b)[None, :]
                           - 2.0 * a @ b.T, inv2)
         return kern
-    raise ValueError(f"unknown kernel {name!r} (choose 'linear' or 'sqexp')")
+    raise ValueError(f"unknown kernel {name!r} (choose from {KERNELS})")
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +142,21 @@ class LinearCostModel:
     def theta(self, h: int) -> np.ndarray:
         return self.stats[h].solve(self.b[h])
 
-    def _beta(self, h: int, k: Optional[int], p: Optional[float],
-              beta_value: Optional[float]) -> float:
-        if beta_value is not None:
-            return beta_value
-        if k is None:
-            k = self.stats[h].count + 1  # episode index: data through k-1
-        p = self.p if p is None else p
-        return self.width_scale * tilde_beta(self.lam, self.d, k, p / self.H)
+    def _beta(self, h: int) -> float:
+        k = self.stats[h].count + 1  # episode index: data through k-1
+        return self.width_scale * tilde_beta(self.lam, self.d, k, self.p / self.H)
 
-    def predict(self, h: int, phi: np.ndarray, k: Optional[int] = None,
-                p: Optional[float] = None,
-                beta_value: Optional[float] = None) -> CostEstimate:
+    def predict(self, h: int, phi: np.ndarray) -> CostEstimate:
         phi = np.asarray(phi, dtype=float)
         mean = float(phi @ self.theta(h))
-        width = self._beta(h, k, p, beta_value) * math.sqrt(self.stats[h].quad_form(phi))
+        width = self._beta(h) * math.sqrt(self.stats[h].quad_form(phi))
         return CostEstimate(value=mean - width, mean=mean, width=width)
 
-    def lcb_table(self, h: int, k: Optional[int] = None,
-                  p: Optional[float] = None) -> np.ndarray:
+    def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape (S, A)."""
         S, A, _ = self.fmap.table.shape
         mean = self.stats[h].feature_dot(self.theta(h))
-        width = self._beta(h, k, p, None) * np.sqrt(
+        width = self._beta(h) * np.sqrt(
             np.maximum(self.stats[h].quad_forms(), 0.0))
         return (mean - width).reshape(S, A)
 
@@ -340,21 +336,15 @@ class GpCostModel:
         var = kyy - np.einsum("nm,nm->m", zmat, zmat)
         return mean, np.sqrt(np.maximum(var, 0.0))
 
-    def _beta(self, h: int, p: Optional[float],
-              beta_value: Optional[float]) -> float:
-        if beta_value is not None:
-            return beta_value
-        p = self.p if p is None else p
-        return self.width_scale * gp_beta(self.info_gain(h), p / self.H)
+    def _beta(self, h: int) -> float:
+        return self.width_scale * gp_beta(self.info_gain(h), self.p / self.H)
 
-    def predict(self, h: int, y: np.ndarray, p: Optional[float] = None,
-                beta_value: Optional[float] = None) -> CostEstimate:
+    def predict(self, h: int, y: np.ndarray) -> CostEstimate:
         mean, sigma = self.posterior(h, y)
-        width = self._beta(h, p, beta_value) * sigma
+        width = self._beta(h) * sigma
         return CostEstimate(value=mean - width, mean=mean, width=width)
 
-    def lcb_table(self, h: int, k: Optional[int] = None,
-                  p: Optional[float] = None) -> np.ndarray:
+    def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape
         (S, A), read from the cached posterior over the feature set."""
         if self.fmap is None:
@@ -362,4 +352,4 @@ class GpCostModel:
         S, A, _ = self.fmap.table.shape
         st = self._steps[h]
         sigma = np.sqrt(np.maximum(st.var, 0.0))
-        return (st.mean - self._beta(h, p, None) * sigma).reshape(S, A)
+        return (st.mean - self._beta(h) * sigma).reshape(S, A)

@@ -33,10 +33,6 @@ class StepRecord(NamedTuple):
     next_state: int
 
 
-# An episode trace is a list of H StepRecords whose states chain together.
-EpisodeTrace = list
-
-
 @dataclass
 class TabularCmdp:
     """Finite constrained MDP: ground truth for simulation and exact oracles.
@@ -63,22 +59,25 @@ class TabularCmdp:
             raise ValueError(f"transition shape {self.transition.shape} != {(H, S, A, S)}")
         if self.reward.shape != (H, S, A) or self.cost_mean.shape != (H, S, A):
             raise ValueError("reward/cost tables must have shape (H, S, A)")
+        # Each range check is written so that a NaN fails it.
         row_err = np.abs(self.transition.sum(axis=-1) - 1.0).max()
-        if row_err > ROW_SUM_TOL:
+        if not row_err <= ROW_SUM_TOL:
             raise ValueError(f"transition rows must sum to 1 (max error {row_err:.3e})")
-        if self.transition.min() < 0:
+        if not self.transition.min() >= 0:
             raise ValueError("transition rows must be nonnegative")
-        if self.reward.min() < 0 or self.reward.max() > 1:
+        if not (self.reward.min() >= 0 and self.reward.max() <= 1):
             raise ValueError("rewards must lie in [0, 1]")
-        if np.abs(self.cost_mean).max() > 1:
+        if not np.abs(self.cost_mean).max() <= 1:
             raise ValueError("cost means must lie in [-1, 1]")
         if not (self.cost_mean <= 0).any(axis=2).all():
             bad = np.argwhere(~(self.cost_mean <= 0).any(axis=2))[0]
             raise ValueError(f"no safe action at (h={bad[0]}, s={bad[1]})")
         if not 0 <= self.initial_state < S:
             raise ValueError("initial_state out of range")
-        if self.cost_noise < 0:
-            raise ValueError("cost_noise must be >= 0")
+        if not 0 <= self.cost_noise < math.inf:
+            raise ValueError("cost_noise must be finite and >= 0")
+        if not math.isfinite(self.reward_scale):
+            raise ValueError("reward_scale must be finite")
 
 
 @dataclass
@@ -92,7 +91,7 @@ class FeatureMap:
         if self.table.ndim != 3 or self.table.shape[2] != self.dim:
             raise ValueError("feature table must have shape (S, A, d)")
         norms = np.linalg.norm(self.table, axis=2)
-        if norms.max() > 1.0 + 1e-9:
+        if not norms.max() <= 1.0 + 1e-9:
             raise ValueError(f"feature norms must be <= 1 (max {norms.max():.6f})")
 
     @property

@@ -2,20 +2,20 @@
 
 The Q-function and the linear cost LCB regress on the same features, so the
 design statistics of step h are one GramState that the learner and the linear
-cost model share: Lambda_h = lam*I + sum phi phi^T, its inverse, the quadratic
-forms phi^T Lambda_h^{-1} phi over the whole feature set, and the sample
-count.  The learner ingests each (h, step) once; each model keeps only its own
-regression targets (reward and next-state sums; cost sums).
+cost model share: the inverse of Lambda_h = lam*I + sum phi phi^T (both read
+Lambda_h only through it), the quadratic forms phi^T Lambda_h^{-1} phi over
+the whole feature set, and the sample count.  The learner ingests each (h,
+step) once; each model keeps only its own regression targets (reward and
+next-state sums; cost sums).
 
 A GramState picks its storage once, from the feature set.  When every feature
-row is a unit basis vector (one-hot features, the tabular case) Lambda_h stays
-diagonal: it keeps the two diagonals, an update costs O(1), and the quadratic
-form of a row is the inverse's entry at the row's column.  Otherwise it keeps
-the dense inverse, updated by the rank-one identity in O(d^2), and downdates
-the cached quadratic forms with the same identity, which keeps the
-per-episode backward pass to a handful of matrix-vector products.  On one-hot
-data the dense path only adds exact zeros to what the diagonal path computes,
-so both give the same bits.
+row is a unit basis vector (one-hot features, the tabular case) Lambda_h^{-1}
+stays diagonal: an update costs O(1), and the quadratic form of a row is the
+inverse's entry at the row's column.  Otherwise it keeps the dense inverse,
+updated by the rank-one identity in O(d^2), and downdates the cached quadratic
+forms with the same identity, which keeps the per-episode backward pass to a
+handful of matrix-vector products.  On one-hot data the dense path only adds
+exact zeros to what the diagonal path computes, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def _unit_columns(feats: np.ndarray) -> Optional[np.ndarray]:
 class GramState:
     """Design statistics of one step index over a fixed feature set.
 
-    gram and inv hold Lambda and Lambda^{-1}: (d, d) arrays, or their
-    diagonals, shape (d,), when every row of feats is a unit basis vector.
-    count is the number of samples ingested.  Without feats the storage is
+    inv holds Lambda^{-1}: a (d, d) array, or its diagonal, shape (d,), when
+    every row of feats is a unit basis vector.  count is the number of
+    samples ingested.  Without feats the storage is
     dense and the quadratic-form cache empty.
     """
 
@@ -74,10 +74,8 @@ class GramState:
         self.count = 0
         self._cols = _unit_columns(self.feats)
         if self.diagonal:
-            self.gram = np.full(d, lam)
             self.inv = np.ones(d) / lam
         else:
-            self.gram = lam * np.eye(d)
             self.inv = np.eye(d) / lam
             self._quad = np.einsum("nd,nd->n", self.feats, self.feats) / lam
 
@@ -98,7 +96,6 @@ class GramState:
                 denom = 1.0 + vj
                 if denom <= DENOM_TOL:
                     raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
-                self.gram[j] += 1.0
                 self.inv[j] -= vj * vj / denom
                 self.count += 1
                 return
@@ -110,7 +107,6 @@ class GramState:
         denom = 1.0 + float(phi @ v)
         if denom <= DENOM_TOL:
             raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
-        self.gram += np.outer(phi, phi)
         self.inv -= np.outer(v, v) / denom
         proj = self.feats @ v
         self._quad -= proj * proj / denom
@@ -119,7 +115,7 @@ class GramState:
     def _copy(self) -> "GramState":
         """An independent copy; the read-only feature set is shared."""
         twin = copy.copy(self)
-        twin.gram, twin.inv = self.gram.copy(), self.inv.copy()
+        twin.inv = self.inv.copy()
         if not self.diagonal:
             twin._quad = self._quad.copy()
         return twin
@@ -128,7 +124,6 @@ class GramState:
         """Switch to dense storage for a sample that is not a unit vector
         (a caller observing points outside the one-hot feature set)."""
         self._quad = self.inv[self._cols]
-        self.gram = np.diag(self.gram)
         self.inv = np.diag(self.inv)
         self._cols = None
 
@@ -151,20 +146,6 @@ class GramState:
         if q < -RADICAND_TOL:
             raise RuntimeError(f"negative quadratic form {q:.3e}")
         return max(q, 0.0)
-
-    def rebuild_dense(self) -> None:
-        """Debug mode: recompute the inverse and the quadratic-form cache from
-        the Gram matrix directly."""
-        if self.diagonal:
-            self.inv = 1.0 / self.gram
-        else:
-            self.inv = np.linalg.inv(self.gram)
-            self._quad = np.einsum("nd,dk,nk->n", self.feats, self.inv, self.feats)
-
-    def condition_number(self) -> float:
-        if self.diagonal:
-            return float(self.gram.max() / self.gram.min())
-        return float(np.linalg.cond(self.gram))
 
 
 def step_statistics(feats: np.ndarray, lam: float, horizon: int) -> list[GramState]:
@@ -212,7 +193,6 @@ class LsviLearner:
                  horizon: int, lam: float, beta: float):
         if lam <= 0:
             raise ValueError("lam must be positive")
-        self.fmap = feature_map
         self.S, self.A, self.H = num_states, num_actions, horizon
         self.d = feature_map.dim
         self.lam = lam
@@ -269,16 +249,7 @@ class LsviLearner:
         return QModel(weights=weights, q_table=q_table, v_table=v_table,
                       policy=policy)
 
-    def rebuild_dense(self) -> None:
-        """Debug cross-check: recompute inverses and cached quadratic forms
-        from the raw Gram matrices."""
-        for g in self.stats:
-            g.rebuild_dense()
-
     def weight_norm_bound(self) -> float:
         """Theory bound 2H sqrt(dk/lam) for the current episode count."""
         k = self.stats[0].count + 1
         return 2.0 * self.H * math.sqrt(self.d * k / self.lam)
-
-    def condition_numbers(self) -> list[float]:
-        return [g.condition_number() for g in self.stats]

@@ -42,15 +42,15 @@ def constrained_dp(cmdp: TabularCmdp) -> tuple[np.ndarray, ValueTable]:
     v = np.zeros((H + 1, S))
     q = np.zeros((H, S, A))
     policy = np.zeros((H, S), dtype=np.int64)
+    rows = np.arange(S)
     for h in range(H - 1, -1, -1):
+        stuck = np.flatnonzero(~safe[h].any(axis=1))
+        if stuck.size:
+            raise ValueError(f"no safe action at (h={h}, s={stuck[0]})")
         q[h] = _q_layer(cmdp, h, v[h + 1])
-        for s in range(S):
-            allowed = np.flatnonzero(safe[h, s])
-            if allowed.size == 0:
-                raise ValueError(f"no safe action at (h={h}, s={s})")
-            a = allowed[np.argmax(q[h, s, allowed])]
-            policy[h, s] = a
-            v[h, s] = q[h, s, a]
+        # Unsafe entries become -inf, so argmax picks the first safe maximum.
+        policy[h] = np.where(safe[h], q[h], -np.inf).argmax(axis=1)
+        v[h] = q[h, rows, policy[h]]
     return policy, ValueTable(v=v, q=q)
 
 

@@ -111,7 +111,7 @@ def test_criterion_4_condition_one_optimism():
             model.observe(h, fmap.table[s, a], obs)
         for h, s, a in product(range(cmdp.horizon), range(cmdp.num_states),
                                range(cmdp.num_actions)):
-            est = model.predict(h, fmap.table[s, a], p=p)
+            est = model.predict(h, fmap.table[s, a])
             true = cmdp.cost_mean[h, s, a]
             lin_total += 1
             lin_over += int(est.value > true)
@@ -130,7 +130,7 @@ def test_criterion_4_condition_one_optimism():
         for i in range(25):
             model.observe(0, pts[i], float(truth[i]))
         for i in range(25, 40):
-            est = model.predict(0, pts[i], p=p)
+            est = model.predict(0, pts[i])
             gp_total += 1
             gp_over += int(est.value > truth[i])
             gp_uncov += int(truth[i] - est.value > est.width_two_sided)
@@ -178,11 +178,13 @@ def test_criterion_6_numerical_identities():
     for _ in range(10):
         d = int(rng.integers(2, 10))
         g = GramState(d, 1.0)
+        gram = np.eye(d)  # lam*I + sum phi phi^T, built here from the samples
         for _ in range(60):
             phi = rng.normal(size=d)
             phi /= max(np.linalg.norm(phi), 1.0) / rng.uniform(0.1, 1.0)
             g.update(phi)
-        gram_err = max(gram_err, np.abs(g.inv - np.linalg.inv(g.gram)).max())
+            gram += np.outer(phi, phi)
+        gram_err = max(gram_err, np.abs(g.inv - np.linalg.inv(gram)).max())
 
     # GP with linear kernel vs primal ridge mean
     ridge_err = 0.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from safe_lsvi.bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
                              Metrics, emit_results, fit_growth_exponent,
                              run_experiment)
-from safe_lsvi.costs import tilde_beta
+from safe_lsvi.costs import KERNELS, tilde_beta
 from safe_lsvi.envs import TabularCmdp, one_hot_features
 
 
@@ -101,10 +101,18 @@ def test_config_validation():
         ExperimentConfig(agent="lsvi", cost_model="gp", kernel="sqexp").validate()
     with pytest.raises(ValueError, match="cost_model"):
         ExperimentConfig(agent="lsvi", cost_model="gp").validate()
+    with pytest.raises(ValueError, match="c_beta"):
+        ExperimentConfig(beta_override=1.0, c_beta=7.0).validate()
+    with pytest.raises(ValueError, match="p is not read"):
+        ExperimentConfig(agent="lsvi", beta_override=1.0, p=0.3).validate()
     # One lake config serves all three agents: plain lsvi accepts (and never
     # reads) the cost width scale.
     ExperimentConfig(agent="lsvi", cost_width_scale=0.02).validate()
     ExperimentConfig(env="synthetic_linear", dim=3).validate()
+    # without an override the schedule reads c_beta and p; the other agents
+    # read p in their cost width
+    ExperimentConfig(agent="lsvi", c_beta=7.0, p=0.3).validate()
+    ExperimentConfig(agent="lsvi_ae", beta_override=1.0, p=0.3).validate()
     ExperimentConfig(cost_model="gp", kernel="sqexp", lengthscale=0.5,
                      map_text="S.G").validate()
 
@@ -122,7 +130,7 @@ MAPS = st.lists(st.text(alphabet="SGH.", min_size=1, max_size=6),
        episodes=st.integers(), horizon=st.integers(), p=FINITE, lam=FINITE,
        c_beta=FINITE, beta_override=st.none() | FINITE,
        cost_model=st.sampled_from(COST_MODELS),
-       kernel=st.sampled_from(("linear", "sqexp")), lengthscale=FINITE,
+       kernel=st.sampled_from(KERNELS), lengthscale=FINITE,
        cost_width_scale=FINITE, dim=st.integers(), map_text=st.none() | MAPS,
        seed=st.integers(min_value=0), out=st.none() | WORD)
 def test_config_text_roundtrip_on_canonical_values(**values):
@@ -427,9 +435,12 @@ def test_cli_rejects_bad_input(capsys):
     (["--env", "frozen_lake"], "dim"),
     (["--agent", "lsvi", "--cost-model", "gp", "--kernel", "sqexp",
       "--lengthscale", "0.3"], "cost_model"),
+    (["--beta-override", "1.0", "--c-beta", "7"], "c_beta"),
+    (["--agent", "lsvi", "--beta-override", "1.0", "--p", "0.3"], "p is not read"),
 ], ids=["negative-beta-override", "negative-c-beta", "dump-values-without-out",
         "kernel-with-linear-costs", "lengthscale-with-linear-costs",
-        "map-with-synthetic-env", "dim-with-frozen-lake", "gp-costs-with-lsvi"])
+        "map-with-synthetic-env", "dim-with-frozen-lake", "gp-costs-with-lsvi",
+        "c-beta-with-beta-override", "p-with-lsvi-and-beta-override"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
                                                    tmp_path_factory,
                                                    monkeypatch, capsys):

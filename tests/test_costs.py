@@ -79,7 +79,7 @@ def test_linear_no_data_prior():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=2, lam=1.0, p=0.1)
     phi = fmap.flat[0]
-    est = model.predict(0, phi, k=1, p=0.1)
+    est = model.predict(0, phi)
     assert est.mean == 0.0
     assert est.value == pytest.approx(-tilde_beta(1.0, 4, 1, 0.1 / 2))
     assert est.width_two_sided == pytest.approx(2.0 * est.width)
@@ -111,7 +111,7 @@ def test_linear_incremental_matches_batch_ridge():
 def test_linear_zero_feature_estimate():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=1)
-    est = model.predict(0, np.zeros(4), k=1, p=0.1)
+    est = model.predict(0, np.zeros(4))
     assert est.mean == 0.0 and est.width == 0.0 and est.value == 0.0
 
 
@@ -153,7 +153,7 @@ def test_linear_condition_one_frequencies():
         for h in range(cmdp.horizon):
             for s in range(cmdp.num_states):
                 for a in range(cmdp.num_actions):
-                    est = model.predict(h, fmap.table[s, a], p=p)
+                    est = model.predict(h, fmap.table[s, a])
                     true = cmdp.cost_mean[h, s, a]
                     total += 1
                     over += int(est.value > true)
@@ -284,14 +284,15 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     beta_aligned = gp_beta(gp.info_gain(0), 0.1 / 1) * math.sqrt(gp.lam)
     for _ in range(10):
         q = ball_features(rng, 1, d)[0]
-        lhs = gp.predict(0, q, p=0.1).value
-        rhs = ridge.predict(0, q, beta_value=beta_aligned).value
+        lhs = gp.predict(0, q).value
+        rhs = (q @ ridge.theta(0)
+               - beta_aligned * math.sqrt(ridge.stats[0].quad_form(q)))
         assert abs(lhs - rhs) <= 1e-8
 
 
 def test_gp_prior_lcb():
     model = GpCostModel("sqexp", total_episodes=10, horizon=2, p=0.1)
-    est = model.predict(0, np.array([0.2, 0.2]), p=0.1)
+    est = model.predict(0, np.array([0.2, 0.2]))
     assert est.value == pytest.approx(-gp_beta(0.0, 0.1 / 2))
 
 
@@ -313,7 +314,7 @@ def test_gp_condition_one_on_gp_sampled_truth():
         for i in train:
             model.observe(0, pts[i], float(f[i]))
         for i in test:
-            est = model.predict(0, pts[i], p=p)
+            est = model.predict(0, pts[i])
             total += 1
             over += int(est.value > f[i])
             uncovered += int(f[i] - est.value > est.width_two_sided)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safe_lsvi.envs import (DEFAULT_LAKE_MAP, StepRecord, TabularCmdp,
+from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, StepRecord, TabularCmdp,
                             build_frozen_lake, build_hard_instance,
                             build_synthetic_linear, describe_cmdp,
                             frozen_lake_from_grid, one_hot_features,
@@ -411,6 +411,52 @@ def test_cmdp_rejects_infeasible_state():
     G[0, 1, :] = 0.5
     with pytest.raises(ValueError, match="no safe action"):
         TabularCmdp(2, 2, 1, P, R, G)
+
+
+def _nan_at(name, index):
+    def edit(tables):
+        tables[name][index] = np.nan
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_nan_at("transition", (0, 1, 0, 1)), "sum to 1"),
+    (_nan_at("reward", (0, 0, 1)), "rewards"),
+    (_nan_at("cost_mean", (0, 1, 1)), "cost means"),
+    (lambda tables: tables.update(cost_noise=np.nan), "cost_noise"),
+    (lambda tables: tables.update(cost_noise=np.inf), "cost_noise"),
+    (lambda tables: tables.update(reward_scale=np.nan), "reward_scale"),
+    (lambda tables: tables.update(reward_scale=np.inf), "reward_scale"),
+], ids=["transition", "reward", "cost-mean", "cost-noise-nan", "cost-noise-inf",
+        "reward-scale-nan", "reward-scale-inf"])
+def test_cmdp_rejects_nan(edit, message):
+    P = np.zeros((1, 2, 2, 2))
+    P[..., 0] = 1.0
+    tables = dict(transition=P, reward=np.zeros((1, 2, 2)),
+                  cost_mean=-np.ones((1, 2, 2)))
+    TabularCmdp(2, 2, 1, **tables)
+    edit(tables)
+    with pytest.raises(ValueError, match=message):
+        TabularCmdp(2, 2, 1, **tables)
+
+
+@pytest.mark.parametrize("field, message", [
+    (3, "sum to 1"), (4, "rewards"), (5, "cost means")])
+def test_parse_rejects_a_nan_field(field, message):
+    # dims 1 1: a body row is h s a, one transition probability, reward, cost
+    text = "dims 1 1\nhorizon 1\ninitial 0\nnoise 0.0\nreward_scale 1.0\n"
+    row = ["0", "0", "0", "1.0", "0.0", "-1.0"]
+    parse_cmdp_text(text + " ".join(row) + "\n")
+    row[field] = "nan"
+    with pytest.raises(ValueError, match=message):
+        parse_cmdp_text(text + " ".join(row) + "\n")
+
+
+def test_feature_map_rejects_nan_rows():
+    table = np.eye(4).reshape(2, 2, 4)
+    table[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="feature norms"):
+        FeatureMap(dim=4, table=table)
 
 
 def test_episode_trace_chains():

@@ -16,13 +16,18 @@ def random_unit_features(rng, n, d, scale=1.0):
     return x * scale
 
 
+def gram_of(lam, d, samples):
+    """lam*I + sum phi phi^T, built from the samples a GramState was fed."""
+    return lam * np.eye(d) + sum((np.outer(phi, phi) for phi in samples),
+                                 np.zeros((d, d)))
+
+
 # ---------------------------------------------------------------------------
 # GramState
 # ---------------------------------------------------------------------------
 
 def test_gram_init_identity():
     g = GramState(3, 1.0)
-    assert np.array_equal(g.gram, np.eye(3))
     assert np.array_equal(g.inv, np.eye(3))
     assert g.count == 0
 
@@ -30,11 +35,6 @@ def test_gram_init_identity():
 def test_gram_init_scaled():
     g = GramState(2, 0.5)
     assert np.allclose(g.inv, 2.0 * np.eye(2))
-
-
-def test_gram_init_min_eigenvalue():
-    g = GramState(5, 1.0)
-    assert np.linalg.eigvalsh(g.gram).min() == pytest.approx(1.0)
 
 
 def test_gram_init_rejects_bad_lam():
@@ -52,9 +52,10 @@ def test_gram_update_basis_vector_closed_form():
 def test_gram_update_matches_dense_inverse():
     rng = np.random.default_rng(0)
     g = GramState(8, 1.0)
-    for phi in random_unit_features(rng, 50, 8):
+    feats = random_unit_features(rng, 50, 8)
+    for phi in feats:
         g.update(phi)
-    dense = np.linalg.inv(g.gram)
+    dense = np.linalg.inv(gram_of(1.0, 8, feats))
     assert np.abs(g.inv - dense).max() <= 1e-8
 
 
@@ -97,20 +98,12 @@ def test_gram_inverse_consistency_random_sequences():
     rng = np.random.default_rng(42)
     for _ in range(10):
         d = int(rng.integers(2, 10))
-        g = GramState(d, float(rng.uniform(0.5, 2.0)))
-        for phi in random_unit_features(rng, 40, d, scale=rng.uniform(0.1, 1.0)):
+        lam = float(rng.uniform(0.5, 2.0))
+        g = GramState(d, lam)
+        feats = random_unit_features(rng, 40, d, scale=rng.uniform(0.1, 1.0))
+        for phi in feats:
             g.update(phi)
-        assert np.abs(g.inv @ g.gram - np.eye(d)).max() <= 1e-8
-
-
-def test_gram_equals_lam_eye_plus_outer_products():
-    rng = np.random.default_rng(3)
-    g = GramState(4, 1.5)
-    feats = random_unit_features(rng, 20, 4)
-    for phi in feats:
-        g.update(phi)
-    expected = 1.5 * np.eye(4) + feats.T @ feats
-    assert np.abs(g.gram - expected).max() <= 1e-10
+        assert np.abs(g.inv @ gram_of(lam, d, feats) - np.eye(d)).max() <= 1e-8
 
 
 def test_ridge_weights_zero_targets():
@@ -131,10 +124,11 @@ def test_ridge_weights_match_dense_solve():
     rng = np.random.default_rng(7)
     g = GramState(6, 1.0)
     b = np.zeros(6)
-    for phi in random_unit_features(rng, 20, 6):
+    feats = random_unit_features(rng, 20, 6)
+    for phi in feats:
         g.update(phi)
         b += phi * rng.normal()
-    dense = np.linalg.solve(g.gram, b)
+    dense = np.linalg.solve(gram_of(1.0, 6, feats), b)
     assert np.abs(g.solve(b) - dense).max() <= 1e-8
 
 
@@ -255,26 +249,50 @@ def _reference_lines_4_to_9(history, feats, S, A, H, lam, beta, ghat, z):
 
 
 def test_backward_pass_matches_reference():
-    S, A, H = 2, 2, 2
     rng = np.random.default_rng(5)
     # one-hot (diagonal statistics) and dense unit-norm features of d = 3
-    dense = FeatureMap(3, random_unit_features(rng, S * A, 3).reshape(S, A, 3))
+    dense = FeatureMap(3, random_unit_features(rng, 4, 3).reshape(2, 2, 3))
     history = [
         [StepRecord(0, 1, 0.5, -1.0, 1), StepRecord(1, 0, 0.2, -1.0, 0)],
         [StepRecord(0, 0, 0.1, -1.0, 0), StepRecord(0, 1, 0.9, -1.0, 1)],
         [StepRecord(1, 1, 0.7, -1.0, 1), StepRecord(1, 1, 0.3, -1.0, 0)],
     ]
-    for fmap in (one_hot_features(S, A), dense):
-        learner = LsviLearner(fmap, S, A, H, 1.0, beta=0.8)
-        for episode in history:
+    cases = [(one_hot_features(2, 2), history, 0.8, 1e-10),
+             (dense, history, 0.8, 1e-10)]
+    for fmap, episodes, beta, tol in cases:
+        S, A, _ = fmap.table.shape
+        H = len(episodes[0])
+        learner = LsviLearner(fmap, S, A, H, 1.0, beta=beta)
+        for episode in episodes:
             learner.ingest_episode(episode)
         ghat = -np.ones((H, S, A))
         z = np.zeros(H)
         plan = learner.backward_pass(ghat=ghat, z=z)
-        ref_w, ref_q = _reference_lines_4_to_9(history, fmap.flat, S, A, H, 1.0,
-                                               0.8, ghat, z)
-        assert np.abs(plan.weights - ref_w).max() <= 1e-10
-        assert np.abs(plan.q_table - ref_q).max() <= 1e-10
+        ref_w, ref_q = _reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0,
+                                               beta, ghat, z)
+        assert np.abs(plan.weights - ref_w).max() <= tol
+        assert np.abs(plan.q_table - ref_q).max() <= tol
+
+
+def test_backward_pass_incremental_matches_dense_rebuild():
+    # the incremental statistics after many updates against a Gram rebuilt
+    # from the samples and solved densely
+    rng = np.random.default_rng(21)
+    S, A, H = 3, 2, 3
+    fmap = one_hot_features(S, A)
+    learner = LsviLearner(fmap, S, A, H, 1.0, beta=1.2)
+    episodes = []
+    for _ in range(25):
+        trace = [StepRecord(int(rng.integers(S)), int(rng.integers(A)),
+                            float(rng.uniform(0, 1)), -1.0, int(rng.integers(S)))
+                 for _ in range(H)]
+        learner.ingest_episode(trace)
+        episodes.append(trace)
+    plan_incremental = learner.backward_pass()
+    dense_w, dense_q = _reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0, 1.2,
+                                               np.zeros((H, S, A)), np.zeros(H))
+    assert np.abs(plan_incremental.weights - dense_w).max() <= 1e-8
+    assert np.abs(plan_incremental.q_table - dense_q).max() <= 1e-8
 
 
 def test_backward_pass_penalty_dominates():
@@ -288,23 +306,6 @@ def test_backward_pass_penalty_dominates():
     assert np.all(plan.policy == 1)
     assert np.allclose(plan.v_table, plan.q_table[:, :, 1][np.arange(H)[:, None],
                                                            np.arange(S)[None, :]])
-
-
-def test_backward_pass_incremental_matches_dense_rebuild():
-    rng = np.random.default_rng(21)
-    S, A, H = 3, 2, 3
-    fmap = one_hot_features(S, A)
-    learner = LsviLearner(fmap, S, A, H, 1.0, beta=1.2)
-    for _ in range(25):
-        trace = [StepRecord(int(rng.integers(S)), int(rng.integers(A)),
-                            float(rng.uniform(0, 1)), -1.0, int(rng.integers(S)))
-                 for _ in range(H)]
-        learner.ingest_episode(trace)
-    plan_incremental = learner.backward_pass()
-    learner.rebuild_dense()
-    plan_dense = learner.backward_pass()
-    assert np.abs(plan_incremental.weights - plan_dense.weights).max() <= 1e-8
-    assert np.abs(plan_incremental.q_table - plan_dense.q_table).max() <= 1e-8
 
 
 def test_weight_norm_bound_on_generated_runs():
@@ -400,7 +401,6 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     z = rng.uniform(0, 5, size=H)
     for g, ref in zip(diag.stats, dense.stats):
         assert np.diag(g.inv).tobytes() == ref.inv.tobytes()
-        assert np.diag(g.gram).tobytes() == ref.gram.tobytes()
         assert g.quad_forms().tobytes() == ref.quad_forms().tobytes()
         b = rng.normal(size=S * A)
         assert g.solve(b).tobytes() == ref.solve(b).tobytes()
@@ -429,10 +429,7 @@ def test_dense_rank_one_updates_equal_the_inverse_of_the_gram(lam, seed):
             phi = random_unit_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0)
         g.update(phi)
         samples.append(phi)
-    gram = lam * np.eye(d) + sum((np.outer(phi, phi) for phi in samples),
-                                 np.zeros((d, d)))
-    dense_inv = np.linalg.inv(gram)
-    assert np.abs(g.gram - gram).max() <= 1e-10
+    dense_inv = np.linalg.inv(gram_of(lam, d, samples))
     assert np.abs(g.inv - dense_inv).max() <= 1e-8
     assert np.abs(g.quad_forms()
                   - np.einsum("nd,de,ne->n", feats, dense_inv, feats)).max() <= 1e-8
@@ -475,30 +472,6 @@ def test_cost_model_rejects_mismatched_statistics():
         LinearCostModel(fmap, 2, lam=1.0, stats=learner.stats)
 
 
-@settings(max_examples=40, deadline=None)
-@given(lam=LAMS, seed=SEEDS, one_hot=st.booleans())
-def test_rebuild_dense_and_condition_numbers_for_both_storages(lam, seed, one_hot):
-    rng = np.random.default_rng(seed)
-    S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    fmap = _feature_map(rng, one_hot, S, A)
-    learner = LsviLearner(fmap, S, A, H, lam, beta=1.0)
-    assert all(g.diagonal == one_hot for g in learner.stats)
-    for episode in _random_episodes(rng, S, A, H, int(rng.integers(0, 15))):
-        learner.ingest_episode(episode)
-    gram = [np.diag(g.gram) if one_hot else g.gram.copy() for g in learner.stats]
-    quad = [g.quad_forms().copy() for g in learner.stats]
-    plan = learner.backward_pass()
-    assert np.allclose(learner.condition_numbers(),
-                       [np.linalg.cond(m) for m in gram], rtol=1e-10)
-    learner.rebuild_dense()
-    for g, m, q in zip(learner.stats, gram, quad):
-        inv = np.diag(g.inv) if one_hot else g.inv
-        assert np.abs(inv - np.linalg.inv(m)).max() <= 1e-10
-        assert np.abs(g.quad_forms() - q).max() <= 1e-10
-    rebuilt = learner.backward_pass()
-    assert np.abs(rebuilt.q_table - plan.q_table).max() <= 1e-8
-
-
 def test_diagonal_storage_turns_dense_on_a_sample_off_the_feature_set():
     fmap = one_hot_features(2, 1)
     g = GramState(2, 1.0, fmap.flat)
@@ -507,8 +480,7 @@ def test_diagonal_storage_turns_dense_on_a_sample_off_the_feature_set():
     phi = np.array([0.6, 0.8])
     g.update(phi)
     assert not g.diagonal
-    expected = np.eye(2) + np.outer([1.0, 0.0], [1.0, 0.0]) + np.outer(phi, phi)
-    assert np.abs(g.gram - expected).max() <= 1e-12
+    expected = gram_of(1.0, 2, [np.array([1.0, 0.0]), phi])
     assert np.abs(g.inv - np.linalg.inv(expected)).max() <= 1e-12
     assert np.abs(g.quad_forms() - np.diag(np.linalg.inv(expected))).max() <= 1e-12
 

@@ -54,6 +54,38 @@ def test_dp_matches_brute_force_4state():
             assert cmdp.cost_mean[h, s, policy[h, s]] <= 0
 
 
+def _constrained_dp_loop(cmdp):
+    """Reference: the safe argmax one state at a time."""
+    H, S, A = cmdp.horizon, cmdp.num_states, cmdp.num_actions
+    v = np.zeros((H + 1, S))
+    q = np.zeros((H, S, A))
+    policy = np.zeros((H, S), dtype=np.int64)
+    for h in range(H - 1, -1, -1):
+        q[h] = cmdp.reward[h] + cmdp.transition[h] @ v[h + 1]
+        for s in range(S):
+            allowed = np.flatnonzero(cmdp.cost_mean[h, s] <= 0.0)
+            a = allowed[np.argmax(q[h, s, allowed])]
+            policy[h, s] = a
+            v[h, s] = q[h, s, a]
+    return policy, v, q
+
+
+def test_dp_equals_the_per_state_loop_bitwise():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        S, A, H = (int(x) for x in rng.integers(1, 5, size=3))
+        cmdp = random_cmdp(rng, S, A, H)
+        # Rewards from a few levels and deterministic rows tie many actions.
+        cmdp.reward[:] = rng.integers(0, 3, size=cmdp.reward.shape) / 2.0
+        if rng.uniform() < 0.5:
+            cmdp.transition[:] = np.eye(S)[rng.integers(S, size=(H, S, A))]
+        policy, tab = constrained_dp(cmdp)
+        ref_policy, ref_v, ref_q = _constrained_dp_loop(cmdp)
+        assert np.array_equal(policy, ref_policy)
+        assert tab.v.tobytes() == ref_v.tobytes()
+        assert tab.q.tobytes() == ref_q.tobytes()
+
+
 def test_dp_infeasible_raises_with_location():
     P = np.ones((2, 1, 1, 1))
     R = np.zeros((2, 1, 1))
