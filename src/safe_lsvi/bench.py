@@ -11,6 +11,7 @@ mean costs along the realized trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -62,14 +63,17 @@ class ExperimentConfig:
             raise ValueError("episodes and horizon must be >= 1")
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.c_beta < 0:
-            raise ValueError("c_beta must be >= 0")
-        if self.beta_override is not None and self.beta_override < 0:
-            raise ValueError("beta_override must be >= 0")
-        if self.cost_width_scale < 0:
-            raise ValueError("cost width scale must be >= 0")
+        # Each check fails on NaN and on +-inf as well.
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
+        if not 0 <= self.c_beta < math.inf:
+            raise ValueError("c_beta must be >= 0 and finite")
+        if self.beta_override is not None and not 0 <= self.beta_override < math.inf:
+            raise ValueError("beta_override must be >= 0 and finite")
+        if not 0 <= self.cost_width_scale < math.inf:
+            raise ValueError("cost_width_scale must be >= 0 and finite")
+        if not 0 < self.lengthscale < math.inf:
+            raise ValueError("lengthscale must be positive and finite")
         # Settings the chosen models never read are rejected, not ignored.
         if self.cost_model == "linear" and self.kernel != "linear":
             raise ValueError("kernel is only read by cost_model=gp")
@@ -177,7 +181,9 @@ def run_experiment(config: ExperimentConfig, env_override=None,
 
     The root seed is split into independent streams (builders, rollouts) so
     environment generation never depends on how the agent consumes
-    randomness.  env_override=(cmdp, feature_map) bypasses the builders.
+    randomness.  env_override=(cmdp, feature_map) bypasses the builders; its
+    horizon must be config.horizon and its feature table must cover the
+    CMDP's (state, action) pairs.
     """
     config.validate()
     root = np.random.SeedSequence(config.seed)
@@ -186,6 +192,12 @@ def run_experiment(config: ExperimentConfig, env_override=None,
 
     if env_override is not None:
         cmdp, fmap = env_override
+        if cmdp.horizon != config.horizon:
+            raise ValueError(f"env_override has horizon {cmdp.horizon} but "
+                             f"config.horizon is {config.horizon}")
+        if fmap.table.shape[:2] != (cmdp.num_states, cmdp.num_actions):
+            raise ValueError(f"feature table covers (S, A) = {fmap.table.shape[:2]}"
+                             f", the CMDP has {(cmdp.num_states, cmdp.num_actions)}")
     else:
         cmdp, fmap = build_env(config, builder_seed)
     H, K = cmdp.horizon, config.episodes

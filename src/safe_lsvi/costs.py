@@ -8,6 +8,8 @@ otherwise.  Both serve the (S, A) table of lower-confidence costs from state
 they update per observation: the ridge model from the shared design
 statistics, the GP from a cross factor L^-1 K(X, F) over the feature set F
 that grows one row per observation (O(n * S*A) to add, O(S*A) to query).
+The GP is built over the feature map and holds at most K points per step,
+one per episode, in arrays allocated once.
 Queries are predict(h, point) and lcb_table(h); widths spend p/H of the
 model's own p (one union-bound share per step), and width_scale is a
 practical multiplier on the theoretical width (1.0 reproduces the closed
@@ -68,32 +70,34 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def _sqexp(d2: np.ndarray, inv2: float) -> np.ndarray:
-    """Squared-exponential kernel values from squared distances."""
-    return np.exp(-np.maximum(d2, 0.0) * inv2)
-
-
 KERNELS = ("linear", "sqexp")
+
+
+def _pointwise_kernel(name: str, lengthscale: float) -> Callable:
+    """The kernel as one pointwise function k(|a|^2, |b|^2, <a, b>) of
+    arrays that broadcast.  Every kernel value the package computes is an
+    evaluation of it."""
+    if name == "linear":
+        return lambda aa, bb, ab: ab
+    if name == "sqexp":
+        if lengthscale <= 0:
+            raise ValueError("lengthscale must be positive")
+        inv2 = 1.0 / (2.0 * lengthscale ** 2)
+        # At a = b the squared distance is 0, or nan at a non-finite point.
+        return lambda aa, bb, ab: np.exp(-np.maximum(aa + bb - 2.0 * ab, 0.0)
+                                         * inv2)
+    raise ValueError(f"unknown kernel {name!r} (choose from {KERNELS})")
 
 
 def make_kernel(name: str, lengthscale: float = 1.0) -> Callable:
     """Kernel registry: 'linear' (dot product) or 'sqexp' (squared
     exponential with the given lengthscale).  Returns k(A, B) -> (n, m)."""
-    if name == "linear":
-        def kern(a, b):
-            return np.atleast_2d(a) @ np.atleast_2d(b).T
-        return kern
-    if name == "sqexp":
-        if lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
-        inv2 = 1.0 / (2.0 * lengthscale ** 2)
+    k = _pointwise_kernel(name, lengthscale)
 
-        def kern(a, b):
-            a, b = np.atleast_2d(a), np.atleast_2d(b)
-            return _sqexp(_sq_norms(a)[:, None] + _sq_norms(b)[None, :]
-                          - 2.0 * a @ b.T, inv2)
-        return kern
-    raise ValueError(f"unknown kernel {name!r} (choose from {KERNELS})")
+    def kern(a, b):
+        a, b = np.atleast_2d(a), np.atleast_2d(b)
+        return k(_sq_norms(a)[:, None], _sq_norms(b)[None, :], a @ b.T)
+    return kern
 
 
 # ---------------------------------------------------------------------------
@@ -165,138 +169,77 @@ class LinearCostModel:
 # Gaussian-process estimator
 # ---------------------------------------------------------------------------
 
-class _GpStep:
-    """One step's GP data: the observed points X, log det, and in buffers
-    that double when full the Cholesky factor L of K(X, X) + lam*I and
-    alpha = L^-1 g.
-
-    Given the prior variances diag k(F, F) of a feature set F, it also keeps
-    the cross factor Z = L^-1 K(X, F) and the posterior over F it implies:
-    mean = Z^T alpha and var = diag k(F, F) - colsum(Z^2).  L is lower
-    triangular, so an observation appends one row to L, Z and alpha and
-    leaves the earlier rows as they are.
-    """
-
-    def __init__(self, prior_var: Optional[np.ndarray], capacity: int):
-        self.n = 0
-        self.capacity = capacity  # rows allocated at the first observation
-        self.logdet = 0.0  # log det(K(X, X) + lam I)
-        # References, not copies: the bench passes rows of the feature
-        # table, and a copied (n, d) buffer per step would add to peak RSS.
-        self.X: list[np.ndarray] = []
-        self.L = np.zeros((0, 0))
-        self.alpha = np.zeros(0)
-        self.Z = None if prior_var is None else np.zeros((0, len(prior_var)))
-        self.mean = None if prior_var is None else np.zeros(len(prior_var))
-        self.var = prior_var
-
-    def append(self, y: np.ndarray, z: np.ndarray, diag: float, a: float,
-               r: Optional[np.ndarray]) -> None:
-        """Add the point y with factor row (z, diag), alpha entry a and,
-        with a feature set, cross-factor row r."""
-        n = self.n
-        if n == len(self.alpha):
-            cap = max(self.capacity, 2 * n)
-            self.L = _grown(self.L, (cap, cap))
-            self.alpha = _grown(self.alpha, (cap,))
-            if self.Z is not None:
-                self.Z = _grown(self.Z, (cap, self.Z.shape[1]))
-        self.X.append(y)
-        self.L[n, :n] = z
-        self.L[n, n] = diag
-        self.alpha[n] = a
-        if r is not None:
-            self.Z[n] = r
-            self.mean += a * r
-            self.var -= r * r
-        self.logdet += 2.0 * math.log(diag)
-        self.n = n + 1
-
-
-def _grown(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    out = np.zeros(shape)
-    out[tuple(map(slice, buf.shape))] = buf
-    return out
-
-
 class GpCostModel:
-    """Per-step GP regression with lower-confidence queries.
+    """Per-step GP regression over the feature set F (the S*A feature rows),
+    with lower-confidence queries.
 
-    The regularizer is 1 + 2/K with K declared up front.  A Cholesky factor
-    L of (KER + lam*I) is extended one row per observation; the
-    log-determinant (hence the information gain) is maintained from the new
-    diagonal entry, and alpha = L^-1 g one entry at a time.  The
-    regularizer keeps every pivot at least lam, repeated points included.
-
-    With a feature map F (S*A points) each step also caches the cross factor
-    L^-1 K(X, F) and the running posterior mean and variance over F.  An
-    observation costs O(n^2) for the triangular solve plus O(n * S*A) for
-    the new cross-factor row (n observations so far), and lcb_table is
-    O(S*A): no kernel call and no solve.  predict and posterior at other
-    points solve against L: O(n^2) per point.
+    The regularizer is 1 + 2/K with K declared up front.  A run feeds each
+    step one point per episode, so a step holds at most K points, in arrays
+    allocated once.  Per step h: the points X[h], the Cholesky factor L[h]
+    of K(X, X) + lam*I, alpha[h] = L^-1 g, the cross factor
+    Z[h] = L^-1 K(X, F), logdet[h] of K(X, X) + lam*I (hence the
+    information gain) and the posterior over F, mean[h] = Z^T alpha and
+    var[h] = diag k(F, F) - colsum(Z^2).  An observation appends one row to
+    L, alpha and Z, with a pivot of at least lam, repeated points included:
+    O(n^2) for the triangular solve plus O(n * S*A) for the cross-factor
+    row (n points so far).  lcb_table is O(S*A), without a kernel call or a
+    solve; predict and posterior at other points solve against L, O(n^2)
+    per point.
     """
 
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
                  lengthscale: float = 1.0, p: float = 0.1,
-                 width_scale: float = 1.0,
-                 feature_map: Optional[FeatureMap] = None):
+                 width_scale: float = 1.0, *, feature_map: FeatureMap):
         if total_episodes < 1:
             raise ValueError("total_episodes must be >= 1")
-        self.kernel_name = kernel
         self.kern = make_kernel(kernel, lengthscale)
-        self._inv2 = 1.0 / (2.0 * lengthscale ** 2) if kernel == "sqexp" else None
+        self._k = _pointwise_kernel(kernel, lengthscale)
         self.H = horizon
         self.lam = 1.0 + 2.0 / total_episodes
         self.p = p
         self.width_scale = width_scale
         self.fmap = feature_map
-        prior_var = None
-        if feature_map is not None:
-            self._f_sq = _sq_norms(feature_map.flat)
-            prior_var = self._diag(self._f_sq)
-        # Each step sees one observation per episode in a run, so buffers of
-        # K rows are allocated once and never regrown there.
-        self._steps = [_GpStep(None if prior_var is None else prior_var.copy(),
-                               total_episodes) for _ in range(horizon)]
+        K, m = total_episodes, len(feature_map.flat)
+        f_sq = self._f_sq = _sq_norms(feature_map.flat)
+        self.n = np.zeros(horizon, dtype=int)
+        self.logdet = np.zeros(horizon)
+        self.mean = np.zeros((horizon, m))
+        self.var = np.tile(self._k(f_sq, f_sq, f_sq), (horizon, 1))  # diag k(F, F)
+        # References, not copies: the bench passes rows of the feature
+        # table, and a copied (K, d) buffer per step would add to peak RSS.
+        self.X: list[list] = [[] for _ in range(horizon)]
+        self.L = [np.zeros((K, K)) for _ in range(horizon)]
+        self.alpha = [np.zeros(K) for _ in range(horizon)]
+        self.Z = [np.zeros((K, m)) for _ in range(horizon)]
 
     @property
     def chol(self) -> list:
-        """The n x n Cholesky factor of each step (views into its buffer)."""
-        return [st.L[:st.n, :st.n] for st in self._steps]
+        """The n x n Cholesky factor of each step (views into its array)."""
+        return [L[:n, :n] for L, n in zip(self.L, self.n)]
 
     def num_obs(self, h: int) -> int:
-        return self._steps[h].n
-
-    def _diag(self, sq):
-        """k(y, y) from the squared norm |y|^2 (a scalar or an array)."""
-        if self.kernel_name == "linear":
-            return sq
-        return _sqexp(sq - sq, self._inv2)  # 1, or nan at a non-finite point
-
-    def _feature_row(self, y: np.ndarray) -> np.ndarray:
-        """k(y, F) over the feature set, from the cached squared norms of F."""
-        feats = self.fmap.flat
-        if self.kernel_name == "linear":
-            return feats @ y
-        return _sqexp(float(y @ y) + self._f_sq - 2.0 * (feats @ y), self._inv2)
+        return int(self.n[h])
 
     def observe(self, h: int, y: np.ndarray, cost: float) -> None:
         if abs(cost) > 1.0:
             raise ValueError(f"observed cost {cost} outside [-1, 1]")
+        n, L, alpha = int(self.n[h]), self.L[h], self.alpha[h]
+        if n == len(alpha):
+            raise ValueError(f"step {h} already holds K={n} observations, "
+                             "one per episode")
         y = np.asarray(y, dtype=float)
-        kyy = float(self._diag(float(y @ y)))
+        yy = float(y @ y)
+        kyy = float(self._k(yy, yy, yy))
         if not math.isfinite(kyy):
             raise ValueError("kernel does not evaluate finitely at the new point")
-        st = self._steps[h]
-        n = st.n
         if n == 0:
             z = np.zeros(0)
         else:
-            kvec = self.kern(np.array(st.X), y[None, :])[:, 0]
+            kvec = self.kern(np.array(self.X[h]), y[None, :])[:, 0]
             # L holds only finite entries: a non-finite kvec makes z
             # non-finite, which fails the pivot check below before it is
             # stored.  So the (O(n^2)) finiteness scan of L is skipped.
-            z = solve_triangular(st.L[:n, :n], kvec, lower=True,
+            z = solve_triangular(L[:n, :n], kvec, lower=True,
                                  check_finite=False)
         # The new pivot is a Schur complement of K(X, X) + lam*I, at least
         # lam > 1 for any positive semi-definite kernel, repeated points
@@ -305,16 +248,22 @@ class GpCostModel:
         if not diag2 > 0.0:
             raise RuntimeError("kernel matrix is not positive definite")
         diag = math.sqrt(diag2)
-        a = (float(cost) - float(z @ st.alpha[:n])) / diag
-        r = None
-        if st.Z is not None:
-            r = (self._feature_row(y) - z @ st.Z[:n]) / diag
-        st.append(y, z, diag, a, r)
+        a = (float(cost) - float(z @ alpha[:n])) / diag
+        kyf = self._k(yy, self._f_sq, self.fmap.flat @ y)  # k(y, F)
+        r = (kyf - z @ self.Z[h][:n]) / diag
+        self.X[h].append(y)
+        L[n, :n] = z
+        L[n, n] = diag
+        alpha[n] = a
+        self.Z[h][n] = r
+        self.mean[h] += a * r
+        self.var[h] -= r * r
+        self.logdet[h] += 2.0 * math.log(diag)
+        self.n[h] = n + 1
 
     def info_gain(self, h: int) -> float:
         """Realized information gain 0.5 * ln det(I + lam^-1 KER)."""
-        st = self._steps[h]
-        return 0.5 * (st.logdet - st.n * math.log(self.lam))
+        return 0.5 * (float(self.logdet[h]) - int(self.n[h]) * math.log(self.lam))
 
     def posterior(self, h: int, y: np.ndarray) -> tuple[float, float]:
         """Posterior mean and standard deviation at one query point."""
@@ -325,14 +274,14 @@ class GpCostModel:
         """Posterior mean and standard deviation at the rows of Y, solved
         against the Cholesky factor."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        kyy = self._diag(_sq_norms(Y))
-        st = self._steps[h]
-        n = st.n
+        sq = _sq_norms(Y)
+        kyy = self._k(sq, sq, sq)
+        n = int(self.n[h])
         if n == 0:
             return np.zeros(len(Y)), np.sqrt(np.maximum(kyy, 0.0))
-        kmat = self.kern(np.array(st.X), Y)  # (n, m)
-        zmat = solve_triangular(st.L[:n, :n], kmat, lower=True)
-        mean = zmat.T @ st.alpha[:n]
+        kmat = self.kern(np.array(self.X[h]), Y)  # (n, m)
+        zmat = solve_triangular(self.L[h][:n, :n], kmat, lower=True)
+        mean = zmat.T @ self.alpha[h][:n]
         var = kyy - np.einsum("nm,nm->m", zmat, zmat)
         return mean, np.sqrt(np.maximum(var, 0.0))
 
@@ -347,9 +296,6 @@ class GpCostModel:
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape
         (S, A), read from the cached posterior over the feature set."""
-        if self.fmap is None:
-            raise ValueError("lcb_table needs a feature map at construction")
         S, A, _ = self.fmap.table.shape
-        st = self._steps[h]
-        sigma = np.sqrt(np.maximum(st.var, 0.0))
-        return (st.mean - self._beta(h) * sigma).reshape(S, A)
+        sigma = np.sqrt(np.maximum(self.var[h], 0.0))
+        return (self.mean[h] - self._beta(h) * sigma).reshape(S, A)

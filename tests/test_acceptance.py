@@ -126,7 +126,7 @@ def test_criterion_4_condition_one_optimism():
         cov = kern(pts, pts) + 1e-10 * np.eye(40)
         truth = np.clip(np.linalg.cholesky(cov) @ rng.normal(size=40), -1, 1)
         model = GpCostModel("sqexp", total_episodes=25, horizon=1,
-                            lengthscale=0.5, p=p)
+                            lengthscale=0.5, p=p, feature_map=sl.one_hot_features(1, 2))
         for i in range(25):
             model.observe(0, pts[i], float(truth[i]))
         for i in range(25, 40):
@@ -188,7 +188,8 @@ def test_criterion_6_numerical_identities():
 
     # GP with linear kernel vs primal ridge mean
     ridge_err = 0.0
-    gp = GpCostModel("linear", total_episodes=50, horizon=1)
+    gp = GpCostModel("linear", total_episodes=50, horizon=1,
+                     feature_map=sl.one_hot_features(1, 4))
     ridge = LinearCostModel(sl.one_hot_features(2, 2), horizon=1, lam=gp.lam)
     for _ in range(30):
         y = rng.normal(size=4)
@@ -204,7 +205,8 @@ def test_criterion_6_numerical_identities():
 
     # incremental information gain vs batch log det
     info_err = 0.0
-    model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6)
+    model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6,
+                        feature_map=sl.one_hot_features(1, 2))
     pts = rng.uniform(-1, 1, size=(30, 2))
     for y in pts:
         model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))

@@ -9,7 +9,8 @@ from safe_lsvi.bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
                              Metrics, emit_results, fit_growth_exponent,
                              run_experiment)
 from safe_lsvi.costs import KERNELS, tilde_beta
-from safe_lsvi.envs import TabularCmdp, one_hot_features
+from safe_lsvi.envs import (TabularCmdp, build_synthetic_linear,
+                            one_hot_features)
 
 
 def alternating_cost_env():
@@ -86,6 +87,23 @@ def test_config_validation():
         ExperimentConfig(beta_override=-1.0).validate()
     with pytest.raises(ValueError, match="c_beta"):
         ExperimentConfig(c_beta=-0.5).validate()
+    # NaN and infinities fail every numeric check
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            ExperimentConfig(lam=bad).validate()
+        with pytest.raises(ValueError, match="c_beta"):
+            ExperimentConfig(c_beta=bad).validate()
+        with pytest.raises(ValueError, match="beta_override"):
+            ExperimentConfig(beta_override=bad).validate()
+        with pytest.raises(ValueError, match="cost_width_scale"):
+            ExperimentConfig(cost_width_scale=bad).validate()
+        with pytest.raises(ValueError, match="lengthscale"):
+            ExperimentConfig(cost_model="gp", kernel="sqexp",
+                             lengthscale=bad).validate()
+        with pytest.raises(ValueError, match="p must"):
+            ExperimentConfig(p=bad).validate()
+    with pytest.raises(ValueError, match="lengthscale must be positive"):
+        ExperimentConfig(cost_model="gp", kernel="sqexp", lengthscale=0.0).validate()
     # settings that the chosen models never read
     with pytest.raises(ValueError, match="kernel"):
         ExperimentConfig(kernel="sqexp").validate()
@@ -307,6 +325,25 @@ def test_episode_loop_matches_manual_transcript():
         assert got["actions"] == want["actions"]
 
 
+@pytest.mark.parametrize("cost_model", COST_MODELS)
+@pytest.mark.parametrize("horizon", [2, 5])
+def test_env_override_with_another_horizon_is_rejected(cost_model, horizon):
+    cmdp, fmap, _ = build_synthetic_linear(4, 3, np.random.SeedSequence(0))
+    cfg = ExperimentConfig(env="synthetic_linear", dim=4, episodes=3,
+                           horizon=horizon, beta_override=1.0,
+                           cost_model=cost_model)
+    with pytest.raises(ValueError, match=f"horizon 3 .*horizon is {horizon}"):
+        run_experiment(cfg, env_override=(cmdp, fmap))
+
+
+def test_env_override_with_another_feature_table_is_rejected():
+    cmdp, _ = alternating_cost_env()
+    cfg = ExperimentConfig(env="synthetic_linear", episodes=3, horizon=1,
+                           beta_override=1.0)
+    with pytest.raises(ValueError, match="feature table"):
+        run_experiment(cfg, env_override=(cmdp, one_hot_features(1, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Alternating costs: virtual queue vs rectified penalty
 # ---------------------------------------------------------------------------
@@ -437,10 +474,23 @@ def test_cli_rejects_bad_input(capsys):
       "--lengthscale", "0.3"], "cost_model"),
     (["--beta-override", "1.0", "--c-beta", "7"], "c_beta"),
     (["--agent", "lsvi", "--beta-override", "1.0", "--p", "0.3"], "p is not read"),
+    (["--beta-override", "inf"], "beta_override"),
+    (["--cost-model", "gp", "--kernel", "sqexp", "--lengthscale", "inf"],
+     "lengthscale"),
+    (["--lambda", "nan"], "lambda"),
+    (["--beta-override", "nan"], "beta_override"),
+    (["--c-beta", "nan"], "c_beta"),
+    (["--cost-width-scale", "nan"], "cost_width_scale"),
+    (["--cost-width-scale", "inf"], "cost_width_scale"),
+    (["--cost-model", "gp", "--kernel", "sqexp", "--lengthscale", "nan"],
+     "lengthscale"),
 ], ids=["negative-beta-override", "negative-c-beta", "dump-values-without-out",
         "kernel-with-linear-costs", "lengthscale-with-linear-costs",
         "map-with-synthetic-env", "dim-with-frozen-lake", "gp-costs-with-lsvi",
-        "c-beta-with-beta-override", "p-with-lsvi-and-beta-override"])
+        "c-beta-with-beta-override", "p-with-lsvi-and-beta-override",
+        "inf-beta-override", "inf-lengthscale", "nan-lambda",
+        "nan-beta-override", "nan-c-beta", "nan-cost-width-scale",
+        "inf-cost-width-scale", "nan-lengthscale"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
                                                    tmp_path_factory,
                                                    monkeypatch, capsys):

@@ -179,14 +179,16 @@ def test_kernel_registry():
 
 def test_gp_first_observation_cholesky():
     K = 4
-    model = GpCostModel("sqexp", total_episodes=K, horizon=1)
+    model = GpCostModel("sqexp", total_episodes=K, horizon=1,
+                        feature_map=one_hot_features(1, 2))
     model.observe(0, np.array([0.3, 0.4]), 0.5)
     assert model.chol[0][0, 0] == pytest.approx(math.sqrt(2.0 + 2.0 / K))
 
 
 def test_gp_cholesky_matches_dense():
     rng = np.random.default_rng(4)
-    model = GpCostModel("sqexp", total_episodes=100, horizon=1, lengthscale=0.7)
+    model = GpCostModel("sqexp", total_episodes=100, horizon=1, lengthscale=0.7,
+                        feature_map=one_hot_features(1, 3))
     pts = rng.uniform(-1, 1, size=(40, 3))
     for y in pts:
         model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))
@@ -196,7 +198,8 @@ def test_gp_cholesky_matches_dense():
 
 
 def test_gp_duplicate_point_stays_pd():
-    model = GpCostModel("linear", total_episodes=10, horizon=1)
+    model = GpCostModel("linear", total_episodes=10, horizon=1,
+                        feature_map=one_hot_features(1, 2))
     y = np.array([0.6, 0.8])
     model.observe(0, y, 0.2)
     model.observe(0, y, 0.3)  # no error: the regularizer keeps things PD
@@ -204,14 +207,16 @@ def test_gp_duplicate_point_stays_pd():
 
 
 def test_gp_prior_posterior():
-    model = GpCostModel("sqexp", total_episodes=10, horizon=1)
+    model = GpCostModel("sqexp", total_episodes=10, horizon=1,
+                        feature_map=one_hot_features(1, 2))
     mean, sigma = model.posterior(0, np.array([0.1, 0.2]))
     assert mean == 0.0
     assert sigma == pytest.approx(1.0)
 
 
 def test_gp_posterior_shrinks_at_observed_point():
-    model = GpCostModel("sqexp", total_episodes=50, horizon=1)
+    model = GpCostModel("sqexp", total_episodes=50, horizon=1,
+                        feature_map=one_hot_features(1, 2))
     y = np.array([0.5, -0.2])
     _, prior_sigma = model.posterior(0, y)
     model.observe(0, y, 0.4)
@@ -221,7 +226,8 @@ def test_gp_posterior_shrinks_at_observed_point():
 
 def test_gp_variance_monotone_in_observations():
     rng = np.random.default_rng(6)
-    model = GpCostModel("sqexp", total_episodes=50, horizon=1, lengthscale=0.8)
+    model = GpCostModel("sqexp", total_episodes=50, horizon=1, lengthscale=0.8,
+                        feature_map=one_hot_features(1, 2))
     query = np.array([0.0, 0.0])
     last = model.posterior(0, query)[1]
     for _ in range(25):
@@ -234,7 +240,8 @@ def test_gp_variance_monotone_in_observations():
 
 def test_gp_preclamp_variance_not_too_negative():
     rng = np.random.default_rng(13)
-    model = GpCostModel("linear", total_episodes=200, horizon=1)
+    model = GpCostModel("linear", total_episodes=200, horizon=1,
+                        feature_map=one_hot_features(1, 3))
     kern = make_kernel("linear")
     pts = []
     for _ in range(60):
@@ -254,7 +261,8 @@ def test_gp_kernel_ridge_matches_primal_mean():
     # equals the ridge prediction at every query point.
     rng = np.random.default_rng(3)
     d, n, K = 5, 30, 100
-    gp = GpCostModel("linear", total_episodes=K, horizon=1)
+    gp = GpCostModel("linear", total_episodes=K, horizon=1,
+                     feature_map=one_hot_features(1, 5))
     ridge = LinearCostModel(FeatureMap(dim=d, table=ball_features(rng, 4, d)
                                        .reshape(2, 2, d)),
                             horizon=1, lam=gp.lam)
@@ -274,7 +282,8 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     # primal width beta must be gp_beta * sqrt(lam) for the LCBs to coincide.
     rng = np.random.default_rng(14)
     d, K = 4, 64
-    gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1)
+    gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1,
+                     feature_map=one_hot_features(1, 4))
     ridge = LinearCostModel(one_hot_features(2, 2), horizon=1, lam=gp.lam, p=0.1)
     for _ in range(25):
         y = ball_features(rng, 1, d)[0]
@@ -291,7 +300,8 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
 
 
 def test_gp_prior_lcb():
-    model = GpCostModel("sqexp", total_episodes=10, horizon=2, p=0.1)
+    model = GpCostModel("sqexp", total_episodes=10, horizon=2, p=0.1,
+                        feature_map=one_hot_features(1, 2))
     est = model.predict(0, np.array([0.2, 0.2]))
     assert est.value == pytest.approx(-gp_beta(0.0, 0.1 / 2))
 
@@ -310,7 +320,7 @@ def test_gp_condition_one_on_gp_sampled_truth():
         f = np.clip(f, -1, 1)
         train, test = np.arange(25), np.arange(25, 40)
         model = GpCostModel("sqexp", total_episodes=25, horizon=1,
-                            lengthscale=0.5, p=p)
+                            lengthscale=0.5, p=p, feature_map=one_hot_features(1, 2))
         for i in train:
             model.observe(0, pts[i], float(f[i]))
         for i in test:
@@ -327,14 +337,16 @@ def test_gp_condition_one_on_gp_sampled_truth():
 # ---------------------------------------------------------------------------
 
 def test_info_gain_empty():
-    model = GpCostModel("sqexp", total_episodes=10, horizon=2)
+    model = GpCostModel("sqexp", total_episodes=10, horizon=2,
+                        feature_map=one_hot_features(1, 2))
     assert model.info_gain(0) == 0.0
     assert model.info_gain(1) == 0.0
 
 
 def test_info_gain_single_unit_kernel_point():
     K = 2
-    model = GpCostModel("sqexp", total_episodes=K, horizon=1)
+    model = GpCostModel("sqexp", total_episodes=K, horizon=1,
+                        feature_map=one_hot_features(1, 2))
     model.observe(0, np.array([0.0, 0.0]), 0.1)
     lam = 1.0 + 2.0 / K
     assert model.info_gain(0) == pytest.approx(0.5 * math.log(1.0 + 1.0 / lam))
@@ -342,7 +354,8 @@ def test_info_gain_single_unit_kernel_point():
 
 def test_info_gain_matches_dense_logdet():
     rng = np.random.default_rng(12)
-    model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6)
+    model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6,
+                        feature_map=one_hot_features(1, 2))
     pts = rng.uniform(-1, 1, size=(30, 2))
     for y in pts:
         model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))
@@ -353,7 +366,8 @@ def test_info_gain_matches_dense_logdet():
 
 def test_info_gain_nondecreasing():
     rng = np.random.default_rng(15)
-    model = GpCostModel("linear", total_episodes=40, horizon=1)
+    model = GpCostModel("linear", total_episodes=40, horizon=1,
+                        feature_map=one_hot_features(1, 3))
     last = 0.0
     for _ in range(20):
         model.observe(0, ball_features(rng, 1, 3)[0],
@@ -364,9 +378,30 @@ def test_info_gain_nondecreasing():
 
 
 def test_gp_rejects_out_of_range_cost():
-    model = GpCostModel("sqexp", total_episodes=10, horizon=1)
+    model = GpCostModel("sqexp", total_episodes=10, horizon=1,
+                        feature_map=one_hot_features(1, 2))
     with pytest.raises(ValueError):
         model.observe(0, np.array([0.0, 0.0]), -1.2)
+
+
+def test_gp_step_holds_at_most_k_points():
+    K = 3
+    model = GpCostModel("sqexp", total_episodes=K, horizon=2,
+                        feature_map=one_hot_features(1, 2))
+    y = np.array([0.6, 0.8])
+    for _ in range(K):
+        model.observe(0, y, 0.1)
+    with pytest.raises(ValueError, match=r"step 0 .*K=3"):
+        model.observe(0, y, 0.1)
+    assert model.num_obs(0) == K
+    for _ in range(K):  # the other step still takes its K points
+        model.observe(1, y, 0.1)
+    assert model.num_obs(1) == K
+
+
+def test_gp_requires_a_feature_map():
+    with pytest.raises(TypeError, match="feature_map"):
+        GpCostModel("sqexp", total_episodes=10, horizon=1)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +420,15 @@ def _observed_gp(rng, kernel, lengthscale, horizon):
     S, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     table = ball_features(rng, S * A, d) * rng.uniform(0.2, 1.0, size=(S * A, 1))
     fmap = FeatureMap(dim=d, table=table.reshape(S, A, d))
-    model = GpCostModel(kernel, total_episodes=int(rng.integers(1, 50)),
+    # Each step holds at most K points, so K is drawn no smaller than the
+    # number of observations.
+    num_obs = int(rng.integers(0, 40))
+    model = GpCostModel(kernel, total_episodes=int(rng.integers(max(num_obs, 1), 50)),
                         horizon=horizon, lengthscale=lengthscale,
                         p=float(rng.uniform(0.01, 0.5)),
                         width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
     data = [([], []) for _ in range(horizon)]
-    for _ in range(int(rng.integers(0, 40))):
+    for _ in range(num_obs):
         h = int(rng.integers(horizon))
         if rng.uniform() < 0.8:
             y = fmap.flat[rng.integers(S * A)]
