@@ -8,9 +8,8 @@ from .costs import (CostEstimate, GpCostModel, LinearCostModel, gp_beta,
                     make_kernel, tilde_beta)
 from .envs import (DEFAULT_LAKE_MAP, FeatureMap, StepRecord, TabularCmdp,
                    build_frozen_lake, build_hard_instance,
-                   build_synthetic_linear, describe_cmdp,
-                   frozen_lake_from_grid, one_hot_features, parse_cmdp_text,
-                   step)
+                   build_synthetic_linear, frozen_lake_from_grid,
+                   one_hot_features, step)
 from .lsvi import GramState, LsviLearner, QModel, beta_schedule
 from .oracle import (ValueTable, brute_force_enumerate, constrained_dp,
                      policy_eval, value_iteration)
@@ -21,8 +20,8 @@ __all__ = [
     "run_experiment", "CostEstimate", "GpCostModel", "LinearCostModel",
     "gp_beta", "make_kernel", "tilde_beta", "DEFAULT_LAKE_MAP",
     "FeatureMap", "StepRecord", "TabularCmdp", "build_frozen_lake",
-    "build_hard_instance", "build_synthetic_linear", "describe_cmdp",
-    "frozen_lake_from_grid", "one_hot_features", "parse_cmdp_text", "step",
+    "build_hard_instance", "build_synthetic_linear", "frozen_lake_from_grid",
+    "one_hot_features", "step",
     "GramState", "LsviLearner", "QModel", "beta_schedule", "ValueTable",
     "brute_force_enumerate", "constrained_dp", "policy_eval",
     "value_iteration", "PenaltyLedger", "penalized_argmax",

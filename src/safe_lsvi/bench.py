@@ -61,6 +61,8 @@ class ExperimentConfig:
             raise ValueError(f"kernel must be one of {KERNELS}")
         if self.episodes < 1 or self.horizon < 1:
             raise ValueError("episodes and horizon must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
         # Each check fails on NaN and on +-inf as well.
@@ -118,15 +120,20 @@ class ExperimentConfig:
             key, value = key.strip(), value.strip()
             if key not in casts:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "map_text":
-                kwargs[key] = value.replace(";", "\n")
-            elif key in ("episodes", "horizon", "dim", "seed"):
-                kwargs[key] = int(value)
-            elif key in ("p", "lam", "c_beta", "beta_override", "lengthscale",
-                         "cost_width_scale"):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            if key in kwargs:
+                raise ValueError(f"config key {key!r} given twice")
+            try:
+                if key == "map_text":
+                    kwargs[key] = value.replace(";", "\n")
+                elif key in ("episodes", "horizon", "dim", "seed"):
+                    kwargs[key] = int(value)
+                elif key in ("p", "lam", "c_beta", "beta_override",
+                             "lengthscale", "cost_width_scale"):
+                    kwargs[key] = float(value)
+                else:
+                    kwargs[key] = value
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
 
 
@@ -138,8 +145,6 @@ class Metrics:
     ground-truth mean costs (positive parts, no cancellation); regret is
     measured against the exact optimal safe value.  signed_costs tracks the
     raw cost sum per episode so the no-cancellation gap is observable.
-    optimal_safe_values is the (H + 1, S) value table of the optimal safe
-    policy.
     """
 
     rewards: np.ndarray
@@ -150,7 +155,6 @@ class Metrics:
     signed_costs: np.ndarray
     summary: dict
     trace: Optional[list] = None
-    optimal_safe_values: Optional[np.ndarray] = None
 
 
 def build_env(config: ExperimentConfig, builder_seed):
@@ -270,14 +274,11 @@ def run_experiment(config: ExperimentConfig, env_override=None,
         "total_reward": float(rewards.sum()),
         "total_violation": float(cum_violation[-1]),
         "total_regret": float(cum_regret[-1]),
-        "violation_exponent": (fit_growth_exponent(cum_violation)
-                               if K >= 100 else None),
         "optimal_safe_value": float(v_star),
     }
     return Metrics(rewards=rewards, violations=violations, regret_inc=regret_inc,
                    cum_regret=cum_regret, cum_violation=cum_violation,
-                   signed_costs=signed, summary=summary, trace=trace,
-                   optimal_safe_values=star.v)
+                   signed_costs=signed, summary=summary, trace=trace)
 
 
 def fit_growth_exponent(series) -> float:
@@ -320,16 +321,3 @@ def emit_results(metrics: Metrics, config: ExperimentConfig, out_dir) -> Path:
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from exc
     return csv_path
-
-
-def dump_value_tables(metrics: Metrics, out_dir) -> Path:
-    """Optional inspection dump of the run's optimal safe values."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "optimal_safe_values.txt"
-    with open(path, "w") as fh:
-        # Rows 0..H-1; row H is the zero value past the horizon.
-        for h, values in enumerate(metrics.optimal_safe_values[:-1]):
-            row = " ".join(repr(float(x)) for x in values)
-            fh.write(f"h={h} {row}\n")
-    return path

@@ -12,8 +12,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
-                    dump_value_tables, emit_results, run_experiment)
+from .bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig, emit_results,
+                    run_experiment)
 from .costs import KERNELS
 
 
@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--map", dest="map_path", help="ASCII grid file for "
                         "frozen_lake (S start, G goal, H hazard, . free)")
     parser.add_argument("--out", help="output directory for results.csv")
-    parser.add_argument("--dump-values", action="store_true",
-                        help="also write the optimal safe value tables")
     return parser
 
 
@@ -66,14 +64,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        if args.dump_values and not config.out:
-            raise ValueError("--dump-values needs an output directory (--out)")
         metrics = run_experiment(config)
         if config.out:
-            path = emit_results(metrics, config, config.out)
-            if args.dump_values:
-                dump_value_tables(metrics, config.out)
-            print(path)
+            print(emit_results(metrics, config, config.out))
         summary = metrics.summary
         print(f"total_reward={summary['total_reward']:.6g} "
               f"total_violation={summary['total_violation']:.6g} "

@@ -136,7 +136,7 @@ class LinearCostModel:
         self.b = [np.zeros(self.d) for _ in range(horizon)]  # sum phi * cost
 
     def observe(self, h: int, phi: np.ndarray, cost: float) -> None:
-        if abs(cost) > 1.0:
+        if not abs(cost) <= 1.0:
             raise ValueError(f"observed cost {cost} outside [-1, 1]")
         phi = np.asarray(phi, dtype=float)
         if self._owns_stats:
@@ -221,7 +221,7 @@ class GpCostModel:
         return int(self.n[h])
 
     def observe(self, h: int, y: np.ndarray, cost: float) -> None:
-        if abs(cost) > 1.0:
+        if not abs(cost) <= 1.0:
             raise ValueError(f"observed cost {cost} outside [-1, 1]")
         n, L, alpha = int(self.n[h]), self.L[h], self.alpha[h]
         if n == len(alpha):

@@ -403,92 +403,3 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
     params = HardInstanceParams(alpha=alpha, beta=beta, delta=delta, gap=gap,
                                 u=u, actions=actions, mu=mu, theta=theta)
     return cmdp, fmap, params
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-# ---------------------------------------------------------------------------
-
-def describe_cmdp(cmdp: TabularCmdp) -> str:
-    """Serialize to a line-oriented text format.
-
-    Header keys: dims, horizon, initial, noise, reward_scale; then one line
-    per (h, s, a): the indices, the transition row, the reward and the mean
-    cost, all as exact round-tripping floats.
-    """
-    lines = [
-        f"dims {cmdp.num_states} {cmdp.num_actions}",
-        f"horizon {cmdp.horizon}",
-        f"initial {cmdp.initial_state}",
-        f"noise {cmdp.cost_noise!r}",
-        f"reward_scale {cmdp.reward_scale!r}",
-    ]
-    for h in range(cmdp.horizon):
-        for s in range(cmdp.num_states):
-            for a in range(cmdp.num_actions):
-                row = " ".join(repr(float(p)) for p in cmdp.transition[h, s, a])
-                lines.append(f"{h} {s} {a} {row} "
-                             f"{float(cmdp.reward[h, s, a])!r} "
-                             f"{float(cmdp.cost_mean[h, s, a])!r}")
-    return "\n".join(lines) + "\n"
-
-
-# Header keys of the text format and how many values each takes.
-_HEADER = {"dims": 2, "horizon": 1, "initial": 1, "noise": 1, "reward_scale": 1}
-
-
-def _line_error(n: int, parts: list, why: str) -> ValueError:
-    return ValueError(f"line {n}: {why}: {' '.join(parts)!r}")
-
-
-def parse_cmdp_text(text: str) -> TabularCmdp:
-    """Inverse of describe_cmdp.  A missing header key, a row with the wrong
-    number of fields, a field that is not a number or an index out of range
-    raises ValueError naming the line."""
-    lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), 1)
-             if ln.strip()]
-    header = {}
-    body = 0
-    while body < len(lines) and lines[body][1][0] in _HEADER:
-        n, parts = lines[body]
-        if len(parts) != 1 + _HEADER[parts[0]]:
-            raise _line_error(n, parts, f"{parts[0]} takes {_HEADER[parts[0]]} value(s)")
-        header[parts[0]] = (n, parts)
-        body += 1
-    missing = [key for key in _HEADER if key not in header]
-    if missing:
-        where = f"before line {lines[body][0]}" if body < len(lines) else "in the text"
-        raise ValueError(f"header key {missing[0]!r} missing {where}")
-
-    def values(key, cast):
-        n, parts = header[key]
-        try:
-            return [cast(x) for x in parts[1:]]
-        except ValueError:
-            raise _line_error(n, parts, f"{key} must be {cast.__name__}") from None
-
-    S, A = values("dims", int)
-    (H,) = values("horizon", int)
-    P = np.zeros((H, S, A, S))
-    R = np.zeros((H, S, A))
-    G = np.zeros((H, S, A))
-    for n, parts in lines[body:]:
-        if len(parts) != S + 5:
-            raise _line_error(n, parts, f"row has {len(parts)} fields, want {S + 5} "
-                              f"(h s a, {S} transition probabilities, reward, cost)")
-        try:
-            h, s, a = (int(x) for x in parts[:3])
-            vals = [float(x) for x in parts[3:]]
-        except ValueError:
-            raise _line_error(n, parts, "fields must be numbers") from None
-        if not (0 <= h < H and 0 <= s < S and 0 <= a < A):
-            raise _line_error(n, parts, f"index (h, s, a) = ({h}, {s}, {a}) out of "
-                              f"range for H={H}, S={S}, A={A}")
-        P[h, s, a] = vals[:S]
-        R[h, s, a] = vals[S]
-        G[h, s, a] = vals[S + 1]
-    return TabularCmdp(num_states=S, num_actions=A, horizon=H, transition=P,
-                       reward=R, cost_mean=G,
-                       initial_state=values("initial", int)[0],
-                       cost_noise=values("noise", float)[0],
-                       reward_scale=values("reward_scale", float)[0])

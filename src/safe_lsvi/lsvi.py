@@ -66,7 +66,7 @@ class GramState:
     """
 
     def __init__(self, d: int, lam: float, feats: Optional[np.ndarray] = None):
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("lam must be positive")
         self.d = d
         self.lam = lam
@@ -99,10 +99,13 @@ class GramState:
                 self.inv[j] -= vj * vj / denom
                 self.count += 1
                 return
-            self._densify()
+        # Checked before any storage change, so a rejected sample (a NaN
+        # included) leaves the statistics as they were.
         norm = np.linalg.norm(phi)
-        if norm > 1.0 + NORM_SLACK:
+        if not norm <= 1.0 + NORM_SLACK:
             raise ValueError(f"feature norm {norm:.6f} exceeds 1")
+        if self.diagonal:
+            self._densify()
         v = self.inv @ phi
         denom = 1.0 + float(phi @ v)
         if denom <= DENOM_TOL:
@@ -191,8 +194,10 @@ class LsviLearner:
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
                  horizon: int, lam: float, beta: float):
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("lam must be positive")
+        if not 0 <= beta < math.inf:
+            raise ValueError("beta must be >= 0 and finite")
         self.S, self.A, self.H = num_states, num_actions, horizon
         self.d = feature_map.dim
         self.lam = lam

@@ -32,7 +32,7 @@ class PenaltyLedger:
         g = np.asarray(costs, dtype=float)
         if g.shape != self.z.shape:
             raise ValueError(f"{g.size} costs for horizon {self.z.size}")
-        if (np.abs(g) > 1.0).any():
+        if not (np.abs(g) <= 1.0).all():
             raise ValueError("observed cost outside [-1, 1]")
         if k < 1:
             raise ValueError("episode index must be >= 1")

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,15 @@ def test_config_validation():
             ExperimentConfig(p=bad).validate()
     with pytest.raises(ValueError, match="lengthscale must be positive"):
         ExperimentConfig(cost_model="gp", kernel="sqexp", lengthscale=0.0).validate()
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(seed=-1).validate()
+    # config text: a repeated key, or a value its field cannot take, is named
+    with pytest.raises(ValueError, match="'episodes' given twice"):
+        ExperimentConfig.from_text("episodes=3\nepisodes=4\n")
+    with pytest.raises(ValueError, match="config key 'episodes': .*'1.5'"):
+        ExperimentConfig.from_text("episodes=1.5\n")
+    with pytest.raises(ValueError, match="config key 'lam': .*'small'"):
+        ExperimentConfig.from_text("lam=small\n")
     # settings that the chosen models never read
     with pytest.raises(ValueError, match="kernel"):
         ExperimentConfig(kernel="sqexp").validate()
@@ -166,7 +176,6 @@ def test_single_episode_increments():
     metrics = run_experiment(cfg)
     assert metrics.regret_inc[0] >= -1e-9
     assert metrics.violations[0] >= 0.0
-    assert metrics.summary["violation_exponent"] is None
 
 
 def test_run_deterministic_given_config_and_seed():
@@ -465,7 +474,6 @@ def test_cli_rejects_bad_input(capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--beta-override", "-1.0"], "beta_override"),
     (["--c-beta", "-0.5"], "c_beta"),
-    (["--dump-values"], "--out"),
     (["--kernel", "sqexp"], "kernel"),
     (["--lengthscale", "0.5"], "lengthscale"),
     (["--map", "MAP"], "map_text"),
@@ -484,20 +492,33 @@ def test_cli_rejects_bad_input(capsys):
     (["--cost-width-scale", "inf"], "cost_width_scale"),
     (["--cost-model", "gp", "--kernel", "sqexp", "--lengthscale", "nan"],
      "lengthscale"),
-], ids=["negative-beta-override", "negative-c-beta", "dump-values-without-out",
-        "kernel-with-linear-costs", "lengthscale-with-linear-costs",
-        "map-with-synthetic-env", "dim-with-frozen-lake", "gp-costs-with-lsvi",
+    (["--seed", "-1"], "seed"),
+    (["--config", "CONFIG:episodes=3\nepisodes=4\n"], "'episodes' given twice"),
+    (["--config", "CONFIG:episodes=1.5\n"], "config key 'episodes'"),
+], ids=["negative-beta-override", "negative-c-beta", "kernel-with-linear-costs",
+        "lengthscale-with-linear-costs", "map-with-synthetic-env",
+        "dim-with-frozen-lake", "gp-costs-with-lsvi",
         "c-beta-with-beta-override", "p-with-lsvi-and-beta-override",
         "inf-beta-override", "inf-lengthscale", "nan-lambda",
         "nan-beta-override", "nan-c-beta", "nan-cost-width-scale",
-        "inf-cost-width-scale", "nan-lengthscale"])
+        "inf-cost-width-scale", "nan-lengthscale", "negative-seed",
+        "config-key-twice", "config-float-episodes"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
                                                    tmp_path_factory,
                                                    monkeypatch, capsys):
     from safe_lsvi.cli import main
-    map_file = tmp_path_factory.mktemp("map") / "map.txt"
-    map_file.write_text("S.H\n..G\n")
-    flags = [str(map_file) if f == "MAP" else f for f in flags]
+    inputs = tmp_path_factory.mktemp("inputs")
+    (inputs / "map.txt").write_text("S.H\n..G\n")
+
+    def resolve(flag):
+        # MAP names a map file, CONFIG:<text> a config file holding <text>.
+        if flag == "MAP":
+            return str(inputs / "map.txt")
+        if flag.startswith("CONFIG:"):
+            (inputs / "cfg.txt").write_text(flag[len("CONFIG:"):])
+            return str(inputs / "cfg.txt")
+        return flag
+    flags = [resolve(f) for f in flags]
     monkeypatch.chdir(tmp_path)
     code = main(["--env", "synthetic_linear", "--episodes", "3", "--horizon", "3",
                  "--dim", "4"] + flags)
@@ -517,15 +538,15 @@ def test_cli_map_file(tmp_path):
     assert code == 0
 
 
-def test_cli_dump_values(tmp_path):
-    from safe_lsvi.cli import main
-    out = tmp_path / "out"
-    code = main(["--env", "synthetic_linear", "--agent", "lsvi", "--episodes",
-                 "3", "--horizon", "3", "--dim", "4", "--beta-override", "1.0",
-                 "--seed", "0", "--out", str(out), "--dump-values"])
-    assert code == 0
-    dump = (out / "optimal_safe_values.txt").read_text()
-    assert dump.startswith("h=0 ")
+def test_readme_lists_every_cli_flag():
+    from safe_lsvi.cli import build_parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("\nFlags: ")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+    flags = {opt for action in build_parser()._actions
+             for opt in action.option_strings} - {"-h", "--help"}
+    assert documented == flags
 
 
 def test_run_with_gp_cost_model():

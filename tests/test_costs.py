@@ -122,6 +122,17 @@ def test_linear_rejects_out_of_range_cost():
         model.observe(0, fmap.flat[0], 1.5)
 
 
+def test_linear_rejects_a_nan_cost_and_keeps_its_state():
+    fmap = one_hot_features(2, 2)
+    model = LinearCostModel(fmap, horizon=1)
+    model.observe(0, fmap.flat[1], 0.5)
+    theta, table = model.theta(0), model.lcb_table(0)
+    with pytest.raises(ValueError, match="nan"):
+        model.observe(0, fmap.flat[0], math.nan)
+    assert np.array_equal(model.theta(0), theta)
+    assert np.array_equal(model.lcb_table(0), table)
+
+
 def test_linear_lcb_below_mean():
     rng = np.random.default_rng(9)
     fmap = _toy_fmap(rng)
@@ -382,6 +393,18 @@ def test_gp_rejects_out_of_range_cost():
                         feature_map=one_hot_features(1, 2))
     with pytest.raises(ValueError):
         model.observe(0, np.array([0.0, 0.0]), -1.2)
+
+
+def test_gp_rejects_a_nan_cost_and_keeps_its_state():
+    fmap = one_hot_features(2, 2)
+    model = GpCostModel("sqexp", total_episodes=5, horizon=1, feature_map=fmap)
+    model.observe(0, fmap.flat[1], 0.5)
+    mean, table = model.mean.copy(), model.lcb_table(0)
+    with pytest.raises(ValueError, match="nan"):
+        model.observe(0, fmap.flat[0], math.nan)
+    assert model.num_obs(0) == 1
+    assert np.array_equal(model.mean, mean)
+    assert np.array_equal(model.lcb_table(0), table)
 
 
 def test_gp_step_holds_at_most_k_points():

@@ -2,13 +2,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, StepRecord, TabularCmdp,
                             build_frozen_lake, build_hard_instance,
-                            build_synthetic_linear, describe_cmdp,
-                            frozen_lake_from_grid, one_hot_features,
-                            parse_cmdp_text, step)
+                            build_synthetic_linear, frozen_lake_from_grid, step)
 
 
 # ---------------------------------------------------------------------------
@@ -310,88 +307,6 @@ def test_hard_instance_custom_signs():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def test_describe_parse_roundtrip():
-    cmdp, _, _ = build_synthetic_linear(4, 3, seed=2)
-    text = describe_cmdp(cmdp)
-    back = parse_cmdp_text(text)
-    assert np.array_equal(back.transition, cmdp.transition)
-    assert np.array_equal(back.reward, cmdp.reward)
-    assert np.array_equal(back.cost_mean, cmdp.cost_mean)
-    assert back.initial_state == cmdp.initial_state
-    assert back.cost_noise == cmdp.cost_noise
-    assert back.reward_scale == cmdp.reward_scale
-
-
-@st.composite
-def cmdps(draw):
-    """A valid CMDP with arbitrary floats: random transition rows, rewards in
-    [0, 1], and costs in [-1, 1] with action 0 safe everywhere."""
-    S, A, H = (draw(st.integers(1, 3)) for _ in range(3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    P = rng.dirichlet(np.ones(S), size=(H, S, A))
-    R = rng.uniform(0.0, 1.0, size=(H, S, A))
-    G = rng.uniform(-1.0, 1.0, size=(H, S, A))
-    G[..., 0] = -np.abs(G[..., 0])
-    return TabularCmdp(S, A, H, P, R, G,
-                       initial_state=draw(st.integers(0, S - 1)),
-                       cost_noise=draw(st.floats(0.0, 1.0)),
-                       reward_scale=draw(st.floats(1e-3, 1e3)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(cmdp=cmdps())
-def test_describe_parse_roundtrip_on_random_cmdps(cmdp):
-    text = describe_cmdp(cmdp)
-    back = parse_cmdp_text(text)
-    for name in ("transition", "reward", "cost_mean"):
-        assert getattr(back, name).tobytes() == getattr(cmdp, name).tobytes()
-    assert (back.num_states, back.num_actions, back.horizon, back.initial_state) \
-        == (cmdp.num_states, cmdp.num_actions, cmdp.horizon, cmdp.initial_state)
-    assert back.cost_noise == cmdp.cost_noise
-    assert back.reward_scale == cmdp.reward_scale
-    assert describe_cmdp(back) == text
-
-
-def test_describe_header_keys():
-    cmdp, _ = build_frozen_lake(2, 2, set(), goal_cell=3, horizon=2)
-    lines = describe_cmdp(cmdp).splitlines()
-    assert lines[0] == "dims 4 4"
-    assert lines[1] == "horizon 2"
-    # one body line per (h, s, a)
-    assert len(lines) == 5 + 2 * 4 * 4
-
-
-def _replace_field(line, index, value):
-    parts = line.split()
-    parts[index] = value
-    return " ".join(parts)
-
-
-@pytest.mark.parametrize("edit, message", [
-    # lines 1-5 are the header, line 6 is the first body row (h=0, s=0, a=0)
-    (lambda ls: ls[:2] + ls[3:], r"header key 'initial' missing before line 5"),
-    (lambda ls: ls[:5] + [" ".join(ls[5].split()[:5])] + ls[6:],
-     r"line 6: row has 5 fields, want 9"),
-    (lambda ls: ls[:5] + [ls[5] + " 0.0"] + ls[6:], r"line 6: row has 10 fields"),
-    (lambda ls: ls[:5] + [_replace_field(ls[5], 0, "2")] + ls[6:],
-     r"line 6: index \(h, s, a\) = \(2, 0, 0\) out of range"),
-    (lambda ls: ls[:5] + [_replace_field(ls[5], 1, "4")] + ls[6:],
-     r"line 6: index .* out of range"),
-    (lambda ls: ls[:5] + [_replace_field(ls[5], 2, "-1")] + ls[6:],
-     r"line 6: index .* out of range"),
-], ids=["missing-header", "truncated-row", "long-row", "h-range", "s-range",
-        "a-range"])
-def test_parse_rejects_malformed_text_naming_the_line(edit, message):
-    cmdp, _ = build_frozen_lake(2, 2, set(), goal_cell=3, horizon=2)
-    lines = describe_cmdp(cmdp).splitlines()
-    with pytest.raises(ValueError, match=message):
-        parse_cmdp_text("\n".join(edit(lines)) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # Validation of the container itself
 # ---------------------------------------------------------------------------
 
@@ -438,18 +353,6 @@ def test_cmdp_rejects_nan(edit, message):
     edit(tables)
     with pytest.raises(ValueError, match=message):
         TabularCmdp(2, 2, 1, **tables)
-
-
-@pytest.mark.parametrize("field, message", [
-    (3, "sum to 1"), (4, "rewards"), (5, "cost means")])
-def test_parse_rejects_a_nan_field(field, message):
-    # dims 1 1: a body row is h s a, one transition probability, reward, cost
-    text = "dims 1 1\nhorizon 1\ninitial 0\nnoise 0.0\nreward_scale 1.0\n"
-    row = ["0", "0", "0", "1.0", "0.0", "-1.0"]
-    parse_cmdp_text(text + " ".join(row) + "\n")
-    row[field] = "nan"
-    with pytest.raises(ValueError, match=message):
-        parse_cmdp_text(text + " ".join(row) + "\n")
 
 
 def test_feature_map_rejects_nan_rows():

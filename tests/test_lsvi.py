@@ -40,6 +40,8 @@ def test_gram_init_scaled():
 def test_gram_init_rejects_bad_lam():
     with pytest.raises(ValueError):
         GramState(3, 0.0)
+    with pytest.raises(ValueError, match="lam"):
+        GramState(3, math.nan)
 
 
 def test_gram_update_basis_vector_closed_form():
@@ -73,6 +75,21 @@ def test_gram_update_rejects_large_norm():
         g.update(np.array([1.5, 0.0]))
 
 
+@pytest.mark.parametrize("one_hot", [True, False], ids=["diagonal", "dense"])
+def test_gram_update_rejects_a_nan_sample_and_keeps_its_storage(one_hot):
+    feats = np.eye(3) if one_hot else random_unit_features(
+        np.random.default_rng(0), 4, 3)
+    g = GramState(3, 1.0, feats)
+    g.update(feats[0])
+    inv, quad = g.inv.copy(), g.quad_forms().copy()
+    with pytest.raises(ValueError, match="feature norm nan"):
+        g.update(np.array([np.nan, 0.0, 0.0]))
+    assert g.diagonal == one_hot
+    assert np.array_equal(g.inv, inv)
+    assert np.array_equal(g.quad_forms(), quad)
+    assert g.count == 1
+
+
 def test_gram_update_detects_corrupted_inverse():
     g = GramState(2, 1.0)
     g.inv = -np.eye(2)  # cannot arise from valid updates
@@ -85,6 +102,15 @@ def test_quad_form_detects_corruption():
     g.inv = -np.eye(2)
     with pytest.raises(RuntimeError, match="negative quadratic form"):
         g.quad_form(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("lam, beta, message", [
+    (math.nan, 1.0, "lam"), (1.0, math.nan, "beta"), (1.0, -5.0, "beta"),
+    (1.0, math.inf, "beta")], ids=["nan-lam", "nan-beta", "negative-beta",
+                                   "inf-beta"])
+def test_learner_rejects_bad_lam_and_beta(lam, beta, message):
+    with pytest.raises(ValueError, match=message):
+        LsviLearner(one_hot_features(2, 2), 2, 2, horizon=3, lam=lam, beta=beta)
 
 
 def test_ingest_rejects_wrong_length():

@@ -100,6 +100,16 @@ def test_cost_range_validated():
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_end_episode_rejects_a_nan_cost(mode):
+    ledger = PenaltyLedger(2, mode)
+    ledger.end_episode([0.5, -0.5], k=1)
+    before = ledger.z.copy()
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+        ledger.end_episode([np.nan, 0.0], k=2)
+    assert np.array_equal(ledger.z, before)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_end_episode_rejects_a_cost_list_of_the_wrong_length(mode):
     # One cost for H = 3 would leave Z_2 and Z_3 below the floor k = 5.
     ledger = PenaltyLedger(3, mode)
