@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ValueError("episodes and horizon must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.out is not None and not self.out.strip():
+            raise ValueError("out must name a directory")
         if not 0 < self.p < 1:
             raise ValueError("p must lie in (0, 1)")
         # Each check fails on NaN and on +-inf as well.
@@ -159,7 +161,7 @@ class Metrics:
 
 def build_env(config: ExperimentConfig, builder_seed):
     if config.env == "frozen_lake":
-        text = config.map_text if config.map_text else DEFAULT_LAKE_MAP
+        text = DEFAULT_LAKE_MAP if config.map_text is None else config.map_text
         cmdp, fmap = frozen_lake_from_grid(text, config.horizon)
     elif config.env == "synthetic_linear":
         cmdp, fmap, _ = build_synthetic_linear(config.dim, config.horizon,
@@ -199,9 +201,6 @@ def run_experiment(config: ExperimentConfig, env_override=None,
         if cmdp.horizon != config.horizon:
             raise ValueError(f"env_override has horizon {cmdp.horizon} but "
                              f"config.horizon is {config.horizon}")
-        if fmap.table.shape[:2] != (cmdp.num_states, cmdp.num_actions):
-            raise ValueError(f"feature table covers (S, A) = {fmap.table.shape[:2]}"
-                             f", the CMDP has {(cmdp.num_states, cmdp.num_actions)}")
     else:
         cmdp, fmap = build_env(config, builder_seed)
     H, K = cmdp.horizon, config.episodes

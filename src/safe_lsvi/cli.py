@@ -55,7 +55,7 @@ def config_from_args(args) -> ExperimentConfig:
     for f in fields(ExperimentConfig):
         if f.name != "map_text" and getattr(args, f.name) is not None:
             setattr(config, f.name, getattr(args, f.name))
-    if args.map_path:
+    if args.map_path is not None:
         config.map_text = Path(args.map_path).read_text()
     return config
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .envs import FeatureMap
-from .lsvi import step_statistics
+from .lsvi import GramState
 
 @dataclass
 class CostEstimate:
@@ -127,11 +127,11 @@ class LinearCostModel:
         self.width_scale = width_scale
         self._owns_stats = stats is None
         if stats is None:
-            stats = step_statistics(feature_map.flat, lam, horizon)
-        elif len(stats) != horizon or any(g.lam != lam or g.d != self.d
+            stats = [GramState(self.d, lam, feature_map) for _ in range(horizon)]
+        elif len(stats) != horizon or any(g.lam != lam or g.fmap is not feature_map
                                           for g in stats):
             raise ValueError("shared statistics must match the cost model's "
-                             "horizon, lam and feature dimension")
+                             "horizon, lam and feature map")
         self.stats = stats
         self.b = [np.zeros(self.d) for _ in range(horizon)]  # sum phi * cost
 
@@ -200,7 +200,7 @@ class GpCostModel:
         self.width_scale = width_scale
         self.fmap = feature_map
         K, m = total_episodes, len(feature_map.flat)
-        f_sq = self._f_sq = _sq_norms(feature_map.flat)
+        f_sq = feature_map.sq_norms
         self.n = np.zeros(horizon, dtype=int)
         self.logdet = np.zeros(horizon)
         self.mean = np.zeros((horizon, m))
@@ -249,7 +249,7 @@ class GpCostModel:
             raise RuntimeError("kernel matrix is not positive definite")
         diag = math.sqrt(diag2)
         a = (float(cost) - float(z @ alpha[:n])) / diag
-        kyf = self._k(yy, self._f_sq, self.fmap.flat @ y)  # k(y, F)
+        kyf = self._k(yy, self.fmap.sq_norms, self.fmap.flat @ y)  # k(y, F)
         r = (kyf - z @ self.Z[h][:n]) / diag
         self.X[h].append(y)
         L[n, :n] = z

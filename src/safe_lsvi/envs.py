@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
+NORM_SLACK = 1e-9
 
 # Grid actions for the lake environment.
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
@@ -80,9 +81,26 @@ class TabularCmdp:
             raise ValueError("reward_scale must be finite")
 
 
+def _unit_columns(flat: np.ndarray) -> Optional[np.ndarray]:
+    """Column of the 1 in each row when every row of flat is a unit basis
+    vector, else None.  A dense feature set is turned down by the nonzero
+    count alone."""
+    if len(flat) == 0 or np.count_nonzero(flat) != len(flat):
+        return None
+    cols = flat.argmax(axis=1)
+    return cols if (flat[np.arange(len(flat)), cols] == 1.0).all() else None
+
+
 @dataclass
 class FeatureMap:
-    """Per-(state, action) feature vectors, Euclidean norm at most 1."""
+    """Per-(state, action) feature vectors, Euclidean norm at most 1.
+
+    Its structure is worked out once, at construction: flat, the (S*A, d)
+    view whose row s*A + a is the feature of (s, a); sq_norms, the squared
+    norm of each row; and unit_columns, the column of each row's 1 when
+    every row is a unit basis vector (one-hot features), else None.  The
+    table is not to be changed afterwards.
+    """
 
     dim: int
     table: np.ndarray  # (S, A, d)
@@ -90,15 +108,13 @@ class FeatureMap:
     def __post_init__(self):
         if self.table.ndim != 3 or self.table.shape[2] != self.dim:
             raise ValueError("feature table must have shape (S, A, d)")
-        norms = np.linalg.norm(self.table, axis=2)
-        if not norms.max() <= 1.0 + 1e-9:
-            raise ValueError(f"feature norms must be <= 1 (max {norms.max():.6f})")
-
-    @property
-    def flat(self) -> np.ndarray:
-        """View of shape (S*A, d); row s*A + a is the feature of (s, a)."""
         S, A, d = self.table.shape
-        return self.table.reshape(S * A, d)
+        self.flat = self.table.reshape(S * A, d)
+        self.sq_norms = np.einsum("nd,nd->n", self.flat, self.flat)
+        norm = math.sqrt(self.sq_norms.max())
+        if not norm <= 1.0 + NORM_SLACK:
+            raise ValueError(f"feature norms must be <= 1 (max {norm:.6f})")
+        self.unit_columns = _unit_columns(self.flat)
 
 
 def one_hot_features(num_states: int, num_actions: int) -> FeatureMap:

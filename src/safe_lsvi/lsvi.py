@@ -8,76 +8,60 @@ the whole feature set, and the sample count.  The learner ingests each (h,
 step) once; each model keeps only its own regression targets (reward and
 next-state sums; cost sums).
 
-A GramState picks its storage once, from the feature set.  When every feature
-row is a unit basis vector (one-hot features, the tabular case) Lambda_h^{-1}
-stays diagonal: an update costs O(1), and the quadratic form of a row is the
-inverse's entry at the row's column.  Otherwise it keeps the dense inverse,
-updated by the rank-one identity in O(d^2), and downdates the cached quadratic
-forms with the same identity, which keeps the per-episode backward pass to a
-handful of matrix-vector products.  On one-hot data the dense path only adds
-exact zeros to what the diagonal path computes, so both give the same bits.
+A GramState takes its storage from its feature map, once and for life.
+When every feature row is a unit basis vector (one-hot features, the
+tabular case) Lambda_h^{-1} stays diagonal: an update costs O(1), the
+quadratic form of a row is the inverse's entry at the row's column, and a
+sample that is not a unit basis vector is rejected.  Otherwise it keeps the
+dense inverse, updated by the rank-one identity in O(d^2), and downdates the
+cached quadratic forms with the same identity, which keeps the per-episode
+backward pass to a handful of matrix-vector products.  On one-hot data the
+dense path only adds exact zeros to what the diagonal path computes, so both
+give the same bits.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .envs import FeatureMap, StepRecord
+from .envs import NORM_SLACK, FeatureMap, StepRecord
 from .penalty import penalized_argmax
 
-NORM_SLACK = 1e-9
 RADICAND_TOL = 1e-12
 DENOM_TOL = 1e-12
 
 
-def _unit_index(phi: np.ndarray) -> Optional[int]:
-    """Index of the 1 when phi is a unit basis vector, else None."""
-    j = int(phi.argmax())
-    if phi[j] == 1.0 and np.count_nonzero(phi) == 1:
-        return j
-    return None
-
-
-def _unit_columns(feats: np.ndarray) -> Optional[np.ndarray]:
-    """Column of the 1 in each row when every row of feats is a unit basis
-    vector, else None.  The first row is tested alone, so a dense feature set
-    is turned down in O(d)."""
-    if len(feats) == 0 or _unit_index(feats[0]) is None:
-        return None
-    cols = feats.argmax(axis=1)
-    if np.count_nonzero(feats) == len(feats) \
-            and (feats[np.arange(len(feats)), cols] == 1.0).all():
-        return cols
-    return None
-
-
 class GramState:
-    """Design statistics of one step index over a fixed feature set.
+    """Design statistics of one step index over a fixed feature map.
 
     inv holds Lambda^{-1}: a (d, d) array, or its diagonal, shape (d,), when
-    every row of feats is a unit basis vector.  count is the number of
-    samples ingested.  Without feats the storage is
-    dense and the quadratic-form cache empty.
+    the map's features are one-hot.  count is the number of samples
+    ingested.  Without a feature map the storage is dense and the
+    quadratic-form cache empty.
     """
 
-    def __init__(self, d: int, lam: float, feats: Optional[np.ndarray] = None):
+    def __init__(self, d: int, lam: float, feature_map: Optional[FeatureMap] = None):
         if not lam > 0:
             raise ValueError("lam must be positive")
+        if feature_map is not None and feature_map.dim != d:
+            raise ValueError(f"feature map has dimension {feature_map.dim}, not {d}")
         self.d = d
         self.lam = lam
-        self.feats = np.zeros((0, d)) if feats is None else feats
+        self.fmap = feature_map
         self.count = 0
-        self._cols = _unit_columns(self.feats)
+        if feature_map is None:
+            self.feats, self._cols = np.zeros((0, d)), None
+        else:
+            self.feats, self._cols = feature_map.flat, feature_map.unit_columns
         if self.diagonal:
             self.inv = np.ones(d) / lam
         else:
             self.inv = np.eye(d) / lam
-            self._quad = np.einsum("nd,nd->n", self.feats, self.feats) / lam
+            self._quad = np.zeros(0) if feature_map is None else feature_map.sq_norms / lam
 
     @property
     def diagonal(self) -> bool:
@@ -85,27 +69,26 @@ class GramState:
 
     def update(self, phi: np.ndarray) -> None:
         """Ingest one sample: Lambda += phi phi^T.  The inverse and the cached
-        quadratic forms follow by the rank-one identity."""
+        quadratic forms follow by the rank-one identity.  A rejected sample
+        (not a unit basis vector on diagonal storage, a norm above 1 or NaN
+        on dense) leaves the statistics as they were."""
         phi = np.asarray(phi, dtype=float)
         if self.diagonal:
-            j = _unit_index(phi)
-            if j is not None:
-                # Lambda^{-1} phi is inv[j] e_j: the dense update without its
-                # zero terms, in the same order.
-                vj = float(self.inv[j])
-                denom = 1.0 + vj
-                if denom <= DENOM_TOL:
-                    raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
-                self.inv[j] -= vj * vj / denom
-                self.count += 1
-                return
-        # Checked before any storage change, so a rejected sample (a NaN
-        # included) leaves the statistics as they were.
+            j = int(phi.argmax())
+            if not (phi[j] == 1.0 and np.count_nonzero(phi) == 1):
+                raise ValueError("one-hot statistics take only unit basis samples")
+            # Lambda^{-1} phi is inv[j] e_j: the dense update without its
+            # zero terms, in the same order.
+            vj = float(self.inv[j])
+            denom = 1.0 + vj
+            if denom <= DENOM_TOL:
+                raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
+            self.inv[j] -= vj * vj / denom
+            self.count += 1
+            return
         norm = np.linalg.norm(phi)
         if not norm <= 1.0 + NORM_SLACK:
             raise ValueError(f"feature norm {norm:.6f} exceeds 1")
-        if self.diagonal:
-            self._densify()
         v = self.inv @ phi
         denom = 1.0 + float(phi @ v)
         if denom <= DENOM_TOL:
@@ -114,21 +97,6 @@ class GramState:
         proj = self.feats @ v
         self._quad -= proj * proj / denom
         self.count += 1
-
-    def _copy(self) -> "GramState":
-        """An independent copy; the read-only feature set is shared."""
-        twin = copy.copy(self)
-        twin.inv = self.inv.copy()
-        if not self.diagonal:
-            twin._quad = self._quad.copy()
-        return twin
-
-    def _densify(self) -> None:
-        """Switch to dense storage for a sample that is not a unit vector
-        (a caller observing points outside the one-hot feature set)."""
-        self._quad = self.inv[self._cols]
-        self.inv = np.diag(self.inv)
-        self._cols = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Lambda^{-1} b: the ridge weights for target sums b."""
@@ -149,13 +117,6 @@ class GramState:
         if q < -RADICAND_TOL:
             raise RuntimeError(f"negative quadratic form {q:.3e}")
         return max(q, 0.0)
-
-
-def step_statistics(feats: np.ndarray, lam: float, horizon: int) -> list[GramState]:
-    """Fresh statistics for each of `horizon` steps over one feature set; the
-    storage check and the initial quadratic forms run once."""
-    first = GramState(feats.shape[1], lam, feats)
-    return [first if h == 0 else first._copy() for h in range(horizon)]
 
 
 def beta_schedule(c: float, d: int, horizon: int, episodes: int, p: float) -> float:
@@ -198,12 +159,15 @@ class LsviLearner:
             raise ValueError("lam must be positive")
         if not 0 <= beta < math.inf:
             raise ValueError("beta must be >= 0 and finite")
+        if feature_map.table.shape[:2] != (num_states, num_actions):
+            raise ValueError(f"feature table covers (S, A) = {feature_map.table.shape[:2]}"
+                             f", the learner was given {(num_states, num_actions)}")
         self.S, self.A, self.H = num_states, num_actions, horizon
         self.d = feature_map.dim
         self.lam = lam
         self.beta = beta
         self.feats = feature_map.flat  # (S*A, d)
-        self.stats = step_statistics(self.feats, lam, horizon)
+        self.stats = [GramState(self.d, lam, feature_map) for _ in range(horizon)]
         self.next_feats = [np.zeros((self.d, num_states)) for _ in range(horizon)]
         self.reward_feats = [np.zeros(self.d) for _ in range(horizon)]
 

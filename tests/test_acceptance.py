@@ -190,7 +190,9 @@ def test_criterion_6_numerical_identities():
     ridge_err = 0.0
     gp = GpCostModel("linear", total_episodes=50, horizon=1,
                      feature_map=sl.one_hot_features(1, 4))
-    ridge = LinearCostModel(sl.one_hot_features(2, 2), horizon=1, lam=gp.lam)
+    # A map that is not one-hot keeps dense statistics, which take
+    # observations off the map.
+    ridge = LinearCostModel(sl.FeatureMap(4, np.full((1, 1, 4), 0.5)), horizon=1, lam=gp.lam)
     for _ in range(30):
         y = rng.normal(size=4)
         y /= np.linalg.norm(y)

@@ -495,6 +495,13 @@ def test_cli_rejects_bad_input(capsys):
     (["--seed", "-1"], "seed"),
     (["--config", "CONFIG:episodes=3\nepisodes=4\n"], "'episodes' given twice"),
     (["--config", "CONFIG:episodes=1.5\n"], "config key 'episodes'"),
+    (["--env", "frozen_lake", "--dim", "8", "--map", "EMPTY_MAP"], "empty map"),
+    (["--env", "frozen_lake", "--dim", "8", "--map", ""], "Is a directory"),
+    (["--env", "frozen_lake", "--dim", "8", "--config", "CONFIG:map_text=\n"],
+     "empty map"),
+    (["--config", "CONFIG:out=\n"], "out must name a directory"),
+    (["--out", ""], "out must name a directory"),
+    (["--out", "  "], "out must name a directory"),
 ], ids=["negative-beta-override", "negative-c-beta", "kernel-with-linear-costs",
         "lengthscale-with-linear-costs", "map-with-synthetic-env",
         "dim-with-frozen-lake", "gp-costs-with-lsvi",
@@ -502,18 +509,24 @@ def test_cli_rejects_bad_input(capsys):
         "inf-beta-override", "inf-lengthscale", "nan-lambda",
         "nan-beta-override", "nan-c-beta", "nan-cost-width-scale",
         "inf-cost-width-scale", "nan-lengthscale", "negative-seed",
-        "config-key-twice", "config-float-episodes"])
+        "config-key-twice", "config-float-episodes", "empty-map-file",
+        "empty-map-path", "config-empty-map", "config-empty-out", "empty-out",
+        "blank-out"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
                                                    tmp_path_factory,
                                                    monkeypatch, capsys):
     from safe_lsvi.cli import main
     inputs = tmp_path_factory.mktemp("inputs")
     (inputs / "map.txt").write_text("S.H\n..G\n")
+    (inputs / "empty.txt").write_text("")
 
     def resolve(flag):
-        # MAP names a map file, CONFIG:<text> a config file holding <text>.
+        # MAP names a map file, EMPTY_MAP an empty file, CONFIG:<text> a
+        # config file holding <text>.
         if flag == "MAP":
             return str(inputs / "map.txt")
+        if flag == "EMPTY_MAP":
+            return str(inputs / "empty.txt")
         if flag.startswith("CONFIG:"):
             (inputs / "cfg.txt").write_text(flag[len("CONFIG:"):])
             return str(inputs / "cfg.txt")

@@ -295,7 +295,9 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     d, K = 4, 64
     gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1,
                      feature_map=one_hot_features(1, 4))
-    ridge = LinearCostModel(one_hot_features(2, 2), horizon=1, lam=gp.lam, p=0.1)
+    # A map that is not one-hot keeps dense statistics, which take
+    # observations off the map.
+    ridge = LinearCostModel(FeatureMap(4, np.full((1, 1, 4), 0.5)), horizon=1, lam=gp.lam, p=0.1)
     for _ in range(25):
         y = ball_features(rng, 1, d)[0]
         cost = float(np.clip(rng.normal(0, 0.4), -1, 1))

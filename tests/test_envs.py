@@ -1,11 +1,14 @@
+import math
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, StepRecord, TabularCmdp,
                             build_frozen_lake, build_hard_instance,
                             build_synthetic_linear, frozen_lake_from_grid, step)
+from safe_lsvi.lsvi import GramState
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +363,56 @@ def test_feature_map_rejects_nan_rows():
     table[1, 0, 2] = np.nan
     with pytest.raises(ValueError, match="feature norms"):
         FeatureMap(dim=4, table=table)
+
+
+ROW_KINDS = ("unit", "scaled", "negated", "zero", "dense", "nearly_unit")
+
+
+@st.composite
+def feature_tables(draw):
+    """(S, A, d) tables mixing unit basis rows (repeats included) with
+    0.5 * e_j, -e_j, zero and dense rows, and e_j plus 1e-5 in another
+    column (its norm is within the map's slack); about half are all unit
+    rows."""
+    S, A, d = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    n = S * A
+    if draw(st.booleans()):
+        kinds = ["unit"] * n
+    else:
+        kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=n, max_size=n))
+    rows = np.zeros((n, d))
+    for i, kind in enumerate(kinds):
+        j = draw(st.integers(0, d - 1))
+        if kind == "dense":
+            v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+            rows[i] = v / max(1.0, float(np.linalg.norm(v)))
+        elif kind == "nearly_unit":
+            rows[i, j] = 1.0
+            if d > 1:
+                rows[i, (j + 1) % d] = 1e-5
+        elif kind != "zero":
+            rows[i, j] = {"unit": 1.0, "scaled": 0.5, "negated": -1.0}[kind]
+    return rows.reshape(S, A, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=feature_tables())
+def test_feature_map_finds_its_structure_once(table):
+    fmap = FeatureMap(dim=table.shape[2], table=table)
+    rows = table.reshape(-1, table.shape[2])
+    assert np.array_equal(fmap.flat, rows)
+    expected_sq = [math.fsum(x * x for x in row) for row in rows]
+    assert np.allclose(fmap.sq_norms, expected_sq, rtol=1e-14, atol=0.0)
+    one_hot = all(np.count_nonzero(row) == 1 and row.max() == 1.0 for row in rows)
+    assert (fmap.unit_columns is not None) == one_hot
+    if one_hot:
+        assert np.array_equal(rows[np.arange(len(rows)), fmap.unit_columns],
+                              np.ones(len(rows)))
+    g = GramState(fmap.dim, 1.0, fmap)
+    assert g.diagonal == one_hot
+    for row in rows:  # every row of the map is a sample its statistics take
+        g.update(row)
+    assert g.count == len(rows)
 
 
 def test_episode_trace_chains():

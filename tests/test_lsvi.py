@@ -1,4 +1,6 @@
+import copy
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -14,6 +16,12 @@ def random_unit_features(rng, n, d, scale=1.0):
     x = rng.normal(size=(n, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return x * scale
+
+
+def map_of(rows):
+    """A FeatureMap with one action per state whose features are rows."""
+    rows = np.asarray(rows, dtype=float)
+    return FeatureMap(rows.shape[1], rows.reshape(len(rows), 1, -1))
 
 
 def gram_of(lam, d, samples):
@@ -75,19 +83,25 @@ def test_gram_update_rejects_large_norm():
         g.update(np.array([1.5, 0.0]))
 
 
-@pytest.mark.parametrize("one_hot", [True, False], ids=["diagonal", "dense"])
-def test_gram_update_rejects_a_nan_sample_and_keeps_its_storage(one_hot):
+@pytest.mark.parametrize("one_hot, message", [
+    (True, "unit basis"), (False, "feature norm nan")], ids=["diagonal", "dense"])
+def test_gram_update_rejects_a_nan_sample_and_keeps_its_storage(one_hot, message):
     feats = np.eye(3) if one_hot else random_unit_features(
         np.random.default_rng(0), 4, 3)
-    g = GramState(3, 1.0, feats)
+    g = GramState(3, 1.0, map_of(feats))
     g.update(feats[0])
     inv, quad = g.inv.copy(), g.quad_forms().copy()
-    with pytest.raises(ValueError, match="feature norm nan"):
+    with pytest.raises(ValueError, match=message):
         g.update(np.array([np.nan, 0.0, 0.0]))
     assert g.diagonal == one_hot
     assert np.array_equal(g.inv, inv)
     assert np.array_equal(g.quad_forms(), quad)
     assert g.count == 1
+
+
+def test_gram_rejects_a_map_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 4, not 3"):
+        GramState(3, 1.0, one_hot_features(2, 2))
 
 
 def test_gram_update_detects_corrupted_inverse():
@@ -111,6 +125,15 @@ def test_quad_form_detects_corruption():
 def test_learner_rejects_bad_lam_and_beta(lam, beta, message):
     with pytest.raises(ValueError, match=message):
         LsviLearner(one_hot_features(2, 2), 2, 2, horizon=3, lam=lam, beta=beta)
+
+
+@pytest.mark.parametrize("S, A, shape", [(2, 2, (4, 1)), (3, 2, (2, 2))],
+                         ids=["same-size", "too-few-states"])
+def test_learner_rejects_a_map_of_another_shape(S, A, shape):
+    fmap = FeatureMap(4, np.eye(4).reshape(*shape, 4))
+    with pytest.raises(ValueError, match=re.escape(
+            f"covers (S, A) = {shape}, the learner was given {(S, A)}")):
+        LsviLearner(fmap, S, A, horizon=2, lam=1.0, beta=1.0)
 
 
 def test_ingest_rejects_wrong_length():
@@ -402,12 +425,12 @@ def _random_episodes(rng, S, A, H, K):
             for _ in range(K)]
 
 
-def _densified(learner):
-    """The learner with every step's statistics switched to dense storage
-    before any sample arrives, as a reference for the diagonal storage."""
-    for g in learner.stats:
-        g._densify()
-    return learner
+def _dense_twin(fmap):
+    """fmap with its one-hot structure hidden, so that statistics built on
+    it keep dense storage: a reference for the diagonal storage."""
+    twin = copy.copy(fmap)
+    twin.unit_columns = None
+    return twin
 
 
 @settings(max_examples=60, deadline=None)
@@ -417,7 +440,7 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
     fmap = one_hot_features(S, A)
     diag = LsviLearner(fmap, S, A, H, lam, beta=float(rng.uniform(0, 3)))
-    dense = _densified(LsviLearner(fmap, S, A, H, lam, beta=diag.beta))
+    dense = LsviLearner(_dense_twin(fmap), S, A, H, lam, beta=diag.beta)
     assert all(g.diagonal for g in diag.stats)
     assert not any(g.diagonal for g in dense.stats)
     for episode in _random_episodes(rng, S, A, H, int(rng.integers(0, 20))):
@@ -445,7 +468,7 @@ def test_dense_rank_one_updates_equal_the_inverse_of_the_gram(lam, seed):
     # Rows of random direction and norm in (0.05, 1): never a unit basis
     # vector, so the storage is dense.
     feats = random_unit_features(rng, n, d) * rng.uniform(0.05, 1.0, size=(n, 1))
-    g = GramState(d, lam, feats)
+    g = GramState(d, lam, map_of(feats))
     assert not g.diagonal
     samples = []
     for _ in range(int(rng.integers(0, 40))):
@@ -498,23 +521,33 @@ def test_cost_model_rejects_mismatched_statistics():
         LinearCostModel(fmap, 2, lam=1.0, stats=learner.stats)
 
 
-def test_diagonal_storage_turns_dense_on_a_sample_off_the_feature_set():
-    fmap = one_hot_features(2, 1)
-    g = GramState(2, 1.0, fmap.flat)
+def test_cost_model_rejects_statistics_of_another_map():
+    # Same dimension, other rows: the cost table would report the rows of
+    # the map the statistics were built on.
+    learner = LsviLearner(one_hot_features(2, 2), 2, 2, 3, lam=1.0, beta=1.0)
+    other = FeatureMap(4, np.eye(4)[::-1].reshape(2, 2, 4))
+    with pytest.raises(ValueError, match="shared statistics"):
+        LinearCostModel(other, 3, lam=1.0, stats=learner.stats)
+
+
+@pytest.mark.parametrize("phi", [[0.6, 0.8], [0.5, 0.0], [-1.0, 0.0],
+                                 [1.0, 1.0], [0.0, 0.0]],
+                         ids=["dense", "scaled", "negated", "long", "zero"])
+def test_diagonal_statistics_reject_a_sample_off_the_feature_set(phi):
+    g = GramState(2, 1.0, one_hot_features(2, 1))
     g.update(np.array([1.0, 0.0]))
+    inv = g.inv.copy()
+    with pytest.raises(ValueError, match="unit basis"):
+        g.update(np.array(phi))
     assert g.diagonal
-    phi = np.array([0.6, 0.8])
-    g.update(phi)
-    assert not g.diagonal
-    expected = gram_of(1.0, 2, [np.array([1.0, 0.0]), phi])
-    assert np.abs(g.inv - np.linalg.inv(expected)).max() <= 1e-12
-    assert np.abs(g.quad_forms() - np.diag(np.linalg.inv(expected))).max() <= 1e-12
+    assert np.array_equal(g.inv, inv)
+    assert g.count == 1
 
 
 def test_one_hot_check_gives_up_on_dense_rows():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    assert not GramState(2, 1.0, feats).diagonal
-    assert GramState(2, 1.0, feats[:2]).diagonal
-    assert not GramState(2, 1.0, np.array([[0.0, 1.0], [0.0, 0.0]])).diagonal
-    assert not GramState(2, 1.0, np.array([[-1.0, 0.0]])).diagonal
+    assert not GramState(2, 1.0, map_of(feats)).diagonal
+    assert GramState(2, 1.0, map_of(feats[:2])).diagonal
+    assert not GramState(2, 1.0, map_of([[0.0, 1.0], [0.0, 0.0]])).diagonal
+    assert not GramState(2, 1.0, map_of([[-1.0, 0.0]])).diagonal
     assert not GramState(2, 1.0).diagonal
