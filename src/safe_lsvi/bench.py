@@ -12,6 +12,7 @@ mean costs along the realized trajectory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -59,6 +60,9 @@ class ExperimentConfig:
             raise ValueError(f"cost_model must be one of {COST_MODELS}")
         if self.kernel not in KERNELS:
             raise ValueError(f"kernel must be one of {KERNELS}")
+        for name in ("episodes", "horizon", "dim", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.episodes < 1 or self.horizon < 1:
             raise ValueError("episodes and horizon must be >= 1")
         if self.seed < 0:
@@ -204,7 +208,6 @@ def run_experiment(config: ExperimentConfig, env_override=None,
     else:
         cmdp, fmap = build_env(config, builder_seed)
     H, K = cmdp.horizon, config.episodes
-    feats = fmap.flat
 
     _, star = constrained_dp(cmdp)
     v_star = star.v[0, cmdp.initial_state]
@@ -242,8 +245,7 @@ def run_experiment(config: ExperimentConfig, env_override=None,
             action = int(plan.policy[h, state])
             r, cost_obs, nxt = step(cmdp, state, action, h, rng)
             if cost_model is not None:
-                cost_model.observe(h, feats[state * cmdp.num_actions + action],
-                                   cost_obs)
+                cost_model.observe(h, state * cmdp.num_actions + action, cost_obs)
             episode.append(StepRecord(state, action, r, cost_obs, nxt))
             true_cost = cmdp.cost_mean[h, state, action]
             ep_reward += r

@@ -10,15 +10,18 @@ statistics, the GP from a cross factor L^-1 K(X, F) over the feature set F
 that grows one row per observation (O(n * S*A) to add, O(S*A) to query).
 The GP is built over the feature map and holds at most K points per step,
 one per episode, in arrays allocated once.
-Queries are predict(h, point) and lcb_table(h); widths spend p/H of the
-model's own p (one union-bound share per step), and width_scale is a
-practical multiplier on the theoretical width (1.0 reproduces the closed
-forms; benchmark configs shrink it).
+Observations are observe(h, row, cost), row being the index s*A + a of a
+feature-map row (the GP also takes a point off the map); queries are
+predict(h, point) and lcb_table(h).  Widths spend p/H of the model's own p
+(one union-bound share per step), and width_scale is a practical multiplier
+on the theoretical width (1.0 reproduces the closed forms; benchmark configs
+shrink it).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -127,7 +130,7 @@ class LinearCostModel:
         self.width_scale = width_scale
         self._owns_stats = stats is None
         if stats is None:
-            stats = [GramState(self.d, lam, feature_map) for _ in range(horizon)]
+            stats = [GramState(feature_map, lam) for _ in range(horizon)]
         elif len(stats) != horizon or any(g.lam != lam or g.fmap is not feature_map
                                           for g in stats):
             raise ValueError("shared statistics must match the cost model's "
@@ -135,12 +138,13 @@ class LinearCostModel:
         self.stats = stats
         self.b = [np.zeros(self.d) for _ in range(horizon)]  # sum phi * cost
 
-    def observe(self, h: int, phi: np.ndarray, cost: float) -> None:
+    def observe(self, h: int, row: int, cost: float) -> None:
+        """Add the cost observed at row `row` of the feature map."""
         if not abs(cost) <= 1.0:
             raise ValueError(f"observed cost {cost} outside [-1, 1]")
-        phi = np.asarray(phi, dtype=float)
+        phi = self.fmap.row(row)
         if self._owns_stats:
-            self.stats[h].update(phi)
+            self.stats[h].update(row)
         self.b[h] += phi * cost
 
     def theta(self, h: int) -> np.ndarray:
@@ -205,7 +209,7 @@ class GpCostModel:
         self.logdet = np.zeros(horizon)
         self.mean = np.zeros((horizon, m))
         self.var = np.tile(self._k(f_sq, f_sq, f_sq), (horizon, 1))  # diag k(F, F)
-        # References, not copies: the bench passes rows of the feature
+        # References, not copies: an observed row is a view of the feature
         # table, and a copied (K, d) buffer per step would add to peak RSS.
         self.X: list[list] = [[] for _ in range(horizon)]
         self.L = [np.zeros((K, K)) for _ in range(horizon)]
@@ -220,14 +224,17 @@ class GpCostModel:
     def num_obs(self, h: int) -> int:
         return int(self.n[h])
 
-    def observe(self, h: int, y: np.ndarray, cost: float) -> None:
+    def observe(self, h: int, y, cost: float) -> None:
+        """Add the cost observed at y: a row index of the feature map, or a
+        point (the kernel is defined off the map too)."""
         if not abs(cost) <= 1.0:
             raise ValueError(f"observed cost {cost} outside [-1, 1]")
         n, L, alpha = int(self.n[h]), self.L[h], self.alpha[h]
         if n == len(alpha):
             raise ValueError(f"step {h} already holds K={n} observations, "
                              "one per episode")
-        y = np.asarray(y, dtype=float)
+        y = self.fmap.row(y) if isinstance(y, numbers.Integral) else \
+            np.asarray(y, dtype=float)
         yy = float(y @ y)
         kyy = float(self._k(yy, yy, yy))
         if not math.isfinite(kyy):

@@ -116,6 +116,13 @@ class FeatureMap:
             raise ValueError(f"feature norms must be <= 1 (max {norm:.6f})")
         self.unit_columns = _unit_columns(self.flat)
 
+    def row(self, i: int) -> np.ndarray:
+        """Row i of flat, the feature of (s, a) with i = s*A + a.  The one
+        check of a row index: without it a negative i would wrap around."""
+        if not 0 <= i < len(self.flat):
+            raise IndexError(f"row {i} outside [0, {len(self.flat)})")
+        return self.flat[i]
+
 
 def one_hot_features(num_states: int, num_actions: int) -> FeatureMap:
     d = num_states * num_actions

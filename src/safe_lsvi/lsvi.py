@@ -8,13 +8,15 @@ the whole feature set, and the sample count.  The learner ingests each (h,
 step) once; each model keeps only its own regression targets (reward and
 next-state sums; cost sums).
 
-A GramState takes its storage from its feature map, once and for life.
-When every feature row is a unit basis vector (one-hot features, the
-tabular case) Lambda_h^{-1} stays diagonal: an update costs O(1), the
-quadratic form of a row is the inverse's entry at the row's column, and a
-sample that is not a unit basis vector is rejected.  Otherwise it keeps the
-dense inverse, updated by the rank-one identity in O(d^2), and downdates the
-cached quadratic forms with the same identity, which keeps the per-episode
+A sample is a row index of the feature map: phi(s, a) is row s*A + a, and
+the map checked every row (norm, finiteness) when it was built, so a sample
+is not checked again.  A GramState takes its storage from its feature map,
+once and for life.  When every feature row is a unit basis vector (one-hot
+features, the tabular case) Lambda_h^{-1} stays diagonal: an update reads
+the row's column and costs O(1), and the quadratic form of a row is the
+inverse's entry at that column.  Otherwise it keeps the dense inverse,
+updated by the rank-one identity in O(d^2), and downdates the cached
+quadratic forms with the same identity, which keeps the per-episode
 backward pass to a handful of matrix-vector products.  On one-hot data the
 dense path only adds exact zeros to what the diagonal path computes, so both
 give the same bits.
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .envs import NORM_SLACK, FeatureMap, StepRecord
+from .envs import FeatureMap, StepRecord
 from .penalty import penalized_argmax
 
 RADICAND_TOL = 1e-12
@@ -40,45 +42,35 @@ class GramState:
 
     inv holds Lambda^{-1}: a (d, d) array, or its diagonal, shape (d,), when
     the map's features are one-hot.  count is the number of samples
-    ingested.  Without a feature map the storage is dense and the
-    quadratic-form cache empty.
+    ingested.
     """
 
-    def __init__(self, d: int, lam: float, feature_map: Optional[FeatureMap] = None):
+    def __init__(self, feature_map: FeatureMap, lam: float):
         if not lam > 0:
             raise ValueError("lam must be positive")
-        if feature_map is not None and feature_map.dim != d:
-            raise ValueError(f"feature map has dimension {feature_map.dim}, not {d}")
-        self.d = d
         self.lam = lam
         self.fmap = feature_map
         self.count = 0
-        if feature_map is None:
-            self.feats, self._cols = np.zeros((0, d)), None
-        else:
-            self.feats, self._cols = feature_map.flat, feature_map.unit_columns
+        self.feats, self._cols = feature_map.flat, feature_map.unit_columns
         if self.diagonal:
-            self.inv = np.ones(d) / lam
+            self.inv = np.ones(feature_map.dim) / lam
         else:
-            self.inv = np.eye(d) / lam
-            self._quad = np.zeros(0) if feature_map is None else feature_map.sq_norms / lam
+            self.inv = np.eye(feature_map.dim) / lam
+            self._quad = feature_map.sq_norms / lam
 
     @property
     def diagonal(self) -> bool:
         return self._cols is not None
 
-    def update(self, phi: np.ndarray) -> None:
-        """Ingest one sample: Lambda += phi phi^T.  The inverse and the cached
-        quadratic forms follow by the rank-one identity.  A rejected sample
-        (not a unit basis vector on diagonal storage, a norm above 1 or NaN
-        on dense) leaves the statistics as they were."""
-        phi = np.asarray(phi, dtype=float)
+    def update(self, row: int) -> None:
+        """Ingest row `row` of the map as a sample: Lambda += phi phi^T.  The
+        inverse and the cached quadratic forms follow by the rank-one
+        identity."""
+        phi = self.fmap.row(row)  # the range check, on both storages
         if self.diagonal:
-            j = int(phi.argmax())
-            if not (phi[j] == 1.0 and np.count_nonzero(phi) == 1):
-                raise ValueError("one-hot statistics take only unit basis samples")
             # Lambda^{-1} phi is inv[j] e_j: the dense update without its
             # zero terms, in the same order.
+            j = self._cols[row]
             vj = float(self.inv[j])
             denom = 1.0 + vj
             if denom <= DENOM_TOL:
@@ -86,9 +78,6 @@ class GramState:
             self.inv[j] -= vj * vj / denom
             self.count += 1
             return
-        norm = np.linalg.norm(phi)
-        if not norm <= 1.0 + NORM_SLACK:
-            raise ValueError(f"feature norm {norm:.6f} exceeds 1")
         v = self.inv @ phi
         denom = 1.0 + float(phi @ v)
         if denom <= DENOM_TOL:
@@ -167,13 +156,14 @@ class LsviLearner:
         self.lam = lam
         self.beta = beta
         self.feats = feature_map.flat  # (S*A, d)
-        self.stats = [GramState(self.d, lam, feature_map) for _ in range(horizon)]
+        self.stats = [GramState(feature_map, lam) for _ in range(horizon)]
         self.next_feats = [np.zeros((self.d, num_states)) for _ in range(horizon)]
         self.reward_feats = [np.zeros(self.d) for _ in range(horizon)]
 
     def observe(self, h: int, s: int, a: int, reward: float, next_state: int) -> None:
-        phi = self.feats[s * self.A + a]
-        self.stats[h].update(phi)
+        row = s * self.A + a
+        self.stats[h].update(row)
+        phi = self.feats[row]
         self.next_feats[h][:, next_state] += phi
         self.reward_feats[h] += phi * reward
 

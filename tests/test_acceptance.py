@@ -6,6 +6,7 @@ schedules are far too conservative at desk scale, and both the Q bonus and
 the cost width expose explicit overrides for exactly this reason.
 """
 
+import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from itertools import product
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 import safe_lsvi as sl
-from safe_lsvi.bench import ExperimentConfig, fit_growth_exponent, run_experiment
+from safe_lsvi.bench import (ExperimentConfig, emit_results, fit_growth_exponent,
+                             run_experiment)
 from safe_lsvi.costs import GpCostModel, LinearCostModel, make_kernel
 from safe_lsvi.envs import build_hard_instance, build_synthetic_linear
 from safe_lsvi.lsvi import GramState
@@ -35,21 +37,40 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _lake_cell(args):
-    agent, seed = args
-    cfg = ExperimentConfig(env="frozen_lake", agent=agent, episodes=1000,
-                           horizon=15, seed=seed, **LAKE)
-    m = run_experiment(cfg)
-    return agent, m.rewards[-100:].mean(), m.cum_violation[-1]
+LAKE_AGENTS = ("lsvi_ae", "lsvi", "lsvi_primal")
+
+# sha256 of results.csv of each agent's seed-0 criterion-1 cell, the run of
+# safe-lsvi --env frozen_lake --episodes 1000 --beta-override 1.0
+# --cost-width-scale 0.02 --seed 0 --agent <agent>.
+LAKE_K1000_DIGESTS = {
+    "lsvi_ae": "3609ca772363b832ca30e868004558a87321135e9a92b1599c55a810cccdfc53",
+    "lsvi": "e5aa5fd4aec84ee3465ef726d958c5fc0afc2d4559fa12811d7467959f26bd5e",
+    "lsvi_primal": "10cacdbda152667a25d2b927d353cc2c41fbd98d17d1257c1e42aa03411e2eba",
+}
 
 
-def test_criterion_1_frozen_lake_reproduction():
-    cells = [(agent, seed) for agent in ("lsvi_ae", "lsvi", "lsvi_primal")
-             for seed in SEEDS]
-    results = [_lake_cell(cell) for cell in cells]
-    rewards = {a: [] for a in ("lsvi_ae", "lsvi", "lsvi_primal")}
-    violations = {a: [] for a in ("lsvi_ae", "lsvi", "lsvi_primal")}
-    for agent, reward, violation in results:
+@pytest.fixture(scope="module")
+def lake_cells(tmp_path_factory):
+    """The 15 criterion-1 cells, each run once: (agent, seed) -> (mean reward
+    of the last 100 episodes, cumulative violation, sha256 of results.csv
+    for seed 0 and None otherwise)."""
+    cells = {}
+    for agent, seed in product(LAKE_AGENTS, SEEDS):
+        cfg = ExperimentConfig(env="frozen_lake", agent=agent, episodes=1000,
+                               horizon=15, seed=seed, **LAKE)
+        m = run_experiment(cfg)
+        digest = None
+        if seed == 0:
+            path = emit_results(m, cfg, tmp_path_factory.mktemp(f"lake-{agent}"))
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        cells[agent, seed] = (m.rewards[-100:].mean(), m.cum_violation[-1], digest)
+    return cells
+
+
+def test_criterion_1_frozen_lake_reproduction(lake_cells):
+    rewards = {a: [] for a in LAKE_AGENTS}
+    violations = {a: [] for a in LAKE_AGENTS}
+    for (agent, _), (reward, violation, _) in lake_cells.items():
         rewards[agent].append(reward)
         violations[agent].append(violation)
     reward_ratio = np.mean(rewards["lsvi_ae"]) / np.mean(rewards["lsvi"])
@@ -67,6 +88,13 @@ def test_criterion_1_frozen_lake_reproduction():
         f"violation vs lsvi {viol_vs_lsvi:.3f} (need <= 0.5), "
         f"vs primal {viol_vs_primal:.3f} (need <= 0.8), per-seed strict: "
         f"{per_seed}")
+
+
+def test_lake_k1000_results_are_pinned(lake_cells):
+    for agent, expected in LAKE_K1000_DIGESTS.items():
+        digest = lake_cells[agent, 0][2]
+        assert digest == expected, \
+            f"results.csv of the K=1000 lake cell {agent} seed 0 changed: {digest}"
 
 
 def _synth_cell(seed):
@@ -108,7 +136,7 @@ def test_criterion_4_condition_one_optimism():
             a = int(rng.integers(cmdp.num_actions))
             obs = float(np.clip(cmdp.cost_mean[h, s, a] + rng.normal(0, 0.1),
                                 -1, 1))
-            model.observe(h, fmap.table[s, a], obs)
+            model.observe(h, s * cmdp.num_actions + a, obs)
         for h, s, a in product(range(cmdp.horizon), range(cmdp.num_states),
                                range(cmdp.num_actions)):
             est = model.predict(h, fmap.table[s, a])
@@ -177,12 +205,15 @@ def test_criterion_6_numerical_identities():
     gram_err = 0.0
     for _ in range(10):
         d = int(rng.integers(2, 10))
-        g = GramState(d, 1.0)
-        gram = np.eye(d)  # lam*I + sum phi phi^T, built here from the samples
-        for _ in range(60):
+        feats = np.zeros((60, d))
+        for i in range(60):
             phi = rng.normal(size=d)
             phi /= max(np.linalg.norm(phi), 1.0) / rng.uniform(0.1, 1.0)
-            g.update(phi)
+            feats[i] = phi
+        g = GramState(sl.FeatureMap(d, feats.reshape(60, 1, d)), 1.0)
+        gram = np.eye(d)  # lam*I + sum phi phi^T, built here from the samples
+        for row, phi in enumerate(feats):
+            g.update(row)
             gram += np.outer(phi, phi)
         gram_err = max(gram_err, np.abs(g.inv - np.linalg.inv(gram)).max())
 
@@ -190,15 +221,19 @@ def test_criterion_6_numerical_identities():
     ridge_err = 0.0
     gp = GpCostModel("linear", total_episodes=50, horizon=1,
                      feature_map=sl.one_hot_features(1, 4))
-    # A map that is not one-hot keeps dense statistics, which take
-    # observations off the map.
-    ridge = LinearCostModel(sl.FeatureMap(4, np.full((1, 1, 4), 0.5)), horizon=1, lam=gp.lam)
-    for _ in range(30):
+    points, costs = np.zeros((30, 4)), []
+    for i in range(30):
         y = rng.normal(size=4)
         y /= np.linalg.norm(y)
-        cost = float(np.clip(rng.normal(0, 0.4), -1, 1))
+        points[i] = y
+        costs.append(float(np.clip(rng.normal(0, 0.4), -1, 1)))
+    # The ridge model observes the points as the rows of its map, the GP as
+    # points.
+    ridge = LinearCostModel(sl.FeatureMap(4, points.reshape(30, 1, 4)), horizon=1,
+                            lam=gp.lam)
+    for row, (y, cost) in enumerate(zip(points, costs)):
         gp.observe(0, y, cost)
-        ridge.observe(0, y, cost)
+        ridge.observe(0, row, cost)
     for _ in range(20):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
@@ -221,12 +256,12 @@ def test_criterion_6_numerical_identities():
     for _ in range(100):
         d = int(rng.integers(2, 12))
         k = int(rng.integers(3, 60))
-        g = GramState(d, 1.0)
         feats = rng.normal(size=(k, d))
         feats /= np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1.0)
         feats *= rng.uniform(0.05, 1.0, size=(k, 1))
-        for phi in feats:
-            g.update(phi)
+        g = GramState(sl.FeatureMap(d, feats.reshape(k, 1, d)), 1.0)
+        for row in range(k):
+            g.update(row)
         total = sum(phi @ g.inv @ phi for phi in feats)
         elliptical_ok = elliptical_ok and total <= d + 1e-10
 

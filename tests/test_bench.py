@@ -107,6 +107,13 @@ def test_config_validation():
         ExperimentConfig(cost_model="gp", kernel="sqexp", lengthscale=0.0).validate()
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seed=-1).validate()
+    # counts are integers; the Python API would otherwise take a float
+    for field, value in (("episodes", 2.5), ("horizon", 3.0), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(env="synthetic_linear", **{field: value}).validate()
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        ExperimentConfig(env="synthetic_linear", dim=4.0).validate()
+    ExperimentConfig(episodes=np.int64(3), seed=np.int32(2)).validate()
     # config text: a repeated key, or a value its field cannot take, is named
     with pytest.raises(ValueError, match="'episodes' given twice"):
         ExperimentConfig.from_text("episodes=3\nepisodes=4\n")
@@ -469,6 +476,21 @@ def test_cli_rejects_bad_input(capsys):
     code = main(["--env", "synthetic_linear", "--episodes", "0"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_a_run_that_cannot_allocate(monkeypatch, capsys):
+    # A run whose arrays do not fit in memory exits 2 with an error line.
+    # run_experiment is replaced: a real allocation of that size could
+    # succeed on a machine that overcommits memory.
+    from safe_lsvi import cli
+
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 671. GiB")
+    monkeypatch.setattr(cli, "run_experiment", no_memory)
+    code = cli.main(["--env", "synthetic_linear", "--episodes", "3",
+                     "--horizon", "3", "--dim", "4"])
+    assert code == 2
+    assert "error: Unable to allocate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -8,11 +8,18 @@ from hypothesis import given, settings, strategies as st
 from safe_lsvi.costs import (CostEstimate, GpCostModel, LinearCostModel,
                              gp_beta, make_kernel, tilde_beta)
 from safe_lsvi.envs import FeatureMap, build_synthetic_linear, one_hot_features
+from safe_lsvi.lsvi import GramState
 
 
 def ball_features(rng, n, d):
     x = rng.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def map_of(rows):
+    """A FeatureMap with one action per state whose features are rows."""
+    rows = np.asarray(rows, dtype=float)
+    return FeatureMap(rows.shape[1], rows.reshape(len(rows), 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +95,21 @@ def test_linear_no_data_prior():
 def test_linear_single_sample_theta():
     fmap = one_hot_features(1, 2)
     model = LinearCostModel(fmap, horizon=1, lam=1.0)
-    model.observe(0, np.array([1.0, 0.0]), 1.0)
+    model.observe(0, 0, 1.0)  # row 0 is [1, 0]
     assert np.allclose(model.theta(0), [0.5, 0.0])
 
 
 def test_linear_incremental_matches_batch_ridge():
     rng = np.random.default_rng(2)
-    fmap = _toy_fmap(rng)
-    model = LinearCostModel(fmap, horizon=1, lam=1.0)
+    toy = _toy_fmap(rng)
     feats, costs = [], []
     for _ in range(30):
-        phi = ball_features(rng, 1, 4)[0]
-        cost = float(np.clip(rng.normal(), -1, 1))
-        model.observe(0, phi, cost)
-        feats.append(phi)
-        costs.append(cost)
+        feats.append(ball_features(rng, 1, 4)[0])
+        costs.append(float(np.clip(rng.normal(), -1, 1)))
+    # The observed features are rows of the map, after the toy map's rows.
+    model = LinearCostModel(map_of(np.vstack([toy.flat] + feats)), horizon=1, lam=1.0)
+    for i, cost in enumerate(costs):
+        model.observe(0, len(toy.flat) + i, cost)
     X = np.array(feats)
     batch = np.linalg.solve(X.T @ X + np.eye(4), X.T @ np.array(costs))
     assert np.abs(model.theta(0) - batch).max() <= 1e-8
@@ -119,28 +126,34 @@ def test_linear_rejects_out_of_range_cost():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=1)
     with pytest.raises(ValueError):
-        model.observe(0, fmap.flat[0], 1.5)
+        model.observe(0, 0, 1.5)
 
 
 def test_linear_rejects_a_nan_cost_and_keeps_its_state():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=1)
-    model.observe(0, fmap.flat[1], 0.5)
+    model.observe(0, 1, 0.5)
     theta, table = model.theta(0), model.lcb_table(0)
     with pytest.raises(ValueError, match="nan"):
-        model.observe(0, fmap.flat[0], math.nan)
+        model.observe(0, 0, math.nan)
     assert np.array_equal(model.theta(0), theta)
     assert np.array_equal(model.lcb_table(0), table)
 
 
 def test_linear_lcb_below_mean():
     rng = np.random.default_rng(9)
-    fmap = _toy_fmap(rng)
-    model = LinearCostModel(fmap, horizon=2)
+    toy = _toy_fmap(rng)
+    feats, costs = [], []
     for _ in range(10):
-        model.observe(1, ball_features(rng, 1, 4)[0], float(rng.uniform(-1, 1)))
+        feats.append(ball_features(rng, 1, 4)[0])
+        costs.append(float(rng.uniform(-1, 1)))
+    # The observed features are rows of the map, after the toy map's rows.
+    fmap = map_of(np.vstack([toy.flat] + feats))
+    model = LinearCostModel(fmap, horizon=2)
+    for i, cost in enumerate(costs):
+        model.observe(1, len(toy.flat) + i, cost)
     table = model.lcb_table(1)
-    means = (fmap.flat @ model.theta(1)).reshape(3, 2)
+    means = (fmap.flat @ model.theta(1)).reshape(table.shape)
     assert np.all(table <= means + 1e-12)
 
 
@@ -160,7 +173,7 @@ def test_linear_condition_one_frequencies():
             a = int(rng.integers(cmdp.num_actions))
             obs = float(np.clip(cmdp.cost_mean[h, s, a] + rng.normal(0, 0.1),
                                 -1, 1))
-            model.observe(h, fmap.table[s, a], obs)
+            model.observe(h, s * cmdp.num_actions + a, obs)
         for h in range(cmdp.horizon):
             for s in range(cmdp.num_states):
                 for a in range(cmdp.num_actions):
@@ -274,14 +287,17 @@ def test_gp_kernel_ridge_matches_primal_mean():
     d, n, K = 5, 30, 100
     gp = GpCostModel("linear", total_episodes=K, horizon=1,
                      feature_map=one_hot_features(1, 5))
-    ridge = LinearCostModel(FeatureMap(dim=d, table=ball_features(rng, 4, d)
-                                       .reshape(2, 2, d)),
-                            horizon=1, lam=gp.lam)
+    rows = ball_features(rng, 4, d)
+    points, costs = [], []
     for _ in range(n):
-        y = ball_features(rng, 1, d)[0]
-        cost = float(np.clip(rng.normal(0, 0.4), -1, 1))
+        points.append(ball_features(rng, 1, d)[0])
+        costs.append(float(np.clip(rng.normal(0, 0.4), -1, 1)))
+    # The ridge model observes the points as rows of its map, after its
+    # own four rows; the GP observes them as points.
+    ridge = LinearCostModel(map_of(np.vstack([rows] + points)), horizon=1, lam=gp.lam)
+    for i, (y, cost) in enumerate(zip(points, costs)):
         gp.observe(0, y, cost)
-        ridge.observe(0, y, cost)
+        ridge.observe(0, len(rows) + i, cost)
     for _ in range(20):
         q = ball_features(rng, 1, d)[0]
         gp_mean, _ = gp.posterior(0, q)
@@ -295,14 +311,15 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     d, K = 4, 64
     gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1,
                      feature_map=one_hot_features(1, 4))
-    # A map that is not one-hot keeps dense statistics, which take
-    # observations off the map.
-    ridge = LinearCostModel(FeatureMap(4, np.full((1, 1, 4), 0.5)), horizon=1, lam=gp.lam, p=0.1)
+    points, costs = [], []
     for _ in range(25):
-        y = ball_features(rng, 1, d)[0]
-        cost = float(np.clip(rng.normal(0, 0.4), -1, 1))
+        points.append(ball_features(rng, 1, d)[0])
+        costs.append(float(np.clip(rng.normal(0, 0.4), -1, 1)))
+    # The ridge model observes the points as the rows of its map.
+    ridge = LinearCostModel(map_of(points), horizon=1, lam=gp.lam, p=0.1)
+    for i, (y, cost) in enumerate(zip(points, costs)):
         gp.observe(0, y, cost)
-        ridge.observe(0, y, cost)
+        ridge.observe(0, i, cost)
     beta_aligned = gp_beta(gp.info_gain(0), 0.1 / 1) * math.sqrt(gp.lam)
     for _ in range(10):
         q = ball_features(rng, 1, d)[0]
@@ -456,12 +473,13 @@ def _observed_gp(rng, kernel, lengthscale, horizon):
     for _ in range(num_obs):
         h = int(rng.integers(horizon))
         if rng.uniform() < 0.8:
-            y = fmap.flat[rng.integers(S * A)]
+            y = rng.integers(S * A)  # a row, passed by index as the run does
+            point = fmap.flat[y]
         else:
-            y = ball_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0)
+            y = point = ball_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0)
         cost = float(rng.uniform(-1, 1))
         model.observe(h, y, cost)
-        data[h][0].append(y)
+        data[h][0].append(point)
         data[h][1].append(cost)
     return model, data
 
@@ -505,3 +523,65 @@ def test_gp_lcb_table_equals_dense_and_cholesky_posteriors(kernel, seed):
         mean, sigma = model.posterior_batch(h, model.fmap.flat)
         beta = model.width_scale * gp_beta(model.info_gain(h), model.p / model.H)
         assert np.abs(table - (mean - beta * sigma).reshape(S, A)).max() <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=GP_KERNELS, seed=SEEDS)
+def test_gp_fed_row_indices_equals_gp_fed_their_vectors(kernel, seed):
+    rng = np.random.default_rng(seed)
+    S, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    table = ball_features(rng, S * A, d) * rng.uniform(0.2, 1.0, size=(S * A, 1))
+    fmap = FeatureMap(dim=d, table=table.reshape(S, A, d))
+    K, horizon = int(rng.integers(1, 30)), 2
+    by_row, by_vector = (GpCostModel(kernel[0], total_episodes=K, horizon=horizon,
+                                     lengthscale=kernel[1], feature_map=fmap)
+                         for _ in range(2))
+    for _ in range(int(rng.integers(0, 2 * K + 1))):
+        h = int(rng.integers(horizon))
+        if by_row.num_obs(h) == K:
+            continue
+        row, cost = rng.integers(S * A), float(rng.uniform(-1, 1))
+        by_row.observe(h, row, cost)
+        by_vector.observe(h, fmap.flat[row].copy(), cost)
+    for h in range(horizon):
+        for name in ("L", "alpha", "Z"):
+            assert getattr(by_row, name)[h].tobytes() == \
+                getattr(by_vector, name)[h].tobytes(), name
+    for name in ("mean", "var", "logdet"):
+        assert getattr(by_row, name).tobytes() == getattr(by_vector, name).tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Row indices out of range
+# ---------------------------------------------------------------------------
+
+def _row_entry_point(name, fmap):
+    """observe(row) through one entry point on fresh statistics over fmap,
+    and a snapshot of every array and count it changes."""
+    if name == "gram":
+        g = GramState(fmap, 1.0)
+        return g.update, lambda: (g.inv.copy(), g.quad_forms().copy(), g.count)
+    if name == "gp":
+        m = GpCostModel("sqexp", total_episodes=4, horizon=1, feature_map=fmap)
+        return (lambda row: m.observe(0, row, 0.5),
+                lambda: (m.L[0].copy(), m.alpha[0].copy(), m.Z[0].copy(),
+                         m.mean.copy(), m.var.copy(), m.logdet.copy(), m.num_obs(0)))
+    stats = [GramState(fmap, 1.0)] if name == "linear-shared" else None
+    m = LinearCostModel(fmap, horizon=1, stats=stats)
+    return (lambda row: m.observe(0, row, 0.5),
+            lambda: (m.b[0].copy(), m.stats[0].inv.copy(), m.stats[0].count))
+
+
+@pytest.mark.parametrize("row", [-1, 4], ids=["minus-one", "S*A"])
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+@pytest.mark.parametrize("entry", ["gram", "linear-owned", "linear-shared", "gp"])
+def test_a_row_outside_the_map_is_rejected_and_changes_nothing(entry, one_hot, row):
+    fmap = one_hot_features(2, 2) if one_hot else \
+        _toy_fmap(np.random.default_rng(0), S=2, A=2)
+    observe, snapshot = _row_entry_point(entry, fmap)
+    observe(1)
+    before = snapshot()
+    with pytest.raises(IndexError, match=rf"row {row} outside \[0, 4\)"):
+        observe(row)
+    for old, new in zip(before, snapshot()):
+        assert np.array_equal(old, new)

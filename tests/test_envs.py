@@ -359,10 +359,12 @@ def test_cmdp_rejects_nan(edit, message):
 
 
 def test_feature_map_rejects_nan_rows():
-    table = np.eye(4).reshape(2, 2, 4)
-    table[1, 0, 2] = np.nan
-    with pytest.raises(ValueError, match="feature norms"):
-        FeatureMap(dim=4, table=table)
+    # A NaN entry, and a row of norm 1.5.
+    for value in (np.nan, 1.5):
+        table = np.eye(4).reshape(2, 2, 4)
+        table[1, 0, 2] = value
+        with pytest.raises(ValueError, match="feature norms"):
+            FeatureMap(dim=4, table=table)
 
 
 ROW_KINDS = ("unit", "scaled", "negated", "zero", "dense", "nearly_unit")
@@ -408,9 +410,9 @@ def test_feature_map_finds_its_structure_once(table):
     if one_hot:
         assert np.array_equal(rows[np.arange(len(rows)), fmap.unit_columns],
                               np.ones(len(rows)))
-    g = GramState(fmap.dim, 1.0, fmap)
+    g = GramState(fmap, 1.0)
     assert g.diagonal == one_hot
-    for row in rows:  # every row of the map is a sample its statistics take
+    for row in range(len(rows)):  # every row of the map is a sample its statistics take
         g.update(row)
     assert g.count == len(rows)
 
