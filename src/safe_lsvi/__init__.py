@@ -6,7 +6,7 @@ from .bench import (ExperimentConfig, Metrics, emit_results,
                     fit_growth_exponent, run_experiment)
 from .costs import (CostEstimate, GpCostModel, LinearCostModel, gp_beta,
                     make_kernel, tilde_beta)
-from .envs import (DEFAULT_LAKE_MAP, FeatureMap, StepRecord, TabularCmdp,
+from .envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp,
                    build_frozen_lake, build_hard_instance,
                    build_synthetic_linear, frozen_lake_from_grid,
                    one_hot_features, step)
@@ -19,7 +19,7 @@ __all__ = [
     "ExperimentConfig", "Metrics", "emit_results", "fit_growth_exponent",
     "run_experiment", "CostEstimate", "GpCostModel", "LinearCostModel",
     "gp_beta", "make_kernel", "tilde_beta", "DEFAULT_LAKE_MAP",
-    "FeatureMap", "StepRecord", "TabularCmdp", "build_frozen_lake",
+    "FeatureMap", "TabularCmdp", "build_frozen_lake",
     "build_hard_instance", "build_synthetic_linear", "frozen_lake_from_grid",
     "one_hot_features", "step",
     "GramState", "LsviLearner", "QModel", "beta_schedule", "ValueTable",

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import KERNELS, GpCostModel, LinearCostModel
-from .envs import (DEFAULT_LAKE_MAP, StepRecord, build_hard_instance,
+from .envs import (DEFAULT_LAKE_MAP, build_hard_instance,
                    build_synthetic_linear, frozen_lake_from_grid, step)
 from .lsvi import LsviLearner, beta_schedule
 from .oracle import constrained_dp, policy_eval
@@ -228,6 +228,10 @@ def run_experiment(config: ExperimentConfig, env_override=None,
     regret_inc = np.zeros(K)
     signed = np.zeros(K)
     trace = [] if record_trace else None
+    # One episode: each step's feature row s*A + a, reward, observed cost
+    # and next state.
+    rows, next_states = np.zeros((2, H), dtype=np.int64)
+    step_rewards, step_costs = np.zeros((2, H))
 
     for k in range(1, K + 1):
         if cost_model is None:
@@ -239,22 +243,22 @@ def run_experiment(config: ExperimentConfig, env_override=None,
         plan = learner.backward_pass(ghat=ghat, z=ledger.z)
 
         state = cmdp.initial_state
-        episode: list[StepRecord] = []
         ep_reward = ep_violation = ep_signed = 0.0
         for h in range(H):
             action = int(plan.policy[h, state])
             r, cost_obs, nxt = step(cmdp, state, action, h, rng)
+            row = state * cmdp.num_actions + action
             if cost_model is not None:
-                cost_model.observe(h, state * cmdp.num_actions + action, cost_obs)
-            episode.append(StepRecord(state, action, r, cost_obs, nxt))
+                cost_model.observe(h, row, cost_obs)
+            rows[h], step_rewards[h], step_costs[h], next_states[h] = row, r, cost_obs, nxt
             true_cost = cmdp.cost_mean[h, state, action]
             ep_reward += r
             ep_violation += max(true_cost, 0.0)
             ep_signed += true_cost
             state = nxt
 
-        learner.ingest_episode(episode)
-        ledger.end_episode([rec.cost for rec in episode], k)
+        learner.ingest_episode(rows, step_rewards, next_states)
+        ledger.end_episode(step_costs, k)
 
         rewards[k - 1] = ep_reward * cmdp.reward_scale
         violations[k - 1] = ep_violation
@@ -265,7 +269,7 @@ def run_experiment(config: ExperimentConfig, env_override=None,
             trace.append({
                 "weights": plan.weights.copy(),
                 "z": ledger.z.copy(),
-                "actions": [rec.action for rec in episode],
+                "actions": (rows % cmdp.num_actions).tolist(),
             })
 
     # np.cumsum adds left to right, so the sums are those of a running loop.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,14 +24,6 @@ NORM_SLACK = 1e-9
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 _MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
 _ORTHO = {UP: (LEFT, RIGHT), DOWN: (LEFT, RIGHT), LEFT: (UP, DOWN), RIGHT: (UP, DOWN)}
-
-
-class StepRecord(NamedTuple):
-    state: int
-    action: int
-    reward: float
-    cost: float
-    next_state: int
 
 
 @dataclass
@@ -116,10 +108,14 @@ class FeatureMap:
             raise ValueError(f"feature norms must be <= 1 (max {norm:.6f})")
         self.unit_columns = _unit_columns(self.flat)
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i of flat, the feature of (s, a) with i = s*A + a.  The one
-        check of a row index: without it a negative i would wrap around."""
-        if not 0 <= i < len(self.flat):
+    def row(self, i) -> np.ndarray:
+        """Row i of flat, the feature of (s, a) with i = s*A + a; for an
+        index array, those rows.  The one check of a row index: without it
+        a negative i would wrap around."""
+        if type(i) is not int:  # an index array (or a numpy integer)
+            lo, hi = int(i.min()), int(i.max())
+            self.row(lo if lo < 0 else hi)
+        elif not 0 <= i < len(self.flat):
             raise IndexError(f"row {i} outside [0, {len(self.flat)})")
         return self.flat[i]
 

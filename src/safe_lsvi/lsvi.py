@@ -4,9 +4,12 @@ The Q-function and the linear cost LCB regress on the same features, so the
 design statistics of step h are one GramState that the learner and the linear
 cost model share: the inverse of Lambda_h = lam*I + sum phi phi^T (both read
 Lambda_h only through it), the quadratic forms phi^T Lambda_h^{-1} phi over
-the whole feature set, and the sample count.  The learner ingests each (h,
-step) once; each model keeps only its own regression targets (reward and
-next-state sums; cost sums).
+the whole feature set, and the sample count.  The learner ingests each
+episode once; each model keeps only its own regression targets (reward and
+next-state sums; cost sums).  The statistics stay one GramState per step
+rather than arrays with an H axis: a standalone LinearCostModel may be fed
+single steps, so its steps hold different counts, and an episode-wide
+update would need a second, per-step path for it.
 
 A sample is a row index of the feature map: phi(s, a) is row s*A + a, and
 the map checked every row (norm, finiteness) when it was built, so a sample
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .envs import FeatureMap, StepRecord
+from .envs import FeatureMap
 from .penalty import penalized_argmax
 
 RADICAND_TOL = 1e-12
@@ -136,10 +139,11 @@ class QModel:
 class LsviLearner:
     """Backward-pass machinery over a tabular feature set.
 
-    Per step h it owns the design statistics (a GramState, which a
-    LinearCostModel may share), the reward-weighted feature sum, and the
-    features bucketed by observed next state (so regression targets
-    r + V_{h+1}(x') reduce to one (d, S) matvec).
+    Per step h it owns the design statistics stats[h] (a GramState, which a
+    LinearCostModel may share), the reward-weighted feature sum
+    reward_feats[h] and the features bucketed by observed next state,
+    next_feats[h] (so regression targets r + V_{h+1}(x') reduce to one
+    (d, S) matvec).
     """
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
@@ -155,23 +159,27 @@ class LsviLearner:
         self.d = feature_map.dim
         self.lam = lam
         self.beta = beta
-        self.feats = feature_map.flat  # (S*A, d)
+        self.fmap = feature_map
         self.stats = [GramState(feature_map, lam) for _ in range(horizon)]
-        self.next_feats = [np.zeros((self.d, num_states)) for _ in range(horizon)]
-        self.reward_feats = [np.zeros(self.d) for _ in range(horizon)]
+        self.next_feats = np.zeros((horizon, self.d, num_states))
+        self.reward_feats = np.zeros((horizon, self.d))
 
-    def observe(self, h: int, s: int, a: int, reward: float, next_state: int) -> None:
-        row = s * self.A + a
-        self.stats[h].update(row)
-        phi = self.feats[row]
-        self.next_feats[h][:, next_state] += phi
-        self.reward_feats[h] += phi * reward
-
-    def ingest_episode(self, trace: Sequence[StepRecord]) -> None:
-        if len(trace) != self.H:
-            raise ValueError(f"trace length {len(trace)} != horizon {self.H}")
-        for h, rec in enumerate(trace):
-            self.observe(h, rec.state, rec.action, rec.reward, rec.next_state)
+    def ingest_episode(self, rows, rewards, next_states) -> None:
+        """Ingest one episode: at step h the feature row rows[h] = s*A + a
+        earned rewards[h] and moved to state next_states[h].  The episode is
+        checked whole before anything changes.  Each step adds to its own
+        slice of the target sums, so one indexed add per array gives the
+        floats of per-step adds."""
+        rows, rewards, next_states = map(np.asarray, (rows, rewards, next_states))
+        if not rows.shape == rewards.shape == next_states.shape == (self.H,):
+            raise ValueError(f"rows, rewards and next states must have shape ({self.H},)")
+        phi = self.fmap.row(rows)  # the range check of every row
+        if not 0 <= next_states.min() <= next_states.max() < self.S:
+            raise ValueError(f"next states {next_states} not all in [0, {self.S})")
+        for h, row in enumerate(rows.tolist()):
+            self.stats[h].update(row)
+        self.next_feats[np.arange(self.H), :, next_states] += phi
+        self.reward_feats += phi * rewards[:, None]
 
     def backward_pass(self, ghat: Optional[np.ndarray] = None,
                       z: Optional[np.ndarray] = None) -> QModel:

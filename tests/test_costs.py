@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from safe_lsvi.costs import (CostEstimate, GpCostModel, LinearCostModel,
                              gp_beta, make_kernel, tilde_beta)
 from safe_lsvi.envs import FeatureMap, build_synthetic_linear, one_hot_features
-from safe_lsvi.lsvi import GramState
+from safe_lsvi.lsvi import GramState, LsviLearner
 
 
 def ball_features(rng, n, d):
@@ -561,6 +561,13 @@ def _row_entry_point(name, fmap):
     if name == "gram":
         g = GramState(fmap, 1.0)
         return g.update, lambda: (g.inv.copy(), g.quad_forms().copy(), g.count)
+    if name == "learner":
+        # An episode of two steps whose last row is the one tried.
+        lr = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
+        return (lambda row: lr.ingest_episode([2, row], [0.5, 0.5], [0, 1]),
+                lambda: [x.copy() for g in lr.stats for x in (g.inv, g.quad_forms())]
+                + [[g.count for g in lr.stats], lr.reward_feats.copy(),
+                   lr.next_feats.copy()])
     if name == "gp":
         m = GpCostModel("sqexp", total_episodes=4, horizon=1, feature_map=fmap)
         return (lambda row: m.observe(0, row, 0.5),
@@ -574,7 +581,8 @@ def _row_entry_point(name, fmap):
 
 @pytest.mark.parametrize("row", [-1, 4], ids=["minus-one", "S*A"])
 @pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
-@pytest.mark.parametrize("entry", ["gram", "linear-owned", "linear-shared", "gp"])
+@pytest.mark.parametrize("entry", ["gram", "linear-owned", "linear-shared", "gp",
+                                   "learner"])
 def test_a_row_outside_the_map_is_rejected_and_changes_nothing(entry, one_hot, row):
     fmap = one_hot_features(2, 2) if one_hot else \
         _toy_fmap(np.random.default_rng(0), S=2, A=2)
@@ -584,4 +592,4 @@ def test_a_row_outside_the_map_is_rejected_and_changes_nothing(entry, one_hot, r
     with pytest.raises(IndexError, match=rf"row {row} outside \[0, 4\)"):
         observe(row)
     for old, new in zip(before, snapshot()):
-        assert np.array_equal(old, new)
+        assert np.asarray(old).tobytes() == np.asarray(new).tobytes()

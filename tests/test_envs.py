@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, StepRecord, TabularCmdp,
+from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp,
                             build_frozen_lake, build_hard_instance,
                             build_synthetic_linear, frozen_lake_from_grid, step)
 from safe_lsvi.lsvi import GramState
@@ -175,7 +175,7 @@ def test_simulation_deterministic_given_seed():
         s, out = cmdp.initial_state, []
         for h in range(cmdp.horizon):
             r, c, nxt = step(cmdp, s, (h + s) % 4, h, rng)
-            out.append(StepRecord(s, (h + s) % 4, r, c, nxt))
+            out.append((s, (h + s) % 4, r, c, nxt))
             s = nxt
         return out
 
@@ -423,9 +423,9 @@ def test_episode_trace_chains():
     s = cmdp.initial_state
     trace = []
     for h in range(cmdp.horizon):
-        r, c, nxt = step(cmdp, s, 1, h, rng)
-        trace.append(StepRecord(s, 1, r, c, nxt))
+        _, _, nxt = step(cmdp, s, 1, h, rng)
+        trace.append((s, nxt))
         s = nxt
     assert len(trace) == cmdp.horizon
-    for a, b in zip(trace, trace[1:]):
-        assert a.next_state == b.state
+    for (_, a_next), (b_state, _) in zip(trace, trace[1:]):
+        assert a_next == b_state

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from safe_lsvi.costs import LinearCostModel
-from safe_lsvi.envs import FeatureMap, StepRecord, one_hot_features
+from safe_lsvi.envs import FeatureMap, one_hot_features
 from safe_lsvi.lsvi import GramState, LsviLearner, beta_schedule
 
 
@@ -22,6 +22,20 @@ def map_of(rows):
     """A FeatureMap with one action per state whose features are rows."""
     rows = np.asarray(rows, dtype=float)
     return FeatureMap(rows.shape[1], rows.reshape(len(rows), 1, -1))
+
+
+def ingest_steps(learner, steps):
+    """Feed the learner one episode given as (s, a, reward, cost,
+    next_state) tuples."""
+    learner.ingest_episode([s * learner.A + a for s, a, _, _, _ in steps],
+                           [r for _, _, r, _, _ in steps],
+                           [nxt for _, _, _, _, nxt in steps])
+
+
+def random_steps(rng, S, A, H):
+    """One random episode of (s, a, reward, cost, next_state) tuples."""
+    return [(int(rng.integers(S)), int(rng.integers(A)), float(rng.uniform(0, 1)),
+             -1.0, int(rng.integers(S))) for _ in range(H)]
 
 
 def gram_of(lam, d, samples):
@@ -128,8 +142,31 @@ def test_learner_rejects_a_map_of_another_shape(S, A, shape):
 def test_ingest_rejects_wrong_length():
     fmap = one_hot_features(2, 2)
     learner = LsviLearner(fmap, 2, 2, horizon=3, lam=1.0, beta=1.0)
-    with pytest.raises(ValueError, match="trace length"):
-        learner.ingest_episode([StepRecord(0, 0, 0.0, -1.0, 0)])
+    good = ([0, 1, 2], [0.0, 0.5, 1.0], [0, 1, 0])
+    for i in range(3):
+        episode = list(good)
+        episode[i] = episode[i][:1]
+        with pytest.raises(ValueError, match=re.escape(
+                "rows, rewards and next states must have shape (3,)")):
+            learner.ingest_episode(*episode)
+    assert all(g.count == 0 for g in learner.stats)
+
+
+@pytest.mark.parametrize("next_state", [-1, 2], ids=["minus-one", "S"])
+def test_ingest_rejects_a_next_state_outside_the_states(next_state):
+    # Without the check, -1 would add to the last state's column.
+    fmap = one_hot_features(2, 2)
+    learner = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
+    learner.ingest_episode([0, 3], [0.5, 0.25], [1, 0])
+    before = [g.inv.copy() for g in learner.stats], \
+        learner.reward_feats.copy(), learner.next_feats.copy()
+    with pytest.raises(ValueError, match=re.escape("not all in [0, 2)")):
+        learner.ingest_episode([1, 2], [0.5, 0.5], [0, next_state])
+    assert [g.count for g in learner.stats] == [1, 1]
+    for old, new in zip(before[0], learner.stats):
+        assert old.tobytes() == new.inv.tobytes()
+    assert before[1].tobytes() == learner.reward_feats.tobytes()
+    assert before[2].tobytes() == learner.next_feats.tobytes()
 
 
 def test_gram_inverse_consistency_random_sequences():
@@ -235,10 +272,7 @@ def test_q_value_never_exceeds_cap():
     for k in range(20):
         plan = learner.backward_pass()
         assert plan.q_table.max() <= H + 1e-12
-        trace = [StepRecord(int(rng.integers(2)), int(rng.integers(2)),
-                            float(rng.uniform(0, 1)), -1.0, int(rng.integers(2)))
-                 for _ in range(H)]
-        learner.ingest_episode(trace)
+        ingest_steps(learner, random_steps(rng, 2, 2, H))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +325,9 @@ def test_backward_pass_matches_reference():
     # one-hot (diagonal statistics) and dense unit-norm features of d = 3
     dense = FeatureMap(3, random_unit_features(rng, 4, 3).reshape(2, 2, 3))
     history = [
-        [StepRecord(0, 1, 0.5, -1.0, 1), StepRecord(1, 0, 0.2, -1.0, 0)],
-        [StepRecord(0, 0, 0.1, -1.0, 0), StepRecord(0, 1, 0.9, -1.0, 1)],
-        [StepRecord(1, 1, 0.7, -1.0, 1), StepRecord(1, 1, 0.3, -1.0, 0)],
+        [(0, 1, 0.5, -1.0, 1), (1, 0, 0.2, -1.0, 0)],
+        [(0, 0, 0.1, -1.0, 0), (0, 1, 0.9, -1.0, 1)],
+        [(1, 1, 0.7, -1.0, 1), (1, 1, 0.3, -1.0, 0)],
     ]
     cases = [(one_hot_features(2, 2), history, 0.8, 1e-10),
              (dense, history, 0.8, 1e-10)]
@@ -302,7 +336,7 @@ def test_backward_pass_matches_reference():
         H = len(episodes[0])
         learner = LsviLearner(fmap, S, A, H, 1.0, beta=beta)
         for episode in episodes:
-            learner.ingest_episode(episode)
+            ingest_steps(learner, episode)
         ghat = -np.ones((H, S, A))
         z = np.zeros(H)
         plan = learner.backward_pass(ghat=ghat, z=z)
@@ -321,10 +355,8 @@ def test_backward_pass_incremental_matches_dense_rebuild():
     learner = LsviLearner(fmap, S, A, H, 1.0, beta=1.2)
     episodes = []
     for _ in range(25):
-        trace = [StepRecord(int(rng.integers(S)), int(rng.integers(A)),
-                            float(rng.uniform(0, 1)), -1.0, int(rng.integers(S)))
-                 for _ in range(H)]
-        learner.ingest_episode(trace)
+        trace = random_steps(rng, S, A, H)
+        ingest_steps(learner, trace)
         episodes.append(trace)
     plan_incremental = learner.backward_pass()
     dense_w, dense_q = _reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0, 1.2,
@@ -355,10 +387,7 @@ def test_weight_norm_bound_on_generated_runs():
         plan = learner.backward_pass()
         bound = learner.weight_norm_bound()
         assert np.linalg.norm(plan.weights, axis=1).max() <= bound
-        trace = [StepRecord(int(rng.integers(S)), int(rng.integers(A)),
-                            float(rng.uniform(0, 1)), -1.0, int(rng.integers(S)))
-                 for _ in range(H)]
-        learner.ingest_episode(trace)
+        ingest_steps(learner, random_steps(rng, S, A, H))
 
 
 def test_overestimation_frequency_small_instances():
@@ -392,10 +421,10 @@ def test_overestimation_frequency_small_instances():
                 a = int(plan.policy[h, s])
                 r, c, nxt = step(cmdp, s, a, h, rng)
                 cost.observe(h, s * cmdp.num_actions + a, c)
-                ep.append(StepRecord(s, a, r, c, nxt))
+                ep.append((s, a, r, c, nxt))
                 s = nxt
-            learner.ingest_episode(ep)
-            ledger.end_episode([e.cost for e in ep], k)
+            ingest_steps(learner, ep)
+            ledger.end_episode([c for _, _, _, c, _ in ep], k)
     assert under / total <= p
 
 
@@ -408,10 +437,15 @@ SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
 def _random_episodes(rng, S, A, H, K):
-    return [[StepRecord(int(rng.integers(S)), int(rng.integers(A)),
-                        float(rng.uniform(0, 1)), float(rng.uniform(-1, 1)),
-                        int(rng.integers(S))) for _ in range(H)]
-            for _ in range(K)]
+    """K random episodes, each as arrays (rows, rewards, costs, next_states)
+    of shape (H,), with rows[h] = s*A + a."""
+    episodes = []
+    for _ in range(K):
+        steps = [(int(rng.integers(S)) * A + int(rng.integers(A)),
+                  float(rng.uniform(0, 1)), float(rng.uniform(-1, 1)),
+                  int(rng.integers(S))) for _ in range(H)]
+        episodes.append(tuple(np.array(column) for column in zip(*steps)))
+    return episodes
 
 
 def _dense_twin(fmap):
@@ -432,9 +466,10 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     dense = LsviLearner(_dense_twin(fmap), S, A, H, lam, beta=diag.beta)
     assert all(g.diagonal for g in diag.stats)
     assert not any(g.diagonal for g in dense.stats)
-    for episode in _random_episodes(rng, S, A, H, int(rng.integers(0, 20))):
-        diag.ingest_episode(episode)
-        dense.ingest_episode(episode)
+    for rows, rewards, _, next_states in _random_episodes(rng, S, A, H,
+                                                          int(rng.integers(0, 20))):
+        diag.ingest_episode(rows, rewards, next_states)
+        dense.ingest_episode(rows, rewards, next_states)
     ghat = rng.uniform(-1, 1, size=(H, S, A))
     z = rng.uniform(0, 5, size=H)
     for g, ref in zip(diag.stats, dense.stats):
@@ -495,15 +530,36 @@ def test_cost_model_on_shared_statistics_matches_standalone(lam, seed, one_hot):
     learner = LsviLearner(fmap, S, A, H, lam, beta=1.0)
     shared = LinearCostModel(fmap, H, lam=lam, stats=learner.stats)
     alone = LinearCostModel(fmap, H, lam=lam)
-    for episode in _random_episodes(rng, S, A, H, int(rng.integers(0, 15))):
-        for h, rec in enumerate(episode):
-            row = rec.state * A + rec.action
-            shared.observe(h, row, rec.cost)
-            alone.observe(h, row, rec.cost)
-        learner.ingest_episode(episode)
+    for rows, rewards, costs, next_states in _random_episodes(
+            rng, S, A, H, int(rng.integers(0, 15))):
+        for h in range(H):
+            shared.observe(h, int(rows[h]), float(costs[h]))
+            alone.observe(h, int(rows[h]), float(costs[h]))
+        learner.ingest_episode(rows, rewards, next_states)
     for h in range(H):
         assert shared.theta(h).tobytes() == alone.theta(h).tobytes()
         assert shared.lcb_table(h).tobytes() == alone.lcb_table(h).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, one_hot=st.booleans())
+def test_episode_target_sums_equal_a_per_step_loop_bitwise(seed, one_hot):
+    rng = np.random.default_rng(seed)
+    S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    fmap = _feature_map(rng, one_hot, S, A)
+    learner = LsviLearner(fmap, S, A, H, lam=1.0, beta=1.0)
+    next_feats = [np.zeros((fmap.dim, S)) for _ in range(H)]
+    reward_feats = [np.zeros(fmap.dim) for _ in range(H)]
+    for rows, rewards, _, next_states in _random_episodes(rng, S, A, H,
+                                                          int(rng.integers(1, 15))):
+        learner.ingest_episode(rows, rewards, next_states)
+        for h in range(H):
+            phi = fmap.flat[rows[h]]
+            next_feats[h][:, next_states[h]] += phi
+            reward_feats[h] += phi * rewards[h]
+    for h in range(H):
+        assert learner.next_feats[h].tobytes() == next_feats[h].tobytes()
+        assert learner.reward_feats[h].tobytes() == reward_feats[h].tobytes()
 
 
 def test_cost_model_rejects_mismatched_statistics():

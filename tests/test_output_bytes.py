@@ -6,11 +6,19 @@ taken with one BLAS thread (tests/conftest.py), numpy 2.4.6 and scipy 1.17.1.
 A change that moves any of them changes the program's output: record the
 new digest in CHANGES.md together with its reason.
 
+The digests also depend on the kernel numpy's OpenBLAS picks for the CPU:
+they hold on its Haswell and SkylakeX kernels but not on pre-Haswell ones
+(Prescott, Nehalem, Sandybridge), where the oracle's products round
+differently.  A failure names the kernel in use.
+
 Fields a cell does not list keep their ExperimentConfig defaults.
 """
 
+import ctypes
 import hashlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from safe_lsvi.bench import ExperimentConfig, emit_results, run_experiment
@@ -51,10 +59,24 @@ CELLS = {
 }
 
 
+def blas_core() -> str:
+    """The kernel name numpy's bundled OpenBLAS reports, or "unknown"."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return (corename() or b"unknown").decode()
+    return "unknown"
+
+
 @pytest.mark.parametrize("cell", list(CELLS))
 def test_results_csv_digest(cell, tmp_path):
     fields, expected = CELLS[cell]
     config = ExperimentConfig(**fields)
     path = emit_results(run_experiment(config), config, tmp_path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == expected, f"results.csv of cell {cell} changed: {digest}"
+    assert digest == expected, \
+        f"results.csv of cell {cell} changed: {digest} (OpenBLAS core {blas_core()})"
