@@ -37,6 +37,13 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def _placeholder_map(d: int) -> sl.FeatureMap:
+    """A dense (not one-hot) map of dimension d, for the GP checks that
+    observe points off it: the dense GP reads its map only for the cached
+    posterior over the map's rows."""
+    return sl.FeatureMap(d, np.full((1, 1, d), 0.5 / math.sqrt(d)))
+
+
 LAKE_AGENTS = ("lsvi_ae", "lsvi", "lsvi_primal")
 
 # sha256 of results.csv of each agent's seed-0 criterion-1 cell, the run of
@@ -154,7 +161,7 @@ def test_criterion_4_condition_one_optimism():
         cov = kern(pts, pts) + 1e-10 * np.eye(40)
         truth = np.clip(np.linalg.cholesky(cov) @ rng.normal(size=40), -1, 1)
         model = GpCostModel("sqexp", total_episodes=25, horizon=1,
-                            lengthscale=0.5, p=p, feature_map=sl.one_hot_features(1, 2))
+                            lengthscale=0.5, p=p, feature_map=_placeholder_map(2))
         for i in range(25):
             model.observe(0, pts[i], float(truth[i]))
         for i in range(25, 40):
@@ -220,7 +227,7 @@ def test_criterion_6_numerical_identities():
     # GP with linear kernel vs primal ridge mean
     ridge_err = 0.0
     gp = GpCostModel("linear", total_episodes=50, horizon=1,
-                     feature_map=sl.one_hot_features(1, 4))
+                     feature_map=_placeholder_map(4))
     points, costs = np.zeros((30, 4)), []
     for i in range(30):
         y = rng.normal(size=4)
@@ -243,7 +250,7 @@ def test_criterion_6_numerical_identities():
     # incremental information gain vs batch log det
     info_err = 0.0
     model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6,
-                        feature_map=sl.one_hot_features(1, 2))
+                        feature_map=_placeholder_map(2))
     pts = rng.uniform(-1, 1, size=(30, 2))
     for y in pts:
         model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))

@@ -22,6 +22,13 @@ def map_of(rows):
     return FeatureMap(rows.shape[1], rows.reshape(len(rows), 1, -1))
 
 
+def placeholder_map(d):
+    """A dense (not one-hot) map of dimension d, for GP tests that observe
+    points off it: the dense GP reads its map only for the cached posterior
+    over the map's rows."""
+    return map_of(np.full((1, d), 0.5 / math.sqrt(d)))
+
+
 # ---------------------------------------------------------------------------
 # Confidence widths
 # ---------------------------------------------------------------------------
@@ -204,7 +211,7 @@ def test_kernel_registry():
 def test_gp_first_observation_cholesky():
     K = 4
     model = GpCostModel("sqexp", total_episodes=K, horizon=1,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     model.observe(0, np.array([0.3, 0.4]), 0.5)
     assert model.chol[0][0, 0] == pytest.approx(math.sqrt(2.0 + 2.0 / K))
 
@@ -212,7 +219,7 @@ def test_gp_first_observation_cholesky():
 def test_gp_cholesky_matches_dense():
     rng = np.random.default_rng(4)
     model = GpCostModel("sqexp", total_episodes=100, horizon=1, lengthscale=0.7,
-                        feature_map=one_hot_features(1, 3))
+                        feature_map=placeholder_map(3))
     pts = rng.uniform(-1, 1, size=(40, 3))
     for y in pts:
         model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))
@@ -223,7 +230,7 @@ def test_gp_cholesky_matches_dense():
 
 def test_gp_duplicate_point_stays_pd():
     model = GpCostModel("linear", total_episodes=10, horizon=1,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     y = np.array([0.6, 0.8])
     model.observe(0, y, 0.2)
     model.observe(0, y, 0.3)  # no error: the regularizer keeps things PD
@@ -232,7 +239,7 @@ def test_gp_duplicate_point_stays_pd():
 
 def test_gp_prior_posterior():
     model = GpCostModel("sqexp", total_episodes=10, horizon=1,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     mean, sigma = model.posterior(0, np.array([0.1, 0.2]))
     assert mean == 0.0
     assert sigma == pytest.approx(1.0)
@@ -240,7 +247,7 @@ def test_gp_prior_posterior():
 
 def test_gp_posterior_shrinks_at_observed_point():
     model = GpCostModel("sqexp", total_episodes=50, horizon=1,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     y = np.array([0.5, -0.2])
     _, prior_sigma = model.posterior(0, y)
     model.observe(0, y, 0.4)
@@ -251,7 +258,7 @@ def test_gp_posterior_shrinks_at_observed_point():
 def test_gp_variance_monotone_in_observations():
     rng = np.random.default_rng(6)
     model = GpCostModel("sqexp", total_episodes=50, horizon=1, lengthscale=0.8,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     query = np.array([0.0, 0.0])
     last = model.posterior(0, query)[1]
     for _ in range(25):
@@ -265,7 +272,7 @@ def test_gp_variance_monotone_in_observations():
 def test_gp_preclamp_variance_not_too_negative():
     rng = np.random.default_rng(13)
     model = GpCostModel("linear", total_episodes=200, horizon=1,
-                        feature_map=one_hot_features(1, 3))
+                        feature_map=placeholder_map(3))
     kern = make_kernel("linear")
     pts = []
     for _ in range(60):
@@ -286,7 +293,7 @@ def test_gp_kernel_ridge_matches_primal_mean():
     rng = np.random.default_rng(3)
     d, n, K = 5, 30, 100
     gp = GpCostModel("linear", total_episodes=K, horizon=1,
-                     feature_map=one_hot_features(1, 5))
+                     feature_map=placeholder_map(5))
     rows = ball_features(rng, 4, d)
     points, costs = [], []
     for _ in range(n):
@@ -310,7 +317,7 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     rng = np.random.default_rng(14)
     d, K = 4, 64
     gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1,
-                     feature_map=one_hot_features(1, 4))
+                     feature_map=placeholder_map(4))
     points, costs = [], []
     for _ in range(25):
         points.append(ball_features(rng, 1, d)[0])
@@ -331,7 +338,7 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
 
 def test_gp_prior_lcb():
     model = GpCostModel("sqexp", total_episodes=10, horizon=2, p=0.1,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     est = model.predict(0, np.array([0.2, 0.2]))
     assert est.value == pytest.approx(-gp_beta(0.0, 0.1 / 2))
 
@@ -350,7 +357,7 @@ def test_gp_condition_one_on_gp_sampled_truth():
         f = np.clip(f, -1, 1)
         train, test = np.arange(25), np.arange(25, 40)
         model = GpCostModel("sqexp", total_episodes=25, horizon=1,
-                            lengthscale=0.5, p=p, feature_map=one_hot_features(1, 2))
+                            lengthscale=0.5, p=p, feature_map=placeholder_map(2))
         for i in train:
             model.observe(0, pts[i], float(f[i]))
         for i in test:
@@ -368,7 +375,7 @@ def test_gp_condition_one_on_gp_sampled_truth():
 
 def test_info_gain_empty():
     model = GpCostModel("sqexp", total_episodes=10, horizon=2,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     assert model.info_gain(0) == 0.0
     assert model.info_gain(1) == 0.0
 
@@ -376,7 +383,7 @@ def test_info_gain_empty():
 def test_info_gain_single_unit_kernel_point():
     K = 2
     model = GpCostModel("sqexp", total_episodes=K, horizon=1,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     model.observe(0, np.array([0.0, 0.0]), 0.1)
     lam = 1.0 + 2.0 / K
     assert model.info_gain(0) == pytest.approx(0.5 * math.log(1.0 + 1.0 / lam))
@@ -385,7 +392,7 @@ def test_info_gain_single_unit_kernel_point():
 def test_info_gain_matches_dense_logdet():
     rng = np.random.default_rng(12)
     model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     pts = rng.uniform(-1, 1, size=(30, 2))
     for y in pts:
         model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))
@@ -397,7 +404,7 @@ def test_info_gain_matches_dense_logdet():
 def test_info_gain_nondecreasing():
     rng = np.random.default_rng(15)
     model = GpCostModel("linear", total_episodes=40, horizon=1,
-                        feature_map=one_hot_features(1, 3))
+                        feature_map=placeholder_map(3))
     last = 0.0
     for _ in range(20):
         model.observe(0, ball_features(rng, 1, 3)[0],
@@ -409,7 +416,7 @@ def test_info_gain_nondecreasing():
 
 def test_gp_rejects_out_of_range_cost():
     model = GpCostModel("sqexp", total_episodes=10, horizon=1,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     with pytest.raises(ValueError):
         model.observe(0, np.array([0.0, 0.0]), -1.2)
 
@@ -417,19 +424,51 @@ def test_gp_rejects_out_of_range_cost():
 def test_gp_rejects_a_nan_cost_and_keeps_its_state():
     fmap = one_hot_features(2, 2)
     model = GpCostModel("sqexp", total_episodes=5, horizon=1, feature_map=fmap)
-    model.observe(0, fmap.flat[1], 0.5)
-    mean, table = model.mean.copy(), model.lcb_table(0)
+    model.observe(0, 1, 0.5)
+    counts, sums, table = model.n.copy(), model.G.copy(), model.lcb_table(0)
     with pytest.raises(ValueError, match="nan"):
-        model.observe(0, fmap.flat[0], math.nan)
+        model.observe(0, 0, math.nan)
     assert model.num_obs(0) == 1
-    assert np.array_equal(model.mean, mean)
-    assert np.array_equal(model.lcb_table(0), table)
+    assert model.n.tobytes() == counts.tobytes()
+    assert model.G.tobytes() == sums.tobytes()
+    assert model.lcb_table(0).tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("point", [np.array([0.0, 1.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0],
+                                   1.0, np.array(2.0)],
+                         ids=["array", "list", "float", "0-d array"])
+def test_one_hot_gp_rejects_a_point_and_keeps_its_state(point):
+    fmap = one_hot_features(2, 2)
+    model = GpCostModel("sqexp", total_episodes=5, horizon=2, feature_map=fmap)
+    model.observe(0, 1, 0.5)
+    model.observe(1, 3, -0.25)
+    before = [x.tobytes() for x in (model.n, model.G, model.count)]
+    with pytest.raises(TypeError, match="one-hot .* by index, not points"):
+        model.observe(0, point, 0.5)
+    assert [x.tobytes() for x in (model.n, model.G, model.count)] == before
+
+
+def test_one_hot_gp_rejects_a_kernel_not_finite_on_unit_vectors():
+    # At so small a lengthscale k(e_j, e_j) is 0 * inf = nan.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        GpCostModel("sqexp", total_episodes=5, horizon=1, lengthscale=1e-160,
+                    feature_map=one_hot_features(2, 2))
+
+
+def test_one_hot_gp_memory_does_not_depend_on_k():
+    fmap = one_hot_features(100, 4)
+
+    def array_bytes(model):
+        return sum(x.nbytes for x in vars(model).values() if isinstance(x, np.ndarray))
+    big = GpCostModel("sqexp", total_episodes=10 ** 6, horizon=15, feature_map=fmap)
+    small = GpCostModel("sqexp", total_episodes=10, horizon=15, feature_map=fmap)
+    assert array_bytes(big) == array_bytes(small) <= 3 * 15 * fmap.dim * 8
 
 
 def test_gp_step_holds_at_most_k_points():
     K = 3
     model = GpCostModel("sqexp", total_episodes=K, horizon=2,
-                        feature_map=one_hot_features(1, 2))
+                        feature_map=placeholder_map(2))
     y = np.array([0.6, 0.8])
     for _ in range(K):
         model.observe(0, y, 0.1)
@@ -484,20 +523,25 @@ def _observed_gp(rng, kernel, lengthscale, horizon):
     return model, data
 
 
-def _dense_gp_lcb(model, points, costs):
-    """The LCB table from a dense posterior: np.linalg.solve on
-    K(X, X) + lam*I and the information gain from slogdet."""
-    kern, feats, lam = model.kern, model.fmap.flat, model.lam
-    prior = np.diag(kern(feats, feats))
+def _dense_gp_posterior(model, points, costs, Y):
+    """Posterior mean and variance at the rows of Y and the information
+    gain, dense: np.linalg.solve on K(X, X) + lam*I, and slogdet."""
+    kern, lam = model.kern, model.lam
+    prior = np.diag(kern(Y, Y))
     if not points:
-        mean, var, gamma = np.zeros(len(feats)), prior, 0.0
-    else:
-        x, g = np.array(points), np.array(costs)
-        kxx = kern(x, x) + lam * np.eye(len(x))
-        kfx = kern(feats, x)
-        mean = kfx @ np.linalg.solve(kxx, g)
-        var = prior - np.einsum("fn,nf->f", kfx, np.linalg.solve(kxx, kfx.T))
-        gamma = 0.5 * (np.linalg.slogdet(kxx)[1] - len(x) * math.log(lam))
+        return np.zeros(len(Y)), prior, 0.0
+    x, g = np.array(points), np.array(costs)
+    kxx = kern(x, x) + lam * np.eye(len(x))
+    kyx = kern(Y, x)
+    mean = kyx @ np.linalg.solve(kxx, g)
+    var = prior - np.einsum("fn,nf->f", kyx, np.linalg.solve(kxx, kyx.T))
+    gamma = 0.5 * (np.linalg.slogdet(kxx)[1] - len(x) * math.log(lam))
+    return mean, var, gamma
+
+
+def _dense_gp_lcb(model, points, costs):
+    """The LCB table from a dense posterior over the feature set."""
+    mean, var, gamma = _dense_gp_posterior(model, points, costs, model.fmap.flat)
     beta = model.width_scale * gp_beta(gamma, model.p / model.H)
     S, A, _ = model.fmap.table.shape
     return (mean - beta * np.sqrt(np.maximum(var, 0.0))).reshape(S, A)
@@ -544,11 +588,64 @@ def test_gp_fed_row_indices_equals_gp_fed_their_vectors(kernel, seed):
         by_row.observe(h, row, cost)
         by_vector.observe(h, fmap.flat[row].copy(), cost)
     for h in range(horizon):
-        for name in ("L", "alpha", "Z"):
+        for name in ("X", "L", "alpha", "Z"):
             assert getattr(by_row, name)[h].tobytes() == \
                 getattr(by_vector, name)[h].tobytes(), name
     for name in ("mean", "var", "logdet"):
         assert getattr(by_row, name).tobytes() == getattr(by_vector, name).tobytes(), name
+
+
+ONE_HOT_KERNELS = st.sampled_from([(kernel, lengthscale) for kernel in ("linear", "sqexp")
+                                   for lengthscale in (0.3, 1.0, 2.5, 1e9)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel=ONE_HOT_KERNELS, seed=SEEDS)
+def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
+    rng = np.random.default_rng(seed)
+    # d < S*A maps several rows to one column; d > S*A leaves columns unused.
+    S, A = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    d = int(rng.integers(1, S * A + 3))
+    fmap = FeatureMap(dim=d, table=np.eye(d)[rng.integers(d, size=S * A)].reshape(S, A, d))
+    num_obs, horizon = int(rng.integers(0, 40)), 2
+    model = GpCostModel(kernel[0], total_episodes=int(rng.integers(max(num_obs, 1), 50)),
+                        horizon=horizon, lengthscale=kernel[1],
+                        p=float(rng.uniform(0.01, 0.5)),
+                        width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
+    assert model.one_hot
+    if kernel == ("sqexp", 1e9):
+        assert model._a == 0.0  # c rounds to 1: the formulas must not divide by a
+    # Rows drawn from a few favourites, so repeats are common.
+    favourites = rng.integers(S * A, size=int(rng.integers(1, 4)))
+    data = [([], []) for _ in range(horizon)]
+    for _ in range(num_obs):
+        h = int(rng.integers(horizon))
+        row = int(rng.choice(favourites) if rng.uniform() < 0.5 else rng.integers(S * A))
+        cost = float(rng.uniform(-1, 1))
+        model.observe(h, row, cost)
+        data[h][0].append(fmap.flat[row])
+        data[h][1].append(cost)
+    calls = []
+
+    def counted(f):
+        def call(*args):
+            calls.append(args)
+            return f(*args)
+        return call
+    kern, k = model.kern, model._k
+    model.kern, model._k = counted(kern), counted(k)
+    tables = [model.lcb_table(h) for h in range(horizon)]
+    model.kern, model._k = kern, k
+    assert calls == []  # no kernel call, neither through kern nor pointwise
+    Y = np.vstack([fmap.flat, ball_features(rng, 5, d) * rng.uniform(0, 1, size=(5, 1))])
+    for h, (table, (points, costs)) in enumerate(zip(tables, data)):
+        assert model.num_obs(h) == len(points)
+        assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-10
+        mean, var, gamma = _dense_gp_posterior(model, points, costs, Y)
+        assert abs(model.info_gain(h) - gamma) <= 1e-10
+        got_mean, got_sigma = model.posterior_batch(h, Y)
+        assert np.abs(got_mean - mean).max() <= 1e-10
+        assert np.abs(got_sigma - np.sqrt(np.maximum(var, 0.0))).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +667,10 @@ def _row_entry_point(name, fmap):
                    lr.next_feats.copy()])
     if name == "gp":
         m = GpCostModel("sqexp", total_episodes=4, horizon=1, feature_map=fmap)
+        state = ("n", "G") if m.one_hot else ("X", "L", "alpha", "Z", "mean", "var",
+                                               "logdet")
         return (lambda row: m.observe(0, row, 0.5),
-                lambda: (m.L[0].copy(), m.alpha[0].copy(), m.Z[0].copy(),
-                         m.mean.copy(), m.var.copy(), m.logdet.copy(), m.num_obs(0)))
+                lambda: [np.array(getattr(m, name)) for name in state] + [m.num_obs(0)])
     stats = [GramState(fmap, 1.0)] if name == "linear-shared" else None
     m = LinearCostModel(fmap, horizon=1, stats=stats)
     return (lambda row: m.observe(0, row, 0.5),
