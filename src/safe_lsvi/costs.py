@@ -4,32 +4,30 @@ Two estimators share one interface: a ridge regressor with a
 dimension-dependent confidence width, and a Gaussian-process regressor whose
 width scales with the accumulated information gain.  Both subtract their
 width from the posterior mean, so an action looks safe until the data says
-otherwise.  Both serve the (S, A) table of lower-confidence costs from state
-they update per observation: the ridge model from the shared design
-statistics; the GP, over a one-hot (tabular) feature map, from per-column
-observation counts and cost sums (O(1) to add, O(d) to query, through
-Sherman-Morrison and the matrix determinant lemma), and over a dense map
-from a cross factor L^-1 K(X, F) over the feature set F that grows one row
-per observation (O(n * S*A) to add, O(S*A) to query).  The GP holds at most
-K observations per step, one per episode; nothing of its one-hot state is
-sized by K, and its dense state lives in arrays allocated once.
-Observations are observe(h, row, cost), row being the index s*A + a of a
-feature-map row (a GP over a dense map also takes a point off the map; over
-a one-hot map it observes rows only); queries are predict(h, point) and
-lcb_table(h).  Widths spend p/H of the model's own p (one union-bound share
-per step), and width_scale is a practical multiplier on the theoretical
-width (1.0 reproduces the closed forms; benchmark configs shrink it).
+otherwise.  A run observes and queries costs only at (s, a) pairs, the rows
+of the feature map, so both models take a row index s*A + a and nothing
+else: observe(h, row, cost), predict(h, row) and lcb_table(h), the (S, A)
+table of lower-confidence costs.  Both serve it from state they update per
+observation: the ridge model from the shared design statistics; the GP,
+over a one-hot (tabular) feature map, from per-column observation counts
+and cost sums (O(1) to add, O(d) to query, through Sherman-Morrison and the
+matrix determinant lemma), and over a dense map from a cross factor
+L^-1 K(X, F) over the feature set F that grows one row per observation
+(O(n * S*A) to add, O(S*A) to query).  The GP holds at most K observations
+per step, one per episode; nothing of its one-hot state is sized by K, and
+its dense state lives in arrays allocated once, linear in K.  Widths spend
+p/H of the model's own p (one union-bound share per step), and width_scale
+is a practical multiplier on the theoretical width (1.0 reproduces the
+closed forms; benchmark configs shrink it).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .envs import FeatureMap
 from .lsvi import GramState
@@ -157,8 +155,9 @@ class LinearCostModel:
         k = self.stats[h].count + 1  # episode index: data through k-1
         return self.width_scale * tilde_beta(self.lam, self.d, k, self.p / self.H)
 
-    def predict(self, h: int, phi: np.ndarray) -> CostEstimate:
-        phi = np.asarray(phi, dtype=float)
+    def predict(self, h: int, row: int) -> CostEstimate:
+        """The estimate at row `row` of the feature map."""
+        phi = self.fmap.row(row)
         mean = float(phi @ self.theta(h))
         width = self._beta(h) * math.sqrt(self.stats[h].quad_form(phi))
         return CostEstimate(value=mean - width, mean=mean, width=width)
@@ -178,7 +177,8 @@ class LinearCostModel:
 
 class GpCostModel:
     """Per-step GP regression over the feature set F (the S*A feature rows),
-    with lower-confidence queries.
+    with lower-confidence queries.  Costs are observed and queried only at
+    rows of F, by index: the posterior is the one over F.
 
     The regularizer is 1 + 2/K with K declared up front.  A run feeds each
     step one observation per episode, so a step holds at most K of them
@@ -188,23 +188,20 @@ class GpCostModel:
     * One-hot map: the rows are unit vectors e_j, between which the kernel
       is k(e_i, e_j) = a*[i = j] + c, so the posterior depends on the data
       only through the counts n[h] and cost sums G[h] of each column (both
-      (H, d)); a and c are read from one kernel call at construction.  Only
-      rows of the map are observed, by index, in O(1).  lcb_table is O(d)
-      plus an O(S*A) gather, without a kernel call or a solve; the
-      information gain follows from the matrix determinant lemma in O(d).
-      Nothing is sized by K.
-    * Dense map: per step, the points X[h], the Cholesky factor L[h] of
-      K(X, X) + lam*I, alpha[h] = L^-1 g, the cross factor
-      Z[h] = L^-1 K(X, F), logdet[h] of K(X, X) + lam*I and the posterior
-      over F, mean[h] = Z^T alpha and var[h] = diag k(F, F) - colsum(Z^2),
-      in arrays allocated once.  An observation (a row index, or a point
-      off the map) appends one row to X, L, alpha and Z, with a pivot of at
-      least lam, repeated points included: O(n^2) for the triangular solve
-      plus O(n * S*A) for the cross-factor row (n points so far).
-      lcb_table is O(S*A), without a kernel call or a solve.
-
-    predict and posterior at other points are O(d) per point on the count
-    path and solve against L, O(n^2) per point, on the dense one.
+      (H, d)); a and c are read from one kernel call at construction.  An
+      observation is O(1).  lcb_table is O(d) plus an O(S*A) gather,
+      without a kernel call or a solve; the information gain follows from
+      the matrix determinant lemma in O(d).  Nothing is sized by K.
+    * Dense map: alpha = L^-1 g (H, K) and the cross factor
+      Z = L^-1 K(X, F) (H, K, S*A), for L the Cholesky factor of
+      K(X, X) + lam*I over the n rows X observed so far, beside logdet[h]
+      of K(X, X) + lam*I and the posterior over F, mean[h] = Z^T alpha and
+      var[h] = diag k(F, F) - colsum(Z^2) (both (H, S*A)), in arrays
+      allocated once.  An observation of row y reads L^-1 K(X, y) from Z's
+      column y and appends one entry to alpha and one row to Z, with a
+      pivot of at least lam, repeated rows included: O(n * S*A).  L itself
+      is never needed, so it is not kept.  lcb_table is O(S*A), without a
+      kernel call or a solve.
     """
 
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
@@ -238,81 +235,59 @@ class GpCostModel:
             return
         K, m = total_episodes, len(feature_map.flat)
         f_sq = feature_map.sq_norms
+        prior = self._k(f_sq, f_sq, f_sq)  # diag k(F, F)
+        if not ((0.0 <= prior) & (prior < math.inf)).all():
+            raise ValueError("kernel is not finite and nonnegative on the "
+                             "feature set")
         self.logdet = np.zeros(horizon)
         self.mean = np.zeros((horizon, m))
-        self.var = np.tile(self._k(f_sq, f_sq, f_sq), (horizon, 1))  # diag k(F, F)
-        self.X = [np.zeros((K, d)) for _ in range(horizon)]
-        self.L = [np.zeros((K, K)) for _ in range(horizon)]
-        self.alpha = [np.zeros(K) for _ in range(horizon)]
-        self.Z = [np.zeros((K, m)) for _ in range(horizon)]
+        self.var = np.tile(prior, (horizon, 1))
+        self.alpha = np.zeros((horizon, K))
+        self.Z = np.zeros((horizon, K, m))
 
     @property
     def one_hot(self) -> bool:
         return self._cols is not None
 
-    @property
-    def chol(self) -> list:
-        """The n x n Cholesky factor of each step (views into its array);
-        dense maps only."""
-        return [L[:n, :n] for L, n in zip(self.L, self.count)]
-
     def num_obs(self, h: int) -> int:
         return int(self.count[h])
 
-    def observe(self, h: int, y, cost: float) -> None:
-        """Add the cost observed at y: a row index of the feature map, or,
-        over a dense map, a point (the kernel is defined off the map too)."""
+    def observe(self, h: int, row: int, cost: float) -> None:
+        """Add the cost observed at row `row` of the feature map."""
         if not abs(cost) <= 1.0:
             raise ValueError(f"observed cost {cost} outside [-1, 1]")
         n = int(self.count[h])
         if n == self.K:
             raise ValueError(f"step {h} already holds K={n} observations, "
                              "one per episode")
-        if not self.one_hot:
-            self._observe_point(h, n, y, cost)
-        elif not isinstance(y, numbers.Integral):
-            raise TypeError("a GP over a one-hot feature map observes rows of "
-                            "the map by index, not points")
-        else:
-            self.fmap.row(y)  # the range check
-            j = self._cols[y]
+        y = self.fmap.row(row)  # the type and range check
+        if self.one_hot:
+            j = int(self._cols[row])  # one row: int() rejects an array of them
             self.n[h, j] += 1
             self.G[h, j] += cost
+        else:
+            self._observe_dense(h, n, row, y, cost)
         self.count[h] = n + 1
 
-    def _observe_point(self, h: int, n: int, y, cost: float) -> None:
-        """Append y, the n-th point of step h, to the dense state."""
-        L, alpha = self.L[h], self.alpha[h]
-        y = self.fmap.row(y) if isinstance(y, numbers.Integral) else \
-            np.asarray(y, dtype=float)
-        yy = float(y @ y)
-        kyy = float(self._k(yy, yy, yy))
-        if not math.isfinite(kyy):
-            raise ValueError("kernel does not evaluate finitely at the new point")
-        if n == 0:
-            z = np.zeros(0)
-        else:
-            kvec = self.kern(self.X[h][:n], y[None, :])[:, 0]
-            # L holds only finite entries: a non-finite kvec makes z
-            # non-finite, which fails the pivot check below before it is
-            # stored.  So the (O(n^2)) finiteness scan of L is skipped.
-            z = solve_triangular(L[:n, :n], kvec, lower=True,
-                                 check_finite=False)
+    def _observe_dense(self, h: int, n: int, row: int, y: np.ndarray,
+                       cost: float) -> None:
+        """Append row `row` (feature y), the n-th observation of step h, to
+        the dense state."""
+        alpha, Z = self.alpha[h], self.Z[h]
+        yy = self.fmap.sq_norms[row]
+        z = Z[:n, row]  # L^-1 K(X, y)
         # The new pivot is a Schur complement of K(X, X) + lam*I, at least
-        # lam > 1 for any positive semi-definite kernel, repeated points
-        # included, so only a broken or non-finite kernel fails this check.
-        diag2 = kyy + self.lam - float(z @ z)
+        # lam > 1 for any positive semi-definite kernel, repeated rows
+        # included, so only a broken kernel fails this check.
+        diag2 = float(self._k(yy, yy, yy)) + self.lam - float(z @ z)
         if not diag2 > 0.0:
             raise RuntimeError("kernel matrix is not positive definite")
         diag = math.sqrt(diag2)
         a = (float(cost) - float(z @ alpha[:n])) / diag
         kyf = self._k(yy, self.fmap.sq_norms, self.fmap.flat @ y)  # k(y, F)
-        r = (kyf - z @ self.Z[h][:n]) / diag
-        self.X[h][n] = y
-        L[n, :n] = z
-        L[n, n] = diag
+        r = (kyf - z @ Z[:n]) / diag
         alpha[n] = a
-        self.Z[h][n] = r
+        Z[n] = r
         self.mean[h] += a * r
         self.var[h] -= r * r
         self.logdet[h] += 2.0 * math.log(diag)
@@ -327,65 +302,44 @@ class GpCostModel:
         return 0.5 * (float(np.log1p(n * (self._a / self.lam)).sum())
                       + math.log1p(self._c * float((n / (self._a * n + self.lam)).sum())))
 
-    def _count_posterior(self, h: int, r=None, kyy=None):
-        """Posterior mean and variance on the count path.
+    def _count_posterior(self, h: int):
+        """Posterior mean and variance at the d unit vectors, on the count
+        path.
 
         Over the observed columns, K(X, X) + lam*I pushes through to
-        M = diag(a + lam/n_j) + c*11^T acting on the column means G_j/n_j,
-        and a query's kernel vector splits as k(y, e_j) = c + r_j.
+        M = diag(a + lam/n_j) + c*11^T acting on the column means G_j/n_j.
         Sherman-Morrison inverts M without dividing by a: with
-        w_j = n_j/(a n_j + lam), T = sum_j G_j/(a n_j + lam),
-        s = c/(1 + c*sum_j w_j) and e = 1 - sum_j w_j r_j,
+        w_j = 1/(a n_j + lam), g_j = G_j w_j, s = c/(1 + c*sum_j n_j w_j)
+        and e_j = lam w_j, the query e_j gets
 
-            mean = sum_j r_j G_j/(a n_j + lam) + s*T*e,
-            var = k(y, y) - c - sum_j w_j r_j^2 + s*e^2.
+            mean_j = a g_j + s*e_j*sum_i g_i,   var_j = a e_j + s e_j^2,
 
-        The sums run over all d columns: an unobserved one has
-        w_j = G_j = 0.  With r None the queries are the d unit vectors,
-        r = a*e_j, for which e = lam/(a n_j + lam) and
-        var = a*e + s*e^2 in closed form, free of cancellation.
+        in closed form, free of cancellation.  The sums run over all d
+        columns: an unobserved one has n_j = G_j = 0.
         """
         a, c, n = self._a, self._c, self.n[h]
         w_hat = 1.0 / (a * n + self.lam)
         g = self.G[h] * w_hat
         s = c / (1.0 + c * float((n * w_hat).sum()))
-        if r is None:
-            e = self.lam * w_hat
-            return a * g + (s * float(g.sum())) * e, a * e + s * e * e
-        w = n * w_hat
-        e = 1.0 - r @ w
-        return r @ g + (s * float(g.sum())) * e, kyy - c - (r * r) @ w + s * e * e
+        e = self.lam * w_hat
+        return a * g + (s * float(g.sum())) * e, a * e + s * e * e
 
-    def posterior(self, h: int, y: np.ndarray) -> tuple[float, float]:
-        """Posterior mean and standard deviation at one query point."""
-        mean, sigma = self.posterior_batch(h, np.asarray(y, dtype=float)[None, :])
-        return float(mean[0]), float(sigma[0])
-
-    def posterior_batch(self, h: int, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at the rows of Y: from the
-        counts over a one-hot map, solved against the Cholesky factor over
-        a dense one."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        sq = _sq_norms(Y)
-        kyy = self._k(sq, sq, sq)
-        n = int(self.count[h])
-        if n == 0:
-            return np.zeros(len(Y)), np.sqrt(np.maximum(kyy, 0.0))
+    def posterior(self, h: int, row: int) -> tuple[float, float]:
+        """Posterior mean and standard deviation at row `row` of the map."""
+        self.fmap.row(row)  # the type and range check
         if self.one_hot:
-            r = self._k(sq[:, None], 1.0, Y) - self._c  # k(y, e_j) - c
-            mean, var = self._count_posterior(h, r, kyy)
+            mean, var = self._count_posterior(h)
+            j = self._cols[row]
+            mean, var = mean[j], var[j]
         else:
-            kmat = self.kern(self.X[h][:n], Y)  # (n, m)
-            zmat = solve_triangular(self.L[h][:n, :n], kmat, lower=True)
-            mean = zmat.T @ self.alpha[h][:n]
-            var = kyy - np.einsum("nm,nm->m", zmat, zmat)
-        return mean, np.sqrt(np.maximum(var, 0.0))
+            mean, var = self.mean[h, row], self.var[h, row]
+        return float(mean), math.sqrt(max(float(var), 0.0))
 
     def _beta(self, h: int) -> float:
         return self.width_scale * gp_beta(self.info_gain(h), self.p / self.H)
 
-    def predict(self, h: int, y: np.ndarray) -> CostEstimate:
-        mean, sigma = self.posterior(h, y)
+    def predict(self, h: int, row: int) -> CostEstimate:
+        mean, sigma = self.posterior(h, row)
         width = self._beta(h) * sigma
         return CostEstimate(value=mean - width, mean=mean, width=width)
 

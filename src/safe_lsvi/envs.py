@@ -110,9 +110,14 @@ class FeatureMap:
 
     def row(self, i) -> np.ndarray:
         """Row i of flat, the feature of (s, a) with i = s*A + a; for an
-        index array, those rows.  The one check of a row index: without it
-        a negative i would wrap around."""
-        if type(i) is not int:  # an index array (or a numpy integer)
+        integer array, those rows.  The one check of a row index: of its
+        type (a python or numpy integer, or an integer array; a bool, a
+        float or a list is not a row) and of its range (without it a
+        negative i would wrap around)."""
+        if type(i) is not int:
+            if not (isinstance(i, (np.integer, np.ndarray)) and i.dtype.kind in "iu"):
+                raise TypeError(f"row index {i!r} is not an integer or an "
+                                "integer array")
             lo, hi = int(i.min()), int(i.max())
             self.row(lo if lo < 0 else hi)
         elif not 0 <= i < len(self.flat):

@@ -37,11 +37,15 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _placeholder_map(d: int) -> sl.FeatureMap:
-    """A dense (not one-hot) map of dimension d, for the GP checks that
-    observe points off it: the dense GP reads its map only for the cached
-    posterior over the map's rows."""
-    return sl.FeatureMap(d, np.full((1, 1, d), 0.5 / math.sqrt(d)))
+def _map_of(points: np.ndarray) -> sl.FeatureMap:
+    """A map with one action per state whose features are the points."""
+    return sl.FeatureMap(points.shape[1], points.reshape(len(points), 1, -1))
+
+
+# Points drawn from [-1, 1]^2 can leave the unit ball.  A map holds them
+# scaled by 1/sqrt(2), and the sqexp lengthscale is scaled alike, so every
+# kernel value stays the same up to rounding.
+SQRT_HALF = math.sqrt(0.5)
 
 
 LAKE_AGENTS = ("lsvi_ae", "lsvi", "lsvi_primal")
@@ -146,7 +150,7 @@ def test_criterion_4_condition_one_optimism():
             model.observe(h, s * cmdp.num_actions + a, obs)
         for h, s, a in product(range(cmdp.horizon), range(cmdp.num_states),
                                range(cmdp.num_actions)):
-            est = model.predict(h, fmap.table[s, a])
+            est = model.predict(h, s * cmdp.num_actions + a)
             true = cmdp.cost_mean[h, s, a]
             lin_total += 1
             lin_over += int(est.value > true)
@@ -161,11 +165,12 @@ def test_criterion_4_condition_one_optimism():
         cov = kern(pts, pts) + 1e-10 * np.eye(40)
         truth = np.clip(np.linalg.cholesky(cov) @ rng.normal(size=40), -1, 1)
         model = GpCostModel("sqexp", total_episodes=25, horizon=1,
-                            lengthscale=0.5, p=p, feature_map=_placeholder_map(2))
+                            lengthscale=0.5 * SQRT_HALF, p=p,
+                            feature_map=_map_of(pts * SQRT_HALF))
         for i in range(25):
-            model.observe(0, pts[i], float(truth[i]))
+            model.observe(0, i, float(truth[i]))
         for i in range(25, 40):
-            est = model.predict(0, pts[i])
+            est = model.predict(0, i)
             gp_total += 1
             gp_over += int(est.value > truth[i])
             gp_uncov += int(truth[i] - est.value > est.width_two_sided)
@@ -226,34 +231,35 @@ def test_criterion_6_numerical_identities():
 
     # GP with linear kernel vs primal ridge mean
     ridge_err = 0.0
-    gp = GpCostModel("linear", total_episodes=50, horizon=1,
-                     feature_map=_placeholder_map(4))
-    points, costs = np.zeros((30, 4)), []
+    points, costs = np.zeros((50, 4)), []
     for i in range(30):
         y = rng.normal(size=4)
         y /= np.linalg.norm(y)
         points[i] = y
         costs.append(float(np.clip(rng.normal(0, 0.4), -1, 1)))
-    # The ridge model observes the points as the rows of its map, the GP as
-    # points.
-    ridge = LinearCostModel(sl.FeatureMap(4, points.reshape(30, 1, 4)), horizon=1,
-                            lam=gp.lam)
-    for row, (y, cost) in enumerate(zip(points, costs)):
-        gp.observe(0, y, cost)
-        ridge.observe(0, row, cost)
-    for _ in range(20):
+    for i in range(30, 50):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        ridge_err = max(ridge_err,
-                        abs(gp.posterior(0, q)[0] - float(q @ ridge.theta(0))))
+        points[i] = q
+    # Both models observe the first 30 points as rows of one map; the other
+    # 20 are the queries.
+    fmap = _map_of(points)
+    gp = GpCostModel("linear", total_episodes=50, horizon=1, feature_map=fmap)
+    ridge = LinearCostModel(fmap, horizon=1, lam=gp.lam)
+    for row, cost in enumerate(costs):
+        gp.observe(0, row, cost)
+        ridge.observe(0, row, cost)
+    for row in range(30, 50):
+        ridge_err = max(ridge_err, abs(gp.posterior(0, row)[0]
+                                       - float(points[row] @ ridge.theta(0))))
 
     # incremental information gain vs batch log det
     info_err = 0.0
-    model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6,
-                        feature_map=_placeholder_map(2))
     pts = rng.uniform(-1, 1, size=(30, 2))
-    for y in pts:
-        model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))
+    model = GpCostModel("sqexp", total_episodes=60, horizon=1,
+                        lengthscale=0.6 * SQRT_HALF, feature_map=_map_of(pts * SQRT_HALF))
+    for row in range(30):
+        model.observe(0, row, float(np.clip(rng.normal(0, 0.3), -1, 1)))
     kern = make_kernel("sqexp", 0.6)
     _, logdet = np.linalg.slogdet(np.eye(30) + kern(pts, pts) / model.lam)
     info_err = abs(model.info_gain(0) - 0.5 * logdet)

@@ -1,11 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import safe_lsvi
 from safe_lsvi.bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
                              Metrics, emit_results, fit_growth_exponent,
                              run_experiment)
@@ -600,3 +604,26 @@ def test_run_with_gp_linear_kernel():
                            cost_model="gp", kernel="linear", seed=6)
     metrics = run_experiment(cfg)
     assert len(metrics.rewards) == 15
+
+
+def test_run_with_gp_on_dense_features():
+    # The hard instance's features are dense (not one-hot), so the GP keeps
+    # its cross factor over the feature set.
+    cfg = ExperimentConfig(env="hard_instance", agent="lsvi_ae", episodes=40,
+                           horizon=3, dim=5, beta_override=1.0,
+                           cost_model="gp", kernel="sqexp", cost_width_scale=0.1,
+                           seed=0)
+    metrics = run_experiment(cfg)
+    assert len(metrics.rewards) == 40
+    assert np.isfinite(metrics.cum_violation).all()
+    assert np.isfinite(metrics.cum_regret).all()
+
+
+def test_importing_the_package_does_not_load_scipy():
+    # scipy is a test dependency only: nothing the package runs imports it.
+    code = "import sys, safe_lsvi.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(safe_lsvi.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -20,13 +21,6 @@ def map_of(rows):
     """A FeatureMap with one action per state whose features are rows."""
     rows = np.asarray(rows, dtype=float)
     return FeatureMap(rows.shape[1], rows.reshape(len(rows), 1, -1))
-
-
-def placeholder_map(d):
-    """A dense (not one-hot) map of dimension d, for GP tests that observe
-    points off it: the dense GP reads its map only for the cached posterior
-    over the map's rows."""
-    return map_of(np.full((1, d), 0.5 / math.sqrt(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +86,7 @@ def _toy_fmap(rng, S=3, A=2, d=4):
 def test_linear_no_data_prior():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=2, lam=1.0, p=0.1)
-    phi = fmap.flat[0]
-    est = model.predict(0, phi)
+    est = model.predict(0, 0)
     assert est.mean == 0.0
     assert est.value == pytest.approx(-tilde_beta(1.0, 4, 1, 0.1 / 2))
     assert est.width_two_sided == pytest.approx(2.0 * est.width)
@@ -123,9 +116,8 @@ def test_linear_incremental_matches_batch_ridge():
 
 
 def test_linear_zero_feature_estimate():
-    fmap = one_hot_features(2, 2)
-    model = LinearCostModel(fmap, horizon=1)
-    est = model.predict(0, np.zeros(4))
+    model = LinearCostModel(map_of(np.zeros((1, 4))), horizon=1)
+    est = model.predict(0, 0)
     assert est.mean == 0.0 and est.width == 0.0 and est.value == 0.0
 
 
@@ -184,7 +176,7 @@ def test_linear_condition_one_frequencies():
         for h in range(cmdp.horizon):
             for s in range(cmdp.num_states):
                 for a in range(cmdp.num_actions):
-                    est = model.predict(h, fmap.table[s, a])
+                    est = model.predict(h, s * cmdp.num_actions + a)
                     true = cmdp.cost_mean[h, s, a]
                     total += 1
                     over += int(est.value > true)
@@ -208,83 +200,63 @@ def test_kernel_registry():
         make_kernel("matern")
 
 
-def test_gp_first_observation_cholesky():
-    K = 4
-    model = GpCostModel("sqexp", total_episodes=K, horizon=1,
-                        feature_map=placeholder_map(2))
-    model.observe(0, np.array([0.3, 0.4]), 0.5)
-    assert model.chol[0][0, 0] == pytest.approx(math.sqrt(2.0 + 2.0 / K))
-
-
-def test_gp_cholesky_matches_dense():
-    rng = np.random.default_rng(4)
-    model = GpCostModel("sqexp", total_episodes=100, horizon=1, lengthscale=0.7,
-                        feature_map=placeholder_map(3))
-    pts = rng.uniform(-1, 1, size=(40, 3))
-    for y in pts:
-        model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))
-    kern = make_kernel("sqexp", 0.7)
-    dense = np.linalg.cholesky(kern(pts, pts) + model.lam * np.eye(40))
-    assert np.abs(model.chol[0] - dense).max() <= 1e-8
-
-
 def test_gp_duplicate_point_stays_pd():
     model = GpCostModel("linear", total_episodes=10, horizon=1,
-                        feature_map=placeholder_map(2))
-    y = np.array([0.6, 0.8])
-    model.observe(0, y, 0.2)
-    model.observe(0, y, 0.3)  # no error: the regularizer keeps things PD
+                        feature_map=map_of([[0.6, 0.8]]))
+    model.observe(0, 0, 0.2)
+    model.observe(0, 0, 0.3)  # no error: the regularizer keeps things PD
     assert model.num_obs(0) == 2
 
 
 def test_gp_prior_posterior():
     model = GpCostModel("sqexp", total_episodes=10, horizon=1,
-                        feature_map=placeholder_map(2))
-    mean, sigma = model.posterior(0, np.array([0.1, 0.2]))
+                        feature_map=map_of([[0.1, 0.2]]))
+    mean, sigma = model.posterior(0, 0)
     assert mean == 0.0
     assert sigma == pytest.approx(1.0)
 
 
 def test_gp_posterior_shrinks_at_observed_point():
     model = GpCostModel("sqexp", total_episodes=50, horizon=1,
-                        feature_map=placeholder_map(2))
-    y = np.array([0.5, -0.2])
-    _, prior_sigma = model.posterior(0, y)
-    model.observe(0, y, 0.4)
-    _, post_sigma = model.posterior(0, y)
+                        feature_map=map_of([[0.5, -0.2]]))
+    _, prior_sigma = model.posterior(0, 0)
+    model.observe(0, 0, 0.4)
+    _, post_sigma = model.posterior(0, 0)
     assert post_sigma < prior_sigma
+
+
+# Points drawn from [-1, 1]^2 can leave the unit ball.  A map holds them
+# scaled by 1/sqrt(2), and the sqexp lengthscale is scaled alike, so every
+# kernel value stays the same up to rounding.
+SQRT_HALF = math.sqrt(0.5)
 
 
 def test_gp_variance_monotone_in_observations():
     rng = np.random.default_rng(6)
-    model = GpCostModel("sqexp", total_episodes=50, horizon=1, lengthscale=0.8,
-                        feature_map=placeholder_map(2))
-    query = np.array([0.0, 0.0])
-    last = model.posterior(0, query)[1]
-    for _ in range(25):
-        model.observe(0, rng.uniform(-1, 1, size=2),
-                      float(np.clip(rng.normal(), -1, 1)))
-        sigma = model.posterior(0, query)[1]
+    draws = [(rng.uniform(-1, 1, size=2), float(np.clip(rng.normal(), -1, 1)))
+             for _ in range(25)]
+    # Row 0 is the query, rows 1.. the observed points.
+    fmap = map_of(np.vstack([np.zeros(2)] + [y for y, _ in draws]) * SQRT_HALF)
+    model = GpCostModel("sqexp", total_episodes=50, horizon=1,
+                        lengthscale=0.8 * SQRT_HALF, feature_map=fmap)
+    last = model.posterior(0, 0)[1]
+    for row, (_, cost) in enumerate(draws, start=1):
+        model.observe(0, row, cost)
+        sigma = model.posterior(0, 0)[1]
         assert sigma <= last + 1e-10
         last = sigma
 
 
 def test_gp_preclamp_variance_not_too_negative():
     rng = np.random.default_rng(13)
+    draws = [(ball_features(rng, 1, 3)[0], float(np.clip(rng.normal(0, 0.2), -1, 1)))
+             for _ in range(60)]
     model = GpCostModel("linear", total_episodes=200, horizon=1,
-                        feature_map=placeholder_map(3))
-    kern = make_kernel("linear")
-    pts = []
-    for _ in range(60):
-        y = ball_features(rng, 1, 3)[0]
-        model.observe(0, y, float(np.clip(rng.normal(0, 0.2), -1, 1)))
-        pts.append(y)
-    from scipy.linalg import solve_triangular
-    for y in pts:
-        kvec = kern(np.array(pts), y[None, :])[:, 0]
-        z = solve_triangular(model.chol[0], kvec, lower=True)
-        raw = float(kern(y[None, :], y[None, :])[0, 0]) - float(z @ z)
-        assert raw >= -1e-10
+                        feature_map=map_of([y for y, _ in draws]))
+    for row, (_, cost) in enumerate(draws):
+        model.observe(0, row, cost)
+    # The posterior variance at every observed row, before the clamp at 0.
+    assert model.var[0].min() >= -1e-10
 
 
 def test_gp_kernel_ridge_matches_primal_mean():
@@ -292,22 +264,22 @@ def test_gp_kernel_ridge_matches_primal_mean():
     # equals the ridge prediction at every query point.
     rng = np.random.default_rng(3)
     d, n, K = 5, 30, 100
-    gp = GpCostModel("linear", total_episodes=K, horizon=1,
-                     feature_map=placeholder_map(5))
     rows = ball_features(rng, 4, d)
     points, costs = [], []
     for _ in range(n):
         points.append(ball_features(rng, 1, d)[0])
         costs.append(float(np.clip(rng.normal(0, 0.4), -1, 1)))
-    # The ridge model observes the points as rows of its map, after its
-    # own four rows; the GP observes them as points.
-    ridge = LinearCostModel(map_of(np.vstack([rows] + points)), horizon=1, lam=gp.lam)
-    for i, (y, cost) in enumerate(zip(points, costs)):
-        gp.observe(0, y, cost)
+    queries = [ball_features(rng, 1, d)[0] for _ in range(20)]
+    # Both models observe the points as rows of one map, after its own four
+    # rows; the queries are its last rows.
+    fmap = map_of(np.vstack([rows] + points + queries))
+    gp = GpCostModel("linear", total_episodes=K, horizon=1, feature_map=fmap)
+    ridge = LinearCostModel(fmap, horizon=1, lam=gp.lam)
+    for i, cost in enumerate(costs):
+        gp.observe(0, len(rows) + i, cost)
         ridge.observe(0, len(rows) + i, cost)
-    for _ in range(20):
-        q = ball_features(rng, 1, d)[0]
-        gp_mean, _ = gp.posterior(0, q)
+    for row, q in enumerate(queries, start=len(rows) + n):
+        gp_mean, _ = gp.posterior(0, row)
         assert abs(gp_mean - float(q @ ridge.theta(0))) <= 1e-8
 
 
@@ -316,21 +288,22 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     # primal width beta must be gp_beta * sqrt(lam) for the LCBs to coincide.
     rng = np.random.default_rng(14)
     d, K = 4, 64
-    gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1,
-                     feature_map=placeholder_map(4))
     points, costs = [], []
     for _ in range(25):
         points.append(ball_features(rng, 1, d)[0])
         costs.append(float(np.clip(rng.normal(0, 0.4), -1, 1)))
-    # The ridge model observes the points as the rows of its map.
-    ridge = LinearCostModel(map_of(points), horizon=1, lam=gp.lam, p=0.1)
-    for i, (y, cost) in enumerate(zip(points, costs)):
-        gp.observe(0, y, cost)
-        ridge.observe(0, i, cost)
+    queries = [ball_features(rng, 1, d)[0] for _ in range(10)]
+    # Both models observe the points as the first rows of one map; the
+    # queries are its last rows.
+    fmap = map_of(points + queries)
+    gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1, feature_map=fmap)
+    ridge = LinearCostModel(fmap, horizon=1, lam=gp.lam, p=0.1)
+    for row, cost in enumerate(costs):
+        gp.observe(0, row, cost)
+        ridge.observe(0, row, cost)
     beta_aligned = gp_beta(gp.info_gain(0), 0.1 / 1) * math.sqrt(gp.lam)
-    for _ in range(10):
-        q = ball_features(rng, 1, d)[0]
-        lhs = gp.predict(0, q).value
+    for row, q in enumerate(queries, start=len(points)):
+        lhs = gp.predict(0, row).value
         rhs = (q @ ridge.theta(0)
                - beta_aligned * math.sqrt(ridge.stats[0].quad_form(q)))
         assert abs(lhs - rhs) <= 1e-8
@@ -338,8 +311,8 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
 
 def test_gp_prior_lcb():
     model = GpCostModel("sqexp", total_episodes=10, horizon=2, p=0.1,
-                        feature_map=placeholder_map(2))
-    est = model.predict(0, np.array([0.2, 0.2]))
+                        feature_map=map_of([[0.2, 0.2]]))
+    est = model.predict(0, 0)
     assert est.value == pytest.approx(-gp_beta(0.0, 0.1 / 2))
 
 
@@ -357,11 +330,12 @@ def test_gp_condition_one_on_gp_sampled_truth():
         f = np.clip(f, -1, 1)
         train, test = np.arange(25), np.arange(25, 40)
         model = GpCostModel("sqexp", total_episodes=25, horizon=1,
-                            lengthscale=0.5, p=p, feature_map=placeholder_map(2))
+                            lengthscale=0.5 * SQRT_HALF, p=p,
+                            feature_map=map_of(pts * SQRT_HALF))
         for i in train:
-            model.observe(0, pts[i], float(f[i]))
+            model.observe(0, i, float(f[i]))
         for i in test:
-            est = model.predict(0, pts[i])
+            est = model.predict(0, i)
             total += 1
             over += int(est.value > f[i])
             uncovered += int(f[i] - est.value > est.width_two_sided)
@@ -375,7 +349,7 @@ def test_gp_condition_one_on_gp_sampled_truth():
 
 def test_info_gain_empty():
     model = GpCostModel("sqexp", total_episodes=10, horizon=2,
-                        feature_map=placeholder_map(2))
+                        feature_map=map_of([[0.3, 0.4]]))
     assert model.info_gain(0) == 0.0
     assert model.info_gain(1) == 0.0
 
@@ -383,19 +357,19 @@ def test_info_gain_empty():
 def test_info_gain_single_unit_kernel_point():
     K = 2
     model = GpCostModel("sqexp", total_episodes=K, horizon=1,
-                        feature_map=placeholder_map(2))
-    model.observe(0, np.array([0.0, 0.0]), 0.1)
+                        feature_map=map_of([[0.0, 0.0]]))
+    model.observe(0, 0, 0.1)
     lam = 1.0 + 2.0 / K
     assert model.info_gain(0) == pytest.approx(0.5 * math.log(1.0 + 1.0 / lam))
 
 
 def test_info_gain_matches_dense_logdet():
     rng = np.random.default_rng(12)
-    model = GpCostModel("sqexp", total_episodes=60, horizon=1, lengthscale=0.6,
-                        feature_map=placeholder_map(2))
     pts = rng.uniform(-1, 1, size=(30, 2))
-    for y in pts:
-        model.observe(0, y, float(np.clip(rng.normal(0, 0.3), -1, 1)))
+    model = GpCostModel("sqexp", total_episodes=60, horizon=1,
+                        lengthscale=0.6 * SQRT_HALF, feature_map=map_of(pts * SQRT_HALF))
+    for row in range(30):
+        model.observe(0, row, float(np.clip(rng.normal(0, 0.3), -1, 1)))
     kern = make_kernel("sqexp", 0.6)
     _, logdet = np.linalg.slogdet(np.eye(30) + kern(pts, pts) / model.lam)
     assert abs(model.info_gain(0) - 0.5 * logdet) <= 1e-8
@@ -403,12 +377,13 @@ def test_info_gain_matches_dense_logdet():
 
 def test_info_gain_nondecreasing():
     rng = np.random.default_rng(15)
+    draws = [(ball_features(rng, 1, 3)[0], float(np.clip(rng.normal(), -1, 1)))
+             for _ in range(20)]
     model = GpCostModel("linear", total_episodes=40, horizon=1,
-                        feature_map=placeholder_map(3))
+                        feature_map=map_of([y for y, _ in draws]))
     last = 0.0
-    for _ in range(20):
-        model.observe(0, ball_features(rng, 1, 3)[0],
-                      float(np.clip(rng.normal(), -1, 1)))
+    for row, (_, cost) in enumerate(draws):
+        model.observe(0, row, cost)
         gamma = model.info_gain(0)
         assert gamma >= last - 1e-10
         last = gamma
@@ -416,9 +391,9 @@ def test_info_gain_nondecreasing():
 
 def test_gp_rejects_out_of_range_cost():
     model = GpCostModel("sqexp", total_episodes=10, horizon=1,
-                        feature_map=placeholder_map(2))
+                        feature_map=map_of([[0.0, 0.0]]))
     with pytest.raises(ValueError):
-        model.observe(0, np.array([0.0, 0.0]), -1.2)
+        model.observe(0, 0, -1.2)
 
 
 def test_gp_rejects_a_nan_cost_and_keeps_its_state():
@@ -443,9 +418,17 @@ def test_one_hot_gp_rejects_a_point_and_keeps_its_state(point):
     model.observe(0, 1, 0.5)
     model.observe(1, 3, -0.25)
     before = [x.tobytes() for x in (model.n, model.G, model.count)]
-    with pytest.raises(TypeError, match="one-hot .* by index, not points"):
+    with pytest.raises(TypeError, match="row index .* is not an integer"):
         model.observe(0, point, 0.5)
     assert [x.tobytes() for x in (model.n, model.G, model.count)] == before
+
+
+def test_one_hot_gp_observes_one_row_at_a_time():
+    model = GpCostModel("sqexp", total_episodes=5, horizon=1,
+                        feature_map=one_hot_features(2, 2))
+    with pytest.raises(TypeError):
+        model.observe(0, np.array([0, 1]), 0.5)
+    assert model.num_obs(0) == 0 and not model.n.any() and not model.G.any()
 
 
 def test_one_hot_gp_rejects_a_kernel_not_finite_on_unit_vectors():
@@ -455,28 +438,47 @@ def test_one_hot_gp_rejects_a_kernel_not_finite_on_unit_vectors():
                     feature_map=one_hot_features(2, 2))
 
 
+def test_dense_gp_rejects_a_kernel_not_finite_on_the_feature_set():
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        GpCostModel("sqexp", total_episodes=5, horizon=1, lengthscale=1e-160,
+                    feature_map=_toy_fmap(np.random.default_rng(0)))
+
+
+def _array_bytes(model):
+    """Bytes of every array a model holds, in lists of arrays too."""
+    return sum(x.nbytes for v in vars(model).values()
+               for x in (v if isinstance(v, list) else [v]) if isinstance(x, np.ndarray))
+
+
 def test_one_hot_gp_memory_does_not_depend_on_k():
     fmap = one_hot_features(100, 4)
-
-    def array_bytes(model):
-        return sum(x.nbytes for x in vars(model).values() if isinstance(x, np.ndarray))
     big = GpCostModel("sqexp", total_episodes=10 ** 6, horizon=15, feature_map=fmap)
     small = GpCostModel("sqexp", total_episodes=10, horizon=15, feature_map=fmap)
-    assert array_bytes(big) == array_bytes(small) <= 3 * 15 * fmap.dim * 8
+    assert _array_bytes(big) == _array_bytes(small) <= 3 * 15 * fmap.dim * 8
+
+
+def test_dense_gp_memory_is_linear_in_k():
+    # Each extra episode adds, per step, one entry of alpha and one row of
+    # the cross factor over the S*A rows: no K x K array is kept.
+    fmap = _toy_fmap(np.random.default_rng(0), S=5, A=3)
+    H, episodes = 4, (1, 2, 10, 100)
+    sizes = [_array_bytes(GpCostModel("sqexp", total_episodes=K, horizon=H,
+                                      feature_map=fmap)) for K in episodes]
+    assert [size - sizes[0] for size in sizes] == \
+        [(K - 1) * H * (len(fmap.flat) + 1) * 8 for K in episodes]
 
 
 def test_gp_step_holds_at_most_k_points():
     K = 3
     model = GpCostModel("sqexp", total_episodes=K, horizon=2,
-                        feature_map=placeholder_map(2))
-    y = np.array([0.6, 0.8])
+                        feature_map=map_of([[0.6, 0.8]]))
     for _ in range(K):
-        model.observe(0, y, 0.1)
+        model.observe(0, 0, 0.1)
     with pytest.raises(ValueError, match=r"step 0 .*K=3"):
-        model.observe(0, y, 0.1)
+        model.observe(0, 0, 0.1)
     assert model.num_obs(0) == K
     for _ in range(K):  # the other step still takes its K points
-        model.observe(1, y, 0.1)
+        model.observe(1, 0, 0.1)
     assert model.num_obs(1) == K
 
 
@@ -496,8 +498,8 @@ GP_KERNELS = st.sampled_from([("linear", 1.0), ("sqexp", 0.3), ("sqexp", 0.7),
 
 def _observed_gp(rng, kernel, lengthscale, horizon):
     """A GP cost model on a small feature map after a random observe
-    sequence: mostly rows of the map, repeats included, some points off it.
-    Returns the model and each step's (points, costs)."""
+    sequence of its rows, repeats included.  Returns the model and each
+    step's (points, costs)."""
     S, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     table = ball_features(rng, S * A, d) * rng.uniform(0.2, 1.0, size=(S * A, 1))
     fmap = FeatureMap(dim=d, table=table.reshape(S, A, d))
@@ -511,14 +513,10 @@ def _observed_gp(rng, kernel, lengthscale, horizon):
     data = [([], []) for _ in range(horizon)]
     for _ in range(num_obs):
         h = int(rng.integers(horizon))
-        if rng.uniform() < 0.8:
-            y = rng.integers(S * A)  # a row, passed by index as the run does
-            point = fmap.flat[y]
-        else:
-            y = point = ball_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0)
+        row = rng.integers(S * A)  # a numpy integer, as the run's rows can be
         cost = float(rng.uniform(-1, 1))
-        model.observe(h, y, cost)
-        data[h][0].append(point)
+        model.observe(h, row, cost)
+        data[h][0].append(fmap.flat[row])
         data[h][1].append(cost)
     return model, data
 
@@ -547,11 +545,23 @@ def _dense_gp_lcb(model, points, costs):
     return (mean - beta * np.sqrt(np.maximum(var, 0.0))).reshape(S, A)
 
 
+def _assert_posterior_and_predict(model, h, table, points, costs, tol):
+    """posterior(h, row) matches the dense posterior at every row to tol,
+    and predict(h, row).value is the LCB table's entry, bit for bit."""
+    mean, var, _ = _dense_gp_posterior(model, points, costs, model.fmap.flat)
+    got = np.array([model.posterior(h, row) for row in range(table.size)])
+    assert np.abs(got[:, 0] - mean).max() <= tol
+    assert np.abs(got[:, 1] - np.sqrt(np.maximum(var, 0.0))).max() <= tol
+    values = np.array([model.predict(h, row).value for row in range(table.size)])
+    assert values.tobytes() == table.ravel().tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(kernel=GP_KERNELS, seed=SEEDS)
-def test_gp_lcb_table_equals_dense_and_cholesky_posteriors(kernel, seed):
+def test_gp_lcb_table_equals_dense_posterior_and_predict(kernel, seed):
     rng = np.random.default_rng(seed)
     model, data = _observed_gp(rng, *kernel, horizon=2)
+    assert not model.one_hot
     kern, calls = model.kern, []
 
     def counted(a, b):
@@ -561,38 +571,9 @@ def test_gp_lcb_table_equals_dense_and_cholesky_posteriors(kernel, seed):
     tables = [model.lcb_table(h) for h in range(model.H)]
     model.kern = kern
     assert calls == []  # served from the cache, without a kernel call
-    S, A, _ = model.fmap.table.shape
     for h, (table, (points, costs)) in enumerate(zip(tables, data)):
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-8
-        mean, sigma = model.posterior_batch(h, model.fmap.flat)
-        beta = model.width_scale * gp_beta(model.info_gain(h), model.p / model.H)
-        assert np.abs(table - (mean - beta * sigma).reshape(S, A)).max() <= 1e-8
-
-
-@settings(max_examples=60, deadline=None)
-@given(kernel=GP_KERNELS, seed=SEEDS)
-def test_gp_fed_row_indices_equals_gp_fed_their_vectors(kernel, seed):
-    rng = np.random.default_rng(seed)
-    S, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
-    table = ball_features(rng, S * A, d) * rng.uniform(0.2, 1.0, size=(S * A, 1))
-    fmap = FeatureMap(dim=d, table=table.reshape(S, A, d))
-    K, horizon = int(rng.integers(1, 30)), 2
-    by_row, by_vector = (GpCostModel(kernel[0], total_episodes=K, horizon=horizon,
-                                     lengthscale=kernel[1], feature_map=fmap)
-                         for _ in range(2))
-    for _ in range(int(rng.integers(0, 2 * K + 1))):
-        h = int(rng.integers(horizon))
-        if by_row.num_obs(h) == K:
-            continue
-        row, cost = rng.integers(S * A), float(rng.uniform(-1, 1))
-        by_row.observe(h, row, cost)
-        by_vector.observe(h, fmap.flat[row].copy(), cost)
-    for h in range(horizon):
-        for name in ("X", "L", "alpha", "Z"):
-            assert getattr(by_row, name)[h].tobytes() == \
-                getattr(by_vector, name)[h].tobytes(), name
-    for name in ("mean", "var", "logdet"):
-        assert getattr(by_row, name).tobytes() == getattr(by_vector, name).tobytes(), name
+        _assert_posterior_and_predict(model, h, table, points, costs, 1e-8)
 
 
 ONE_HOT_KERNELS = st.sampled_from([(kernel, lengthscale) for kernel in ("linear", "sqexp")
@@ -637,19 +618,16 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
     tables = [model.lcb_table(h) for h in range(horizon)]
     model.kern, model._k = kern, k
     assert calls == []  # no kernel call, neither through kern nor pointwise
-    Y = np.vstack([fmap.flat, ball_features(rng, 5, d) * rng.uniform(0, 1, size=(5, 1))])
     for h, (table, (points, costs)) in enumerate(zip(tables, data)):
         assert model.num_obs(h) == len(points)
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-10
-        mean, var, gamma = _dense_gp_posterior(model, points, costs, Y)
+        _, _, gamma = _dense_gp_posterior(model, points, costs, fmap.flat)
         assert abs(model.info_gain(h) - gamma) <= 1e-10
-        got_mean, got_sigma = model.posterior_batch(h, Y)
-        assert np.abs(got_mean - mean).max() <= 1e-10
-        assert np.abs(got_sigma - np.sqrt(np.maximum(var, 0.0))).max() <= 1e-10
+        _assert_posterior_and_predict(model, h, table, points, costs, 1e-10)
 
 
 # ---------------------------------------------------------------------------
-# Row indices out of range
+# Row indices out of range or of another type
 # ---------------------------------------------------------------------------
 
 def _row_entry_point(name, fmap):
@@ -659,16 +637,19 @@ def _row_entry_point(name, fmap):
         g = GramState(fmap, 1.0)
         return g.update, lambda: (g.inv.copy(), g.quad_forms().copy(), g.count)
     if name == "learner":
-        # An episode of two steps whose last row is the one tried.
+        # An episode of two steps whose last row is the one tried.  A value
+        # that is not an integer is tried as both rows, so that the array
+        # the learner makes of the episode keeps its type ([2, True] would
+        # become the integer rows [2, 1]).
         lr = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
-        return (lambda row: lr.ingest_episode([2, row], [0.5, 0.5], [0, 1]),
+        return (lambda row: lr.ingest_episode([2, row] if type(row) is int else [row, row],
+                                              [0.5, 0.5], [0, 1]),
                 lambda: [x.copy() for g in lr.stats for x in (g.inv, g.quad_forms())]
                 + [[g.count for g in lr.stats], lr.reward_feats.copy(),
                    lr.next_feats.copy()])
     if name == "gp":
         m = GpCostModel("sqexp", total_episodes=4, horizon=1, feature_map=fmap)
-        state = ("n", "G") if m.one_hot else ("X", "L", "alpha", "Z", "mean", "var",
-                                               "logdet")
+        state = ("n", "G") if m.one_hot else ("alpha", "Z", "mean", "var", "logdet")
         return (lambda row: m.observe(0, row, 0.5),
                 lambda: [np.array(getattr(m, name)) for name in state] + [m.num_obs(0)])
     stats = [GramState(fmap, 1.0)] if name == "linear-shared" else None
@@ -677,7 +658,11 @@ def _row_entry_point(name, fmap):
             lambda: (m.b[0].copy(), m.stats[0].inv.copy(), m.stats[0].count))
 
 
-@pytest.mark.parametrize("row", [-1, 4], ids=["minus-one", "S*A"])
+BAD_ROWS = {"bool": True, "float": 1.0, "list": [1], "float-array": np.array([1.0])}
+
+
+@pytest.mark.parametrize("row", [-1, 4, *BAD_ROWS.values()],
+                         ids=["minus-one", "S*A", *BAD_ROWS])
 @pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
 @pytest.mark.parametrize("entry", ["gram", "linear-owned", "linear-shared", "gp",
                                    "learner"])
@@ -687,7 +672,16 @@ def test_a_row_outside_the_map_is_rejected_and_changes_nothing(entry, one_hot, r
     observe, snapshot = _row_entry_point(entry, fmap)
     observe(1)
     before = snapshot()
-    with pytest.raises(IndexError, match=rf"row {row} outside \[0, 4\)"):
+    if type(row) is int:
+        error = IndexError, rf"row {row} outside \[0, 4\)"
+    elif entry == "learner":
+        # The learner checks the array it makes of the episode: a sequence
+        # in place of a row fails its shape, a bool or a float its type.
+        error = (ValueError, r"must have shape \(2,\)") if np.ndim(row) else \
+            (TypeError, r"row index array\(.*\) is not an integer")
+    else:
+        error = TypeError, rf"row index {re.escape(repr(row))} is not an integer"
+    with pytest.raises(error[0], match=error[1]):
         observe(row)
     for old, new in zip(before, snapshot()):
         assert np.asarray(old).tobytes() == np.asarray(new).tobytes()

@@ -2,7 +2,8 @@
 
 Each cell runs through run_experiment and emit_results, and the sha256 of
 its results.csv is compared with the digest recorded here.  The digests were
-taken with one BLAS thread (tests/conftest.py), numpy 2.4.6 and scipy 1.17.1.
+taken with one BLAS thread (tests/conftest.py) and numpy 2.4.6; the package
+does not import scipy, so no digest depends on it.
 A change that moves any of them changes the program's output: record the
 new digest in CHANGES.md together with its reason.
 
