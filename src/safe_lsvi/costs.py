@@ -8,17 +8,20 @@ otherwise.  A run observes and queries costs only at (s, a) pairs, the rows
 of the feature map, so both models take a row index s*A + a and nothing
 else: observe(h, row, cost), predict(h, row) and lcb_table(h), the (S, A)
 table of lower-confidence costs.  Both serve it from state they update per
-observation: the ridge model from the shared design statistics; the GP,
-over a one-hot (tabular) feature map, from per-column observation counts
-and cost sums (O(1) to add, O(d) to query, through Sherman-Morrison and the
-matrix determinant lemma), and over a dense map from a cross factor
-L^-1 K(X, F) over the feature set F that grows one row per observation
-(O(n * S*A) to add, O(S*A) to query).  The GP holds at most K observations
-per step, one per episode; nothing of its one-hot state is sized by K, and
-its dense state lives in arrays allocated once, linear in K.  Widths spend
-p/H of the model's own p (one union-bound share per step), and width_scale
-is a practical multiplier on the theoretical width (1.0 reproduces the
-closed forms; benchmark configs shrink it).
+observation, kept per column of a one-hot (tabular) feature map or per
+distinct row of a dense one and gathered once over the S*A rows: the ridge
+model from the shared design statistics; the GP, over a one-hot map, from
+per-column observation counts and cost sums (O(1) to add, O(d) to query,
+through Sherman-Morrison and the matrix determinant lemma), and over a
+dense map from a cross factor L^-1 K(X, F) over the U distinct rows F that
+grows one row per observation (O(n * U) to add, O(U) to query).  A row's
+predict(h, row).value is its entry of lcb_table(h), bit for bit: both read
+the same per-column or per-distinct-row arrays.  The GP holds at most K
+observations per step, one per episode; nothing of its one-hot state is
+sized by K, and its dense state lives in arrays allocated once, linear in
+K.  Widths spend p/H of the model's own p (one union-bound share per step),
+and width_scale is a practical multiplier on the theoretical width (1.0
+reproduces the closed forms; benchmark configs shrink it).
 """
 
 from __future__ import annotations
@@ -156,19 +159,18 @@ class LinearCostModel:
         return self.width_scale * tilde_beta(self.lam, self.d, k, self.p / self.H)
 
     def predict(self, h: int, row: int) -> CostEstimate:
-        """The estimate at row `row` of the feature map."""
-        phi = self.fmap.row(row)
-        mean = float(phi @ self.theta(h))
-        width = self._beta(h) * math.sqrt(self.stats[h].quad_form(phi))
+        """The estimate at row `row` of the feature map: its entry of
+        lcb_table(h), from the same arrays."""
+        self.fmap.row(row)  # the type and range check
+        mean, root = self.stats[h].terms(self.theta(h))
+        i = self.stats[h].index[row]
+        mean, width = float(mean[i]), self._beta(h) * float(root[i])
         return CostEstimate(value=mean - width, mean=mean, width=width)
 
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape (S, A)."""
         S, A, _ = self.fmap.table.shape
-        mean = self.stats[h].feature_dot(self.theta(h))
-        width = self._beta(h) * np.sqrt(
-            np.maximum(self.stats[h].quad_forms(), 0.0))
-        return (mean - width).reshape(S, A)
+        return self.stats[h].bounds(self.theta(h), -self._beta(h)).reshape(S, A)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +178,11 @@ class LinearCostModel:
 # ---------------------------------------------------------------------------
 
 class GpCostModel:
-    """Per-step GP regression over the feature set F (the S*A feature rows),
+    """Per-step GP regression over the feature set (the S*A feature rows),
     with lower-confidence queries.  Costs are observed and queried only at
-    rows of F, by index: the posterior is the one over F.
+    rows of the feature map, by index: the posterior is the one over its
+    rows, held once per column (one-hot) or distinct row (dense) and read
+    through index[row].
 
     The regularizer is 1 + 2/K with K declared up front.  A run feeds each
     step one observation per episode, so a step holds at most K of them
@@ -192,16 +196,17 @@ class GpCostModel:
       observation is O(1).  lcb_table is O(d) plus an O(S*A) gather,
       without a kernel call or a solve; the information gain follows from
       the matrix determinant lemma in O(d).  Nothing is sized by K.
-    * Dense map: alpha = L^-1 g (H, K) and the cross factor
-      Z = L^-1 K(X, F) (H, K, S*A), for L the Cholesky factor of
-      K(X, X) + lam*I over the n rows X observed so far, beside logdet[h]
-      of K(X, X) + lam*I and the posterior over F, mean[h] = Z^T alpha and
-      var[h] = diag k(F, F) - colsum(Z^2) (both (H, S*A)), in arrays
-      allocated once.  An observation of row y reads L^-1 K(X, y) from Z's
-      column y and appends one entry to alpha and one row to Z, with a
-      pivot of at least lam, repeated rows included: O(n * S*A).  L itself
-      is never needed, so it is not kept.  lcb_table is O(S*A), without a
-      kernel call or a solve.
+    * Dense map: over the map's U distinct rows F, alpha = L^-1 g (H, K)
+      and the cross factor Z = L^-1 K(X, F) (H, K, U), for L the Cholesky
+      factor of K(X, X) + lam*I over the n rows X observed so far, beside
+      logdet[h] of K(X, X) + lam*I and the posterior over F,
+      mean[h] = Z^T alpha and var[h] = diag k(F, F) - colsum(Z^2) (both
+      (H, U)), in arrays allocated once.  An observation of row y reads
+      L^-1 K(X, y) from Z's column index[y] and appends one entry to alpha
+      and one row to Z, with a pivot of at least lam, repeated rows
+      included: O(n * U).  L itself is never needed, so it is not kept.
+      lcb_table is O(U) plus an O(S*A) gather, without a kernel call or a
+      solve.
     """
 
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
@@ -217,7 +222,9 @@ class GpCostModel:
         self.p = p
         self.width_scale = width_scale
         self.fmap = feature_map
-        self._cols = feature_map.unit_columns
+        self.one_hot = feature_map.unit_columns is not None
+        self.index = feature_map.unit_columns if self.one_hot else \
+            feature_map.distinct_index
         self.count = np.zeros(horizon, dtype=int)  # observations per step
         d = feature_map.dim
         if self.one_hot:
@@ -233,8 +240,8 @@ class GpCostModel:
             self.n = np.zeros((horizon, d), dtype=int)
             self.G = np.zeros((horizon, d))
             return
-        K, m = total_episodes, len(feature_map.flat)
-        f_sq = feature_map.sq_norms
+        K, m = total_episodes, len(feature_map.distinct)
+        f_sq = feature_map.distinct_sq_norms
         prior = self._k(f_sq, f_sq, f_sq)  # diag k(F, F)
         if not ((0.0 <= prior) & (prior < math.inf)).all():
             raise ValueError("kernel is not finite and nonnegative on the "
@@ -244,10 +251,6 @@ class GpCostModel:
         self.var = np.tile(prior, (horizon, 1))
         self.alpha = np.zeros((horizon, K))
         self.Z = np.zeros((horizon, K, m))
-
-    @property
-    def one_hot(self) -> bool:
-        return self._cols is not None
 
     def num_obs(self, h: int) -> int:
         return int(self.count[h])
@@ -261,21 +264,22 @@ class GpCostModel:
             raise ValueError(f"step {h} already holds K={n} observations, "
                              "one per episode")
         y = self.fmap.row(row)  # the type and range check
+        i = int(self.index[row])  # one row: int() rejects an array of them
         if self.one_hot:
-            j = int(self._cols[row])  # one row: int() rejects an array of them
-            self.n[h, j] += 1
-            self.G[h, j] += cost
+            self.n[h, i] += 1
+            self.G[h, i] += cost
         else:
-            self._observe_dense(h, n, row, y, cost)
+            self._observe_dense(h, n, i, y, cost)
         self.count[h] = n + 1
 
-    def _observe_dense(self, h: int, n: int, row: int, y: np.ndarray,
+    def _observe_dense(self, h: int, n: int, i: int, y: np.ndarray,
                        cost: float) -> None:
-        """Append row `row` (feature y), the n-th observation of step h, to
-        the dense state."""
+        """Append distinct row i (feature y), the n-th observation of step h,
+        to the dense state."""
         alpha, Z = self.alpha[h], self.Z[h]
-        yy = self.fmap.sq_norms[row]
-        z = Z[:n, row]  # L^-1 K(X, y)
+        f_sq = self.fmap.distinct_sq_norms
+        yy = f_sq[i]
+        z = Z[:n, i]  # L^-1 K(X, y)
         # The new pivot is a Schur complement of K(X, X) + lam*I, at least
         # lam > 1 for any positive semi-definite kernel, repeated rows
         # included, so only a broken kernel fails this check.
@@ -284,7 +288,7 @@ class GpCostModel:
             raise RuntimeError("kernel matrix is not positive definite")
         diag = math.sqrt(diag2)
         a = (float(cost) - float(z @ alpha[:n])) / diag
-        kyf = self._k(yy, self.fmap.sq_norms, self.fmap.flat @ y)  # k(y, F)
+        kyf = self._k(yy, f_sq, self.fmap.distinct @ y)  # k(y, F)
         r = (kyf - z @ Z[:n]) / diag
         alpha[n] = a
         Z[n] = r
@@ -297,7 +301,10 @@ class GpCostModel:
         count path, by the matrix determinant lemma,
         0.5 * [sum_j ln(1 + a n_j/lam) + ln(1 + c * sum_j n_j/(a n_j + lam))]."""
         if not self.one_hot:
-            return 0.5 * (float(self.logdet[h]) - int(self.count[h]) * math.log(self.lam))
+            # ln det(I + lam^-1 KER) >= 0, but observations that add nothing
+            # (k(y, y) = 0) leave the difference of logs a rounding off 0.
+            return max(0.5 * (float(self.logdet[h])
+                              - int(self.count[h]) * math.log(self.lam)), 0.0)
         n = self.n[h]
         return 0.5 * (float(np.log1p(n * (self._a / self.lam)).sum())
                       + math.log1p(self._c * float((n / (self._a * n + self.lam)).sum())))
@@ -324,16 +331,17 @@ class GpCostModel:
         e = self.lam * w_hat
         return a * g + (s * float(g.sum())) * e, a * e + s * e * e
 
+    def _moments(self, h: int):
+        """Posterior mean and variance per column (one-hot) or per distinct
+        row (dense)."""
+        return self._count_posterior(h) if self.one_hot else (self.mean[h], self.var[h])
+
     def posterior(self, h: int, row: int) -> tuple[float, float]:
         """Posterior mean and standard deviation at row `row` of the map."""
         self.fmap.row(row)  # the type and range check
-        if self.one_hot:
-            mean, var = self._count_posterior(h)
-            j = self._cols[row]
-            mean, var = mean[j], var[j]
-        else:
-            mean, var = self.mean[h, row], self.var[h, row]
-        return float(mean), math.sqrt(max(float(var), 0.0))
+        mean, var = self._moments(h)
+        i = self.index[row]
+        return float(mean[i]), math.sqrt(max(float(var[i]), 0.0))
 
     def _beta(self, h: int) -> float:
         return self.width_scale * gp_beta(self.info_gain(h), self.p / self.H)
@@ -345,11 +353,9 @@ class GpCostModel:
 
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape
-        (S, A): per column from the counts, gathered through the map's
-        columns, or read from the cached posterior over the feature set."""
+        (S, A): per column from the counts, or from the cached posterior per
+        distinct row, gathered once through index."""
         S, A, _ = self.fmap.table.shape
-        if self.one_hot:
-            mean, var = self._count_posterior(h)  # var >= 0 in closed form
-            return (mean - self._beta(h) * np.sqrt(var))[self._cols].reshape(S, A)
-        sigma = np.sqrt(np.maximum(self.var[h], 0.0))
-        return (self.mean[h] - self._beta(h) * sigma).reshape(S, A)
+        mean, var = self._moments(h)
+        sigma = np.sqrt(np.maximum(var, 0.0))
+        return (mean - self._beta(h) * sigma)[self.index].reshape(S, A)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -83,15 +82,54 @@ def _unit_columns(flat: np.ndarray) -> Optional[np.ndarray]:
     return cols if (flat[np.arange(len(flat)), cols] == 1.0).all() else None
 
 
+# Weights of the hash key <row, r> that groups equal rows: fixed and random,
+# so that distinct rows of a sign pattern (the hard instance's (alpha,
+# beta*a, 0)) get distinct keys; evenly spaced weights would not.
+_KEY_SEED = 0x5AFE
+
+
+def _row_keys(flat: np.ndarray) -> np.ndarray:
+    """A float key per row; equal rows get equal keys."""
+    return flat @ np.random.default_rng(_KEY_SEED).standard_normal(flat.shape[1])
+
+
+def _distinct_rows(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of each distinct row of flat, in order of first
+    occurrence, and the index of each row's distinct row among them, so that
+    flat[first][index] has the bytes of flat.  The rows are grouped by
+    _row_keys and the grouping is checked byte for byte; when two rows that
+    differ share a key (0.0 beside -0.0, or a collision), they are grouped
+    by their bytes instead."""
+    n = len(flat)
+    keys, inverse = np.unique(_row_keys(flat), return_inverse=True)
+    first = np.full(len(keys), n)
+    np.minimum.at(first, inverse, np.arange(n))
+    bits, rep = flat.view(f"u{flat.itemsize}"), first[inverse]
+    # Compared in blocks of rows, so that no copy of flat is made.
+    if not all(np.array_equal(bits[rep[i:i + 1024]], bits[i:i + 1024])
+               for i in range(0, n, 1024)):
+        flat = np.ascontiguousarray(flat)
+        rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))
+        _, first, inverse = np.unique(rows.ravel(), return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 @dataclass
 class FeatureMap:
     """Per-(state, action) feature vectors, Euclidean norm at most 1.
 
     Its structure is worked out once, at construction: flat, the (S*A, d)
-    view whose row s*A + a is the feature of (s, a); sq_norms, the squared
-    norm of each row; and unit_columns, the column of each row's 1 when
-    every row is a unit basis vector (one-hot features), else None.  The
-    table is not to be changed afterwards.
+    view whose row s*A + a is the feature of (s, a), and unit_columns, the
+    column of each row's 1 when every row is a unit basis vector (one-hot
+    features), else None.  A map that is not one-hot also keeps its
+    distinct rows, in order of first occurrence: distinct (U, d), their
+    squared norms distinct_sq_norms and, per row, distinct_index, the
+    position of its distinct row, so that distinct[distinct_index] has the
+    bytes of flat (None on one-hot maps).  Statistics over a dense map
+    compute once per distinct row and gather.  The table is not to be
+    changed afterwards.
     """
 
     dim: int
@@ -102,11 +140,15 @@ class FeatureMap:
             raise ValueError("feature table must have shape (S, A, d)")
         S, A, d = self.table.shape
         self.flat = self.table.reshape(S * A, d)
-        self.sq_norms = np.einsum("nd,nd->n", self.flat, self.flat)
-        norm = math.sqrt(self.sq_norms.max())
+        sq_norms = np.einsum("nd,nd->n", self.flat, self.flat)
+        norm = math.sqrt(sq_norms.max())
         if not norm <= 1.0 + NORM_SLACK:
             raise ValueError(f"feature norms must be <= 1 (max {norm:.6f})")
         self.unit_columns = _unit_columns(self.flat)
+        self.distinct = self.distinct_sq_norms = self.distinct_index = None
+        if self.unit_columns is None:
+            first, self.distinct_index = _distinct_rows(self.flat)
+            self.distinct, self.distinct_sq_norms = self.flat[first], sq_norms[first]
 
     def row(self, i) -> np.ndarray:
         """Row i of flat, the feature of (s, a) with i = s*A + a; for an
@@ -383,7 +425,11 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
 
     S = H + 2  # chain states x_1..x_H, then the sink and the rewarding state
     sink, reward_state = H, H + 1
-    actions = np.array(list(product((-1.0, 1.0), repeat=d - 1)))
+    # The sign vectors in itertools.product order: the bits of 0..2^(d-1)-1,
+    # most significant first, with 0 -> -1 and 1 -> +1.
+    bits = np.arange(1 << (d - 1), dtype=np.uint16)[:, None] \
+        >> np.arange(d - 2, -1, -1, dtype=np.uint16)
+    actions = (bits & 1) * 2.0 - 1.0
     A = len(actions)
 
     alpha = math.sqrt(1.0 / (1.0 + gap * (d - 1)))

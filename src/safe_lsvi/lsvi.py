@@ -3,8 +3,8 @@
 The Q-function and the linear cost LCB regress on the same features, so the
 design statistics of step h are one GramState that the learner and the linear
 cost model share: the inverse of Lambda_h = lam*I + sum phi phi^T (both read
-Lambda_h only through it), the quadratic forms phi^T Lambda_h^{-1} phi over
-the whole feature set, and the sample count.  The learner ingests each
+Lambda_h only through it), the quadratic forms phi^T Lambda_h^{-1} phi, one
+per distinct feature, and the sample count.  The learner ingests each
 episode once; each model keeps only its own regression targets (reward and
 next-state sums; cost sums).  The statistics stay one GramState per step
 rather than arrays with an H axis: a standalone LinearCostModel may be fed
@@ -19,10 +19,12 @@ features, the tabular case) Lambda_h^{-1} stays diagonal: an update reads
 the row's column and costs O(1), and the quadratic form of a row is the
 inverse's entry at that column.  Otherwise it keeps the dense inverse,
 updated by the rank-one identity in O(d^2), and downdates the cached
-quadratic forms with the same identity, which keeps the per-episode
-backward pass to a handful of matrix-vector products.  On one-hot data the
-dense path only adds exact zeros to what the diagonal path computes, so both
-give the same bits.
+quadratic forms of the map's U distinct rows with the same identity, which
+keeps the per-episode backward pass to a handful of matrix-vector products
+over those U rows.  Either way a table over the S*A rows is computed once
+per column or distinct row and gathered once (GramState.bounds).  On
+one-hot data the dense path only adds exact zeros to what the diagonal path
+computes, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 from .envs import FeatureMap
 from .penalty import penalized_argmax
 
-RADICAND_TOL = 1e-12
 DENOM_TOL = 1e-12
 
 
@@ -45,7 +46,9 @@ class GramState:
 
     inv holds Lambda^{-1}: a (d, d) array, or its diagonal, shape (d,), when
     the map's features are one-hot.  count is the number of samples
-    ingested.
+    ingested.  Per-row quantities are kept per column of inv (one-hot) or
+    per distinct row of the map (dense); index maps each row of the map to
+    its entry.
     """
 
     def __init__(self, feature_map: FeatureMap, lam: float):
@@ -54,16 +57,18 @@ class GramState:
         self.lam = lam
         self.fmap = feature_map
         self.count = 0
-        self.feats, self._cols = feature_map.flat, feature_map.unit_columns
+        self._rows = feature_map.distinct  # None on one-hot maps
         if self.diagonal:
+            self.index = feature_map.unit_columns
             self.inv = np.ones(feature_map.dim) / lam
         else:
+            self.index = feature_map.distinct_index
             self.inv = np.eye(feature_map.dim) / lam
-            self._quad = feature_map.sq_norms / lam
+            self._quad = feature_map.distinct_sq_norms / lam
 
     @property
     def diagonal(self) -> bool:
-        return self._cols is not None
+        return self._rows is None
 
     def update(self, row: int) -> None:
         """Ingest row `row` of the map as a sample: Lambda += phi phi^T.  The
@@ -73,7 +78,7 @@ class GramState:
         if self.diagonal:
             # Lambda^{-1} phi is inv[j] e_j: the dense update without its
             # zero terms, in the same order.
-            j = self._cols[row]
+            j = self.index[row]
             vj = float(self.inv[j])
             denom = 1.0 + vj
             if denom <= DENOM_TOL:
@@ -86,7 +91,7 @@ class GramState:
         if denom <= DENOM_TOL:
             raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
         self.inv -= np.outer(v, v) / denom
-        proj = self.feats @ v
+        proj = self._rows @ v
         self._quad -= proj * proj / denom
         self.count += 1
 
@@ -94,21 +99,22 @@ class GramState:
         """Lambda^{-1} b: the ridge weights for target sums b."""
         return self.inv * b if self.diagonal else self.inv @ b
 
-    def feature_dot(self, w: np.ndarray) -> np.ndarray:
-        """<phi, w> for every row phi of feats."""
-        return w[self._cols] if self.diagonal else self.feats @ w
+    def terms(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """<phi, w> and sqrt(max(phi^T Lambda^{-1} phi, 0)) per column of inv
+        (one-hot) or per distinct row; entry index[row] belongs to row."""
+        if self.diagonal:
+            return w, np.sqrt(np.maximum(self.inv, 0.0))
+        return self._rows @ w, np.sqrt(np.maximum(self._quad, 0.0))
+
+    def bounds(self, w: np.ndarray, scale: float) -> np.ndarray:
+        """<phi, w> + scale * ||phi||_{Lambda^{-1}} for every row phi of the
+        map, with the quadratic form clamped at 0."""
+        mean, root = self.terms(w)
+        return (mean + scale * root)[self.index]
 
     def quad_forms(self) -> np.ndarray:
-        """phi^T Lambda^{-1} phi for every row of feats (read-only)."""
-        return self.inv[self._cols] if self.diagonal else self._quad
-
-    def quad_form(self, phi: np.ndarray) -> float:
-        """phi^T Lambda^{-1} phi, clamped at 0 (roundoff below -1e-12 is an error)."""
-        phi = np.asarray(phi, dtype=float)
-        q = float(phi @ (self.inv * phi)) if self.diagonal else float(phi @ self.inv @ phi)
-        if q < -RADICAND_TOL:
-            raise RuntimeError(f"negative quadratic form {q:.3e}")
-        return max(q, 0.0)
+        """phi^T Lambda^{-1} phi for every row of the map."""
+        return (self.inv if self.diagonal else self._quad)[self.index]
 
 
 def beta_schedule(c: float, d: int, horizon: int, episodes: int, p: float) -> float:
@@ -203,9 +209,7 @@ class LsviLearner:
             w = self.stats[h].solve(b)
             if not np.isfinite(w).all():
                 raise FloatingPointError(f"non-finite regression weights at step {h}")
-            mean = self.stats[h].feature_dot(w)
-            bonus = self.beta * np.sqrt(np.maximum(self.stats[h].quad_forms(), 0.0))
-            q = np.minimum(mean + bonus, float(H)).reshape(S, A)
+            q = np.minimum(self.stats[h].bounds(w, self.beta), float(H)).reshape(S, A)
             a_star = q.argmax(axis=1) if ghat is None or z is None else \
                 penalized_argmax(q, ghat[h], z[h])
             weights[h] = w

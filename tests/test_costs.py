@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from safe_lsvi.costs import (CostEstimate, GpCostModel, LinearCostModel,
                              gp_beta, make_kernel, tilde_beta)
-from safe_lsvi.envs import FeatureMap, build_synthetic_linear, one_hot_features
+from safe_lsvi.envs import (FeatureMap, build_hard_instance, build_synthetic_linear,
+                            one_hot_features)
 from safe_lsvi.lsvi import GramState, LsviLearner
 
 
@@ -305,7 +306,7 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     for row, q in enumerate(queries, start=len(points)):
         lhs = gp.predict(0, row).value
         rhs = (q @ ridge.theta(0)
-               - beta_aligned * math.sqrt(ridge.stats[0].quad_form(q)))
+               - beta_aligned * math.sqrt(q @ ridge.stats[0].inv @ q))
         assert abs(lhs - rhs) <= 1e-8
 
 
@@ -459,13 +460,30 @@ def test_one_hot_gp_memory_does_not_depend_on_k():
 
 def test_dense_gp_memory_is_linear_in_k():
     # Each extra episode adds, per step, one entry of alpha and one row of
-    # the cross factor over the S*A rows: no K x K array is kept.
+    # the cross factor over the U distinct rows: no K x K array is kept, and
+    # a repeated row costs nothing.
     fmap = _toy_fmap(np.random.default_rng(0), S=5, A=3)
+    repeated = FeatureMap(fmap.dim, np.repeat(fmap.table[:1], 5, axis=0))
     H, episodes = 4, (1, 2, 10, 100)
-    sizes = [_array_bytes(GpCostModel("sqexp", total_episodes=K, horizon=H,
-                                      feature_map=fmap)) for K in episodes]
-    assert [size - sizes[0] for size in sizes] == \
-        [(K - 1) * H * (len(fmap.flat) + 1) * 8 for K in episodes]
+    for fmap, U in ((fmap, 15), (repeated, 3)):
+        assert len(fmap.distinct) == U
+        sizes = [_array_bytes(GpCostModel("sqexp", total_episodes=K, horizon=H,
+                                          feature_map=fmap)) for K in episodes]
+        assert [size - sizes[0] for size in sizes] == \
+            [(K - 1) * H * (U + 1) * 8 for K in episodes]
+
+
+def test_dense_gp_information_gain_of_uninformative_observations_is_zero():
+    # Under the linear kernel a zero row has k(y, y) = 0: each observation
+    # of it adds log(lam) to the log-determinant and takes log(lam) off
+    # again, which rounded to -2.8e-16 here, and gp_beta rejects a
+    # negative gain.
+    model = GpCostModel("linear", total_episodes=10, horizon=1,
+                        feature_map=map_of([[0.0, 0.0], [0.6, 0.0]]))
+    for _ in range(10):
+        model.observe(0, 0, 0.1)
+    assert model.info_gain(0) == 0.0
+    assert model.lcb_table(0)[0, 0] == 0.0  # no prior variance at a zero row
 
 
 def test_gp_step_holds_at_most_k_points():
@@ -624,6 +642,187 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
         _, _, gamma = _dense_gp_posterior(model, points, costs, fmap.flat)
         assert abs(model.info_gain(h) - gamma) <= 1e-10
         _assert_posterior_and_predict(model, h, table, points, costs, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Dense maps over their distinct rows (property tests)
+# ---------------------------------------------------------------------------
+
+def _repeated_row_map(rng):
+    """A dense feature map whose rows repeat: each row is drawn from a small
+    pool, some states copy an earlier state's rows, and about half the
+    pools hold a row with a 0.0 beside its twin with -0.0 there."""
+    S, A, d = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    size = int(rng.integers(1, 5))
+    pool = ball_features(rng, size, d) * rng.uniform(0.2, 0.9, size=(size, 1))
+    if rng.uniform() < 0.5:
+        zero = pool[:1].copy()
+        zero[0, 0] = 0.0
+        twin = zero.copy()
+        twin[0, 0] = -0.0
+        pool = np.vstack([pool, zero, twin])
+    table = pool[rng.integers(len(pool), size=(S, A))]
+    for s in range(1, S):
+        if rng.uniform() < 0.3:
+            table[s] = table[rng.integers(s)]
+    return FeatureMap(dim=d, table=table)
+
+
+def _first_occurrences(rows):
+    """Reference grouping of rows by their bytes: the first occurrence of
+    each distinct row, in order, and each row's position among them."""
+    seen, first, index = {}, [], []
+    for i, row in enumerate(rows):
+        if row.tobytes() not in seen:
+            seen[row.tobytes()] = len(first)
+            first.append(i)
+        index.append(seen[row.tobytes()])
+    return np.array(first), np.array(index)
+
+
+class _FullRowGram:
+    """Dense design statistics with the quadratic form of every row of the
+    map, downdated over all S*A rows: a reference for the statistics over
+    the distinct rows."""
+
+    def __init__(self, fmap, lam):
+        self.flat = fmap.flat
+        self.inv = np.eye(fmap.dim) / lam
+        self.quad = np.einsum("nd,nd->n", self.flat, self.flat) / lam
+        self.count = 0
+
+    def update(self, row):
+        phi = self.flat[row]
+        v = self.inv @ phi
+        denom = 1.0 + phi @ v
+        self.inv -= np.outer(v, v) / denom
+        proj = self.flat @ v
+        self.quad -= proj * proj / denom
+        self.count += 1
+
+    def bounds(self, w, scale):
+        return self.flat @ w + scale * np.sqrt(np.maximum(self.quad, 0.0))
+
+
+def _full_row_gp_lcb(model, observations):
+    """The dense GP's LCBs by its cross-factor recursion run over all S*A
+    rows of the map, for one step's (row, cost) observations: a reference
+    for the recursion over the distinct rows."""
+    flat, lam = model.fmap.flat, model.lam
+    Z, alpha = np.zeros((0, len(flat))), np.zeros(0)
+    mean, var, logdet = np.zeros(len(flat)), np.diag(model.kern(flat, flat)).copy(), 0.0
+    for row, cost in observations:
+        y = flat[row]
+        z = Z[:, row]
+        diag = math.sqrt(float(model.kern(y, y)[0, 0]) + lam - z @ z)
+        a = (cost - z @ alpha) / diag
+        r = (model.kern(y, flat)[0] - z @ Z) / diag
+        Z, alpha = np.vstack([Z, r]), np.append(alpha, a)
+        mean += a * r
+        var -= r * r
+        logdet += 2.0 * math.log(diag)
+    gamma = max(0.5 * (logdet - len(observations) * math.log(lam)), 0.0)
+    beta = model.width_scale * gp_beta(gamma, model.p / model.H)
+    return mean - beta * np.sqrt(np.maximum(var, 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS)
+def test_distinct_row_statistics_equal_full_row_references(seed):
+    rng = np.random.default_rng(seed)
+    fmap = _repeated_row_map(rng)
+    flat, d, H = fmap.flat, fmap.dim, 2
+    assert fmap.unit_columns is None
+    first, index = _first_occurrences(flat)
+    assert np.array_equal(fmap.distinct_index, index)
+    assert fmap.distinct.tobytes() == flat[first].tobytes()
+    assert fmap.distinct[fmap.distinct_index].tobytes() == flat.tobytes()
+
+    lam, num_obs = float(rng.uniform(0.1, 3.0)), int(rng.integers(0, 30))
+    linear = LinearCostModel(fmap, H, lam=lam, p=float(rng.uniform(0.01, 0.5)),
+                             width_scale=float(rng.uniform(0.0, 2.0)))
+    kernel, lengthscale = [("linear", 1.0), ("sqexp", 0.5), ("sqexp", 1.5)][rng.integers(3)]
+    gp = GpCostModel(kernel, total_episodes=max(num_obs, 1), horizon=H,
+                     lengthscale=lengthscale, p=float(rng.uniform(0.01, 0.5)),
+                     width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
+    grams, b, data = [_FullRowGram(fmap, lam) for _ in range(H)], np.zeros((H, d)), [[], []]
+    for _ in range(num_obs):
+        h, row = int(rng.integers(H)), int(rng.integers(len(flat)))
+        cost = float(rng.uniform(-1, 1))
+        linear.observe(h, row, cost)
+        gp.observe(h, row, cost)
+        grams[h].update(row)
+        b[h] += flat[row] * cost
+        data[h].append((row, cost))
+    # One (U, d) array of distinct rows, shared by every statistic over the map.
+    assert all(g._rows is fmap.distinct for g in linear.stats)
+    for h, ref in enumerate(grams):
+        w, scale = rng.normal(size=d), float(rng.uniform(-3.0, 3.0))
+        bounds = linear.stats[h].bounds(w, scale)
+        assert np.abs(bounds - ref.bounds(w, scale)).max() <= 1e-12
+        beta = linear.width_scale * tilde_beta(lam, d, ref.count + 1, linear.p / H)
+        lcb = linear.lcb_table(h).ravel()
+        assert np.abs(lcb - ref.bounds(ref.inv @ b[h], -beta)).max() <= 1e-12
+        gp_lcb = gp.lcb_table(h).ravel()
+        assert np.abs(gp_lcb - _full_row_gp_lcb(gp, data[h])).max() <= 1e-12
+        # Equal rows share one distinct row, so their entries have equal bits.
+        for values in (bounds, lcb, gp_lcb):
+            assert values.tobytes() == values[first][index].tobytes()
+
+
+def _assert_linear_predict(model, h, X, costs):
+    """predict(h, row) matches a batch ridge fit on the step's observed
+    features X and costs at every row to 1e-10, and predict(h, row).value
+    is the LCB table's entry, bit for bit."""
+    flat, table = model.fmap.flat, model.lcb_table(h)
+    X, costs = np.reshape(X, (-1, model.d)), np.array(costs)
+    gram = model.lam * np.eye(model.d) + X.T @ X
+    beta = model.width_scale * tilde_beta(model.lam, model.d, len(costs) + 1,
+                                          model.p / model.H)
+    mean = flat @ np.linalg.solve(gram, X.T @ costs)
+    width = beta * np.sqrt(np.einsum("nd,de,ne->n", flat, np.linalg.inv(gram), flat))
+    got = [model.predict(h, row) for row in range(len(flat))]
+    assert np.abs(np.array([e.mean for e in got]) - mean).max() <= 1e-10
+    assert np.abs(np.array([e.width for e in got]) - width).max() <= 1e-10
+    assert np.array([e.value for e in got]).tobytes() == table.ravel().tobytes()
+
+
+def _observed_linear(rng, fmap, horizon, num_obs=None):
+    """A linear cost model on fmap after a random observe sequence of its
+    rows (num_obs of them, or 0 to 29).  Returns the model and each step's
+    (features, costs)."""
+    model = LinearCostModel(fmap, horizon, lam=float(rng.uniform(0.1, 3.0)),
+                            p=float(rng.uniform(0.01, 0.5)),
+                            width_scale=float(rng.uniform(0.0, 2.0)))
+    data = [([], []) for _ in range(horizon)]
+    for _ in range(int(rng.integers(0, 30)) if num_obs is None else num_obs):
+        h, row, cost = (int(rng.integers(horizon)), int(rng.integers(len(fmap.flat))),
+                        float(rng.uniform(-1, 1)))
+        model.observe(h, row, cost)
+        data[h][0].append(fmap.flat[row])
+        data[h][1].append(cost)
+    return model, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, one_hot=st.booleans())
+def test_linear_predict_is_its_lcb_table_entry(seed, one_hot):
+    rng = np.random.default_rng(seed)
+    fmap = one_hot_features(int(rng.integers(1, 5)), int(rng.integers(1, 4))) \
+        if one_hot else _repeated_row_map(rng)
+    model, data = _observed_linear(rng, fmap, horizon=2)
+    for h, (X, costs) in enumerate(data):
+        _assert_linear_predict(model, h, X, costs)
+
+
+def test_linear_predict_is_its_lcb_table_entry_on_the_hard_instance():
+    # Dense rows, most of them repeated: a predict with its own dot product
+    # and quadratic form differs from the table in the last bits here.
+    _, fmap, _ = build_hard_instance(5, 3, 40)
+    model, data = _observed_linear(np.random.default_rng(0), fmap, horizon=3, num_obs=30)
+    for h, (X, costs) in enumerate(data):
+        assert X  # every step holds observations
+        _assert_linear_predict(model, h, X, costs)
 
 
 # ---------------------------------------------------------------------------

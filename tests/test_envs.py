@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp,
+from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp, _row_keys,
                             build_frozen_lake, build_hard_instance,
                             build_synthetic_linear, frozen_lake_from_grid, step)
 from safe_lsvi.lsvi import GramState
@@ -290,6 +290,25 @@ def test_hard_instance_costs():
         assert np.all(cmdp.cost_mean[h, 3:] == 0.0)
 
 
+def test_hard_instance_sign_vectors_and_distinct_rows():
+    H = 3
+    for d in range(4, 14):
+        _, fmap, pp = build_hard_instance(d, H, math.ceil((d - 1) ** 2 * H / 2))
+        expected = np.array(list(product((-1.0, 1.0), repeat=d - 1)))
+        assert pp.actions.tobytes() == expected.tobytes()
+        # Every state but the rewarding one has the features (alpha, beta*a,
+        # 0); the rewarding state's are all the last basis vector.  The
+        # distinct rows keep their old positions: the first state's rows,
+        # then the rewarding state's first row.
+        A = 2 ** (d - 1)
+        assert len(fmap.distinct) == A + 1
+        assert fmap.distinct.tobytes() == fmap.flat[np.r_[:A, (H + 1) * A]].tobytes()
+        assert fmap.distinct[fmap.distinct_index].tobytes() == fmap.flat.tobytes()
+        # The hash keys alone tell the distinct rows apart, so the map is
+        # not grouped by bytes, the slower way.
+        assert len(np.unique(_row_keys(fmap.flat))) == A + 1
+
+
 def test_hard_instance_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_hard_instance(3, 3, 1000)  # d too small
@@ -403,13 +422,17 @@ def test_feature_map_finds_its_structure_once(table):
     fmap = FeatureMap(dim=table.shape[2], table=table)
     rows = table.reshape(-1, table.shape[2])
     assert np.array_equal(fmap.flat, rows)
-    expected_sq = [math.fsum(x * x for x in row) for row in rows]
-    assert np.allclose(fmap.sq_norms, expected_sq, rtol=1e-14, atol=0.0)
     one_hot = all(np.count_nonzero(row) == 1 and row.max() == 1.0 for row in rows)
     assert (fmap.unit_columns is not None) == one_hot
     if one_hot:
         assert np.array_equal(rows[np.arange(len(rows)), fmap.unit_columns],
                               np.ones(len(rows)))
+    assert (fmap.distinct is None) == one_hot
+    if not one_hot:
+        assert fmap.distinct[fmap.distinct_index].tobytes() == rows.tobytes()
+        assert len({row.tobytes() for row in fmap.distinct}) == len(fmap.distinct)
+        expected_sq = [math.fsum(x * x for x in row) for row in fmap.distinct]
+        assert np.allclose(fmap.distinct_sq_norms, expected_sq, rtol=1e-14, atol=0.0)
     g = GramState(fmap, 1.0)
     assert g.diagonal == one_hot
     for row in range(len(rows)):  # every row of the map is a sample its statistics take

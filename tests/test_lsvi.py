@@ -103,13 +103,6 @@ def test_gram_update_detects_corrupted_inverse():
         g.update(0)
 
 
-def test_quad_form_detects_corruption():
-    g = GramState(map_of(BASIS_AND_DENSE), 1.0)
-    g.inv = -np.eye(2)
-    with pytest.raises(RuntimeError, match="negative quadratic form"):
-        g.quad_form(np.array([1.0, 0.0]))
-
-
 def test_one_hot_update_stops_when_the_inverse_overflows():
     # 1/lam squared overflows: the first update leaves -inf in the inverse,
     # and the denominator check stops the second.
@@ -226,7 +219,7 @@ def test_bonus_shrinks_along_repeated_direction():
     g = GramState(map_of([phi]), 1.0)
     values = []
     for _ in range(15):
-        values.append(math.sqrt(g.quad_form(phi)))
+        values.append(math.sqrt(g.quad_forms()[0]))
         g.update(0)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -450,9 +443,12 @@ def _random_episodes(rng, S, A, H, K):
 
 def _dense_twin(fmap):
     """fmap with its one-hot structure hidden, so that statistics built on
-    it keep dense storage: a reference for the diagonal storage."""
+    it keep dense storage: a reference for the diagonal storage.  The rows
+    of a one-hot map are all distinct, so they are their own distinct rows."""
     twin = copy.copy(fmap)
     twin.unit_columns = None
+    twin.distinct, twin.distinct_sq_norms = fmap.flat, np.ones(len(fmap.flat))
+    twin.distinct_index = np.arange(len(fmap.flat))
     return twin
 
 
