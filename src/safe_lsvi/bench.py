@@ -2,8 +2,8 @@
 
 Per episode the runner (1) rebuilds the optimistic Q-model via the backward
 pass, (2) rolls the induced deterministic policy through the environment,
-feeding observed costs to the cost estimator step by step, (3) applies the
-episode's costs to the penalty ledger, and (4) scores the episode: the
+(3) feeds the whole episode to the learner and its observed costs to the
+cost estimator and the penalty ledger, and (4) scores the episode: the
 regret increment is the exact evaluated gap to the optimal safe policy (no
 Monte Carlo), the violation increment sums positive parts of the *true*
 mean costs along the realized trajectory.
@@ -247,10 +247,8 @@ def run_experiment(config: ExperimentConfig, env_override=None,
         for h in range(H):
             action = int(plan.policy[h, state])
             r, cost_obs, nxt = step(cmdp, state, action, h, rng)
-            row = state * cmdp.num_actions + action
-            if cost_model is not None:
-                cost_model.observe(h, row, cost_obs)
-            rows[h], step_rewards[h], step_costs[h], next_states[h] = row, r, cost_obs, nxt
+            rows[h], step_rewards[h], step_costs[h], next_states[h] = \
+                state * cmdp.num_actions + action, r, cost_obs, nxt
             true_cost = cmdp.cost_mean[h, state, action]
             ep_reward += r
             ep_violation += max(true_cost, 0.0)
@@ -258,6 +256,8 @@ def run_experiment(config: ExperimentConfig, env_override=None,
             state = nxt
 
         learner.ingest_episode(rows, step_rewards, next_states)
+        if cost_model is not None:
+            cost_model.observe(rows, step_costs)
         ledger.end_episode(step_costs, k)
 
         rewards[k - 1] = ep_reward * cmdp.reward_scale

@@ -5,23 +5,25 @@ dimension-dependent confidence width, and a Gaussian-process regressor whose
 width scales with the accumulated information gain.  Both subtract their
 width from the posterior mean, so an action looks safe until the data says
 otherwise.  A run observes and queries costs only at (s, a) pairs, the rows
-of the feature map, so both models take a row index s*A + a and nothing
-else: observe(h, row, cost), predict(h, row) and lcb_table(h), the (S, A)
-table of lower-confidence costs.  Both serve it from state they update per
-observation, kept per column of a one-hot (tabular) feature map or per
-distinct row of a dense one and gathered once over the S*A rows: the ridge
-model from the shared design statistics; the GP, over a one-hot map, from
-per-column observation counts and cost sums (O(1) to add, O(d) to query,
+of the feature map, so both models take row indices s*A + a and nothing
+else.  observe(rows, costs) ingests one episode, the (H,) rows and costs of
+its steps, checked whole before anything changes; predict(h, row) and
+lcb_table(h), the (S, A) table of lower-confidence costs, query step h.
+Both serve it from state with a leading H axis that each episode updates,
+kept per column of a one-hot (tabular) feature map or per distinct row of a
+dense one and gathered once over the S*A rows: the ridge model from the
+shared design statistics; the GP, over a one-hot map, from per-column
+observation counts and cost sums (O(1) per step to add, O(d) to query,
 through Sherman-Morrison and the matrix determinant lemma), and over a
 dense map from a cross factor L^-1 K(X, F) over the U distinct rows F that
-grows one row per observation (O(n * U) to add, O(U) to query).  A row's
-predict(h, row).value is its entry of lcb_table(h), bit for bit: both read
-the same per-column or per-distinct-row arrays.  The GP holds at most K
-observations per step, one per episode; nothing of its one-hot state is
-sized by K, and its dense state lives in arrays allocated once, linear in
-K.  Widths spend p/H of the model's own p (one union-bound share per step),
-and width_scale is a practical multiplier on the theoretical width (1.0
-reproduces the closed forms; benchmark configs shrink it).
+grows one row per episode and step (O(n * U) to add, O(U) to query).  A
+row's predict(h, row).value is its entry of lcb_table(h), bit for bit: both
+read the same per-column or per-distinct-row arrays.  The GP holds at most
+K episodes; nothing of its one-hot state is sized by K, and its dense state
+lives in arrays allocated once, linear in K.  Widths spend p/H of the
+model's own p (one union-bound share per step), and width_scale is a
+practical multiplier on the theoretical width (1.0 reproduces the closed
+forms; benchmark configs shrink it).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .envs import FeatureMap
-from .lsvi import GramState
+from .lsvi import GramState, _episode_arrays
 
 @dataclass
 class CostEstimate:
@@ -66,6 +68,14 @@ def gp_beta(gamma: float, p: float) -> float:
     if gamma < 0:
         raise ValueError("information gain must be nonnegative")
     return 1.0 + math.sqrt(2.0 * (gamma + 1.0 + math.log(2.0 / p)))
+
+
+def _cost_episode(horizon: int, rows, costs) -> tuple[np.ndarray, np.ndarray]:
+    """One episode's rows and costs as (H,) arrays, every cost in [-1, 1]."""
+    rows, costs = _episode_arrays(horizon, "rows and costs", rows, costs)
+    if not np.abs(costs).max() <= 1.0:  # a NaN fails too
+        raise ValueError(f"observed costs {costs} not all in [-1, 1]")
+    return rows, costs
 
 
 # ---------------------------------------------------------------------------
@@ -116,16 +126,16 @@ class LinearCostModel:
     mean minus tilde_beta-width.  Incremental updates are algebraically
     identical to a batch refit.
 
-    stats, when given, are the learner's per-step statistics over the same
-    feature map (LsviLearner.stats): the learner ingests every step and this
-    model adds only its cost sums, so its estimates include a step once the
-    learner has ingested the episode.  Without stats the model keeps and
-    updates statistics of its own.
+    stats, when given, are the learner's statistics over the same feature
+    map (LsviLearner.stats): the learner ingests every episode and this
+    model adds only its cost sums, so its estimates include an episode once
+    the learner has ingested it.  Without stats the model keeps and updates
+    statistics of its own.
     """
 
     def __init__(self, feature_map: FeatureMap, horizon: int, lam: float = 1.0,
                  p: float = 0.1, width_scale: float = 1.0,
-                 stats: Optional[list] = None):
+                 stats: Optional[GramState] = None):
         self.fmap = feature_map
         self.H = horizon
         self.d = feature_map.dim
@@ -134,43 +144,42 @@ class LinearCostModel:
         self.width_scale = width_scale
         self._owns_stats = stats is None
         if stats is None:
-            stats = [GramState(feature_map, lam) for _ in range(horizon)]
-        elif len(stats) != horizon or any(g.lam != lam or g.fmap is not feature_map
-                                          for g in stats):
+            stats = GramState(feature_map, lam, horizon)
+        elif stats.H != horizon or stats.lam != lam or stats.fmap is not feature_map:
             raise ValueError("shared statistics must match the cost model's "
                              "horizon, lam and feature map")
         self.stats = stats
-        self.b = [np.zeros(self.d) for _ in range(horizon)]  # sum phi * cost
+        self.b = np.zeros((horizon, self.d))  # sum phi * cost, per step
 
-    def observe(self, h: int, row: int, cost: float) -> None:
-        """Add the cost observed at row `row` of the feature map."""
-        if not abs(cost) <= 1.0:
-            raise ValueError(f"observed cost {cost} outside [-1, 1]")
-        phi = self.fmap.row(row)
+    def observe(self, rows, costs) -> None:
+        """Add one episode's costs: costs[h] observed at row rows[h] of the
+        feature map."""
+        rows, costs = _cost_episode(self.H, rows, costs)
+        phi = self.fmap.row(rows)
         if self._owns_stats:
-            self.stats[h].update(row)
-        self.b[h] += phi * cost
+            self.stats.update(rows)
+        self.b += phi * costs[:, None]
 
     def theta(self, h: int) -> np.ndarray:
-        return self.stats[h].solve(self.b[h])
+        return self.stats.solve(h, self.b[h])
 
-    def _beta(self, h: int) -> float:
-        k = self.stats[h].count + 1  # episode index: data through k-1
+    def _beta(self) -> float:
+        k = self.stats.count + 1  # episode index: data through k-1
         return self.width_scale * tilde_beta(self.lam, self.d, k, self.p / self.H)
 
     def predict(self, h: int, row: int) -> CostEstimate:
         """The estimate at row `row` of the feature map: its entry of
         lcb_table(h), from the same arrays."""
         self.fmap.row(row)  # the type and range check
-        mean, root = self.stats[h].terms(self.theta(h))
-        i = self.stats[h].index[row]
-        mean, width = float(mean[i]), self._beta(h) * float(root[i])
+        mean, root = self.stats.terms(h, self.theta(h))
+        i = self.stats.index[row]
+        mean, width = float(mean[i]), self._beta() * float(root[i])
         return CostEstimate(value=mean - width, mean=mean, width=width)
 
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape (S, A)."""
         S, A, _ = self.fmap.table.shape
-        return self.stats[h].bounds(self.theta(h), -self._beta(h)).reshape(S, A)
+        return self.stats.bounds(h, self.theta(h), -self._beta()).reshape(S, A)
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +193,30 @@ class GpCostModel:
     rows, held once per column (one-hot) or distinct row (dense) and read
     through index[row].
 
-    The regularizer is 1 + 2/K with K declared up front.  A run feeds each
-    step one observation per episode, so a step holds at most K of them
-    (count[h]).  The state takes one of two forms, chosen once from the
+    The regularizer is 1 + 2/K with K declared up front.  Each episode adds
+    one observation to every step, and the model holds at most K episodes
+    (count).  The state takes one of two forms, chosen once from the
     feature map, as GramState chooses its storage:
 
     * One-hot map: the rows are unit vectors e_j, between which the kernel
       is k(e_i, e_j) = a*[i = j] + c, so the posterior depends on the data
       only through the counts n[h] and cost sums G[h] of each column (both
       (H, d)); a and c are read from one kernel call at construction.  An
-      observation is O(1).  lcb_table is O(d) plus an O(S*A) gather,
-      without a kernel call or a solve; the information gain follows from
-      the matrix determinant lemma in O(d).  Nothing is sized by K.
+      episode adds to one entry of each per step, elementwise over the
+      steps.  lcb_table is O(d) plus an O(S*A) gather, without a kernel
+      call or a solve; the information gain follows from the matrix
+      determinant lemma in O(d).  Nothing is sized by K.
     * Dense map: over the map's U distinct rows F, alpha = L^-1 g (H, K)
       and the cross factor Z = L^-1 K(X, F) (H, K, U), for L the Cholesky
       factor of K(X, X) + lam*I over the n rows X observed so far, beside
       logdet[h] of K(X, X) + lam*I and the posterior over F,
       mean[h] = Z^T alpha and var[h] = diag k(F, F) - colsum(Z^2) (both
-      (H, U)), in arrays allocated once.  An observation of row y reads
-      L^-1 K(X, y) from Z's column index[y] and appends one entry to alpha
-      and one row to Z, with a pivot of at least lam, repeated rows
-      included: O(n * U).  L itself is never needed, so it is not kept.
-      lcb_table is O(U) plus an O(S*A) gather, without a kernel call or a
-      solve.
+      (H, U)), in arrays allocated once.  An episode, step by step, reads
+      L^-1 K(X, y) of its row y from Z's column index[y] and appends one
+      entry to alpha and one row to Z, with a pivot of at least lam,
+      repeated rows included: O(n * U) per step.  L itself is never
+      needed, so it is not kept.  lcb_table is O(U) plus an O(S*A) gather,
+      without a kernel call or a solve.
     """
 
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
@@ -225,7 +235,7 @@ class GpCostModel:
         self.one_hot = feature_map.unit_columns is not None
         self.index = feature_map.unit_columns if self.one_hot else \
             feature_map.distinct_index
-        self.count = np.zeros(horizon, dtype=int)  # observations per step
+        self.count = 0  # episodes observed
         d = feature_map.dim
         if self.one_hot:
             # k(e_i, e_j) between two distinct unit vectors: a + c on the
@@ -252,49 +262,45 @@ class GpCostModel:
         self.alpha = np.zeros((horizon, K))
         self.Z = np.zeros((horizon, K, m))
 
-    def num_obs(self, h: int) -> int:
-        return int(self.count[h])
-
-    def observe(self, h: int, row: int, cost: float) -> None:
-        """Add the cost observed at row `row` of the feature map."""
-        if not abs(cost) <= 1.0:
-            raise ValueError(f"observed cost {cost} outside [-1, 1]")
-        n = int(self.count[h])
-        if n == self.K:
-            raise ValueError(f"step {h} already holds K={n} observations, "
-                             "one per episode")
-        y = self.fmap.row(row)  # the type and range check
-        i = int(self.index[row])  # one row: int() rejects an array of them
+    def observe(self, rows, costs) -> None:
+        """Add one episode's costs: costs[h] observed at row rows[h] of the
+        feature map."""
+        rows, costs = _cost_episode(self.H, rows, costs)
+        if self.count == self.K:
+            raise ValueError(f"the model already holds K={self.K} episodes")
+        y = self.fmap.row(rows)  # the type and range check
+        cols = self.index[rows]
         if self.one_hot:
-            self.n[h, i] += 1
-            self.G[h, i] += cost
+            steps = np.arange(self.H)
+            self.n[steps, cols] += 1
+            self.G[steps, cols] += costs
         else:
-            self._observe_dense(h, n, i, y, cost)
-        self.count[h] = n + 1
+            self._observe_dense(cols, y, costs)
+        self.count += 1
 
-    def _observe_dense(self, h: int, n: int, i: int, y: np.ndarray,
-                       cost: float) -> None:
-        """Append distinct row i (feature y), the n-th observation of step h,
-        to the dense state."""
-        alpha, Z = self.alpha[h], self.Z[h]
-        f_sq = self.fmap.distinct_sq_norms
-        yy = f_sq[i]
-        z = Z[:n, i]  # L^-1 K(X, y)
+    def _observe_dense(self, cols: np.ndarray, y: np.ndarray,
+                       costs: np.ndarray) -> None:
+        """Append distinct row cols[h] (feature y[h]) with cost costs[h] to
+        step h's dense state as its n-th observation, n = count."""
+        n, f_sq = self.count, self.fmap.distinct_sq_norms
+        z = [self.Z[h, :n, i] for h, i in enumerate(cols)]  # L^-1 K(X, y)
         # The new pivot is a Schur complement of K(X, X) + lam*I, at least
         # lam > 1 for any positive semi-definite kernel, repeated rows
-        # included, so only a broken kernel fails this check.
-        diag2 = float(self._k(yy, yy, yy)) + self.lam - float(z @ z)
-        if not diag2 > 0.0:
+        # included, so only a broken kernel fails this check.  Every step
+        # is checked before any changes.
+        diag2 = [float(self._k(f_sq[i], f_sq[i], f_sq[i])) + self.lam - float(zh @ zh)
+                 for i, zh in zip(cols, z)]
+        if not all(x > 0.0 for x in diag2):
             raise RuntimeError("kernel matrix is not positive definite")
-        diag = math.sqrt(diag2)
-        a = (float(cost) - float(z @ alpha[:n])) / diag
-        kyf = self._k(yy, f_sq, self.fmap.distinct @ y)  # k(y, F)
-        r = (kyf - z @ Z[:n]) / diag
-        alpha[n] = a
-        Z[n] = r
-        self.mean[h] += a * r
-        self.var[h] -= r * r
-        self.logdet[h] += 2.0 * math.log(diag)
+        for h, i in enumerate(cols):
+            diag = math.sqrt(diag2[h])
+            a = (float(costs[h]) - float(z[h] @ self.alpha[h, :n])) / diag
+            kyf = self._k(f_sq[i], f_sq, self.fmap.distinct @ y[h])  # k(y, F)
+            r = (kyf - z[h] @ self.Z[h, :n]) / diag
+            self.alpha[h, n], self.Z[h, n] = a, r
+            self.mean[h] += a * r
+            self.var[h] -= r * r
+            self.logdet[h] += 2.0 * math.log(diag)
 
     def info_gain(self, h: int) -> float:
         """Realized information gain 0.5 * ln det(I + lam^-1 KER).  On the
@@ -304,7 +310,7 @@ class GpCostModel:
             # ln det(I + lam^-1 KER) >= 0, but observations that add nothing
             # (k(y, y) = 0) leave the difference of logs a rounding off 0.
             return max(0.5 * (float(self.logdet[h])
-                              - int(self.count[h]) * math.log(self.lam)), 0.0)
+                              - self.count * math.log(self.lam)), 0.0)
         n = self.n[h]
         return 0.5 * (float(np.log1p(n * (self._a / self.lam)).sum())
                       + math.log1p(self._c * float((n / (self._a * n + self.lam)).sum())))

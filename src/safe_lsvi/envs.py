@@ -52,7 +52,8 @@ class TabularCmdp:
         if self.reward.shape != (H, S, A) or self.cost_mean.shape != (H, S, A):
             raise ValueError("reward/cost tables must have shape (H, S, A)")
         # Each range check is written so that a NaN fails it.
-        row_err = np.abs(self.transition.sum(axis=-1) - 1.0).max()
+        sums = np.einsum("...s->...", self.transition)
+        row_err = np.abs(np.subtract(sums, 1.0, out=sums), out=sums).max()
         if not row_err <= ROW_SUM_TOL:
             raise ValueError(f"transition rows must sum to 1 (max error {row_err:.3e})")
         if not self.transition.min() >= 0:

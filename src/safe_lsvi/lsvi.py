@@ -1,30 +1,29 @@
 """Regularized least-squares value iteration with optimism bonuses.
 
 The Q-function and the linear cost LCB regress on the same features, so the
-design statistics of step h are one GramState that the learner and the linear
-cost model share: the inverse of Lambda_h = lam*I + sum phi phi^T (both read
-Lambda_h only through it), the quadratic forms phi^T Lambda_h^{-1} phi, one
-per distinct feature, and the sample count.  The learner ingests each
-episode once; each model keeps only its own regression targets (reward and
-next-state sums; cost sums).  The statistics stay one GramState per step
-rather than arrays with an H axis: a standalone LinearCostModel may be fed
-single steps, so its steps hold different counts, and an episode-wide
-update would need a second, per-step path for it.
+design statistics are one GramState that the learner and the linear cost
+model share.  It holds, for every step h on a leading H axis, the inverse of
+Lambda_h = lam*I + sum phi phi^T (both models read Lambda_h only through it)
+and the quadratic forms phi^T Lambda_h^{-1} phi, one per distinct feature,
+beside one episode count.  The episode is the unit of ingestion: update
+takes the H rows of one episode, and each model keeps only its own
+regression targets (reward and next-state sums; cost sums) with the same H
+axis.
 
 A sample is a row index of the feature map: phi(s, a) is row s*A + a, and
 the map checked every row (norm, finiteness) when it was built, so a sample
 is not checked again.  A GramState takes its storage from its feature map,
 once and for life.  When every feature row is a unit basis vector (one-hot
-features, the tabular case) Lambda_h^{-1} stays diagonal: an update reads
-the row's column and costs O(1), and the quadratic form of a row is the
-inverse's entry at that column.  Otherwise it keeps the dense inverse,
-updated by the rank-one identity in O(d^2), and downdates the cached
-quadratic forms of the map's U distinct rows with the same identity, which
-keeps the per-episode backward pass to a handful of matrix-vector products
-over those U rows.  Either way a table over the S*A rows is computed once
-per column or distinct row and gathered once (GramState.bounds).  On
-one-hot data the dense path only adds exact zeros to what the diagonal path
-computes, so both give the same bits.
+features, the tabular case) each Lambda_h^{-1} stays diagonal: an episode
+updates one entry per step, elementwise over the H steps, and the quadratic
+form of a row is the inverse's entry at that column.  Otherwise it keeps
+the dense inverses, updated step by step by the rank-one identity in
+O(d^2), and downdates the cached quadratic forms of the map's U distinct
+rows with the same identity, which keeps the per-episode backward pass to a
+handful of matrix-vector products over those U rows.  Either way a table
+over the S*A rows is computed once per column or distinct row and gathered
+once (GramState.bounds).  On one-hot data the dense path only adds exact
+zeros to what the diagonal path computes, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -41,80 +40,92 @@ from .penalty import penalized_argmax
 DENOM_TOL = 1e-12
 
 
-class GramState:
-    """Design statistics of one step index over a fixed feature map.
+def _episode_arrays(horizon: int, names: str, *columns) -> tuple:
+    """The columns of one episode as arrays, each of shape (H,)."""
+    columns = tuple(map(np.asarray, columns))
+    if any(c.shape != (horizon,) for c in columns):
+        raise ValueError(f"{names} must have shape ({horizon},)")
+    return columns
 
-    inv holds Lambda^{-1}: a (d, d) array, or its diagonal, shape (d,), when
-    the map's features are one-hot.  count is the number of samples
+
+class GramState:
+    """Design statistics of the H steps over a fixed feature map.
+
+    inv[h] holds Lambda_h^{-1}: inv is (H, d, d), or (H, d), the diagonals,
+    when the map's features are one-hot.  count is the number of episodes
     ingested.  Per-row quantities are kept per column of inv (one-hot) or
     per distinct row of the map (dense); index maps each row of the map to
     its entry.
     """
 
-    def __init__(self, feature_map: FeatureMap, lam: float):
+    def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
         if not lam > 0:
             raise ValueError("lam must be positive")
         self.lam = lam
         self.fmap = feature_map
+        self.H = horizon
         self.count = 0
         self._rows = feature_map.distinct  # None on one-hot maps
         if self.diagonal:
             self.index = feature_map.unit_columns
-            self.inv = np.ones(feature_map.dim) / lam
+            self.inv = np.ones((horizon, feature_map.dim)) / lam
         else:
             self.index = feature_map.distinct_index
-            self.inv = np.eye(feature_map.dim) / lam
-            self._quad = feature_map.distinct_sq_norms / lam
+            self.inv = np.tile(np.eye(feature_map.dim) / lam, (horizon, 1, 1))
+            self._quad = np.tile(feature_map.distinct_sq_norms / lam, (horizon, 1))
 
     @property
     def diagonal(self) -> bool:
         return self._rows is None
 
-    def update(self, row: int) -> None:
-        """Ingest row `row` of the map as a sample: Lambda += phi phi^T.  The
-        inverse and the cached quadratic forms follow by the rank-one
-        identity."""
-        phi = self.fmap.row(row)  # the range check, on both storages
+    def update(self, rows) -> None:
+        """Ingest one episode: row rows[h] of the map is step h's sample,
+        Lambda_h += phi phi^T.  The inverses and the cached quadratic forms
+        follow by the rank-one identity; every step is checked before any
+        changes."""
+        (rows,) = _episode_arrays(self.H, "rows", rows)
+        phi = self.fmap.row(rows)  # the range check, on both storages
         if self.diagonal:
-            # Lambda^{-1} phi is inv[j] e_j: the dense update without its
-            # zero terms, in the same order.
-            j = self.index[row]
-            vj = float(self.inv[j])
+            # Lambda_h^{-1} phi is inv[h, j] e_j: the dense update without
+            # its zero terms, in the same order, elementwise over the steps.
+            steps, j = np.arange(self.H), self.index[rows]
+            vj = self.inv[steps, j]
             denom = 1.0 + vj
-            if denom <= DENOM_TOL:
+            if (denom <= DENOM_TOL).any():
                 raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
-            self.inv[j] -= vj * vj / denom
+            self.inv[steps, j] -= vj * vj / denom
             self.count += 1
             return
-        v = self.inv @ phi
-        denom = 1.0 + float(phi @ v)
-        if denom <= DENOM_TOL:
+        v = [self.inv[h] @ phi[h] for h in range(self.H)]
+        denom = [1.0 + float(phi[h] @ v[h]) for h in range(self.H)]
+        if any(x <= DENOM_TOL for x in denom):
             raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
-        self.inv -= np.outer(v, v) / denom
-        proj = self._rows @ v
-        self._quad -= proj * proj / denom
+        for h in range(self.H):
+            self.inv[h] -= np.outer(v[h], v[h]) / denom[h]
+            proj = self._rows @ v[h]
+            self._quad[h] -= proj * proj / denom[h]
         self.count += 1
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Lambda^{-1} b: the ridge weights for target sums b."""
-        return self.inv * b if self.diagonal else self.inv @ b
+    def solve(self, h: int, b: np.ndarray) -> np.ndarray:
+        """Lambda_h^{-1} b: the ridge weights for target sums b."""
+        return self.inv[h] * b if self.diagonal else self.inv[h] @ b
 
-    def terms(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """<phi, w> and sqrt(max(phi^T Lambda^{-1} phi, 0)) per column of inv
-        (one-hot) or per distinct row; entry index[row] belongs to row."""
+    def terms(self, h: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """<phi, w> and sqrt(max(phi^T Lambda_h^{-1} phi, 0)) per column of
+        inv (one-hot) or per distinct row; entry index[row] belongs to row."""
         if self.diagonal:
-            return w, np.sqrt(np.maximum(self.inv, 0.0))
-        return self._rows @ w, np.sqrt(np.maximum(self._quad, 0.0))
+            return w, np.sqrt(np.maximum(self.inv[h], 0.0))
+        return self._rows @ w, np.sqrt(np.maximum(self._quad[h], 0.0))
 
-    def bounds(self, w: np.ndarray, scale: float) -> np.ndarray:
-        """<phi, w> + scale * ||phi||_{Lambda^{-1}} for every row phi of the
-        map, with the quadratic form clamped at 0."""
-        mean, root = self.terms(w)
+    def bounds(self, h: int, w: np.ndarray, scale: float) -> np.ndarray:
+        """<phi, w> + scale * ||phi||_{Lambda_h^{-1}} for every row phi of
+        the map, with the quadratic form clamped at 0."""
+        mean, root = self.terms(h, w)
         return (mean + scale * root)[self.index]
 
-    def quad_forms(self) -> np.ndarray:
-        """phi^T Lambda^{-1} phi for every row of the map."""
-        return (self.inv if self.diagonal else self._quad)[self.index]
+    def quad_forms(self, h: int) -> np.ndarray:
+        """phi^T Lambda_h^{-1} phi for every row of the map."""
+        return (self.inv if self.diagonal else self._quad)[h][self.index]
 
 
 def beta_schedule(c: float, d: int, horizon: int, episodes: int, p: float) -> float:
@@ -145,11 +156,11 @@ class QModel:
 class LsviLearner:
     """Backward-pass machinery over a tabular feature set.
 
-    Per step h it owns the design statistics stats[h] (a GramState, which a
-    LinearCostModel may share), the reward-weighted feature sum
-    reward_feats[h] and the features bucketed by observed next state,
-    next_feats[h] (so regression targets r + V_{h+1}(x') reduce to one
-    (d, S) matvec).
+    Over the H steps it owns the design statistics stats (a GramState,
+    which a LinearCostModel may share), the reward-weighted feature sums
+    reward_feats (H, d) and the features bucketed by observed next state,
+    next_feats (H, d, S) (so regression targets r + V_{h+1}(x') reduce to
+    one (d, S) matvec per step).
     """
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
@@ -166,7 +177,7 @@ class LsviLearner:
         self.lam = lam
         self.beta = beta
         self.fmap = feature_map
-        self.stats = [GramState(feature_map, lam) for _ in range(horizon)]
+        self.stats = GramState(feature_map, lam, horizon)
         self.next_feats = np.zeros((horizon, self.d, num_states))
         self.reward_feats = np.zeros((horizon, self.d))
 
@@ -176,14 +187,15 @@ class LsviLearner:
         checked whole before anything changes.  Each step adds to its own
         slice of the target sums, so one indexed add per array gives the
         floats of per-step adds."""
-        rows, rewards, next_states = map(np.asarray, (rows, rewards, next_states))
-        if not rows.shape == rewards.shape == next_states.shape == (self.H,):
-            raise ValueError(f"rows, rewards and next states must have shape ({self.H},)")
-        phi = self.fmap.row(rows)  # the range check of every row
-        if not 0 <= next_states.min() <= next_states.max() < self.S:
-            raise ValueError(f"next states {next_states} not all in [0, {self.S})")
-        for h, row in enumerate(rows.tolist()):
-            self.stats[h].update(row)
+        rows, rewards, next_states = _episode_arrays(
+            self.H, "rows, rewards and next states", rows, rewards, next_states)
+        if next_states.dtype.kind not in "iu" or \
+                not 0 <= next_states.min() <= next_states.max() < self.S:
+            raise ValueError(f"next states {next_states} not all integers in [0, {self.S})")
+        if not np.isfinite(rewards).all():
+            raise ValueError(f"rewards {rewards} not all finite")
+        self.stats.update(rows)  # checks the rows before it changes anything
+        phi = self.fmap.flat[rows]
         self.next_feats[np.arange(self.H), :, next_states] += phi
         self.reward_feats += phi * rewards[:, None]
 
@@ -206,10 +218,10 @@ class LsviLearner:
         rows = np.arange(S)
         for h in range(H - 1, -1, -1):
             b = self.reward_feats[h] + self.next_feats[h] @ v_next
-            w = self.stats[h].solve(b)
+            w = self.stats.solve(h, b)
             if not np.isfinite(w).all():
                 raise FloatingPointError(f"non-finite regression weights at step {h}")
-            q = np.minimum(self.stats[h].bounds(w, self.beta), float(H)).reshape(S, A)
+            q = np.minimum(self.stats.bounds(h, w, self.beta), float(H)).reshape(S, A)
             a_star = q.argmax(axis=1) if ghat is None or z is None else \
                 penalized_argmax(q, ghat[h], z[h])
             weights[h] = w
@@ -222,5 +234,5 @@ class LsviLearner:
 
     def weight_norm_bound(self) -> float:
         """Theory bound 2H sqrt(dk/lam) for the current episode count."""
-        k = self.stats[0].count + 1
+        k = self.stats.count + 1
         return 2.0 * self.H * math.sqrt(self.d * k / self.lam)

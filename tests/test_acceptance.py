@@ -141,13 +141,17 @@ def test_criterion_4_condition_one_optimism():
         cmdp, fmap, _ = build_synthetic_linear(8, 3, seed=seed, cost_noise=0.1)
         rng = np.random.default_rng(seed + 10_000)
         model = LinearCostModel(fmap, cmdp.horizon, lam=1.0, p=p)
-        for _ in range(500):
-            h = int(rng.integers(cmdp.horizon))
-            s = int(rng.integers(cmdp.num_states))
-            a = int(rng.integers(cmdp.num_actions))
-            obs = float(np.clip(cmdp.cost_mean[h, s, a] + rng.normal(0, 0.1),
-                                -1, 1))
-            model.observe(h, s * cmdp.num_actions + a, obs)
+        # About 500 observations, as ceil(500/H) episodes of one random
+        # (s, a) and noise per step.
+        for _ in range(math.ceil(500 / cmdp.horizon)):
+            rows, obs = [], []
+            for h in range(cmdp.horizon):
+                s = int(rng.integers(cmdp.num_states))
+                a = int(rng.integers(cmdp.num_actions))
+                rows.append(s * cmdp.num_actions + a)
+                obs.append(float(np.clip(cmdp.cost_mean[h, s, a] + rng.normal(0, 0.1),
+                                         -1, 1)))
+            model.observe(rows, obs)
         for h, s, a in product(range(cmdp.horizon), range(cmdp.num_states),
                                range(cmdp.num_actions)):
             est = model.predict(h, s * cmdp.num_actions + a)
@@ -168,7 +172,7 @@ def test_criterion_4_condition_one_optimism():
                             lengthscale=0.5 * SQRT_HALF, p=p,
                             feature_map=_map_of(pts * SQRT_HALF))
         for i in range(25):
-            model.observe(0, i, float(truth[i]))
+            model.observe([i], [truth[i]])
         for i in range(25, 40):
             est = model.predict(0, i)
             gp_total += 1
@@ -222,12 +226,12 @@ def test_criterion_6_numerical_identities():
             phi = rng.normal(size=d)
             phi /= max(np.linalg.norm(phi), 1.0) / rng.uniform(0.1, 1.0)
             feats[i] = phi
-        g = GramState(sl.FeatureMap(d, feats.reshape(60, 1, d)), 1.0)
+        g = GramState(sl.FeatureMap(d, feats.reshape(60, 1, d)), 1.0, 1)
         gram = np.eye(d)  # lam*I + sum phi phi^T, built here from the samples
         for row, phi in enumerate(feats):
-            g.update(row)
+            g.update(np.array([row]))
             gram += np.outer(phi, phi)
-        gram_err = max(gram_err, np.abs(g.inv - np.linalg.inv(gram)).max())
+        gram_err = max(gram_err, np.abs(g.inv[0] - np.linalg.inv(gram)).max())
 
     # GP with linear kernel vs primal ridge mean
     ridge_err = 0.0
@@ -247,8 +251,8 @@ def test_criterion_6_numerical_identities():
     gp = GpCostModel("linear", total_episodes=50, horizon=1, feature_map=fmap)
     ridge = LinearCostModel(fmap, horizon=1, lam=gp.lam)
     for row, cost in enumerate(costs):
-        gp.observe(0, row, cost)
-        ridge.observe(0, row, cost)
+        gp.observe([row], [cost])
+        ridge.observe([row], [cost])
     for row in range(30, 50):
         ridge_err = max(ridge_err, abs(gp.posterior(0, row)[0]
                                        - float(points[row] @ ridge.theta(0))))
@@ -259,7 +263,7 @@ def test_criterion_6_numerical_identities():
     model = GpCostModel("sqexp", total_episodes=60, horizon=1,
                         lengthscale=0.6 * SQRT_HALF, feature_map=_map_of(pts * SQRT_HALF))
     for row in range(30):
-        model.observe(0, row, float(np.clip(rng.normal(0, 0.3), -1, 1)))
+        model.observe([row], [np.clip(rng.normal(0, 0.3), -1, 1)])
     kern = make_kernel("sqexp", 0.6)
     _, logdet = np.linalg.slogdet(np.eye(30) + kern(pts, pts) / model.lam)
     info_err = abs(model.info_gain(0) - 0.5 * logdet)
@@ -272,10 +276,10 @@ def test_criterion_6_numerical_identities():
         feats = rng.normal(size=(k, d))
         feats /= np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1.0)
         feats *= rng.uniform(0.05, 1.0, size=(k, 1))
-        g = GramState(sl.FeatureMap(d, feats.reshape(k, 1, d)), 1.0)
+        g = GramState(sl.FeatureMap(d, feats.reshape(k, 1, d)), 1.0, 1)
         for row in range(k):
-            g.update(row)
-        total = sum(phi @ g.inv @ phi for phi in feats)
+            g.update(np.array([row]))
+        total = sum(phi @ g.inv[0] @ phi for phi in feats)
         elliptical_ok = elliptical_ok and total <= d + 1e-10
 
     ok = gram_err <= 1e-8 and ridge_err <= 1e-8 and info_err <= 1e-8 \

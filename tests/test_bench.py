@@ -13,9 +13,17 @@ import safe_lsvi
 from safe_lsvi.bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
                              Metrics, emit_results, fit_growth_exponent,
                              run_experiment)
-from safe_lsvi.costs import KERNELS, tilde_beta
+from safe_lsvi.costs import KERNELS, GpCostModel, LinearCostModel, tilde_beta
 from safe_lsvi.envs import (TabularCmdp, build_synthetic_linear,
                             one_hot_features)
+from safe_lsvi.lsvi import GramState
+
+# The benchmark package lives at the root of the repository.
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from perfbench.harness import setup_cell  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
 def alternating_cost_env():
@@ -588,6 +596,28 @@ def test_readme_lists_every_cli_flag():
     assert documented == flags
 
 
+@pytest.mark.parametrize("cost_model", COST_MODELS)
+def test_models_ingest_once_per_episode(cost_model, monkeypatch):
+    # The rollout makes no model call inside its step loop: after each
+    # episode, one update of the shared statistics and one cost observe,
+    # each of the episode's H rows.
+    calls = []
+
+    def record(name, method):
+        def wrapper(self, rows, *args):
+            calls.append((name, np.shape(rows)))
+            return method(self, rows, *args)
+        return wrapper
+    for cls in (GramState, LinearCostModel, GpCostModel):
+        method = cls.update if cls is GramState else cls.observe
+        monkeypatch.setattr(cls, method.__name__, record(cls.__name__, method))
+    cfg = ExperimentConfig(env="synthetic_linear", agent="lsvi_ae", episodes=4,
+                           horizon=3, dim=4, beta_override=1.0, cost_model=cost_model)
+    run_experiment(cfg)
+    model = "LinearCostModel" if cost_model == "linear" else "GpCostModel"
+    assert calls == [("GramState", (3,)), (model, (3,))] * 4
+
+
 def test_run_with_gp_cost_model():
     cfg = ExperimentConfig(env="synthetic_linear", agent="lsvi_ae", episodes=25,
                            horizon=3, dim=4, beta_override=1.0,
@@ -627,3 +657,17 @@ def test_importing_the_package_does_not_load_scipy():
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's set-up API
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_sets_up_every_workload(name):
+    # perfbench builds each cell's learner and cost model through the
+    # package's constructors; a change it cannot follow fails here, not in a
+    # benchmark run.
+    for config in WORKLOADS[name].cells(0, True):
+        cmdp, fmap = setup_cell(config)
+        assert fmap.table.shape[:2] == (cmdp.num_states, cmdp.num_actions)

@@ -96,7 +96,7 @@ def test_linear_no_data_prior():
 def test_linear_single_sample_theta():
     fmap = one_hot_features(1, 2)
     model = LinearCostModel(fmap, horizon=1, lam=1.0)
-    model.observe(0, 0, 1.0)  # row 0 is [1, 0]
+    model.observe([0], [1.0])  # row 0 is [1, 0]
     assert np.allclose(model.theta(0), [0.5, 0.0])
 
 
@@ -110,7 +110,7 @@ def test_linear_incremental_matches_batch_ridge():
     # The observed features are rows of the map, after the toy map's rows.
     model = LinearCostModel(map_of(np.vstack([toy.flat] + feats)), horizon=1, lam=1.0)
     for i, cost in enumerate(costs):
-        model.observe(0, len(toy.flat) + i, cost)
+        model.observe([len(toy.flat) + i], [cost])
     X = np.array(feats)
     batch = np.linalg.solve(X.T @ X + np.eye(4), X.T @ np.array(costs))
     assert np.abs(model.theta(0) - batch).max() <= 1e-8
@@ -126,16 +126,16 @@ def test_linear_rejects_out_of_range_cost():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=1)
     with pytest.raises(ValueError):
-        model.observe(0, 0, 1.5)
+        model.observe([0], [1.5])
 
 
 def test_linear_rejects_a_nan_cost_and_keeps_its_state():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=1)
-    model.observe(0, 1, 0.5)
+    model.observe([1], [0.5])
     theta, table = model.theta(0), model.lcb_table(0)
     with pytest.raises(ValueError, match="nan"):
-        model.observe(0, 0, math.nan)
+        model.observe([0], [math.nan])
     assert np.array_equal(model.theta(0), theta)
     assert np.array_equal(model.lcb_table(0), table)
 
@@ -149,11 +149,11 @@ def test_linear_lcb_below_mean():
         costs.append(float(rng.uniform(-1, 1)))
     # The observed features are rows of the map, after the toy map's rows.
     fmap = map_of(np.vstack([toy.flat] + feats))
-    model = LinearCostModel(fmap, horizon=2)
+    model = LinearCostModel(fmap, horizon=1)
     for i, cost in enumerate(costs):
-        model.observe(1, len(toy.flat) + i, cost)
-    table = model.lcb_table(1)
-    means = (fmap.flat @ model.theta(1)).reshape(table.shape)
+        model.observe([len(toy.flat) + i], [cost])
+    table = model.lcb_table(0)
+    means = (fmap.flat @ model.theta(0)).reshape(table.shape)
     assert np.all(table <= means + 1e-12)
 
 
@@ -167,13 +167,17 @@ def test_linear_condition_one_frequencies():
                                                    cost_noise=0.1)
         rng = np.random.default_rng(seed + 500)
         model = LinearCostModel(fmap, cmdp.horizon, lam=1.0, p=p)
-        for _ in range(500):
-            h = int(rng.integers(cmdp.horizon))
-            s = int(rng.integers(cmdp.num_states))
-            a = int(rng.integers(cmdp.num_actions))
-            obs = float(np.clip(cmdp.cost_mean[h, s, a] + rng.normal(0, 0.1),
-                                -1, 1))
-            model.observe(h, s * cmdp.num_actions + a, obs)
+        # About 500 observations, as ceil(500/H) episodes of one random
+        # (s, a) and noise per step.
+        for _ in range(math.ceil(500 / cmdp.horizon)):
+            rows, obs = [], []
+            for h in range(cmdp.horizon):
+                s = int(rng.integers(cmdp.num_states))
+                a = int(rng.integers(cmdp.num_actions))
+                rows.append(s * cmdp.num_actions + a)
+                obs.append(float(np.clip(cmdp.cost_mean[h, s, a] + rng.normal(0, 0.1),
+                                         -1, 1)))
+            model.observe(rows, obs)
         for h in range(cmdp.horizon):
             for s in range(cmdp.num_states):
                 for a in range(cmdp.num_actions):
@@ -204,9 +208,9 @@ def test_kernel_registry():
 def test_gp_duplicate_point_stays_pd():
     model = GpCostModel("linear", total_episodes=10, horizon=1,
                         feature_map=map_of([[0.6, 0.8]]))
-    model.observe(0, 0, 0.2)
-    model.observe(0, 0, 0.3)  # no error: the regularizer keeps things PD
-    assert model.num_obs(0) == 2
+    model.observe([0], [0.2])
+    model.observe([0], [0.3])  # no error: the regularizer keeps things PD
+    assert model.count == 2
 
 
 def test_gp_prior_posterior():
@@ -221,7 +225,7 @@ def test_gp_posterior_shrinks_at_observed_point():
     model = GpCostModel("sqexp", total_episodes=50, horizon=1,
                         feature_map=map_of([[0.5, -0.2]]))
     _, prior_sigma = model.posterior(0, 0)
-    model.observe(0, 0, 0.4)
+    model.observe([0], [0.4])
     _, post_sigma = model.posterior(0, 0)
     assert post_sigma < prior_sigma
 
@@ -242,7 +246,7 @@ def test_gp_variance_monotone_in_observations():
                         lengthscale=0.8 * SQRT_HALF, feature_map=fmap)
     last = model.posterior(0, 0)[1]
     for row, (_, cost) in enumerate(draws, start=1):
-        model.observe(0, row, cost)
+        model.observe([row], [cost])
         sigma = model.posterior(0, 0)[1]
         assert sigma <= last + 1e-10
         last = sigma
@@ -255,7 +259,7 @@ def test_gp_preclamp_variance_not_too_negative():
     model = GpCostModel("linear", total_episodes=200, horizon=1,
                         feature_map=map_of([y for y, _ in draws]))
     for row, (_, cost) in enumerate(draws):
-        model.observe(0, row, cost)
+        model.observe([row], [cost])
     # The posterior variance at every observed row, before the clamp at 0.
     assert model.var[0].min() >= -1e-10
 
@@ -277,8 +281,8 @@ def test_gp_kernel_ridge_matches_primal_mean():
     gp = GpCostModel("linear", total_episodes=K, horizon=1, feature_map=fmap)
     ridge = LinearCostModel(fmap, horizon=1, lam=gp.lam)
     for i, cost in enumerate(costs):
-        gp.observe(0, len(rows) + i, cost)
-        ridge.observe(0, len(rows) + i, cost)
+        gp.observe([len(rows) + i], [cost])
+        ridge.observe([len(rows) + i], [cost])
     for row, q in enumerate(queries, start=len(rows) + n):
         gp_mean, _ = gp.posterior(0, row)
         assert abs(gp_mean - float(q @ ridge.theta(0))) <= 1e-8
@@ -300,13 +304,13 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     gp = GpCostModel("linear", total_episodes=K, horizon=1, p=0.1, feature_map=fmap)
     ridge = LinearCostModel(fmap, horizon=1, lam=gp.lam, p=0.1)
     for row, cost in enumerate(costs):
-        gp.observe(0, row, cost)
-        ridge.observe(0, row, cost)
+        gp.observe([row], [cost])
+        ridge.observe([row], [cost])
     beta_aligned = gp_beta(gp.info_gain(0), 0.1 / 1) * math.sqrt(gp.lam)
     for row, q in enumerate(queries, start=len(points)):
         lhs = gp.predict(0, row).value
         rhs = (q @ ridge.theta(0)
-               - beta_aligned * math.sqrt(q @ ridge.stats[0].inv @ q))
+               - beta_aligned * math.sqrt(q @ ridge.stats.inv[0] @ q))
         assert abs(lhs - rhs) <= 1e-8
 
 
@@ -334,7 +338,7 @@ def test_gp_condition_one_on_gp_sampled_truth():
                             lengthscale=0.5 * SQRT_HALF, p=p,
                             feature_map=map_of(pts * SQRT_HALF))
         for i in train:
-            model.observe(0, i, float(f[i]))
+            model.observe([i], [f[i]])
         for i in test:
             est = model.predict(0, i)
             total += 1
@@ -359,7 +363,7 @@ def test_info_gain_single_unit_kernel_point():
     K = 2
     model = GpCostModel("sqexp", total_episodes=K, horizon=1,
                         feature_map=map_of([[0.0, 0.0]]))
-    model.observe(0, 0, 0.1)
+    model.observe([0], [0.1])
     lam = 1.0 + 2.0 / K
     assert model.info_gain(0) == pytest.approx(0.5 * math.log(1.0 + 1.0 / lam))
 
@@ -370,7 +374,7 @@ def test_info_gain_matches_dense_logdet():
     model = GpCostModel("sqexp", total_episodes=60, horizon=1,
                         lengthscale=0.6 * SQRT_HALF, feature_map=map_of(pts * SQRT_HALF))
     for row in range(30):
-        model.observe(0, row, float(np.clip(rng.normal(0, 0.3), -1, 1)))
+        model.observe([row], [np.clip(rng.normal(0, 0.3), -1, 1)])
     kern = make_kernel("sqexp", 0.6)
     _, logdet = np.linalg.slogdet(np.eye(30) + kern(pts, pts) / model.lam)
     assert abs(model.info_gain(0) - 0.5 * logdet) <= 1e-8
@@ -384,7 +388,7 @@ def test_info_gain_nondecreasing():
                         feature_map=map_of([y for y, _ in draws]))
     last = 0.0
     for row, (_, cost) in enumerate(draws):
-        model.observe(0, row, cost)
+        model.observe([row], [cost])
         gamma = model.info_gain(0)
         assert gamma >= last - 1e-10
         last = gamma
@@ -394,42 +398,46 @@ def test_gp_rejects_out_of_range_cost():
     model = GpCostModel("sqexp", total_episodes=10, horizon=1,
                         feature_map=map_of([[0.0, 0.0]]))
     with pytest.raises(ValueError):
-        model.observe(0, 0, -1.2)
+        model.observe([0], [-1.2])
 
 
 def test_gp_rejects_a_nan_cost_and_keeps_its_state():
     fmap = one_hot_features(2, 2)
     model = GpCostModel("sqexp", total_episodes=5, horizon=1, feature_map=fmap)
-    model.observe(0, 1, 0.5)
+    model.observe([1], [0.5])
     counts, sums, table = model.n.copy(), model.G.copy(), model.lcb_table(0)
     with pytest.raises(ValueError, match="nan"):
-        model.observe(0, 0, math.nan)
-    assert model.num_obs(0) == 1
+        model.observe([0], [math.nan])
+    assert model.count == 1
     assert model.n.tobytes() == counts.tobytes()
     assert model.G.tobytes() == sums.tobytes()
     assert model.lcb_table(0).tobytes() == table.tobytes()
 
 
-@pytest.mark.parametrize("point", [np.array([0.0, 1.0, 0.0, 0.0]), [1.0, 0.0, 0.0, 0.0],
-                                   1.0, np.array(2.0)],
-                         ids=["array", "list", "float", "0-d array"])
-def test_one_hot_gp_rejects_a_point_and_keeps_its_state(point):
+@pytest.mark.parametrize("point, error", [
+    (np.array([0.0, 1.0, 0.0, 0.0]), (TypeError, "row index .* is not an integer")),
+    ([1.0, 0.0, 0.0, 0.0], (TypeError, "row index .* is not an integer")),
+    (1.0, (ValueError, r"must have shape \(4,\)")),
+    (np.array(2.0), (ValueError, r"must have shape \(4,\)"))],
+    ids=["array", "list", "float", "0-d array"])
+def test_one_hot_gp_rejects_a_point_and_keeps_its_state(point, error):
+    # A feature vector of d = H = 4 in place of the episode's rows.
     fmap = one_hot_features(2, 2)
-    model = GpCostModel("sqexp", total_episodes=5, horizon=2, feature_map=fmap)
-    model.observe(0, 1, 0.5)
-    model.observe(1, 3, -0.25)
-    before = [x.tobytes() for x in (model.n, model.G, model.count)]
-    with pytest.raises(TypeError, match="row index .* is not an integer"):
-        model.observe(0, point, 0.5)
-    assert [x.tobytes() for x in (model.n, model.G, model.count)] == before
+    model = GpCostModel("sqexp", total_episodes=5, horizon=4, feature_map=fmap)
+    model.observe([1, 3, 0, 2], [0.5, -0.25, 0.0, 1.0])
+    before = [x.tobytes() for x in (model.n, model.G)], model.count
+    with pytest.raises(error[0], match=error[1]):
+        model.observe(point, [0.5] * 4)
+    assert ([x.tobytes() for x in (model.n, model.G)], model.count) == before
 
 
 def test_one_hot_gp_observes_one_row_at_a_time():
+    # One row per step: an array of rows at a step fails the episode's shape.
     model = GpCostModel("sqexp", total_episodes=5, horizon=1,
                         feature_map=one_hot_features(2, 2))
-    with pytest.raises(TypeError):
-        model.observe(0, np.array([0, 1]), 0.5)
-    assert model.num_obs(0) == 0 and not model.n.any() and not model.G.any()
+    with pytest.raises(ValueError, match=r"must have shape \(1,\)"):
+        model.observe(np.array([0, 1]), [0.5, 0.5])
+    assert model.count == 0 and not model.n.any() and not model.G.any()
 
 
 def test_one_hot_gp_rejects_a_kernel_not_finite_on_unit_vectors():
@@ -481,23 +489,24 @@ def test_dense_gp_information_gain_of_uninformative_observations_is_zero():
     model = GpCostModel("linear", total_episodes=10, horizon=1,
                         feature_map=map_of([[0.0, 0.0], [0.6, 0.0]]))
     for _ in range(10):
-        model.observe(0, 0, 0.1)
+        model.observe([0], [0.1])
     assert model.info_gain(0) == 0.0
     assert model.lcb_table(0)[0, 0] == 0.0  # no prior variance at a zero row
 
 
 def test_gp_step_holds_at_most_k_points():
+    # Each episode adds one point to every step, and the model holds at
+    # most K episodes.
     K = 3
     model = GpCostModel("sqexp", total_episodes=K, horizon=2,
                         feature_map=map_of([[0.6, 0.8]]))
     for _ in range(K):
-        model.observe(0, 0, 0.1)
-    with pytest.raises(ValueError, match=r"step 0 .*K=3"):
-        model.observe(0, 0, 0.1)
-    assert model.num_obs(0) == K
-    for _ in range(K):  # the other step still takes its K points
-        model.observe(1, 0, 0.1)
-    assert model.num_obs(1) == K
+        model.observe([0, 0], [0.1, 0.1])
+    before = [model.alpha.tobytes(), model.Z.tobytes()]
+    with pytest.raises(ValueError, match="already holds K=3 episodes"):
+        model.observe([0, 0], [0.1, 0.1])
+    assert model.count == K
+    assert [model.alpha.tobytes(), model.Z.tobytes()] == before
 
 
 def test_gp_requires_a_feature_map():
@@ -514,29 +523,36 @@ GP_KERNELS = st.sampled_from([("linear", 1.0), ("sqexp", 0.3), ("sqexp", 0.7),
                               ("sqexp", 1.0), ("sqexp", 2.5)])
 
 
+def _observe_episodes(model, rng, num_episodes, draw_row):
+    """Feed model num_episodes random episodes, step h's row drawn by
+    draw_row() and its cost uniform in [-1, 1].  Returns each step's
+    (features, costs)."""
+    data = [([], []) for _ in range(model.H)]
+    for _ in range(num_episodes):
+        rows = np.array([draw_row() for _ in range(model.H)])
+        costs = rng.uniform(-1, 1, size=model.H)
+        model.observe(rows, costs)
+        for h, (points, step_costs) in enumerate(data):
+            points.append(model.fmap.flat[rows[h]])
+            step_costs.append(float(costs[h]))
+    return data
+
+
 def _observed_gp(rng, kernel, lengthscale, horizon):
-    """A GP cost model on a small feature map after a random observe
-    sequence of its rows, repeats included.  Returns the model and each
-    step's (points, costs)."""
+    """A GP cost model on a small feature map after random episodes over
+    its rows, repeats included.  Returns the model and each step's (points,
+    costs)."""
     S, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     table = ball_features(rng, S * A, d) * rng.uniform(0.2, 1.0, size=(S * A, 1))
     fmap = FeatureMap(dim=d, table=table.reshape(S, A, d))
-    # Each step holds at most K points, so K is drawn no smaller than the
-    # number of observations.
-    num_obs = int(rng.integers(0, 40))
-    model = GpCostModel(kernel, total_episodes=int(rng.integers(max(num_obs, 1), 50)),
+    # The model holds at most K episodes, so K is drawn no smaller than
+    # their number.
+    num_episodes = int(rng.integers(0, 21))
+    model = GpCostModel(kernel, total_episodes=int(rng.integers(max(num_episodes, 1), 50)),
                         horizon=horizon, lengthscale=lengthscale,
                         p=float(rng.uniform(0.01, 0.5)),
                         width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
-    data = [([], []) for _ in range(horizon)]
-    for _ in range(num_obs):
-        h = int(rng.integers(horizon))
-        row = rng.integers(S * A)  # a numpy integer, as the run's rows can be
-        cost = float(rng.uniform(-1, 1))
-        model.observe(h, row, cost)
-        data[h][0].append(fmap.flat[row])
-        data[h][1].append(cost)
-    return model, data
+    return model, _observe_episodes(model, rng, num_episodes, lambda: rng.integers(S * A))
 
 
 def _dense_gp_posterior(model, points, costs, Y):
@@ -606,8 +622,8 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
     S, A = int(rng.integers(1, 5)), int(rng.integers(1, 4))
     d = int(rng.integers(1, S * A + 3))
     fmap = FeatureMap(dim=d, table=np.eye(d)[rng.integers(d, size=S * A)].reshape(S, A, d))
-    num_obs, horizon = int(rng.integers(0, 40)), 2
-    model = GpCostModel(kernel[0], total_episodes=int(rng.integers(max(num_obs, 1), 50)),
+    num_episodes, horizon = int(rng.integers(0, 21)), 2
+    model = GpCostModel(kernel[0], total_episodes=int(rng.integers(max(num_episodes, 1), 50)),
                         horizon=horizon, lengthscale=kernel[1],
                         p=float(rng.uniform(0.01, 0.5)),
                         width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
@@ -616,14 +632,8 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
         assert model._a == 0.0  # c rounds to 1: the formulas must not divide by a
     # Rows drawn from a few favourites, so repeats are common.
     favourites = rng.integers(S * A, size=int(rng.integers(1, 4)))
-    data = [([], []) for _ in range(horizon)]
-    for _ in range(num_obs):
-        h = int(rng.integers(horizon))
-        row = int(rng.choice(favourites) if rng.uniform() < 0.5 else rng.integers(S * A))
-        cost = float(rng.uniform(-1, 1))
-        model.observe(h, row, cost)
-        data[h][0].append(fmap.flat[row])
-        data[h][1].append(cost)
+    data = _observe_episodes(model, rng, num_episodes, lambda: int(
+        rng.choice(favourites) if rng.uniform() < 0.5 else rng.integers(S * A)))
     calls = []
 
     def counted(f):
@@ -637,7 +647,7 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
     model.kern, model._k = kern, k
     assert calls == []  # no kernel call, neither through kern nor pointwise
     for h, (table, (points, costs)) in enumerate(zip(tables, data)):
-        assert model.num_obs(h) == len(points)
+        assert model.count == len(points)
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-10
         _, _, gamma = _dense_gp_posterior(model, points, costs, fmap.flat)
         assert abs(model.info_gain(h) - gamma) <= 1e-10
@@ -738,27 +748,27 @@ def test_distinct_row_statistics_equal_full_row_references(seed):
     assert fmap.distinct.tobytes() == flat[first].tobytes()
     assert fmap.distinct[fmap.distinct_index].tobytes() == flat.tobytes()
 
-    lam, num_obs = float(rng.uniform(0.1, 3.0)), int(rng.integers(0, 30))
+    lam, num_episodes = float(rng.uniform(0.1, 3.0)), int(rng.integers(0, 15))
     linear = LinearCostModel(fmap, H, lam=lam, p=float(rng.uniform(0.01, 0.5)),
                              width_scale=float(rng.uniform(0.0, 2.0)))
     kernel, lengthscale = [("linear", 1.0), ("sqexp", 0.5), ("sqexp", 1.5)][rng.integers(3)]
-    gp = GpCostModel(kernel, total_episodes=max(num_obs, 1), horizon=H,
+    gp = GpCostModel(kernel, total_episodes=max(num_episodes, 1), horizon=H,
                      lengthscale=lengthscale, p=float(rng.uniform(0.01, 0.5)),
                      width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
     grams, b, data = [_FullRowGram(fmap, lam) for _ in range(H)], np.zeros((H, d)), [[], []]
-    for _ in range(num_obs):
-        h, row = int(rng.integers(H)), int(rng.integers(len(flat)))
-        cost = float(rng.uniform(-1, 1))
-        linear.observe(h, row, cost)
-        gp.observe(h, row, cost)
-        grams[h].update(row)
-        b[h] += flat[row] * cost
-        data[h].append((row, cost))
+    for _ in range(num_episodes):
+        rows, costs = rng.integers(len(flat), size=H), rng.uniform(-1, 1, size=H)
+        linear.observe(rows, costs)
+        gp.observe(rows, costs)
+        for h, row in enumerate(rows):
+            grams[h].update(row)
+            b[h] += flat[row] * costs[h]
+            data[h].append((row, costs[h]))
     # One (U, d) array of distinct rows, shared by every statistic over the map.
-    assert all(g._rows is fmap.distinct for g in linear.stats)
+    assert linear.stats._rows is fmap.distinct
     for h, ref in enumerate(grams):
         w, scale = rng.normal(size=d), float(rng.uniform(-3.0, 3.0))
-        bounds = linear.stats[h].bounds(w, scale)
+        bounds = linear.stats.bounds(h, w, scale)
         assert np.abs(bounds - ref.bounds(w, scale)).max() <= 1e-12
         beta = linear.width_scale * tilde_beta(lam, d, ref.count + 1, linear.p / H)
         lcb = linear.lcb_table(h).ravel()
@@ -787,21 +797,16 @@ def _assert_linear_predict(model, h, X, costs):
     assert np.array([e.value for e in got]).tobytes() == table.ravel().tobytes()
 
 
-def _observed_linear(rng, fmap, horizon, num_obs=None):
-    """A linear cost model on fmap after a random observe sequence of its
-    rows (num_obs of them, or 0 to 29).  Returns the model and each step's
+def _observed_linear(rng, fmap, horizon, num_episodes=None):
+    """A linear cost model on fmap after random episodes over its rows
+    (num_episodes of them, or 0 to 14).  Returns the model and each step's
     (features, costs)."""
     model = LinearCostModel(fmap, horizon, lam=float(rng.uniform(0.1, 3.0)),
                             p=float(rng.uniform(0.01, 0.5)),
                             width_scale=float(rng.uniform(0.0, 2.0)))
-    data = [([], []) for _ in range(horizon)]
-    for _ in range(int(rng.integers(0, 30)) if num_obs is None else num_obs):
-        h, row, cost = (int(rng.integers(horizon)), int(rng.integers(len(fmap.flat))),
-                        float(rng.uniform(-1, 1)))
-        model.observe(h, row, cost)
-        data[h][0].append(fmap.flat[row])
-        data[h][1].append(cost)
-    return model, data
+    num_episodes = int(rng.integers(0, 15)) if num_episodes is None else num_episodes
+    return model, _observe_episodes(model, rng, num_episodes,
+                                    lambda: int(rng.integers(len(fmap.flat))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -819,68 +824,144 @@ def test_linear_predict_is_its_lcb_table_entry_on_the_hard_instance():
     # Dense rows, most of them repeated: a predict with its own dot product
     # and quadratic form differs from the table in the last bits here.
     _, fmap, _ = build_hard_instance(5, 3, 40)
-    model, data = _observed_linear(np.random.default_rng(0), fmap, horizon=3, num_obs=30)
+    model, data = _observed_linear(np.random.default_rng(0), fmap, horizon=3, num_episodes=10)
     for h, (X, costs) in enumerate(data):
         assert X  # every step holds observations
         _assert_linear_predict(model, h, X, costs)
 
 
 # ---------------------------------------------------------------------------
-# Row indices out of range or of another type
+# Whole episodes against a per-step loop (property tests)
 # ---------------------------------------------------------------------------
 
-def _row_entry_point(name, fmap):
-    """observe(row) through one entry point on fresh statistics over fmap,
-    and a snapshot of every array and count it changes."""
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, one_hot=st.booleans())
+def test_episode_updates_equal_a_per_step_loop_bitwise(seed, one_hot):
+    rng = np.random.default_rng(seed)
+    H, K = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+    fmap = one_hot_features(int(rng.integers(1, 5)), int(rng.integers(1, 4))) \
+        if one_hot else _repeated_row_map(rng)
+    lam = float(rng.uniform(0.1, 3.0))
+    kernel, lengthscale = [("linear", 1.0), ("sqexp", 0.5), ("sqexp", 1.5)][rng.integers(3)]
+    linear = LinearCostModel(fmap, H, lam=lam)
+    gp = GpCostModel(kernel, total_episodes=K, horizon=H, lengthscale=lengthscale,
+                     feature_map=fmap)
+    # The reference: each step's arrays of their own, updated one sample at
+    # a time, in the order and with the operands of a per-step update.
+    d, flat, k_fn = fmap.dim, fmap.flat, gp._k
+    cols = fmap.unit_columns if one_hot else fmap.distinct_index
+    inv = [np.ones(d) / lam if one_hot else np.eye(d) / lam for _ in range(H)]
+    b = [np.zeros(d) for _ in range(H)]
+    if one_hot:
+        n, G = np.zeros((H, d), dtype=int), np.zeros((H, d))
+    else:
+        F, f_sq = fmap.distinct, fmap.distinct_sq_norms
+        quad = [f_sq / lam for _ in range(H)]
+        alpha, Z, logdet = np.zeros((H, K)), np.zeros((H, K, len(F))), np.zeros(H)
+        mean, var = np.zeros((H, len(F))), np.tile(k_fn(f_sq, f_sq, f_sq), (H, 1))
+    episodes = int(rng.integers(0, K + 1))
+    for k in range(episodes):
+        rows, costs = rng.integers(len(flat), size=H), rng.uniform(-1, 1, size=H)
+        linear.observe(rows, costs)
+        gp.observe(rows, costs)
+        for h in range(H):
+            row, cost = int(rows[h]), float(costs[h])
+            phi, i = flat[row], cols[row]
+            b[h] += phi * cost
+            if one_hot:
+                vj = float(inv[h][i])
+                inv[h][i] -= vj * vj / (1.0 + vj)
+                n[h, i] += 1
+                G[h, i] += cost
+                continue
+            v = inv[h] @ phi
+            denom = 1.0 + float(phi @ v)
+            inv[h] -= np.outer(v, v) / denom
+            proj = F @ v
+            quad[h] -= proj * proj / denom
+            z = Z[h, :k, i]
+            diag = math.sqrt(float(k_fn(f_sq[i], f_sq[i], f_sq[i])) + gp.lam - float(z @ z))
+            a = (cost - float(z @ alpha[h, :k])) / diag
+            r = (k_fn(f_sq[i], f_sq, F @ phi) - z @ Z[h, :k]) / diag
+            alpha[h, k], Z[h, k] = a, r
+            mean[h] += a * r
+            var[h] -= r * r
+            logdet[h] += 2.0 * math.log(diag)
+    g = linear.stats
+    assert g.count == gp.count == episodes
+    assert g.inv.tobytes() == np.stack(inv).tobytes()
+    assert linear.b.tobytes() == np.stack(b).tobytes()
+    for h in range(H):
+        ref = inv[h][cols] if one_hot else quad[h][cols]
+        assert g.quad_forms(h).tobytes() == ref.tobytes()
+    if one_hot:
+        assert gp.n.tobytes() == n.tobytes() and gp.G.tobytes() == G.tobytes()
+        return
+    for name, ref in dict(alpha=alpha, Z=Z, mean=mean, var=var, logdet=logdet).items():
+        assert getattr(gp, name).tobytes() == ref.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Malformed episodes
+# ---------------------------------------------------------------------------
+
+def _episode_entry_point(name, fmap, K=4):
+    """observe(rows, costs) of an episode of two steps through one entry
+    point on fresh statistics over fmap, and a snapshot of every array and
+    count it changes.  The learner takes the costs as its rewards."""
     if name == "gram":
-        g = GramState(fmap, 1.0)
-        return g.update, lambda: (g.inv.copy(), g.quad_forms().copy(), g.count)
+        g = GramState(fmap, 1.0, 2)
+        return (lambda rows, costs: g.update(rows),
+                lambda: [g.inv.copy(), g.quad_forms(0).copy(), g.quad_forms(1).copy(),
+                         g.count])
     if name == "learner":
-        # An episode of two steps whose last row is the one tried.  A value
-        # that is not an integer is tried as both rows, so that the array
-        # the learner makes of the episode keeps its type ([2, True] would
-        # become the integer rows [2, 1]).
         lr = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
-        return (lambda row: lr.ingest_episode([2, row] if type(row) is int else [row, row],
-                                              [0.5, 0.5], [0, 1]),
-                lambda: [x.copy() for g in lr.stats for x in (g.inv, g.quad_forms())]
-                + [[g.count for g in lr.stats], lr.reward_feats.copy(),
-                   lr.next_feats.copy()])
+        return (lambda rows, costs: lr.ingest_episode(rows, costs, [0, 1]),
+                lambda: [lr.stats.inv.copy(), lr.stats.quad_forms(0).copy(),
+                         lr.stats.quad_forms(1).copy(), lr.stats.count,
+                         lr.reward_feats.copy(), lr.next_feats.copy()])
     if name == "gp":
-        m = GpCostModel("sqexp", total_episodes=4, horizon=1, feature_map=fmap)
+        m = GpCostModel("sqexp", total_episodes=K, horizon=2, feature_map=fmap)
         state = ("n", "G") if m.one_hot else ("alpha", "Z", "mean", "var", "logdet")
-        return (lambda row: m.observe(0, row, 0.5),
-                lambda: [np.array(getattr(m, name)) for name in state] + [m.num_obs(0)])
-    stats = [GramState(fmap, 1.0)] if name == "linear-shared" else None
-    m = LinearCostModel(fmap, horizon=1, stats=stats)
-    return (lambda row: m.observe(0, row, 0.5),
-            lambda: (m.b[0].copy(), m.stats[0].inv.copy(), m.stats[0].count))
+        return m.observe, lambda: [getattr(m, name).copy() for name in state] + [m.count]
+    stats = GramState(fmap, 1.0, 2) if name == "linear-shared" else None
+    m = LinearCostModel(fmap, horizon=2, stats=stats)
+    return m.observe, lambda: [m.b.copy(), m.stats.inv.copy(), m.stats.count]
 
 
-BAD_ROWS = {"bool": True, "float": 1.0, "list": [1], "float-array": np.array([1.0])}
+BAD_ROWS = {"bool": [True, True], "float": [1.0, 1.0],
+            "float-array": np.array([1.0, 1.0])}
+# name -> (rows, costs, entry points, error)
+BAD_EPISODES = {
+    "minus-one": ([2, -1], [0.5, 0.5], None, (IndexError, r"row -1 outside \[0, 4\)")),
+    "S*A": ([2, 4], [0.5, 0.5], None, (IndexError, r"row 4 outside \[0, 4\)")),
+    **{name: (rows, [0.5, 0.5], None,
+              (TypeError, r"row index array\(.*\) is not an integer"))
+       for name, rows in BAD_ROWS.items()},
+    "list": ([[2], [1]], [0.5, 0.5], None, (ValueError, r"must have shape \(2,\)")),
+    "one-step": ([2], [0.5, 0.5], None, (ValueError, r"must have shape \(2,\)")),
+    "nan-cost": ([2, 1], [0.5, math.nan], ("linear-owned", "linear-shared", "gp"),
+                 (ValueError, r"costs \[0.5 +nan\] not all in \[-1, 1\]")),
+    "nan-reward": ([2, 1], [0.5, math.nan], ("learner",),
+                   (ValueError, r"rewards \[0.5 +nan\] not all finite")),
+    "episode-K+1": ([2, 1], [0.5, 0.5], ("gp",),
+                    (ValueError, "already holds K=1 episodes")),
+}
+ENTRY_POINTS = ("gram", "linear-owned", "linear-shared", "gp", "learner")
 
 
-@pytest.mark.parametrize("row", [-1, 4, *BAD_ROWS.values()],
-                         ids=["minus-one", "S*A", *BAD_ROWS])
-@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
-@pytest.mark.parametrize("entry", ["gram", "linear-owned", "linear-shared", "gp",
-                                   "learner"])
-def test_a_row_outside_the_map_is_rejected_and_changes_nothing(entry, one_hot, row):
+@pytest.mark.parametrize("entry, one_hot, bad", [
+    pytest.param(entry, one_hot, bad, id=f"{entry}-{'one-hot' if one_hot else 'dense'}-{bad}")
+    for entry in ENTRY_POINTS for one_hot in (True, False)
+    for bad, (_, _, entries, _) in BAD_EPISODES.items() if entry in (entries or ENTRY_POINTS)])
+def test_a_row_outside_the_map_is_rejected_and_changes_nothing(entry, one_hot, bad):
     fmap = one_hot_features(2, 2) if one_hot else \
         _toy_fmap(np.random.default_rng(0), S=2, A=2)
-    observe, snapshot = _row_entry_point(entry, fmap)
-    observe(1)
+    rows, costs, _, error = BAD_EPISODES[bad]
+    observe, snapshot = _episode_entry_point(entry, fmap, K=1 if bad == "episode-K+1" else 4)
+    observe(np.array([1, 3]), np.array([0.5, -0.25]))
     before = snapshot()
-    if type(row) is int:
-        error = IndexError, rf"row {row} outside \[0, 4\)"
-    elif entry == "learner":
-        # The learner checks the array it makes of the episode: a sequence
-        # in place of a row fails its shape, a bool or a float its type.
-        error = (ValueError, r"must have shape \(2,\)") if np.ndim(row) else \
-            (TypeError, r"row index array\(.*\) is not an integer")
-    else:
-        error = TypeError, rf"row index {re.escape(repr(row))} is not an integer"
     with pytest.raises(error[0], match=error[1]):
-        observe(row)
+        observe(rows, costs)
     for old, new in zip(before, snapshot()):
         assert np.asarray(old).tobytes() == np.asarray(new).tobytes()

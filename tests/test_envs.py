@@ -340,6 +340,21 @@ def test_cmdp_rejects_bad_rows():
         TabularCmdp(2, 2, 1, P, R, G)
 
 
+@pytest.mark.parametrize("excess, ok", [(1e-11, False), (1e-13, True)],
+                         ids=["1e-11", "1e-13"])
+def test_cmdp_row_sum_tolerance(excess, ok):
+    # One row sums to 1 + excess: rejected beyond the 1e-12 tolerance,
+    # accepted within it.
+    P = np.full((2, 2, 3, 2), 0.5)
+    P[1, 0, 2, 1] += excess
+    tables = dict(transition=P, reward=np.zeros((2, 2, 3)), cost_mean=-np.ones((2, 2, 3)))
+    if ok:
+        TabularCmdp(2, 3, 2, **tables)
+    else:
+        with pytest.raises(ValueError, match="sum to 1"):
+            TabularCmdp(2, 3, 2, **tables)
+
+
 def test_cmdp_rejects_infeasible_state():
     P = np.zeros((1, 2, 2, 2))
     P[..., 0] = 1.0
@@ -433,11 +448,10 @@ def test_feature_map_finds_its_structure_once(table):
         assert len({row.tobytes() for row in fmap.distinct}) == len(fmap.distinct)
         expected_sq = [math.fsum(x * x for x in row) for row in fmap.distinct]
         assert np.allclose(fmap.distinct_sq_norms, expected_sq, rtol=1e-14, atol=0.0)
-    g = GramState(fmap, 1.0)
+    g = GramState(fmap, 1.0, len(rows))
     assert g.diagonal == one_hot
-    for row in range(len(rows)):  # every row of the map is a sample its statistics take
-        g.update(row)
-    assert g.count == len(rows)
+    g.update(np.arange(len(rows)))  # every row of the map is a sample its statistics take
+    assert g.count == 1
 
 
 def test_episode_trace_chains():

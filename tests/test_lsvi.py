@@ -48,69 +48,89 @@ def gram_of(lam, d, samples):
 # GramState
 # ---------------------------------------------------------------------------
 
+def fed(fmap, lam, rows=()):
+    """A GramState of one step over fmap after one episode per row in rows."""
+    g = GramState(fmap, lam, 1)
+    for row in rows:
+        g.update(np.array([row]))
+    return g
+
+
 def test_gram_init_identity():
-    g = GramState(map_of(np.zeros((1, 3))), 1.0)
-    assert np.array_equal(g.inv, np.eye(3))
+    g = GramState(map_of(np.zeros((1, 3))), 1.0, 2)
+    assert np.array_equal(g.inv, np.stack([np.eye(3)] * 2))
     assert g.count == 0
 
 
 def test_gram_init_scaled():
-    g = GramState(map_of(np.zeros((1, 2))), 0.5)
-    assert np.allclose(g.inv, 2.0 * np.eye(2))
+    g = fed(map_of(np.zeros((1, 2))), 0.5)
+    assert np.allclose(g.inv[0], 2.0 * np.eye(2))
 
 
 def test_gram_init_rejects_bad_lam():
     fmap = map_of(np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        GramState(fmap, 0.0)
+        GramState(fmap, 0.0, 1)
     with pytest.raises(ValueError, match="lam"):
-        GramState(fmap, math.nan)
+        GramState(fmap, math.nan, 1)
 
 
-# A dense two-row map (not one-hot), so that inv stays (d, d).
+# A dense two-row map (not one-hot), so that inv stays (H, d, d).
 BASIS_AND_DENSE = [[1.0, 0.0], [0.6, 0.8]]
 
 
 def test_gram_update_basis_vector_closed_form():
-    g = GramState(map_of(BASIS_AND_DENSE), 1.0)
-    g.update(0)
-    assert g.inv[0, 0] == pytest.approx(0.5)
-    assert g.inv[1, 1] == pytest.approx(1.0)
+    g = fed(map_of(BASIS_AND_DENSE), 1.0, [0])
+    assert g.inv[0, 0, 0] == pytest.approx(0.5)
+    assert g.inv[0, 1, 1] == pytest.approx(1.0)
+
+
+def test_gram_update_takes_one_row_per_step():
+    # Each step's inverse moves with its own row only.
+    g = GramState(map_of(BASIS_AND_DENSE), 1.0, 2)
+    g.update(np.array([0, 1]))
+    assert g.count == 1
+    assert g.inv[0, 0, 0] == pytest.approx(0.5) and g.inv[0, 1, 1] == 1.0
+    assert np.allclose(g.inv[1], np.linalg.inv(np.eye(2) + np.outer([0.6, 0.8], [0.6, 0.8])))
+    with pytest.raises(ValueError, match=re.escape("rows must have shape (2,)")):
+        g.update(np.array([0]))
 
 
 def test_gram_update_matches_dense_inverse():
     rng = np.random.default_rng(0)
     feats = random_unit_features(rng, 50, 8)
-    g = GramState(map_of(feats), 1.0)
-    for row in range(len(feats)):
-        g.update(row)
+    g = fed(map_of(feats), 1.0, range(len(feats)))
     dense = np.linalg.inv(gram_of(1.0, 8, feats))
-    assert np.abs(g.inv - dense).max() <= 1e-8
+    assert np.abs(g.inv[0] - dense).max() <= 1e-8
 
 
 def test_gram_update_zero_feature_noop():
-    g = GramState(map_of(np.zeros((1, 3))), 2.0)
+    g = fed(map_of(np.zeros((1, 3))), 2.0)
     before_inv = g.inv.copy()
-    g.update(0)
+    g.update(np.array([0]))
     assert np.array_equal(g.inv, before_inv)
     assert g.count == 1
 
 
 def test_gram_update_detects_corrupted_inverse():
-    g = GramState(map_of(BASIS_AND_DENSE), 1.0)
-    g.inv = -np.eye(2)  # cannot arise from valid updates
+    g = GramState(map_of(BASIS_AND_DENSE), 1.0, 2)
+    g.inv[1] = -np.eye(2)  # cannot arise from valid updates
+    before = g.inv.copy(), g.quad_forms(0).copy()
     with pytest.raises(RuntimeError, match="breakdown"):
-        g.update(0)
+        g.update(np.array([0, 0]))
+    # The healthy step 0 is left as it was, too.
+    assert g.inv.tobytes() == before[0].tobytes()
+    assert g.quad_forms(0).tobytes() == before[1].tobytes() and g.count == 0
 
 
 def test_one_hot_update_stops_when_the_inverse_overflows():
-    # 1/lam squared overflows: the first update leaves -inf in the inverse,
-    # and the denominator check stops the second.
-    g = GramState(one_hot_features(2, 1), 1e-160)
-    g.update(0)
-    assert g.inv[0] == -math.inf
+    # 1/lam squared overflows: the first update warns and leaves -inf in
+    # the inverse, and the denominator check stops the second.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        g = fed(one_hot_features(2, 1), 1e-160, [0])
+    assert g.inv[0, 0] == -math.inf
     with pytest.raises(RuntimeError, match="breakdown"):
-        g.update(0)
+        g.update(np.array([0]))
     assert g.count == 1
 
 
@@ -142,24 +162,40 @@ def test_ingest_rejects_wrong_length():
         with pytest.raises(ValueError, match=re.escape(
                 "rows, rewards and next states must have shape (3,)")):
             learner.ingest_episode(*episode)
-    assert all(g.count == 0 for g in learner.stats)
+    assert learner.stats.count == 0
 
 
-@pytest.mark.parametrize("next_state", [-1, 2], ids=["minus-one", "S"])
+def _learner_arrays(learner):
+    """Every array of the learner's state, and its episode count."""
+    g = learner.stats
+    return [g.inv.copy(), *(g.quad_forms(h).copy() for h in range(learner.H)),
+            learner.reward_feats.copy(), learner.next_feats.copy(), g.count]
+
+
+def _assert_episode_rejected(rewards, next_states, message):
+    """On a one-hot and a dense map, the episode is rejected with message
+    and no array of the learner changes."""
+    dense = FeatureMap(3, random_unit_features(np.random.default_rng(0), 4, 3).reshape(2, 2, 3))
+    for fmap in (one_hot_features(2, 2), dense):
+        learner = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
+        learner.ingest_episode([0, 3], [0.5, 0.25], [1, 0])
+        before = _learner_arrays(learner)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            learner.ingest_episode([1, 2], rewards, next_states)
+        for old, new in zip(before, _learner_arrays(learner)):
+            assert np.asarray(old).tobytes() == np.asarray(new).tobytes()
+
+
+@pytest.mark.parametrize("next_state", [-1, 2, 0.5], ids=["minus-one", "S", "float"])
 def test_ingest_rejects_a_next_state_outside_the_states(next_state):
-    # Without the check, -1 would add to the last state's column.
-    fmap = one_hot_features(2, 2)
-    learner = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
-    learner.ingest_episode([0, 3], [0.5, 0.25], [1, 0])
-    before = [g.inv.copy() for g in learner.stats], \
-        learner.reward_feats.copy(), learner.next_feats.copy()
-    with pytest.raises(ValueError, match=re.escape("not all in [0, 2)")):
-        learner.ingest_episode([1, 2], [0.5, 0.5], [0, next_state])
-    assert [g.count for g in learner.stats] == [1, 1]
-    for old, new in zip(before[0], learner.stats):
-        assert old.tobytes() == new.inv.tobytes()
-    assert before[1].tobytes() == learner.reward_feats.tobytes()
-    assert before[2].tobytes() == learner.next_feats.tobytes()
+    # Without the check, -1 would add to the last state's column, and a
+    # float would fail the indexed add only after the statistics changed.
+    _assert_episode_rejected([0.5, 0.5], [1, next_state], "not all integers in [0, 2)")
+
+
+def test_ingest_rejects_a_nan_reward():
+    # Without the check, the NaN would surface only at the next backward pass.
+    _assert_episode_rejected([0.5, math.nan], [0, 1], "rewards [0.5 nan] not all finite")
 
 
 def test_gram_inverse_consistency_random_sequences():
@@ -168,36 +204,31 @@ def test_gram_inverse_consistency_random_sequences():
         d = int(rng.integers(2, 10))
         lam = float(rng.uniform(0.5, 2.0))
         feats = random_unit_features(rng, 40, d, scale=rng.uniform(0.1, 1.0))
-        g = GramState(map_of(feats), lam)
-        for row in range(len(feats)):
-            g.update(row)
-        assert np.abs(g.inv @ gram_of(lam, d, feats) - np.eye(d)).max() <= 1e-8
+        g = fed(map_of(feats), lam, range(len(feats)))
+        assert np.abs(g.inv[0] @ gram_of(lam, d, feats) - np.eye(d)).max() <= 1e-8
 
 
 def test_ridge_weights_zero_targets():
     rng = np.random.default_rng(1)
-    g = GramState(map_of(random_unit_features(rng, 10, 4)), 1.0)
-    for row in range(10):
-        g.update(row)
-    assert np.array_equal(g.solve(np.zeros(4)), np.zeros(4))
+    g = fed(map_of(random_unit_features(rng, 10, 4)), 1.0, range(10))
+    assert np.array_equal(g.solve(0, np.zeros(4)), np.zeros(4))
 
 
 def test_ridge_weights_single_sample_closed_form():
-    g = GramState(map_of(BASIS_AND_DENSE), 1.0)
-    g.update(0)  # one sample, [1, 0], with target 1
-    assert np.allclose(g.solve(np.array([1.0, 0.0])), [0.5, 0.0])
+    g = fed(map_of(BASIS_AND_DENSE), 1.0, [0])  # one sample, [1, 0], with target 1
+    assert np.allclose(g.solve(0, np.array([1.0, 0.0])), [0.5, 0.0])
 
 
 def test_ridge_weights_match_dense_solve():
     rng = np.random.default_rng(7)
     b = np.zeros(6)
     feats = random_unit_features(rng, 20, 6)
-    g = GramState(map_of(feats), 1.0)
+    g = fed(map_of(feats), 1.0)
     for row, phi in enumerate(feats):
-        g.update(row)
+        g.update(np.array([row]))
         b += phi * rng.normal()
     dense = np.linalg.solve(gram_of(1.0, 6, feats), b)
-    assert np.abs(g.solve(b) - dense).max() <= 1e-8
+    assert np.abs(g.solve(0, b) - dense).max() <= 1e-8
 
 
 def test_elliptical_potential_bound():
@@ -207,20 +238,18 @@ def test_elliptical_potential_bound():
         d = int(rng.integers(2, 12))
         k = int(rng.integers(5, 80))
         feats = random_unit_features(rng, k, d, scale=rng.uniform(0.2, 1.0))
-        g = GramState(map_of(feats), 1.0)
-        for row in range(k):
-            g.update(row)
-        total = sum(phi @ g.inv @ phi for phi in feats)
+        g = fed(map_of(feats), 1.0, range(k))
+        total = sum(phi @ g.inv[0] @ phi for phi in feats)
         assert total <= d + 1e-10
 
 
 def test_bonus_shrinks_along_repeated_direction():
     phi = np.array([0.6, 0.8, 0.0])
-    g = GramState(map_of([phi]), 1.0)
+    g = fed(map_of([phi]), 1.0)
     values = []
     for _ in range(15):
-        values.append(math.sqrt(g.quad_forms()[0]))
-        g.update(0)
+        values.append(math.sqrt(g.quad_forms(0)[0]))
+        g.update(np.array([0]))
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -413,10 +442,11 @@ def test_overestimation_frequency_small_instances():
             for h in range(cmdp.horizon):
                 a = int(plan.policy[h, s])
                 r, c, nxt = step(cmdp, s, a, h, rng)
-                cost.observe(h, s * cmdp.num_actions + a, c)
                 ep.append((s, a, r, c, nxt))
                 s = nxt
             ingest_steps(learner, ep)
+            cost.observe([s * cmdp.num_actions + a for s, a, _, _, _ in ep],
+                         [c for _, _, _, c, _ in ep])
             ledger.end_episode([c for _, _, _, c, _ in ep], k)
     assert under / total <= p
 
@@ -460,20 +490,20 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     fmap = one_hot_features(S, A)
     diag = LsviLearner(fmap, S, A, H, lam, beta=float(rng.uniform(0, 3)))
     dense = LsviLearner(_dense_twin(fmap), S, A, H, lam, beta=diag.beta)
-    assert all(g.diagonal for g in diag.stats)
-    assert not any(g.diagonal for g in dense.stats)
+    assert diag.stats.diagonal and not dense.stats.diagonal
     for rows, rewards, _, next_states in _random_episodes(rng, S, A, H,
                                                           int(rng.integers(0, 20))):
         diag.ingest_episode(rows, rewards, next_states)
         dense.ingest_episode(rows, rewards, next_states)
     ghat = rng.uniform(-1, 1, size=(H, S, A))
     z = rng.uniform(0, 5, size=H)
-    for g, ref in zip(diag.stats, dense.stats):
-        assert np.diag(g.inv).tobytes() == ref.inv.tobytes()
-        assert g.quad_forms().tobytes() == ref.quad_forms().tobytes()
+    g, ref = diag.stats, dense.stats
+    for h in range(H):
+        assert np.diag(g.inv[h]).tobytes() == ref.inv[h].tobytes()
+        assert g.quad_forms(h).tobytes() == ref.quad_forms(h).tobytes()
         b = rng.normal(size=S * A)
-        assert g.solve(b).tobytes() == ref.solve(b).tobytes()
-        assert g.count == ref.count
+        assert g.solve(h, b).tobytes() == ref.solve(h, b).tobytes()
+    assert g.count == ref.count
     plan, ref_plan = diag.backward_pass(ghat, z), dense.backward_pass(ghat, z)
     assert plan.weights.tobytes() == ref_plan.weights.tobytes()
     assert plan.q_table.tobytes() == ref_plan.q_table.tobytes()
@@ -498,15 +528,13 @@ def test_dense_rank_one_updates_equal_the_inverse_of_the_gram(lam, seed):
             rows.append(n + len(extra))
             extra.append(random_unit_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0))
     fmap = map_of(np.vstack([feats] + extra))
-    g = GramState(fmap, lam)
+    g = fed(fmap, lam, rows)
     assert not g.diagonal
-    for row in rows:
-        g.update(row)
     samples = fmap.flat[rows]
     dense_inv = np.linalg.inv(gram_of(lam, d, samples))
-    assert np.abs(g.inv - dense_inv).max() <= 1e-8
+    assert np.abs(g.inv[0] - dense_inv).max() <= 1e-8
     quad = np.einsum("nd,de,ne->n", fmap.flat, dense_inv, fmap.flat)
-    assert np.abs(g.quad_forms() - quad).max() <= 1e-8
+    assert np.abs(g.quad_forms(0) - quad).max() <= 1e-8
     assert g.count == len(samples)
 
 
@@ -528,10 +556,9 @@ def test_cost_model_on_shared_statistics_matches_standalone(lam, seed, one_hot):
     alone = LinearCostModel(fmap, H, lam=lam)
     for rows, rewards, costs, next_states in _random_episodes(
             rng, S, A, H, int(rng.integers(0, 15))):
-        for h in range(H):
-            shared.observe(h, int(rows[h]), float(costs[h]))
-            alone.observe(h, int(rows[h]), float(costs[h]))
         learner.ingest_episode(rows, rewards, next_states)
+        shared.observe(rows, costs)
+        alone.observe(rows, costs)
     for h in range(H):
         assert shared.theta(h).tobytes() == alone.theta(h).tobytes()
         assert shared.lcb_table(h).tobytes() == alone.lcb_table(h).tobytes()
@@ -578,7 +605,7 @@ def test_cost_model_rejects_statistics_of_another_map():
 
 def test_one_hot_check_gives_up_on_dense_rows():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    assert not GramState(map_of(feats), 1.0).diagonal
-    assert GramState(map_of(feats[:2]), 1.0).diagonal
-    assert not GramState(map_of([[0.0, 1.0], [0.0, 0.0]]), 1.0).diagonal
-    assert not GramState(map_of([[-1.0, 0.0]]), 1.0).diagonal
+    assert not fed(map_of(feats), 1.0).diagonal
+    assert fed(map_of(feats[:2]), 1.0).diagonal
+    assert not fed(map_of([[0.0, 1.0], [0.0, 0.0]]), 1.0).diagonal
+    assert not fed(map_of([[-1.0, 0.0]]), 1.0).diagonal

@@ -1,4 +1,4 @@
-"""The bytes of results.csv, pinned for eight small cells.
+"""The bytes of results.csv, pinned for ten small cells.
 
 Each cell runs through run_experiment and emit_results, and the sha256 of
 its results.csv is compared with the digest recorded here.  The digests were
@@ -25,6 +25,7 @@ import pytest
 from safe_lsvi.bench import ExperimentConfig, emit_results, run_experiment
 
 LAKE = dict(beta_override=1.0, cost_width_scale=0.02)
+HARD_GP = dict(beta_override=1.0, cost_model="gp", kernel="sqexp", cost_width_scale=0.1)
 
 CELLS = {
     "lake-lsvi_ae-K60": (
@@ -57,6 +58,16 @@ CELLS = {
              dim=4, seed=4, beta_override=1.0, cost_model="gp", kernel="sqexp",
              lengthscale=0.8, cost_width_scale=0.3),
         "987ed1aaeb70b22fe92dc3b21540e2302e6d96de6b6a370a3d518df880fd15a5"),
+    # The GP over a dense (not one-hot) map: its cross-factor recursion
+    # over the map's distinct rows.
+    "hard-gp-sqexp-d13-K216": (
+        dict(env="hard_instance", agent="lsvi_ae", episodes=216, horizon=3,
+             dim=13, **HARD_GP),
+        "6bec1492854b97eb1babdbd1fcda22bd626a1f3a3af16805a464395a90c59757"),
+    "hard-gp-sqexp-d5-K40": (
+        dict(env="hard_instance", agent="lsvi_ae", episodes=40, horizon=3,
+             dim=5, **HARD_GP),
+        "bac8c27b8c03cd5b7ebf02e0aba7f4d30490dd9b39c33fb55386c240449f5509"),
 }
 
 
