@@ -263,7 +263,7 @@ def run_experiment(config: ExperimentConfig, env_override=None,
         rewards[k - 1] = ep_reward * cmdp.reward_scale
         violations[k - 1] = ep_violation
         signed[k - 1] = ep_signed
-        regret_inc[k - 1] = v_star - policy_eval(cmdp, plan.policy).v[0, cmdp.initial_state]
+        regret_inc[k - 1] = v_star - policy_eval(cmdp, plan.policy)[0, cmdp.initial_state]
 
         if record_trace:
             trace.append({

@@ -24,6 +24,14 @@ handful of matrix-vector products over those U rows.  Either way a table
 over the S*A rows is computed once per column or distinct row and gathered
 once (GramState.bounds).  On one-hot data the dense path only adds exact
 zeros to what the diagonal path computes, so both give the same bits.
+
+The learner's regression targets r + V_{h+1}(x') need, per step, the
+features summed by observed next state x'.  The learner takes their storage
+from the same choice: on one-hot maps the observed (column, next state)
+pairs with their counts, on dense maps the (d, S) sums.  Either way the
+product with V_{h+1} is added up in a fixed order, next state by next
+state, without BLAS, so both storages give the same bits on one-hot data
+and neither depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -78,11 +86,12 @@ class GramState:
     def diagonal(self) -> bool:
         return self._rows is None
 
-    def update(self, rows) -> None:
+    def update(self, rows) -> Optional[np.ndarray]:
         """Ingest one episode: row rows[h] of the map is step h's sample,
         Lambda_h += phi phi^T.  The inverses and the cached quadratic forms
         follow by the rank-one identity; every step is checked before any
-        changes."""
+        changes.  On one-hot maps it returns the episode's columns
+        index[rows], None on dense maps."""
         (rows,) = _episode_arrays(self.H, "rows", rows)
         phi = self.fmap.row(rows)  # the range check, on both storages
         if self.diagonal:
@@ -95,7 +104,7 @@ class GramState:
                 raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
             self.inv[steps, j] -= vj * vj / denom
             self.count += 1
-            return
+            return j
         v = [self.inv[h] @ phi[h] for h in range(self.H)]
         denom = [1.0 + float(phi[h] @ v[h]) for h in range(self.H)]
         if any(x <= DENOM_TOL for x in denom):
@@ -105,6 +114,7 @@ class GramState:
             proj = self._rows @ v[h]
             self._quad[h] -= proj * proj / denom[h]
         self.count += 1
+        return None
 
     def solve(self, h: int, b: np.ndarray) -> np.ndarray:
         """Lambda_h^{-1} b: the ridge weights for target sums b."""
@@ -158,9 +168,12 @@ class LsviLearner:
 
     Over the H steps it owns the design statistics stats (a GramState,
     which a LinearCostModel may share), the reward-weighted feature sums
-    reward_feats (H, d) and the features bucketed by observed next state,
-    next_feats (H, d, S) (so regression targets r + V_{h+1}(x') reduce to
-    one (d, S) matvec per step).
+    reward_feats (H, d) and the features summed by observed next state.
+    The latter take the storage of stats.  On one-hot maps next_keys holds
+    the observed (step h, next state x, column j) triples as the sorted
+    int64 keys (h*S + x)*d + j, and next_counts (P,) how often each was
+    seen; nothing is sized by d*S.  On dense maps next_feats (H, d, S)
+    holds the sums.
     """
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
@@ -178,8 +191,12 @@ class LsviLearner:
         self.beta = beta
         self.fmap = feature_map
         self.stats = GramState(feature_map, lam, horizon)
-        self.next_feats = np.zeros((horizon, self.d, num_states))
         self.reward_feats = np.zeros((horizon, self.d))
+        if self.stats.diagonal:
+            self.next_keys = np.zeros(0, dtype=np.int64)
+            self.next_counts = np.zeros(0)
+        else:
+            self.next_feats = np.zeros((horizon, self.d, num_states))
 
     def ingest_episode(self, rows, rewards, next_states) -> None:
         """Ingest one episode: at step h the feature row rows[h] = s*A + a
@@ -194,10 +211,41 @@ class LsviLearner:
             raise ValueError(f"next states {next_states} not all integers in [0, {self.S})")
         if not np.isfinite(rewards).all():
             raise ValueError(f"rewards {rewards} not all finite")
-        self.stats.update(rows)  # checks the rows before it changes anything
-        phi = self.fmap.flat[rows]
-        self.next_feats[np.arange(self.H), :, next_states] += phi
-        self.reward_feats += phi * rewards[:, None]
+        # update checks the rows before it changes anything.
+        cols = self.stats.update(rows)
+        steps = np.arange(self.H)
+        if not self.stats.diagonal:
+            phi = self.fmap.flat[rows]
+            self.next_feats[steps, :, next_states] += phi
+            self.reward_feats += phi * rewards[:, None]
+            return
+        # One-hot: phi = e_j, so the rows add rewards[h] at column j and
+        # count 1 for the pair (j, next state); the other terms are zeros.
+        self.reward_feats[steps, cols] += rewards
+        keys = (steps * self.S + next_states.astype(np.int64)) * self.d + cols
+        pos = np.searchsorted(self.next_keys, keys)
+        seen = pos < len(self.next_keys)
+        seen[seen] = self.next_keys[pos[seen]] == keys[seen]
+        self.next_counts[pos[seen]] += 1.0
+        if not seen.all():
+            new = ~seen
+            self.next_keys = np.insert(self.next_keys, pos[new], keys[new])
+            self.next_counts = np.insert(self.next_counts, pos[new], 1.0)
+
+    def _next_value_sums(self, h: int, v_next: np.ndarray) -> np.ndarray:
+        """sum_x next_feats[h][:, x] * v_next[x] in order of x, each column
+        starting from 0.0: per (d,) column on dense maps, per observed pair
+        through bincount (which adds in array order) on one-hot maps."""
+        if self.stats.diagonal:
+            first = h * self.S * self.d
+            lo, hi = np.searchsorted(self.next_keys, (first, first + self.S * self.d))
+            nexts, cols = np.divmod(self.next_keys[lo:hi] - first, self.d)
+            return np.bincount(cols, self.next_counts[lo:hi] * v_next[nexts],
+                               minlength=self.d)
+        total = np.zeros(self.d)
+        for x in range(self.S):
+            total += self.next_feats[h][:, x] * v_next[x]
+        return total
 
     def backward_pass(self, ghat: Optional[np.ndarray] = None,
                       z: Optional[np.ndarray] = None) -> QModel:
@@ -217,7 +265,7 @@ class LsviLearner:
         v_next = np.zeros(S)
         rows = np.arange(S)
         for h in range(H - 1, -1, -1):
-            b = self.reward_feats[h] + self.next_feats[h] @ v_next
+            b = self.reward_feats[h] + self._next_value_sums(h, v_next)
             w = self.stats.solve(h, b)
             if not np.isfinite(w).all():
                 raise FloatingPointError(f"non-finite regression weights at step {h}")

@@ -4,6 +4,14 @@ The comparator policy for regret is the optimal policy among those that pick
 a nonpositive-mean-cost action at every (step, state); it comes from plain
 backward induction with the maximization restricted to the safe action set.
 Brute-force policy enumeration provides an independent cross-check.
+
+The optimizing backups (constrained_dp, value_iteration) form the whole
+(S, A) table r_h + P_h v_{h+1} per step.  Evaluating a fixed policy needs
+one action per state, so policy_eval gathers the (S, S) transition rows of
+the chosen actions and backs up along them alone: per step one (S, S)
+matrix-vector product instead of the (S, A, S) one.  Each entry of v is
+the dot product of one transition row with v_{h+1} either way; both products
+still go through BLAS, so their bits are those of the OpenBLAS kernel in use.
 """
 
 from __future__ import annotations
@@ -63,19 +71,25 @@ def value_iteration(cmdp: TabularCmdp) -> np.ndarray:
     return v
 
 
-def policy_eval(cmdp: TabularCmdp, policy: np.ndarray) -> ValueTable:
-    """Exact expected values of a deterministic policy, by backward induction."""
+def policy_eval(cmdp: TabularCmdp, policy: np.ndarray) -> np.ndarray:
+    """Exact expected values v (H+1, S) of a deterministic policy, v[H] = 0,
+    by backward induction along the policy's actions:
+    v[h, s] = r[h, s, pi(s)] + P[h, s, pi(s)] @ v[h+1].  policy is (H, S) of
+    integer actions in [0, A); anything else is rejected, since a negative
+    action would wrap around to another one and a float would be cut to an
+    integer."""
     H, S, A = cmdp.horizon, cmdp.num_states, cmdp.num_actions
-    policy = np.asarray(policy, dtype=np.int64)
+    policy = np.asarray(policy)
     if policy.shape != (H, S):
         raise ValueError(f"policy must have shape {(H, S)}")
+    if policy.dtype.kind not in "iu" or not 0 <= policy.min() <= policy.max() < A:
+        raise ValueError(f"policy must hold integer actions in [0, {A})")
     v = np.zeros((H + 1, S))
-    q = np.zeros((H, S, A))
     rows = np.arange(S)
     for h in range(H - 1, -1, -1):
-        q[h] = _q_layer(cmdp, h, v[h + 1])
-        v[h] = q[h, rows, policy[h]]
-    return ValueTable(v=v, q=q)
+        a = policy[h]
+        v[h] = cmdp.reward[h, rows, a] + cmdp.transition[h, rows, a] @ v[h + 1]
+    return v
 
 
 def brute_force_enumerate(cmdp: TabularCmdp,
@@ -107,7 +121,7 @@ def brute_force_enumerate(cmdp: TabularCmdp,
     for assignment in product(*choices):
         for (h, s), a in zip(slots, assignment):
             policy[h, s] = a
-        value = policy_eval(cmdp, policy).v[0, cmdp.initial_state]
+        value = policy_eval(cmdp, policy)[0, cmdp.initial_state]
         if value > best_value:
             best_value = value
             best_policy = policy.copy()

@@ -916,10 +916,12 @@ def _episode_entry_point(name, fmap, K=4):
                          g.count])
     if name == "learner":
         lr = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
+        next_state = ("next_keys", "next_counts") if lr.stats.diagonal else ("next_feats",)
         return (lambda rows, costs: lr.ingest_episode(rows, costs, [0, 1]),
                 lambda: [lr.stats.inv.copy(), lr.stats.quad_forms(0).copy(),
                          lr.stats.quad_forms(1).copy(), lr.stats.count,
-                         lr.reward_feats.copy(), lr.next_feats.copy()])
+                         lr.reward_feats.copy()]
+                + [getattr(lr, name).copy() for name in next_state])
     if name == "gp":
         m = GpCostModel("sqexp", total_episodes=K, horizon=2, feature_map=fmap)
         state = ("n", "G") if m.one_hot else ("alpha", "Z", "mean", "var", "logdet")

@@ -165,11 +165,18 @@ def test_ingest_rejects_wrong_length():
     assert learner.stats.count == 0
 
 
+def _next_state_arrays(learner):
+    """The arrays of the learner's next-state sums, on either storage."""
+    if learner.stats.diagonal:
+        return [learner.next_keys.copy(), learner.next_counts.copy()]
+    return [learner.next_feats.copy()]
+
+
 def _learner_arrays(learner):
     """Every array of the learner's state, and its episode count."""
     g = learner.stats
     return [g.inv.copy(), *(g.quad_forms(h).copy() for h in range(learner.H)),
-            learner.reward_feats.copy(), learner.next_feats.copy(), g.count]
+            learner.reward_feats.copy(), *_next_state_arrays(learner), g.count]
 
 
 def _assert_episode_rejected(rewards, next_states, message):
@@ -580,9 +587,28 @@ def test_episode_target_sums_equal_a_per_step_loop_bitwise(seed, one_hot):
             phi = fmap.flat[rows[h]]
             next_feats[h][:, next_states[h]] += phi
             reward_feats[h] += phi * rewards[h]
+    if one_hot:
+        # The pairs, scattered back into (d, S) per step.
+        keys = learner.next_keys
+        assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+        steps, rest = np.divmod(keys, S * fmap.dim)
+        nexts, cols = np.divmod(rest, fmap.dim)
+        scattered = np.zeros((H, fmap.dim, S))
+        scattered[steps, cols, nexts] = learner.next_counts
+        assert learner.next_counts.all()
+        assert not hasattr(learner, "next_feats")
+    else:
+        scattered = learner.next_feats
+    # The sums against a value vector run over the next states in order,
+    # left to right, with no BLAS call: the bits of this loop on any core.
+    v_next = rng.uniform(-3.0, 3.0, size=S)
     for h in range(H):
-        assert learner.next_feats[h].tobytes() == next_feats[h].tobytes()
+        assert scattered[h].tobytes() == next_feats[h].tobytes()
         assert learner.reward_feats[h].tobytes() == reward_feats[h].tobytes()
+        ordered = np.zeros(fmap.dim)
+        for x in range(S):
+            ordered += next_feats[h][:, x] * v_next[x]
+        assert learner._next_value_sums(h, v_next).tobytes() == ordered.tobytes()
 
 
 def test_cost_model_rejects_mismatched_statistics():

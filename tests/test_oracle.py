@@ -1,9 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from safe_lsvi.envs import TabularCmdp, build_frozen_lake, build_synthetic_linear, step
+from safe_lsvi.envs import (DEFAULT_LAKE_MAP, TabularCmdp, build_frozen_lake,
+                            build_hard_instance, build_synthetic_linear,
+                            frozen_lake_from_grid, step)
 from safe_lsvi.oracle import (brute_force_enumerate, constrained_dp,
                               policy_eval, value_iteration)
+from test_output_bytes import blas_core
 
 
 def random_cmdp(rng, S, A, H, ensure_feasible=True):
@@ -104,9 +110,10 @@ def test_policy_eval_single_step():
     rng = np.random.default_rng(1)
     cmdp = random_cmdp(rng, 3, 2, 1)
     policy = np.array([[1, 0, 1]])
-    tab = policy_eval(cmdp, policy)
+    v = policy_eval(cmdp, policy)
+    assert v.shape == (2, 3) and not v[1].any()
     for s in range(3):
-        assert tab.v[0, s] == pytest.approx(cmdp.reward[0, s, policy[0, s]])
+        assert v[0, s] == pytest.approx(cmdp.reward[0, s, policy[0, s]])
 
 
 def test_policy_eval_deterministic_chain():
@@ -117,15 +124,15 @@ def test_policy_eval_deterministic_chain():
     R = np.zeros((H, S, 1))
     R[0, 0, 0], R[1, 1, 0], R[2, 2, 0] = 0.1, 0.2, 0.3
     cmdp = TabularCmdp(S, 1, H, P, R, -np.ones((H, S, 1)))
-    tab = policy_eval(cmdp, np.zeros((H, S), dtype=int))
-    assert tab.v[0, 0] == pytest.approx(0.6)
+    v = policy_eval(cmdp, np.zeros((H, S), dtype=int))
+    assert v[0, 0] == pytest.approx(0.6)
 
 
 def test_policy_eval_matches_monte_carlo():
     rng = np.random.default_rng(3)
     cmdp = random_cmdp(rng, 2, 2, 2)
     policy = np.array([[0, 1], [1, 0]])
-    tab = policy_eval(cmdp, policy)
+    v = policy_eval(cmdp, policy)
 
     n = 100_000
     sim_rng = np.random.default_rng(99)
@@ -140,16 +147,18 @@ def test_policy_eval_matches_monte_carlo():
         states = (u[:, None] > rows).sum(axis=1)
     mc = totals.mean()
     se = totals.std(ddof=1) / np.sqrt(n)
-    assert abs(mc - tab.v[0, 0]) <= 3.0 * se
+    assert abs(mc - v[0, 0]) <= 3.0 * se
 
 
 def test_policy_eval_bellman_residual():
     rng = np.random.default_rng(8)
     cmdp = random_cmdp(rng, 3, 3, 4)
     policy = rng.integers(0, 3, size=(4, 3))
-    tab = policy_eval(cmdp, policy)
+    v = policy_eval(cmdp, policy)
+    rows = np.arange(3)
     for h in range(4):
-        residual = tab.q[h] - (cmdp.reward[h] + cmdp.transition[h] @ tab.v[h + 1])
+        q = cmdp.reward[h] + cmdp.transition[h] @ v[h + 1]
+        residual = v[h] - q[rows, policy[h]]
         assert np.abs(residual).max() <= 1e-10
 
 
@@ -158,6 +167,59 @@ def test_policy_eval_rejects_bad_shape():
     cmdp = random_cmdp(rng, 2, 2, 2)
     with pytest.raises(ValueError):
         policy_eval(cmdp, np.zeros((3, 2), dtype=int))
+
+
+def test_policy_eval_rejects_a_negative_action():
+    # Without the check, -1 would index the last action.
+    cmdp = random_cmdp(np.random.default_rng(2), 2, 3, 2)
+    with pytest.raises(ValueError, match=r"integer actions in \[0, 3\)"):
+        policy_eval(cmdp, np.array([[0, 1], [-1, 2]]))
+
+
+def test_policy_eval_rejects_an_action_past_the_last():
+    cmdp = random_cmdp(np.random.default_rng(2), 2, 3, 2)
+    with pytest.raises(ValueError, match=r"integer actions in \[0, 3\)"):
+        policy_eval(cmdp, np.array([[0, 3], [1, 2]]))
+
+
+def test_policy_eval_rejects_a_float_policy():
+    # Without the check, 0.7 would be cut to action 0.
+    cmdp = random_cmdp(np.random.default_rng(2), 2, 3, 2)
+    with pytest.raises(ValueError, match=r"integer actions in \[0, 3\)"):
+        policy_eval(cmdp, np.array([[0.7, 1.0], [0.0, 2.0]]))
+
+
+@functools.cache
+def _env(name):
+    if name == "frozen_lake":
+        return frozen_lake_from_grid(DEFAULT_LAKE_MAP, 15)[0]
+    if name == "synthetic_linear":
+        return build_synthetic_linear(8, 5, 0)[0]
+    return build_hard_instance(13, 3, 216)[0]
+
+
+def _full_table_eval(cmdp, policy):
+    """Reference: the whole (S, A) backup r_h + P_h v_{h+1} per step, read
+    at the policy's actions."""
+    H, S = policy.shape
+    v = np.zeros((H + 1, S))
+    for h in range(H - 1, -1, -1):
+        q = cmdp.reward[h] + cmdp.transition[h] @ v[h + 1]
+        v[h] = q[np.arange(S), policy[h]]
+    return v
+
+
+@settings(max_examples=30, deadline=None)
+@given(env=st.sampled_from(["frozen_lake", "synthetic_linear", "hard_instance"]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_policy_eval_equals_the_full_table_backup_bitwise(env, seed):
+    cmdp = _env(env)
+    policy = np.random.default_rng(seed).integers(
+        cmdp.num_actions, size=(cmdp.horizon, cmdp.num_states))
+    # Both go through BLAS: equal on the Haswell and SkylakeX kernels, not
+    # on pre-Haswell ones (Prescott, Sandybridge).
+    assert policy_eval(cmdp, policy).tobytes() == _full_table_eval(cmdp, policy).tobytes(), \
+        f"policy_eval differs from the full-table backup (OpenBLAS core {blas_core()})"
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +233,7 @@ def test_brute_force_counts_policies():
     policy, value = brute_force_enumerate(cmdp, safe_only=False)
     assert policy.shape == (2, 1)
     # 2 actions, 1 state, 2 steps: 4 candidate policies, best is the argmax
-    best = max(policy_eval(cmdp, np.array([[a0], [a1]])).v[0, 0]
+    best = max(policy_eval(cmdp, np.array([[a0], [a1]]))[0, 0]
                for a0 in range(2) for a1 in range(2))
     assert value == pytest.approx(best)
 

@@ -8,9 +8,12 @@ A change that moves any of them changes the program's output: record the
 new digest in CHANGES.md together with its reason.
 
 The digests also depend on the kernel numpy's OpenBLAS picks for the CPU:
-they hold on its Haswell and SkylakeX kernels but not on pre-Haswell ones
-(Prescott, Nehalem, Sandybridge), where the oracle's products round
-differently.  A failure names the kernel in use.
+they hold on its Haswell and SkylakeX kernels.  On the pre-Haswell
+Prescott (which reports itself as Katmai) and Sandybridge kernels seven
+fail and three hold (the two dense-GP hard-instance cells and
+synth-lsvi_ae-gp-sqexp-K200).  The learner's next-state sums take no BLAS
+call, so on the lake and the synthetic task the oracle's products are what
+round differently there.  A failure names the kernel in use.
 
 Fields a cell does not list keep their ExperimentConfig defaults.
 """
