@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,38 +30,72 @@ ENVS = ("frozen_lake", "synthetic_linear", "hard_instance")
 AGENTS = ("lsvi_ae", "lsvi", "lsvi_primal")
 AGENT_MODES = {"lsvi_ae": "rectified", "lsvi": "off", "lsvi_primal": "virtual_queue"}
 COST_MODELS = ("linear", "gp")
+CHOICES = {"env": ENVS, "agent": AGENTS, "cost_model": COST_MODELS,
+           "kernel": KERNELS}
+
+# Settings that a run reads only under a condition: name -> (condition,
+# who reads it).  A value other than the default outside the condition is
+# rejected, not ignored.  One exception is kept on purpose: agent=lsvi
+# accepts cost_width_scale, which it never reads, so that one lake config
+# serves all three agents.
+READ_WHEN = {
+    "kernel": (lambda c: c.cost_model == "gp", "is only read by cost_model=gp"),
+    "lengthscale": (lambda c: (c.cost_model, c.kernel) == ("gp", "sqexp"),
+                    "is only read by cost_model=gp with kernel=sqexp"),
+    "map_text": (lambda c: c.env == "frozen_lake",
+                 "(--map) is only read by env=frozen_lake"),
+    "dim": (lambda c: c.env != "frozen_lake",
+            "is only read by env=synthetic_linear and env=hard_instance "
+            "(frozen_lake's features are one-hot over its grid)"),
+    "cost_model": (lambda c: c.agent != "lsvi", "is not read by agent=lsvi: its "
+                   "penalty is off, so no cost model is built"),
+    "p": (lambda c: c.agent != "lsvi" or c.beta_override is None,
+          "is not read by agent=lsvi with beta_override"),
+}
+
+
+def _setting(default, help_text: str, **flag):
+    """A field with its command-line help; flag= and metavar= name a flag
+    other than --<name with - for _>."""
+    return field(default=default, metadata=dict(help=help_text, **flag))
 
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings.  Each field declares its type, default and flag
+    once; the config file, the command line and validate() read them from
+    here (the allowed values of the text settings are in CHOICES)."""
+
     env: str = "frozen_lake"
     agent: str = "lsvi_ae"
-    episodes: int = 1000
-    horizon: int = 15
-    p: float = 0.1
-    lam: float = 1.0
-    c_beta: float = 1.0
-    beta_override: Optional[float] = None
+    episodes: int = _setting(1000, "number of episodes K")
+    horizon: int = _setting(15, "episode length H")
+    p: float = _setting(0.1, "confidence level in (0, 1)")
+    lam: float = _setting(1.0, "ridge regularizer", flag="--lambda")
+    beta_override: Optional[float] = _setting(
+        None, "use this bonus scale instead of the schedule")
     cost_model: str = "linear"
     kernel: str = "linear"
     lengthscale: float = 1.0
-    cost_width_scale: float = 1.0
-    dim: int = 8
-    map_text: Optional[str] = None
+    cost_width_scale: float = _setting(
+        1.0, "multiplier on the cost confidence width")
+    dim: int = _setting(8, "feature dimension for the synthetic and "
+                        "hard-instance environments")
+    map_text: Optional[str] = _setting(
+        None, "ASCII grid file for frozen_lake (S start, G goal, H hazard, "
+        ". free)", flag="--map", metavar="FILE")
     seed: int = 0
-    out: Optional[str] = None
+    out: Optional[str] = _setting(None, "output directory for results.csv")
 
     def validate(self) -> None:
-        if self.env not in ENVS:
-            raise ValueError(f"env must be one of {ENVS}")
-        if self.agent not in AGENTS:
-            raise ValueError(f"agent must be one of {AGENTS}")
-        if self.cost_model not in COST_MODELS:
-            raise ValueError(f"cost_model must be one of {COST_MODELS}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}")
-        for name in ("episodes", "horizon", "dim", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
+        for name, kind in SETTING_TYPES.items():
+            value = getattr(self, name)
+            # A bool is a numbers.Integral too, but no count.
+            if kind is int and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer")
         if self.episodes < 1 or self.horizon < 1:
             raise ValueError("episodes and horizon must be >= 1")
@@ -74,32 +108,15 @@ class ExperimentConfig:
         # Each check fails on NaN and on +-inf as well.
         if not 0 < self.lam < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if not 0 <= self.c_beta < math.inf:
-            raise ValueError("c_beta must be >= 0 and finite")
         if self.beta_override is not None and not 0 <= self.beta_override < math.inf:
             raise ValueError("beta_override must be >= 0 and finite")
         if not 0 <= self.cost_width_scale < math.inf:
             raise ValueError("cost_width_scale must be >= 0 and finite")
         if not 0 < self.lengthscale < math.inf:
             raise ValueError("lengthscale must be positive and finite")
-        # Settings the chosen models never read are rejected, not ignored.
-        if self.cost_model == "linear" and self.kernel != "linear":
-            raise ValueError("kernel is only read by cost_model=gp")
-        if self.lengthscale != 1.0 and (self.cost_model, self.kernel) != ("gp", "sqexp"):
-            raise ValueError("lengthscale is only read by cost_model=gp with kernel=sqexp")
-        if self.map_text is not None and self.env != "frozen_lake":
-            raise ValueError("map_text (--map) is only read by env=frozen_lake")
-        if self.env == "frozen_lake" and self.dim != 8:
-            raise ValueError("dim is only read by env=synthetic_linear and "
-                             "env=hard_instance (frozen_lake's features are "
-                             "one-hot over its grid)")
-        if self.agent == "lsvi" and self.cost_model != "linear":
-            raise ValueError("cost_model is not read by agent=lsvi: its "
-                             "penalty is off, so no cost model is built")
-        if self.beta_override is not None and self.c_beta != 1.0:
-            raise ValueError("c_beta scales the schedule that beta_override replaces")
-        if self.beta_override is not None and self.agent == "lsvi" and self.p != 0.1:
-            raise ValueError("p is not read by agent=lsvi with beta_override")
+        for name, (read, reader) in READ_WHEN.items():
+            if getattr(self, name) != DEFAULTS[name] and not read(self):
+                raise ValueError(f"{name} {reader}")
 
     def to_text(self) -> str:
         lines = []
@@ -115,7 +132,6 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         kwargs = {}
-        casts = {f.name: f for f in fields(cls)}
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -124,23 +140,29 @@ class ExperimentConfig:
                 raise ValueError(f"bad config line {line!r} (want key=value)")
             key, value = line.split("=", 1)
             key, value = key.strip(), value.strip()
-            if key not in casts:
+            if key not in SETTING_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
             if key in kwargs:
                 raise ValueError(f"config key {key!r} given twice")
+            if key == "map_text":
+                value = value.replace(";", "\n")
             try:
-                if key == "map_text":
-                    kwargs[key] = value.replace(";", "\n")
-                elif key in ("episodes", "horizon", "dim", "seed"):
-                    kwargs[key] = int(value)
-                elif key in ("p", "lam", "c_beta", "beta_override",
-                             "lengthscale", "cost_width_scale"):
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = value
+                kwargs[key] = parse_setting(key, value)
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
+
+
+# Each setting's type (Optional[X] as X) and default, as declared above.
+SETTING_TYPES = {name: get_args(hint)[0] if get_origin(hint) is Union else hint
+                 for name, hint in get_type_hints(ExperimentConfig).items()}
+DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def parse_setting(name: str, text: str):
+    """The value of setting `name` written as `text` (a config file line's
+    value or a flag's argument), read by the setting's type."""
+    return SETTING_TYPES[name](text)
 
 
 @dataclass
@@ -212,8 +234,9 @@ def run_experiment(config: ExperimentConfig, env_override=None,
     _, star = constrained_dp(cmdp)
     v_star = star.v[0, cmdp.initial_state]
 
+    # One bonus scale per run: the override, or the schedule itself (c = 1).
     beta = config.beta_override if config.beta_override is not None else \
-        beta_schedule(config.c_beta, fmap.dim, H, K, config.p)
+        beta_schedule(1.0, fmap.dim, H, K, config.p)
     learner = LsviLearner(fmap, cmdp.num_states, cmdp.num_actions, H,
                           config.lam, beta)
     ledger = PenaltyLedger(H, AGENT_MODES[config.agent])

@@ -1,8 +1,8 @@
 """Command-line benchmark runner.
 
-Flags mirror ExperimentConfig; --config loads a key=value file first and any
-explicitly passed flags override it.  Exit code 0 on success, 2 on invalid
-input or runtime failure.
+Flags mirror ExperimentConfig, one per field as its declaration names it;
+--config loads a key=value file first and any explicitly passed flags
+override it.  Exit code 0 on success, 2 on invalid input or runtime failure.
 """
 
 from __future__ import annotations
@@ -12,9 +12,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig, emit_results,
+from .bench import (CHOICES, ExperimentConfig, emit_results, parse_setting,
                     run_experiment)
-from .costs import KERNELS
+
+
+def _flag(f) -> str:
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,27 +25,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="safe-lsvi",
         description="Run a safe-RL benchmark episode loop and emit CSV metrics.")
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--env", choices=ENVS)
-    parser.add_argument("--agent", choices=AGENTS)
-    parser.add_argument("--episodes", type=int, help="number of episodes K")
-    parser.add_argument("--horizon", type=int, help="episode length H")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--p", type=float, help="confidence level in (0, 1)")
-    parser.add_argument("--lambda", dest="lam", type=float, help="ridge regularizer")
-    parser.add_argument("--c-beta", dest="c_beta", type=float,
-                        help="constant in the theory bonus schedule")
-    parser.add_argument("--beta-override", dest="beta_override", type=float,
-                        help="use this bonus scale instead of the schedule")
-    parser.add_argument("--cost-model", dest="cost_model", choices=COST_MODELS)
-    parser.add_argument("--kernel", choices=KERNELS)
-    parser.add_argument("--lengthscale", type=float)
-    parser.add_argument("--cost-width-scale", dest="cost_width_scale", type=float,
-                        help="multiplier on the cost confidence width")
-    parser.add_argument("--dim", type=int, help="feature dimension for the "
-                        "synthetic and hard-instance environments")
-    parser.add_argument("--map", dest="map_path", help="ASCII grid file for "
-                        "frozen_lake (S start, G goal, H hazard, . free)")
-    parser.add_argument("--out", help="output directory for results.csv")
+    # Values stay text here: config_from_args reads them as a config file's.
+    for f in fields(ExperimentConfig):
+        metavar = "{%s}" % ",".join(CHOICES[f.name]) if f.name in CHOICES \
+            else f.metadata.get("metavar")
+        parser.add_argument(_flag(f), dest=f.name, metavar=metavar,
+                            help=f.metadata.get("help"))
     return parser
 
 
@@ -51,12 +39,16 @@ def config_from_args(args) -> ExperimentConfig:
         config = ExperimentConfig.from_text(Path(args.config).read_text())
     else:
         config = ExperimentConfig()
-    # Every config field is a flag of its name but map_text (--map, a file).
     for f in fields(ExperimentConfig):
-        if f.name != "map_text" and getattr(args, f.name) is not None:
-            setattr(config, f.name, getattr(args, f.name))
-    if args.map_path is not None:
-        config.map_text = Path(args.map_path).read_text()
+        text = getattr(args, f.name)
+        if text is None:
+            continue
+        if f.name == "map_text":  # --map names the file that holds it
+            text = Path(text).read_text()
+        try:
+            setattr(config, f.name, parse_setting(f.name, text))
+        except ValueError as exc:
+            raise ValueError(f"{_flag(f)}: {exc}") from None
     return config
 
 

@@ -70,6 +70,15 @@ def gp_beta(gamma: float, p: float) -> float:
     return 1.0 + math.sqrt(2.0 * (gamma + 1.0 + math.log(2.0 / p)))
 
 
+def _check_width_settings(p: float, width_scale: float) -> None:
+    """A cost model's confidence level p in (0, 1) and width multiplier in
+    [0, inf); NaN fails both."""
+    if not 0 < p < 1:
+        raise ValueError("p must lie in (0, 1)")
+    if not 0 <= width_scale < math.inf:
+        raise ValueError("width_scale must be >= 0 and finite")
+
+
 def _cost_episode(horizon: int, rows, costs) -> tuple[np.ndarray, np.ndarray]:
     """One episode's rows and costs as (H,) arrays, every cost in [-1, 1]."""
     rows, costs = _episode_arrays(horizon, "rows and costs", rows, costs)
@@ -136,6 +145,7 @@ class LinearCostModel:
     def __init__(self, feature_map: FeatureMap, horizon: int, lam: float = 1.0,
                  p: float = 0.1, width_scale: float = 1.0,
                  stats: Optional[GramState] = None):
+        _check_width_settings(p, width_scale)
         self.fmap = feature_map
         self.H = horizon
         self.d = feature_map.dim
@@ -224,6 +234,7 @@ class GpCostModel:
                  width_scale: float = 1.0, *, feature_map: FeatureMap):
         if total_episodes < 1:
             raise ValueError("total_episodes must be >= 1")
+        _check_width_settings(p, width_scale)
         self.kern = make_kernel(kernel, lengthscale)
         self._k = _pointwise_kernel(kernel, lengthscale)
         self.H = horizon

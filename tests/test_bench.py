@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from safe_lsvi.costs import KERNELS, GpCostModel, LinearCostModel, tilde_beta
 from safe_lsvi.envs import (TabularCmdp, build_synthetic_linear,
                             one_hot_features)
 from safe_lsvi.lsvi import GramState
+
+from dense_reference import reference_lines_4_to_9
 
 # The benchmark package lives at the root of the repository.
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,7 +79,7 @@ def test_exponent_rejects_short_series():
 def test_config_roundtrip_lossless():
     config = ExperimentConfig(env="frozen_lake", agent="lsvi_primal",
                               episodes=123, horizon=7, p=0.05, lam=0.5,
-                              c_beta=2.0, beta_override=1.25,
+                              beta_override=1.25,
                               cost_model="gp", kernel="sqexp", lengthscale=0.7,
                               cost_width_scale=0.02, dim=6,
                               map_text="S.H\n..G", seed=99, out="/tmp/x")
@@ -98,14 +101,10 @@ def test_config_validation():
         ExperimentConfig(lam=0.0).validate()
     with pytest.raises(ValueError, match="beta_override"):
         ExperimentConfig(beta_override=-1.0).validate()
-    with pytest.raises(ValueError, match="c_beta"):
-        ExperimentConfig(c_beta=-0.5).validate()
     # NaN and infinities fail every numeric check
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="lambda"):
             ExperimentConfig(lam=bad).validate()
-        with pytest.raises(ValueError, match="c_beta"):
-            ExperimentConfig(c_beta=bad).validate()
         with pytest.raises(ValueError, match="beta_override"):
             ExperimentConfig(beta_override=bad).validate()
         with pytest.raises(ValueError, match="cost_width_scale"):
@@ -126,6 +125,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="dim must be an integer"):
         ExperimentConfig(env="synthetic_linear", dim=4.0).validate()
     ExperimentConfig(episodes=np.int64(3), seed=np.int32(2)).validate()
+    # a bool is no count, though Python counts it as an integer
+    for field in ("episodes", "horizon", "dim", "seed"):
+        for value in (True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                ExperimentConfig(env="synthetic_linear", **{field: value}).validate()
     # config text: a repeated key, or a value its field cannot take, is named
     with pytest.raises(ValueError, match="'episodes' given twice"):
         ExperimentConfig.from_text("episodes=3\nepisodes=4\n")
@@ -133,6 +137,9 @@ def test_config_validation():
         ExperimentConfig.from_text("episodes=1.5\n")
     with pytest.raises(ValueError, match="config key 'lam': .*'small'"):
         ExperimentConfig.from_text("lam=small\n")
+    # beta_override is the one knob for the bonus scale
+    with pytest.raises(ValueError, match="unknown config key 'c_beta'"):
+        ExperimentConfig.from_text("c_beta=1.0\n")
     # settings that the chosen models never read
     with pytest.raises(ValueError, match="kernel"):
         ExperimentConfig(kernel="sqexp").validate()
@@ -148,17 +155,15 @@ def test_config_validation():
         ExperimentConfig(agent="lsvi", cost_model="gp", kernel="sqexp").validate()
     with pytest.raises(ValueError, match="cost_model"):
         ExperimentConfig(agent="lsvi", cost_model="gp").validate()
-    with pytest.raises(ValueError, match="c_beta"):
-        ExperimentConfig(beta_override=1.0, c_beta=7.0).validate()
     with pytest.raises(ValueError, match="p is not read"):
         ExperimentConfig(agent="lsvi", beta_override=1.0, p=0.3).validate()
     # One lake config serves all three agents: plain lsvi accepts (and never
     # reads) the cost width scale.
     ExperimentConfig(agent="lsvi", cost_width_scale=0.02).validate()
     ExperimentConfig(env="synthetic_linear", dim=3).validate()
-    # without an override the schedule reads c_beta and p; the other agents
-    # read p in their cost width
-    ExperimentConfig(agent="lsvi", c_beta=7.0, p=0.3).validate()
+    # without an override the schedule reads p; the other agents read p in
+    # their cost width
+    ExperimentConfig(agent="lsvi", p=0.3).validate()
     ExperimentConfig(agent="lsvi_ae", beta_override=1.0, p=0.3).validate()
     ExperimentConfig(cost_model="gp", kernel="sqexp", lengthscale=0.5,
                      map_text="S.G").validate()
@@ -172,17 +177,59 @@ MAPS = st.lists(st.text(alphabet="SGH.", min_size=1, max_size=6),
                 min_size=1, max_size=4).map("\n".join)
 
 
+CANONICAL = dict(
+    env=st.sampled_from(ENVS), agent=st.sampled_from(AGENTS),
+    episodes=st.integers(), horizon=st.integers(), p=FINITE, lam=FINITE,
+    beta_override=st.none() | FINITE, cost_model=st.sampled_from(COST_MODELS),
+    kernel=st.sampled_from(KERNELS), lengthscale=FINITE,
+    cost_width_scale=FINITE, dim=st.integers(), map_text=st.none() | MAPS,
+    seed=st.integers(min_value=0), out=st.none() | WORD)
+
+
 @settings(max_examples=100, deadline=None)
-@given(env=st.sampled_from(ENVS), agent=st.sampled_from(AGENTS),
-       episodes=st.integers(), horizon=st.integers(), p=FINITE, lam=FINITE,
-       c_beta=FINITE, beta_override=st.none() | FINITE,
-       cost_model=st.sampled_from(COST_MODELS),
-       kernel=st.sampled_from(KERNELS), lengthscale=FINITE,
-       cost_width_scale=FINITE, dim=st.integers(), map_text=st.none() | MAPS,
-       seed=st.integers(min_value=0), out=st.none() | WORD)
+@given(**CANONICAL)
 def test_config_text_roundtrip_on_canonical_values(**values):
     config = ExperimentConfig(**values)
     assert ExperimentConfig.from_text(config.to_text()) == config
+
+
+def _flags_by_dest():
+    from safe_lsvi.cli import build_parser
+    flags = {}
+    for action in build_parser()._actions:
+        flags.setdefault(action.dest, []).extend(action.option_strings)
+    return flags
+
+
+def test_every_setting_has_exactly_one_flag():
+    flags = _flags_by_dest()
+    assert flags.pop("help") == ["-h", "--help"]
+    assert flags.pop("config") == ["--config"]
+    assert sorted(flags) == sorted(f.name for f in fields(ExperimentConfig))
+    assert all(len(options) == 1 for options in flags.values())
+    assert flags["lam"] == ["--lambda"] and flags["map_text"] == ["--map"]
+    assert flags["cost_width_scale"] == ["--cost-width-scale"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**CANONICAL)
+def test_a_flag_and_a_config_line_give_the_same_config(tmp_path_factory, **values):
+    # Each setting as a flag (--map names a file holding the map) gives the
+    # config that its line of to_text gives.
+    from safe_lsvi.cli import build_parser, config_from_args
+    config = ExperimentConfig(**values)
+    flags = _flags_by_dest()
+    argv = []
+    for name, value in values.items():
+        if value is None:
+            continue
+        if name == "map_text":
+            path = tmp_path_factory.getbasetemp() / "flag_route_map.txt"
+            path.write_text(value)
+            value = path
+        argv.append(f"{flags[name][0]}={value}")
+    from_flags = config_from_args(build_parser().parse_args(argv))
+    assert from_flags == ExperimentConfig.from_text(config.to_text()) == config
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +343,9 @@ def _transcript_reference(cmdp, fmap, K, beta, lam, p, width_scale):
                     phi = feats[s * A + a]
                     ghat[h, s, a] = phi @ theta - width * math.sqrt(phi @ inv @ phi)
         # backward sweep over Q
-        weights = np.zeros((H, d))
-        policy = np.zeros((H, S), dtype=int)
-        v_next = np.zeros(S)
-        q_tables = np.zeros((H, S, A))
-        for h in range(H - 1, -1, -1):
-            lam_mat = lam * np.eye(d)
-            bvec = np.zeros(d)
-            for episode in out:
-                s, a, r, s_next = episode["steps"][h]
-                phi = feats[s * A + a]
-                lam_mat += np.outer(phi, phi)
-                bvec += phi * (r + v_next[s_next])
-            w = np.linalg.solve(lam_mat, bvec)
-            inv = np.linalg.inv(lam_mat)
-            for s in range(S):
-                for a in range(A):
-                    phi = feats[s * A + a]
-                    q_tables[h, s, a] = min(w @ phi + beta * math.sqrt(phi @ inv @ phi), H)
-            objective = q_tables[h] - z[h] * np.maximum(ghat[h], 0.0)
-            policy[h] = objective.argmax(axis=1)
-            v_next = q_tables[h][np.arange(S), policy[h]]
-            weights[h] = w
+        weights, _, policy = reference_lines_4_to_9(
+            [episode["steps"] for episode in out], feats, S, A, H, lam, beta,
+            ghat, z)
         # deterministic rollout
         s = cmdp.initial_state
         steps = []
@@ -328,7 +356,7 @@ def _transcript_reference(cmdp, fmap, K, beta, lam, p, width_scale):
             c = float(cmdp.cost_mean[h, s, a])
             s_next = int(np.argmax(cmdp.transition[h, s, a]))
             cost_obs[h].append((feats[s * A + a], c))
-            steps.append((s, a, r, s_next))
+            steps.append((s, a, r, c, s_next))
             actions.append(a)
             s = s_next
         for h in range(H):
@@ -507,21 +535,18 @@ def test_cli_reports_a_run_that_cannot_allocate(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--beta-override", "-1.0"], "beta_override"),
-    (["--c-beta", "-0.5"], "c_beta"),
     (["--kernel", "sqexp"], "kernel"),
     (["--lengthscale", "0.5"], "lengthscale"),
     (["--map", "MAP"], "map_text"),
     (["--env", "frozen_lake"], "dim"),
     (["--agent", "lsvi", "--cost-model", "gp", "--kernel", "sqexp",
       "--lengthscale", "0.3"], "cost_model"),
-    (["--beta-override", "1.0", "--c-beta", "7"], "c_beta"),
     (["--agent", "lsvi", "--beta-override", "1.0", "--p", "0.3"], "p is not read"),
     (["--beta-override", "inf"], "beta_override"),
     (["--cost-model", "gp", "--kernel", "sqexp", "--lengthscale", "inf"],
      "lengthscale"),
     (["--lambda", "nan"], "lambda"),
     (["--beta-override", "nan"], "beta_override"),
-    (["--c-beta", "nan"], "c_beta"),
     (["--cost-width-scale", "nan"], "cost_width_scale"),
     (["--cost-width-scale", "inf"], "cost_width_scale"),
     (["--cost-model", "gp", "--kernel", "sqexp", "--lengthscale", "nan"],
@@ -536,16 +561,21 @@ def test_cli_reports_a_run_that_cannot_allocate(monkeypatch, capsys):
     (["--config", "CONFIG:out=\n"], "out must name a directory"),
     (["--out", ""], "out must name a directory"),
     (["--out", "  "], "out must name a directory"),
-], ids=["negative-beta-override", "negative-c-beta", "kernel-with-linear-costs",
+    (["--config", "CONFIG:c_beta=1.0\n"], "unknown config key 'c_beta'"),
+    (["--episodes", "1.5"], "--episodes: invalid literal for int()"),
+    (["--lambda", "small"], "--lambda: could not convert"),
+    (["--env", "lake"], "env must be one of"),
+], ids=["negative-beta-override", "kernel-with-linear-costs",
         "lengthscale-with-linear-costs", "map-with-synthetic-env",
         "dim-with-frozen-lake", "gp-costs-with-lsvi",
-        "c-beta-with-beta-override", "p-with-lsvi-and-beta-override",
+        "p-with-lsvi-and-beta-override",
         "inf-beta-override", "inf-lengthscale", "nan-lambda",
-        "nan-beta-override", "nan-c-beta", "nan-cost-width-scale",
+        "nan-beta-override", "nan-cost-width-scale",
         "inf-cost-width-scale", "nan-lengthscale", "negative-seed",
         "config-key-twice", "config-float-episodes", "empty-map-file",
         "empty-map-path", "config-empty-map", "config-empty-out", "empty-out",
-        "blank-out"])
+        "blank-out", "config-c-beta", "float-episodes", "word-lambda",
+        "unknown-env"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
                                                    tmp_path_factory,
                                                    monkeypatch, capsys):

@@ -122,6 +122,24 @@ def test_linear_zero_feature_estimate():
     assert est.mean == 0.0 and est.width == 0.0 and est.value == 0.0
 
 
+# A confidence level outside (0, 1), or a width multiplier that is negative,
+# infinite or NaN, is rejected when the model is built, not at its first
+# lcb_table (a negative multiplier would put the lower bound above the mean).
+BAD_WIDTH_SETTINGS = pytest.mark.parametrize("p, width_scale, message", [
+    (0.0, 1.0, "p must"), (1.0, 1.0, "p must"), (2.0, 1.0, "p must"),
+    (-0.1, 1.0, "p must"), (math.nan, 1.0, "p must"),
+    (0.1, -1.0, "width_scale"), (0.1, math.inf, "width_scale"),
+    (0.1, math.nan, "width_scale"),
+])
+
+
+@BAD_WIDTH_SETTINGS
+def test_linear_rejects_bad_width_settings(p, width_scale, message):
+    with pytest.raises(ValueError, match=message):
+        LinearCostModel(one_hot_features(2, 2), horizon=2, p=p,
+                        width_scale=width_scale)
+
+
 def test_linear_rejects_out_of_range_cost():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=1)
@@ -392,6 +410,15 @@ def test_info_gain_nondecreasing():
         gamma = model.info_gain(0)
         assert gamma >= last - 1e-10
         last = gamma
+
+
+@BAD_WIDTH_SETTINGS
+@pytest.mark.parametrize("one_hot", [True, False])
+def test_gp_rejects_bad_width_settings(p, width_scale, message, one_hot):
+    fmap = one_hot_features(2, 2) if one_hot else map_of([[0.3, 0.4]])
+    with pytest.raises(ValueError, match=message):
+        GpCostModel("sqexp", total_episodes=5, horizon=2, p=p,
+                    width_scale=width_scale, feature_map=fmap)
 
 
 def test_gp_rejects_out_of_range_cost():

@@ -11,6 +11,8 @@ from safe_lsvi.costs import LinearCostModel
 from safe_lsvi.envs import FeatureMap, one_hot_features
 from safe_lsvi.lsvi import GramState, LsviLearner, beta_schedule
 
+from dense_reference import reference_lines_4_to_9
+
 
 def random_unit_features(rng, n, d, scale=1.0):
     x = rng.normal(size=(n, d))
@@ -322,33 +324,6 @@ def test_backward_pass_empty_history():
     assert np.array_equal(plan.v_table, np.full((4, 3), 4.0))
 
 
-def _reference_lines_4_to_9(history, feats, S, A, H, lam, beta, ghat, z):
-    """Straight-line reimplementation of the backward sweep with dense solves."""
-    d = feats.shape[1]
-    q_tables = np.zeros((H, S, A))
-    weights = np.zeros((H, d))
-    v_next = np.zeros(S)
-    for h in range(H - 1, -1, -1):
-        lam_mat = lam * np.eye(d)
-        target_vec = np.zeros(d)
-        for episode in history:
-            s, a, r, _, s_next = episode[h]
-            phi = feats[s * A + a]
-            lam_mat += np.outer(phi, phi)
-            target_vec += phi * (r + v_next[s_next])
-        w = np.linalg.solve(lam_mat, target_vec)
-        inv = np.linalg.inv(lam_mat)
-        for s in range(S):
-            for a in range(A):
-                phi = feats[s * A + a]
-                q_tables[h, s, a] = min(w @ phi + beta * math.sqrt(phi @ inv @ phi), H)
-        objective = q_tables[h] - z[h] * np.maximum(ghat[h], 0.0)
-        a_star = objective.argmax(axis=1)
-        v_next = q_tables[h][np.arange(S), a_star]
-        weights[h] = w
-    return weights, q_tables
-
-
 def test_backward_pass_matches_reference():
     rng = np.random.default_rng(5)
     # one-hot (diagonal statistics) and dense unit-norm features of d = 3
@@ -369,8 +344,8 @@ def test_backward_pass_matches_reference():
         ghat = -np.ones((H, S, A))
         z = np.zeros(H)
         plan = learner.backward_pass(ghat=ghat, z=z)
-        ref_w, ref_q = _reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0,
-                                               beta, ghat, z)
+        ref_w, ref_q, _ = reference_lines_4_to_9(episodes, fmap.flat, S, A, H,
+                                                 1.0, beta, ghat, z)
         assert np.abs(plan.weights - ref_w).max() <= tol
         assert np.abs(plan.q_table - ref_q).max() <= tol
 
@@ -388,8 +363,8 @@ def test_backward_pass_incremental_matches_dense_rebuild():
         ingest_steps(learner, trace)
         episodes.append(trace)
     plan_incremental = learner.backward_pass()
-    dense_w, dense_q = _reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0, 1.2,
-                                               np.zeros((H, S, A)), np.zeros(H))
+    dense_w, dense_q, _ = reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0,
+                                                 1.2, np.zeros((H, S, A)), np.zeros(H))
     assert np.abs(plan_incremental.weights - dense_w).max() <= 1e-8
     assert np.abs(plan_incremental.q_table - dense_q).max() <= 1e-8
 
