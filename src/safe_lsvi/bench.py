@@ -234,9 +234,9 @@ def run_experiment(config: ExperimentConfig, env_override=None,
     _, star = constrained_dp(cmdp)
     v_star = star.v[0, cmdp.initial_state]
 
-    # One bonus scale per run: the override, or the schedule itself (c = 1).
+    # One bonus scale per run: the override, or the schedule itself.
     beta = config.beta_override if config.beta_override is not None else \
-        beta_schedule(1.0, fmap.dim, H, K, config.p)
+        beta_schedule(fmap.dim, H, K, config.p)
     learner = LsviLearner(fmap, cmdp.num_states, cmdp.num_actions, H,
                           config.lam, beta)
     ledger = PenaltyLedger(H, AGENT_MODES[config.agent])

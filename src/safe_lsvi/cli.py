@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
-    if args.config:
+    if args.config is not None:
         config = ExperimentConfig.from_text(Path(args.config).read_text())
     else:
         config = ExperimentConfig()

@@ -13,17 +13,19 @@ Both serve it from state with a leading H axis that each episode updates,
 kept per column of a one-hot (tabular) feature map or per distinct row of a
 dense one and gathered once over the S*A rows: the ridge model from the
 shared design statistics; the GP, over a one-hot map, from per-column
-observation counts and cost sums (O(1) per step to add, O(d) to query,
-through Sherman-Morrison and the matrix determinant lemma), and over a
-dense map from a cross factor L^-1 K(X, F) over the U distinct rows F that
-grows one row per episode and step (O(n * U) to add, O(U) to query).  A
-row's predict(h, row).value is its entry of lcb_table(h), bit for bit: both
-read the same per-column or per-distinct-row arrays.  The GP holds at most
-K episodes; nothing of its one-hot state is sized by K, and its dense state
-lives in arrays allocated once, linear in K.  Widths spend p/H of the
-model's own p (one union-bound share per step), and width_scale is a
-practical multiplier on the theoretical width (1.0 reproduces the closed
-forms; benchmark configs shrink it).
+observation counts and cost sums (O(1) per step to add, one O(d) pass to
+query the posterior and the information gain together, through
+Sherman-Morrison and the matrix determinant lemma), and over a dense map
+from a cross factor L^-1 K(X, F) over the U distinct rows F that grows one
+row per episode and step, each new observation's pivot and innovation
+read from the cached posterior at its row (O(n * U) to add, O(U) to
+query).  A row's predict(h, row).value is its entry of lcb_table(h), bit
+for bit: both read the same per-column or per-distinct-row arrays.  The GP
+holds at most K episodes; nothing of its one-hot state is sized by K, and
+its dense state lives in arrays allocated once, linear in K.  Widths spend
+p/H of the model's own p (one union-bound share per step), and width_scale
+is a practical multiplier on the theoretical width (1.0 reproduces the
+closed forms; benchmark configs shrink it).
 """
 
 from __future__ import annotations
@@ -213,20 +215,23 @@ class GpCostModel:
       only through the counts n[h] and cost sums G[h] of each column (both
       (H, d)); a and c are read from one kernel call at construction.  An
       episode adds to one entry of each per step, elementwise over the
-      steps.  lcb_table is O(d) plus an O(S*A) gather, without a kernel
-      call or a solve; the information gain follows from the matrix
-      determinant lemma in O(d).  Nothing is sized by K.
-    * Dense map: over the map's U distinct rows F, alpha = L^-1 g (H, K)
-      and the cross factor Z = L^-1 K(X, F) (H, K, U), for L the Cholesky
-      factor of K(X, X) + lam*I over the n rows X observed so far, beside
-      logdet[h] of K(X, X) + lam*I and the posterior over F,
-      mean[h] = Z^T alpha and var[h] = diag k(F, F) - colsum(Z^2) (both
-      (H, U)), in arrays allocated once.  An episode, step by step, reads
-      L^-1 K(X, y) of its row y from Z's column index[y] and appends one
-      entry to alpha and one row to Z, with a pivot of at least lam,
-      repeated rows included: O(n * U) per step.  L itself is never
-      needed, so it is not kept.  lcb_table is O(U) plus an O(S*A) gather,
-      without a kernel call or a solve.
+      steps.  A query makes one O(d) pass that yields the posterior mean
+      and variance of every column and, by the matrix determinant lemma,
+      the information gain; lcb_table adds an O(S*A) gather, without a
+      kernel call or a solve.  Nothing is sized by K.
+    * Dense map: over the map's U distinct rows F, the cross factor
+      Z = L^-1 K(X, F) (H, K, U), for L the Cholesky factor of
+      K(X, X) + lam*I over the n rows X observed so far, beside logdet[h]
+      of K(X, X) + lam*I and the posterior over F, mean[h] = Z^T L^-1 g
+      and var[h] = diag k(F, F) - colsum(Z^2) (both (H, U)), in arrays
+      allocated once.  An episode, step by step, appends one row to Z for
+      its row y: the pivot sqrt(var + lam) and the innovation
+      cost - mean are read from the cached posterior at y, and
+      L^-1 K(X, y) from Z's column index[y] enters the one product with
+      Z, O(n * U) per step.  The pivot is at least sqrt(lam) > 1, repeated
+      rows included.  Neither L nor L^-1 g is needed, so neither is kept.
+      lcb_table is O(U) plus an O(S*A) gather, without a kernel call or a
+      solve.
     """
 
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
@@ -270,7 +275,6 @@ class GpCostModel:
         self.logdet = np.zeros(horizon)
         self.mean = np.zeros((horizon, m))
         self.var = np.tile(prior, (horizon, 1))
-        self.alpha = np.zeros((horizon, K))
         self.Z = np.zeros((horizon, K, m))
 
     def observe(self, rows, costs) -> None:
@@ -292,80 +296,81 @@ class GpCostModel:
     def _observe_dense(self, cols: np.ndarray, y: np.ndarray,
                        costs: np.ndarray) -> None:
         """Append distinct row cols[h] (feature y[h]) with cost costs[h] to
-        step h's dense state as its n-th observation, n = count."""
+        step h's dense state as its n-th observation, n = count.
+
+        With z = L^-1 K(X, y), Z's column cols[h], the new pivot of
+        K(X, X) + lam*I is sqrt(k(y, y) + lam - z^T z) = sqrt(var + lam) and
+        the innovation is cost - z^T alpha = cost - mean, for var and mean the
+        cached posterior at y.  The pivot is thus at least sqrt(lam) > 1 for
+        any positive semi-definite kernel, repeated rows included, and only
+        the new cross-factor row r = (k(y, F) - z^T Z) / pivot takes a
+        product with Z.
+        """
         n, f_sq = self.count, self.fmap.distinct_sq_norms
-        z = [self.Z[h, :n, i] for h, i in enumerate(cols)]  # L^-1 K(X, y)
-        # The new pivot is a Schur complement of K(X, X) + lam*I, at least
-        # lam > 1 for any positive semi-definite kernel, repeated rows
-        # included, so only a broken kernel fails this check.  Every step
-        # is checked before any changes.
-        diag2 = [float(self._k(f_sq[i], f_sq[i], f_sq[i])) + self.lam - float(zh @ zh)
-                 for i, zh in zip(cols, z)]
-        if not all(x > 0.0 for x in diag2):
-            raise RuntimeError("kernel matrix is not positive definite")
         for h, i in enumerate(cols):
-            diag = math.sqrt(diag2[h])
-            a = (float(costs[h]) - float(z[h] @ self.alpha[h, :n])) / diag
+            diag = math.sqrt(float(self.var[h, i]) + self.lam)
+            a = (float(costs[h]) - float(self.mean[h, i])) / diag
             kyf = self._k(f_sq[i], f_sq, self.fmap.distinct @ y[h])  # k(y, F)
-            r = (kyf - z[h] @ self.Z[h, :n]) / diag
-            self.alpha[h, n], self.Z[h, n] = a, r
+            r = (kyf - self.Z[h, :n, i] @ self.Z[h, :n]) / diag
+            self.Z[h, n] = r
             self.mean[h] += a * r
             self.var[h] -= r * r
             self.logdet[h] += 2.0 * math.log(diag)
 
-    def info_gain(self, h: int) -> float:
-        """Realized information gain 0.5 * ln det(I + lam^-1 KER).  On the
-        count path, by the matrix determinant lemma,
-        0.5 * [sum_j ln(1 + a n_j/lam) + ln(1 + c * sum_j n_j/(a n_j + lam))]."""
-        if not self.one_hot:
-            # ln det(I + lam^-1 KER) >= 0, but observations that add nothing
-            # (k(y, y) = 0) leave the difference of logs a rounding off 0.
-            return max(0.5 * (float(self.logdet[h])
-                              - self.count * math.log(self.lam)), 0.0)
-        n = self.n[h]
-        return 0.5 * (float(np.log1p(n * (self._a / self.lam)).sum())
-                      + math.log1p(self._c * float((n / (self._a * n + self.lam)).sum())))
+    def _moments(self, h: int):
+        """Posterior mean and variance per column (one-hot) or per distinct
+        row (dense), and the realized information gain
+        0.5 * ln det(I + lam^-1 KER), all in one pass.
 
-    def _count_posterior(self, h: int):
-        """Posterior mean and variance at the d unit vectors, on the count
-        path.
-
-        Over the observed columns, K(X, X) + lam*I pushes through to
-        M = diag(a + lam/n_j) + c*11^T acting on the column means G_j/n_j.
-        Sherman-Morrison inverts M without dividing by a: with
-        w_j = 1/(a n_j + lam), g_j = G_j w_j, s = c/(1 + c*sum_j n_j w_j)
-        and e_j = lam w_j, the query e_j gets
+        On the count path, over the observed columns, K(X, X) + lam*I pushes
+        through to M = diag(a + lam/n_j) + c*11^T acting on the column means
+        G_j/n_j.  Sherman-Morrison inverts M without dividing by a: with
+        w_j = 1/(a n_j + lam), g_j = G_j w_j, t = c*sum_j n_j w_j,
+        s = c/(1 + t) and e_j = lam w_j, the query e_j gets
 
             mean_j = a g_j + s*e_j*sum_i g_i,   var_j = a e_j + s e_j^2,
 
-        in closed form, free of cancellation.  The sums run over all d
-        columns: an unobserved one has n_j = G_j = 0.
+        in closed form, free of cancellation, and the matrix determinant
+        lemma gives the gain 0.5 * [sum_j ln(1 + a n_j/lam) + ln(1 + t)].
+        The sums run over all d columns: an unobserved one has
+        n_j = G_j = 0.
         """
+        if not self.one_hot:
+            # ln det(I + lam^-1 KER) >= 0, but observations that add nothing
+            # (k(y, y) = 0) leave the difference of logs a rounding off 0.
+            gain = 0.5 * (float(self.logdet[h]) - self.count * math.log(self.lam))
+            return self.mean[h], self.var[h], max(gain, 0.0)
         a, c, n = self._a, self._c, self.n[h]
-        w_hat = 1.0 / (a * n + self.lam)
-        g = self.G[h] * w_hat
-        s = c / (1.0 + c * float((n * w_hat).sum()))
-        e = self.lam * w_hat
-        return a * g + (s * float(g.sum())) * e, a * e + s * e * e
+        w = 1.0 / (a * n + self.lam)
+        g = self.G[h] * w
+        t = c * float((n * w).sum())
+        s = c / (1.0 + t)
+        e = self.lam * w
+        gain = 0.5 * (float(np.log1p(n * (a / self.lam)).sum()) + math.log1p(t))
+        return a * g + (s * float(g.sum())) * e, a * e + s * e * e, gain
 
-    def _moments(self, h: int):
-        """Posterior mean and variance per column (one-hot) or per distinct
-        row (dense)."""
-        return self._count_posterior(h) if self.one_hot else (self.mean[h], self.var[h])
+    def info_gain(self, h: int) -> float:
+        """Realized information gain 0.5 * ln det(I + lam^-1 KER) of step h."""
+        return self._moments(h)[2]
+
+    def _beta(self, gain: float) -> float:
+        return self.width_scale * gp_beta(gain, self.p / self.H)
+
+    def _query(self, h: int, row: int) -> tuple[float, float, float]:
+        """Posterior mean and standard deviation at row `row` of the map,
+        and step h's information gain."""
+        self.fmap.row(row)  # the type and range check
+        mean, var, gain = self._moments(h)
+        i = self.index[row]
+        return float(mean[i]), math.sqrt(max(float(var[i]), 0.0)), gain
 
     def posterior(self, h: int, row: int) -> tuple[float, float]:
         """Posterior mean and standard deviation at row `row` of the map."""
-        self.fmap.row(row)  # the type and range check
-        mean, var = self._moments(h)
-        i = self.index[row]
-        return float(mean[i]), math.sqrt(max(float(var[i]), 0.0))
-
-    def _beta(self, h: int) -> float:
-        return self.width_scale * gp_beta(self.info_gain(h), self.p / self.H)
+        return self._query(h, row)[:2]
 
     def predict(self, h: int, row: int) -> CostEstimate:
-        mean, sigma = self.posterior(h, row)
-        width = self._beta(h) * sigma
+        mean, sigma, gain = self._query(h, row)
+        width = self._beta(gain) * sigma
         return CostEstimate(value=mean - width, mean=mean, width=width)
 
     def lcb_table(self, h: int) -> np.ndarray:
@@ -373,6 +378,6 @@ class GpCostModel:
         (S, A): per column from the counts, or from the cached posterior per
         distinct row, gathered once through index."""
         S, A, _ = self.fmap.table.shape
-        mean, var = self._moments(h)
+        mean, var, gain = self._moments(h)
         sigma = np.sqrt(np.maximum(var, 0.0))
-        return (mean - self._beta(h) * sigma)[self.index].reshape(S, A)
+        return (mean - self._beta(gain) * sigma)[self.index].reshape(S, A)

@@ -138,14 +138,14 @@ class GramState:
         return (self.inv if self.diagonal else self._quad)[h][self.index]
 
 
-def beta_schedule(c: float, d: int, horizon: int, episodes: int, p: float) -> float:
-    """Theory-scale bonus multiplier c * d * H * sqrt(log(2dHK/p))."""
+def beta_schedule(d: int, horizon: int, episodes: int, p: float) -> float:
+    """Theory-scale bonus multiplier d * H * sqrt(log(2dHK/p))."""
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")
     arg = 2.0 * d * horizon * episodes / p
     if arg <= 1.0:
         raise ValueError("2dHK/p must exceed 1")
-    return c * d * horizon * math.sqrt(math.log(arg))
+    return d * horizon * math.sqrt(math.log(arg))
 
 
 @dataclass

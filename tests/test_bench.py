@@ -562,6 +562,7 @@ def test_cli_reports_a_run_that_cannot_allocate(monkeypatch, capsys):
     (["--out", ""], "out must name a directory"),
     (["--out", "  "], "out must name a directory"),
     (["--config", "CONFIG:c_beta=1.0\n"], "unknown config key 'c_beta'"),
+    (["--config", ""], "Is a directory"),
     (["--episodes", "1.5"], "--episodes: invalid literal for int()"),
     (["--lambda", "small"], "--lambda: could not convert"),
     (["--env", "lake"], "env must be one of"),
@@ -574,7 +575,8 @@ def test_cli_reports_a_run_that_cannot_allocate(monkeypatch, capsys):
         "inf-cost-width-scale", "nan-lengthscale", "negative-seed",
         "config-key-twice", "config-float-episodes", "empty-map-file",
         "empty-map-path", "config-empty-map", "config-empty-out", "empty-out",
-        "blank-out", "config-c-beta", "float-episodes", "word-lambda",
+        "blank-out", "config-c-beta", "empty-config-path", "float-episodes",
+        "word-lambda",
         "unknown-env"])
 def test_cli_rejects_flags_that_would_run_silently(flags, message, tmp_path,
                                                    tmp_path_factory,

@@ -494,9 +494,9 @@ def test_one_hot_gp_memory_does_not_depend_on_k():
 
 
 def test_dense_gp_memory_is_linear_in_k():
-    # Each extra episode adds, per step, one entry of alpha and one row of
-    # the cross factor over the U distinct rows: no K x K array is kept, and
-    # a repeated row costs nothing.
+    # Each extra episode adds, per step, one row of the cross factor over
+    # the U distinct rows: no K x K array is kept, and a repeated row costs
+    # nothing.
     fmap = _toy_fmap(np.random.default_rng(0), S=5, A=3)
     repeated = FeatureMap(fmap.dim, np.repeat(fmap.table[:1], 5, axis=0))
     H, episodes = 4, (1, 2, 10, 100)
@@ -505,7 +505,7 @@ def test_dense_gp_memory_is_linear_in_k():
         sizes = [_array_bytes(GpCostModel("sqexp", total_episodes=K, horizon=H,
                                           feature_map=fmap)) for K in episodes]
         assert [size - sizes[0] for size in sizes] == \
-            [(K - 1) * H * (U + 1) * 8 for K in episodes]
+            [(K - 1) * H * U * 8 for K in episodes]
 
 
 def test_dense_gp_information_gain_of_uninformative_observations_is_zero():
@@ -529,11 +529,12 @@ def test_gp_step_holds_at_most_k_points():
                         feature_map=map_of([[0.6, 0.8]]))
     for _ in range(K):
         model.observe([0, 0], [0.1, 0.1])
-    before = [model.alpha.tobytes(), model.Z.tobytes()]
+    state = ("Z", "mean", "var", "logdet")
+    before = [getattr(model, name).tobytes() for name in state]
     with pytest.raises(ValueError, match="already holds K=3 episodes"):
         model.observe([0, 0], [0.1, 0.1])
     assert model.count == K
-    assert [model.alpha.tobytes(), model.Z.tobytes()] == before
+    assert [getattr(model, name).tobytes() for name in state] == before
 
 
 def test_gp_requires_a_feature_map():
@@ -550,25 +551,27 @@ GP_KERNELS = st.sampled_from([("linear", 1.0), ("sqexp", 0.3), ("sqexp", 0.7),
                               ("sqexp", 1.0), ("sqexp", 2.5)])
 
 
-def _observe_episodes(model, rng, num_episodes, draw_row):
+def _observe_episodes(model, rng, num_episodes, draw_row, on_episode=None):
     """Feed model num_episodes random episodes, step h's row drawn by
-    draw_row() and its cost uniform in [-1, 1].  Returns each step's
-    (features, costs)."""
+    draw_row() and its cost uniform in [-1, 1], calling on_episode(model),
+    when given, after each.  Returns each step's (features, costs)."""
     data = [([], []) for _ in range(model.H)]
     for _ in range(num_episodes):
         rows = np.array([draw_row() for _ in range(model.H)])
         costs = rng.uniform(-1, 1, size=model.H)
         model.observe(rows, costs)
+        if on_episode is not None:
+            on_episode(model)
         for h, (points, step_costs) in enumerate(data):
             points.append(model.fmap.flat[rows[h]])
             step_costs.append(float(costs[h]))
     return data
 
 
-def _observed_gp(rng, kernel, lengthscale, horizon):
+def _observed_gp(rng, kernel, lengthscale, horizon, on_episode=None):
     """A GP cost model on a small feature map after random episodes over
-    its rows, repeats included.  Returns the model and each step's (points,
-    costs)."""
+    its rows, repeats included, calling on_episode(model), when given,
+    after each.  Returns the model and each step's (points, costs)."""
     S, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     table = ball_features(rng, S * A, d) * rng.uniform(0.2, 1.0, size=(S * A, 1))
     fmap = FeatureMap(dim=d, table=table.reshape(S, A, d))
@@ -579,7 +582,8 @@ def _observed_gp(rng, kernel, lengthscale, horizon):
                         horizon=horizon, lengthscale=lengthscale,
                         p=float(rng.uniform(0.01, 0.5)),
                         width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
-    return model, _observe_episodes(model, rng, num_episodes, lambda: rng.integers(S * A))
+    return model, _observe_episodes(model, rng, num_episodes, lambda: rng.integers(S * A),
+                                    on_episode)
 
 
 def _dense_gp_posterior(model, points, costs, Y):
@@ -635,6 +639,24 @@ def test_gp_lcb_table_equals_dense_posterior_and_predict(kernel, seed):
     for h, (table, (points, costs)) in enumerate(zip(tables, data)):
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-8
         _assert_posterior_and_predict(model, h, table, points, costs, 1e-8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel=GP_KERNELS, seed=SEEDS)
+def test_dense_gp_variance_stays_within_its_prior(kernel, seed):
+    # An observation's squared pivot is the cached posterior variance at its
+    # row plus lam, and nothing checks it at run time: the variance staying
+    # in [0, k(y, y)] up to rounding keeps every squared pivot above
+    # lam = 1 + 2/K > 1, repeated rows included.
+    variances = []
+    model, _ = _observed_gp(np.random.default_rng(seed), *kernel, horizon=2,
+                            on_episode=lambda m: variances.append(m.var.copy()))
+    assert not model.one_hot
+    prior = np.diag(model.kern(model.fmap.distinct, model.fmap.distinct))
+    for var in variances:
+        assert var.min() >= -1e-12
+        assert (var <= prior + 1e-12).all()
+        assert (var + model.lam > 1.0).all()
 
 
 ONE_HOT_KERNELS = st.sampled_from([(kernel, lengthscale) for kernel in ("linear", "sqexp")
@@ -884,7 +906,7 @@ def test_episode_updates_equal_a_per_step_loop_bitwise(seed, one_hot):
     else:
         F, f_sq = fmap.distinct, fmap.distinct_sq_norms
         quad = [f_sq / lam for _ in range(H)]
-        alpha, Z, logdet = np.zeros((H, K)), np.zeros((H, K, len(F))), np.zeros(H)
+        Z, logdet = np.zeros((H, K, len(F))), np.zeros(H)
         mean, var = np.zeros((H, len(F))), np.tile(k_fn(f_sq, f_sq, f_sq), (H, 1))
     episodes = int(rng.integers(0, K + 1))
     for k in range(episodes):
@@ -906,11 +928,10 @@ def test_episode_updates_equal_a_per_step_loop_bitwise(seed, one_hot):
             inv[h] -= np.outer(v, v) / denom
             proj = F @ v
             quad[h] -= proj * proj / denom
-            z = Z[h, :k, i]
-            diag = math.sqrt(float(k_fn(f_sq[i], f_sq[i], f_sq[i])) + gp.lam - float(z @ z))
-            a = (cost - float(z @ alpha[h, :k])) / diag
-            r = (k_fn(f_sq[i], f_sq, F @ phi) - z @ Z[h, :k]) / diag
-            alpha[h, k], Z[h, k] = a, r
+            diag = math.sqrt(float(var[h, i]) + gp.lam)
+            a = (cost - float(mean[h, i])) / diag
+            r = (k_fn(f_sq[i], f_sq, F @ phi) - Z[h, :k, i] @ Z[h, :k]) / diag
+            Z[h, k] = r
             mean[h] += a * r
             var[h] -= r * r
             logdet[h] += 2.0 * math.log(diag)
@@ -924,7 +945,7 @@ def test_episode_updates_equal_a_per_step_loop_bitwise(seed, one_hot):
     if one_hot:
         assert gp.n.tobytes() == n.tobytes() and gp.G.tobytes() == G.tobytes()
         return
-    for name, ref in dict(alpha=alpha, Z=Z, mean=mean, var=var, logdet=logdet).items():
+    for name, ref in dict(Z=Z, mean=mean, var=var, logdet=logdet).items():
         assert getattr(gp, name).tobytes() == ref.tobytes(), name
 
 
@@ -951,7 +972,7 @@ def _episode_entry_point(name, fmap, K=4):
                 + [getattr(lr, name).copy() for name in next_state])
     if name == "gp":
         m = GpCostModel("sqexp", total_episodes=K, horizon=2, feature_map=fmap)
-        state = ("n", "G") if m.one_hot else ("alpha", "Z", "mean", "var", "logdet")
+        state = ("n", "G") if m.one_hot else ("Z", "mean", "var", "logdet")
         return m.observe, lambda: [getattr(m, name).copy() for name in state] + [m.count]
     stats = GramState(fmap, 1.0, 2) if name == "linear-shared" else None
     m = LinearCostModel(fmap, horizon=2, stats=stats)

@@ -268,27 +268,21 @@ def test_bonus_shrinks_along_repeated_direction():
 
 def test_beta_schedule_unit_log():
     # chosen so log(2dHK/p) = log(e) = 1
-    assert beta_schedule(1.0, 1, 1, 1, 2.0 / math.e) == pytest.approx(1.0)
+    assert beta_schedule(1, 1, 1, 2.0 / math.e) == pytest.approx(1.0)
 
 
 def test_beta_schedule_high_precision():
     getcontext().prec = 50
-    c, d, H, K, p = 1.0, 2, 3, 100, 0.1
+    d, H, K, p = 2, 3, 100, 0.1
     arg = Decimal(2 * d * H * K) / Decimal(str(p))
-    expected = Decimal(c * d * H) * arg.ln().sqrt()
-    got = beta_schedule(c, d, H, K, p)
+    expected = Decimal(d * H) * arg.ln().sqrt()
+    got = beta_schedule(d, H, K, p)
     assert abs(Decimal(got) - expected) < Decimal("1e-12")
-
-
-def test_beta_schedule_linear_in_c():
-    b1 = beta_schedule(1.0, 3, 4, 50, 0.1)
-    b2 = beta_schedule(2.0, 3, 4, 50, 0.1)
-    assert b2 == pytest.approx(2.0 * b1)
 
 
 def test_beta_schedule_rejects_bad_p():
     with pytest.raises(ValueError):
-        beta_schedule(1.0, 2, 2, 10, 1.5)
+        beta_schedule(2, 2, 10, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +402,7 @@ def test_overestimation_frequency_small_instances():
         cmdp, fmap, _ = build_synthetic_linear(4, 3, seed=seed, cost_noise=0.0)
         _, star = constrained_dp(cmdp)
         K = 30
-        beta = beta_schedule(1.0, fmap.dim, cmdp.horizon, K, p)
+        beta = beta_schedule(fmap.dim, cmdp.horizon, K, p)
         learner = LsviLearner(fmap, cmdp.num_states, cmdp.num_actions,
                               cmdp.horizon, 1.0, beta)
         cost = LinearCostModel(fmap, cmdp.horizon, p=p)

@@ -1,0 +1,64 @@
+"""tools/record_bench.py: the per-side summary and the pair counts it
+records, on synthetic run records (no benchmark run)."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+
+def _load_record_bench():
+    path = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
+    spec = importlib.util.spec_from_file_location("record_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+record_bench = _load_record_bench()
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
+           {"name": "episodes_per_s", "unit": "1/s", "better": "higher"}]
+
+
+def _run(seed, wall, rate, correct=True, attempted=4, failed=0):
+    """One run record as record_bench.run_once returns it, without the
+    machine line."""
+    return {"seed": seed, "digests": [f"digest-{seed}"], "correct": correct,
+            "attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall}, "episodes_per_s": {"value": rate}}}
+
+
+def test_summarize_takes_quartiles_and_sums_the_counts():
+    walls = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0, 3.5, 8.0, 7.0]
+    rates = [120.0, 80.5, 99.0, 101.0, 64.0, 140.0, 77.0, 90.0, 88.0, 115.0]
+    runs = [_run(i + 1, wall, rate, correct=i != 6, attempted=i + 2, failed=i % 3)
+            for i, (wall, rate) in enumerate(zip(walls, rates))]
+    out = record_bench.summarize(runs, METRICS)
+    assert out["attempted"] == sum(i + 2 for i in range(10))
+    assert out["failed"] == sum(i % 3 for i in range(10))
+    assert out["correct"] is False  # run 7 failed a check
+    assert record_bench.summarize(runs[:6], METRICS)["correct"] is True
+    assert out["digests"] == {str(i + 1): [f"digest-{i + 1}"] for i in range(10)}
+    for metric, values in zip(METRICS, (walls, rates)):
+        entry = out["metrics"][metric["name"]]
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        assert (entry["q1"], entry["median"], entry["q3"]) == (q1, median, q3)
+        assert entry["median"] == statistics.median(values)
+        assert entry["values"] == values
+        assert (entry["unit"], entry["better"]) == (metric["unit"], metric["better"])
+
+
+def test_wins_counts_strict_improvements_in_the_metric_direction():
+    baseline = [_run(i, wall, rate) for i, (wall, rate)
+                in enumerate([(2.0, 50.0), (2.0, 50.0), (2.0, 50.0), (2.0, 50.0)])]
+    # Pair by pair: better, worse, equal, better on wall_s (lower wins);
+    # worse, equal, better, better on episodes_per_s (higher wins).
+    change = [_run(i, wall, rate) for i, (wall, rate)
+              in enumerate([(1.5, 49.0), (2.5, 50.0), (2.0, 51.0), (1.9, 60.0)])]
+    wall, rate = METRICS
+    assert record_bench.wins(change, baseline, wall) == 2
+    assert record_bench.wins(baseline, change, wall) == 1
+    assert record_bench.wins(change, baseline, rate) == 2
+    assert record_bench.wins(baseline, change, rate) == 1
+    # A tie counts for neither side.
+    assert record_bench.wins(baseline, baseline, wall) == 0
+    assert record_bench.wins(baseline, baseline, rate) == 0
