@@ -4,8 +4,8 @@ constrained-MDP oracles."""
 
 from .bench import (ExperimentConfig, Metrics, emit_results,
                     fit_growth_exponent, run_experiment)
-from .costs import (CostEstimate, GpCostModel, LinearCostModel, gp_beta,
-                    make_kernel, tilde_beta)
+from .costs import (GpCostModel, LinearCostModel, gp_beta, make_kernel,
+                    tilde_beta)
 from .envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp,
                    build_frozen_lake, build_hard_instance,
                    build_synthetic_linear, frozen_lake_from_grid,
@@ -17,7 +17,7 @@ from .penalty import PenaltyLedger, penalized_argmax
 
 __all__ = [
     "ExperimentConfig", "Metrics", "emit_results", "fit_growth_exponent",
-    "run_experiment", "CostEstimate", "GpCostModel", "LinearCostModel",
+    "run_experiment", "GpCostModel", "LinearCostModel",
     "gp_beta", "make_kernel", "tilde_beta", "DEFAULT_LAKE_MAP",
     "FeatureMap", "TabularCmdp", "build_frozen_lake",
     "build_hard_instance", "build_synthetic_linear", "frozen_lake_from_grid",

@@ -7,50 +7,37 @@ width from the posterior mean, so an action looks safe until the data says
 otherwise.  A run observes and queries costs only at (s, a) pairs, the rows
 of the feature map, so both models take row indices s*A + a and nothing
 else.  observe(rows, costs) ingests one episode, the (H,) rows and costs of
-its steps, checked whole before anything changes; predict(h, row) and
-lcb_table(h), the (S, A) table of lower-confidence costs, query step h.
-Both serve it from state with a leading H axis that each episode updates,
-kept per column of a one-hot (tabular) feature map or per distinct row of a
-dense one and gathered once over the S*A rows: the ridge model from the
-shared design statistics; the GP, over a one-hot map, from per-column
-observation counts and cost sums (O(1) per step to add, one O(d) pass to
-query the posterior and the information gain together, through
+its steps, checked whole before anything changes.  Step h is read as tables
+over (s, a): lcb_table(h), the (S, A) lower-confidence costs, is the run's
+read, and estimate(h) gives its two parts, the (S, A) posterior mean and
+confidence width, with lcb_table(h) == mean - width bit for bit.  Both read
+state with a leading H axis that each episode updates, kept per column of a
+one-hot (tabular) feature map or per distinct row of a dense one and
+gathered once over the S*A rows through the map's index: the ridge model
+from the shared design statistics; the GP, over a one-hot map, from
+per-column observation counts and cost sums (O(1) per step to add, one O(d)
+pass to query the posterior and the information gain together, through
 Sherman-Morrison and the matrix determinant lemma), and over a dense map
 from a cross factor L^-1 K(X, F) over the U distinct rows F that grows one
-row per episode and step, each new observation's pivot and innovation
-read from the cached posterior at its row (O(n * U) to add, O(U) to
-query).  A row's predict(h, row).value is its entry of lcb_table(h), bit
-for bit: both read the same per-column or per-distinct-row arrays.  The GP
-holds at most K episodes; nothing of its one-hot state is sized by K, and
-its dense state lives in arrays allocated once, linear in K.  Widths spend
-p/H of the model's own p (one union-bound share per step), and width_scale
-is a practical multiplier on the theoretical width (1.0 reproduces the
-closed forms; benchmark configs shrink it).
+row per episode and step, each new observation's pivot and innovation read
+from the cached posterior at its row (O(n * U) to add, O(U) to query).  A
+step outside [0, H) raises IndexError.  The GP holds at most K episodes;
+nothing of its one-hot state is sized by K, and its dense state lives in
+arrays allocated once, linear in K.  Widths spend p/H of the model's own p
+(one union-bound share per step), and width_scale is a practical multiplier
+on the theoretical width (1.0 reproduces the closed forms; benchmark configs
+shrink it).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .envs import FeatureMap
-from .lsvi import GramState, _episode_arrays
-
-@dataclass
-class CostEstimate:
-    """Lower-confidence estimate: value = mean - width, width >= 0."""
-
-    value: float
-    mean: float
-    width: float
-
-    @property
-    def width_two_sided(self) -> float:
-        """Error radius bounding |true - lcb| with the stated confidence."""
-        return 2.0 * self.width
+from .lsvi import GramState, _check_step, _episode_arrays
 
 
 def tilde_beta(lam: float, d: int, k: int, p: float) -> float:
@@ -87,6 +74,13 @@ def _cost_episode(horizon: int, rows, costs) -> tuple[np.ndarray, np.ndarray]:
     if not np.abs(costs).max() <= 1.0:  # a NaN fails too
         raise ValueError(f"observed costs {costs} not all in [-1, 1]")
     return rows, costs
+
+
+def _table(fmap: FeatureMap, values: np.ndarray) -> np.ndarray:
+    """Values per column (one-hot) or distinct row of fmap as the (S, A)
+    table over its rows, gathered once through fmap.index."""
+    S, A, _ = fmap.table.shape
+    return values[fmap.index].reshape(S, A)
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +167,18 @@ class LinearCostModel:
         self.b += phi * costs[:, None]
 
     def theta(self, h: int) -> np.ndarray:
+        _check_step(h, self.H)
         return self.stats.solve(h, self.b[h])
 
     def _beta(self) -> float:
         k = self.stats.count + 1  # episode index: data through k-1
         return self.width_scale * tilde_beta(self.lam, self.d, k, self.p / self.H)
 
-    def predict(self, h: int, row: int) -> CostEstimate:
-        """The estimate at row `row` of the feature map: its entry of
-        lcb_table(h), from the same arrays."""
-        self.fmap.row(row)  # the type and range check
+    def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ridge mean and confidence width over all (state, action) pairs,
+        two (S, A) tables from the arrays lcb_table(h) reads."""
         mean, root = self.stats.terms(h, self.theta(h))
-        i = self.stats.index[row]
-        mean, width = float(mean[i]), self._beta() * float(root[i])
-        return CostEstimate(value=mean - width, mean=mean, width=width)
+        return _table(self.fmap, mean), _table(self.fmap, self._beta() * root)
 
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape (S, A)."""
@@ -203,7 +195,8 @@ class GpCostModel:
     with lower-confidence queries.  Costs are observed and queried only at
     rows of the feature map, by index: the posterior is the one over its
     rows, held once per column (one-hot) or distinct row (dense) and read
-    through index[row].
+    as (S, A) tables through the map's index, lcb_table(h) and its parts
+    estimate(h).
 
     The regularizer is 1 + 2/K with K declared up front.  Each episode adds
     one observation to every step, and the model holds at most K episodes
@@ -217,7 +210,7 @@ class GpCostModel:
       episode adds to one entry of each per step, elementwise over the
       steps.  A query makes one O(d) pass that yields the posterior mean
       and variance of every column and, by the matrix determinant lemma,
-      the information gain; lcb_table adds an O(S*A) gather, without a
+      the information gain; a table adds an O(S*A) gather, without a
       kernel call or a solve.  Nothing is sized by K.
     * Dense map: over the map's U distinct rows F, the cross factor
       Z = L^-1 K(X, F) (H, K, U), for L the Cholesky factor of
@@ -230,7 +223,7 @@ class GpCostModel:
       L^-1 K(X, y) from Z's column index[y] enters the one product with
       Z, O(n * U) per step.  The pivot is at least sqrt(lam) > 1, repeated
       rows included.  Neither L nor L^-1 g is needed, so neither is kept.
-      lcb_table is O(U) plus an O(S*A) gather, without a kernel call or a
+      A table is O(U) plus an O(S*A) gather, without a kernel call or a
       solve.
     """
 
@@ -248,9 +241,7 @@ class GpCostModel:
         self.p = p
         self.width_scale = width_scale
         self.fmap = feature_map
-        self.one_hot = feature_map.unit_columns is not None
-        self.index = feature_map.unit_columns if self.one_hot else \
-            feature_map.distinct_index
+        self.one_hot = feature_map.distinct is None
         self.count = 0  # episodes observed
         d = feature_map.dim
         if self.one_hot:
@@ -284,7 +275,7 @@ class GpCostModel:
         if self.count == self.K:
             raise ValueError(f"the model already holds K={self.K} episodes")
         y = self.fmap.row(rows)  # the type and range check
-        cols = self.index[rows]
+        cols = self.fmap.index[rows]
         if self.one_hot:
             steps = np.arange(self.H)
             self.n[steps, cols] += 1
@@ -335,6 +326,7 @@ class GpCostModel:
         The sums run over all d columns: an unobserved one has
         n_j = G_j = 0.
         """
+        _check_step(h, self.H)
         if not self.one_hot:
             # ln det(I + lam^-1 KER) >= 0, but observations that add nothing
             # (k(y, y) = 0) leave the difference of logs a rounding off 0.
@@ -356,28 +348,20 @@ class GpCostModel:
     def _beta(self, gain: float) -> float:
         return self.width_scale * gp_beta(gain, self.p / self.H)
 
-    def _query(self, h: int, row: int) -> tuple[float, float, float]:
-        """Posterior mean and standard deviation at row `row` of the map,
-        and step h's information gain."""
-        self.fmap.row(row)  # the type and range check
+    def _mean_width(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and width beta * sigma per column or distinct row."""
         mean, var, gain = self._moments(h)
-        i = self.index[row]
-        return float(mean[i]), math.sqrt(max(float(var[i]), 0.0)), gain
+        return mean, self._beta(gain) * np.sqrt(np.maximum(var, 0.0))
 
-    def posterior(self, h: int, row: int) -> tuple[float, float]:
-        """Posterior mean and standard deviation at row `row` of the map."""
-        return self._query(h, row)[:2]
-
-    def predict(self, h: int, row: int) -> CostEstimate:
-        mean, sigma, gain = self._query(h, row)
-        width = self._beta(gain) * sigma
-        return CostEstimate(value=mean - width, mean=mean, width=width)
+    def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and confidence width over all (state, action)
+        pairs, two (S, A) tables from the arrays lcb_table(h) reads."""
+        mean, width = self._mean_width(h)
+        return _table(self.fmap, mean), _table(self.fmap, width)
 
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape
         (S, A): per column from the counts, or from the cached posterior per
-        distinct row, gathered once through index."""
-        S, A, _ = self.fmap.table.shape
-        mean, var, gain = self._moments(h)
-        sigma = np.sqrt(np.maximum(var, 0.0))
-        return (mean - self._beta(gain) * sigma)[self.index].reshape(S, A)
+        distinct row, gathered once through the map's index."""
+        mean, width = self._mean_width(h)
+        return _table(self.fmap, mean - width)

@@ -122,15 +122,15 @@ class FeatureMap:
     """Per-(state, action) feature vectors, Euclidean norm at most 1.
 
     Its structure is worked out once, at construction: flat, the (S*A, d)
-    view whose row s*A + a is the feature of (s, a), and unit_columns, the
-    column of each row's 1 when every row is a unit basis vector (one-hot
-    features), else None.  A map that is not one-hot also keeps its
-    distinct rows, in order of first occurrence: distinct (U, d), their
-    squared norms distinct_sq_norms and, per row, distinct_index, the
-    position of its distinct row, so that distinct[distinct_index] has the
-    bytes of flat (None on one-hot maps).  Statistics over a dense map
-    compute once per distinct row and gather.  The table is not to be
-    changed afterwards.
+    view whose row s*A + a is the feature of (s, a), and index, each row's
+    entry: the column of its 1 when every row is a unit basis vector
+    (one-hot features), else the position of its distinct row.  A map that
+    is not one-hot keeps its distinct rows, in order of first occurrence:
+    distinct (U, d) and their squared norms distinct_sq_norms, so that
+    distinct[index] has the bytes of flat; on a one-hot map both are None,
+    and distinct is None is the test for one-hot.  Statistics over a map
+    compute once per column or distinct row and gather through index.  The
+    table is not to be changed afterwards.
     """
 
     dim: int
@@ -145,10 +145,10 @@ class FeatureMap:
         norm = math.sqrt(sq_norms.max())
         if not norm <= 1.0 + NORM_SLACK:
             raise ValueError(f"feature norms must be <= 1 (max {norm:.6f})")
-        self.unit_columns = _unit_columns(self.flat)
-        self.distinct = self.distinct_sq_norms = self.distinct_index = None
-        if self.unit_columns is None:
-            first, self.distinct_index = _distinct_rows(self.flat)
+        self.index = _unit_columns(self.flat)
+        self.distinct = self.distinct_sq_norms = None
+        if self.index is None:
+            first, self.index = _distinct_rows(self.flat)
             self.distinct, self.distinct_sq_norms = self.flat[first], sq_norms[first]
 
     def row(self, i) -> np.ndarray:

@@ -56,14 +56,21 @@ def _episode_arrays(horizon: int, names: str, *columns) -> tuple:
     return columns
 
 
+def _check_step(h: int, horizon: int) -> None:
+    """The one range check of a step index (a negative h would otherwise
+    wrap around to a step from the end)."""
+    if not 0 <= h < horizon:
+        raise IndexError(f"step {h} outside [0, {horizon})")
+
+
 class GramState:
     """Design statistics of the H steps over a fixed feature map.
 
     inv[h] holds Lambda_h^{-1}: inv is (H, d, d), or (H, d), the diagonals,
     when the map's features are one-hot.  count is the number of episodes
     ingested.  Per-row quantities are kept per column of inv (one-hot) or
-    per distinct row of the map (dense); index maps each row of the map to
-    its entry.
+    per distinct row of the map (dense); the map's index takes each row to
+    its entry.  Every query by step checks h against [0, H).
     """
 
     def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
@@ -75,10 +82,8 @@ class GramState:
         self.count = 0
         self._rows = feature_map.distinct  # None on one-hot maps
         if self.diagonal:
-            self.index = feature_map.unit_columns
             self.inv = np.ones((horizon, feature_map.dim)) / lam
         else:
-            self.index = feature_map.distinct_index
             self.inv = np.tile(np.eye(feature_map.dim) / lam, (horizon, 1, 1))
             self._quad = np.tile(feature_map.distinct_sq_norms / lam, (horizon, 1))
 
@@ -91,13 +96,13 @@ class GramState:
         Lambda_h += phi phi^T.  The inverses and the cached quadratic forms
         follow by the rank-one identity; every step is checked before any
         changes.  On one-hot maps it returns the episode's columns
-        index[rows], None on dense maps."""
+        fmap.index[rows], None on dense maps."""
         (rows,) = _episode_arrays(self.H, "rows", rows)
         phi = self.fmap.row(rows)  # the range check, on both storages
         if self.diagonal:
             # Lambda_h^{-1} phi is inv[h, j] e_j: the dense update without
             # its zero terms, in the same order, elementwise over the steps.
-            steps, j = np.arange(self.H), self.index[rows]
+            steps, j = np.arange(self.H), self.fmap.index[rows]
             vj = self.inv[steps, j]
             denom = 1.0 + vj
             if (denom <= DENOM_TOL).any():
@@ -118,11 +123,14 @@ class GramState:
 
     def solve(self, h: int, b: np.ndarray) -> np.ndarray:
         """Lambda_h^{-1} b: the ridge weights for target sums b."""
+        _check_step(h, self.H)
         return self.inv[h] * b if self.diagonal else self.inv[h] @ b
 
     def terms(self, h: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """<phi, w> and sqrt(max(phi^T Lambda_h^{-1} phi, 0)) per column of
-        inv (one-hot) or per distinct row; entry index[row] belongs to row."""
+        inv (one-hot) or per distinct row; entry fmap.index[row] belongs to
+        row."""
+        _check_step(h, self.H)
         if self.diagonal:
             return w, np.sqrt(np.maximum(self.inv[h], 0.0))
         return self._rows @ w, np.sqrt(np.maximum(self._quad[h], 0.0))
@@ -131,11 +139,12 @@ class GramState:
         """<phi, w> + scale * ||phi||_{Lambda_h^{-1}} for every row phi of
         the map, with the quadratic form clamped at 0."""
         mean, root = self.terms(h, w)
-        return (mean + scale * root)[self.index]
+        return (mean + scale * root)[self.fmap.index]
 
     def quad_forms(self, h: int) -> np.ndarray:
         """phi^T Lambda_h^{-1} phi for every row of the map."""
-        return (self.inv if self.diagonal else self._quad)[h][self.index]
+        _check_step(h, self.H)
+        return (self.inv if self.diagonal else self._quad)[h][self.fmap.index]
 
 
 def beta_schedule(d: int, horizon: int, episodes: int, p: float) -> float:

@@ -152,13 +152,11 @@ def test_criterion_4_condition_one_optimism():
                 obs.append(float(np.clip(cmdp.cost_mean[h, s, a] + rng.normal(0, 0.1),
                                          -1, 1)))
             model.observe(rows, obs)
-        for h, s, a in product(range(cmdp.horizon), range(cmdp.num_states),
-                               range(cmdp.num_actions)):
-            est = model.predict(h, s * cmdp.num_actions + a)
-            true = cmdp.cost_mean[h, s, a]
-            lin_total += 1
-            lin_over += int(est.value > true)
-            lin_uncov += int(true - est.value > est.width_two_sided)
+        for h in range(cmdp.horizon):
+            lcb, (_, width), true = model.lcb_table(h), model.estimate(h), cmdp.cost_mean[h]
+            lin_total += true.size
+            lin_over += int((lcb > true).sum())
+            lin_uncov += int((true - lcb > 2.0 * width).sum())
 
     # GP estimator against a function sampled from its own prior
     kern = make_kernel("sqexp", 0.5)
@@ -173,11 +171,10 @@ def test_criterion_4_condition_one_optimism():
                             feature_map=_map_of(pts * SQRT_HALF))
         for i in range(25):
             model.observe([i], [truth[i]])
-        for i in range(25, 40):
-            est = model.predict(0, i)
-            gp_total += 1
-            gp_over += int(est.value > truth[i])
-            gp_uncov += int(truth[i] - est.value > est.width_two_sided)
+        lcb, width = model.lcb_table(0).ravel()[25:], model.estimate(0)[1].ravel()[25:]
+        gp_total += len(lcb)
+        gp_over += int((lcb > truth[25:]).sum())
+        gp_uncov += int((truth[25:] - lcb > 2.0 * width).sum())
 
     rates = (lin_over / lin_total, lin_uncov / lin_total,
              gp_over / gp_total, gp_uncov / gp_total)
@@ -253,8 +250,9 @@ def test_criterion_6_numerical_identities():
     for row, cost in enumerate(costs):
         gp.observe([row], [cost])
         ridge.observe([row], [cost])
+    gp_mean = gp.estimate(0)[0].ravel()
     for row in range(30, 50):
-        ridge_err = max(ridge_err, abs(gp.posterior(0, row)[0]
+        ridge_err = max(ridge_err, abs(gp_mean[row]
                                        - float(points[row] @ ridge.theta(0))))
 
     # incremental information gain vs batch log det

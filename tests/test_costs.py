@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safe_lsvi.costs import (CostEstimate, GpCostModel, LinearCostModel,
-                             gp_beta, make_kernel, tilde_beta)
+from safe_lsvi.costs import (GpCostModel, LinearCostModel, gp_beta, make_kernel,
+                             tilde_beta)
 from safe_lsvi.envs import (FeatureMap, build_hard_instance, build_synthetic_linear,
                             one_hot_features)
 from safe_lsvi.lsvi import GramState, LsviLearner
@@ -87,10 +87,10 @@ def _toy_fmap(rng, S=3, A=2, d=4):
 def test_linear_no_data_prior():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=2, lam=1.0, p=0.1)
-    est = model.predict(0, 0)
-    assert est.mean == 0.0
-    assert est.value == pytest.approx(-tilde_beta(1.0, 4, 1, 0.1 / 2))
-    assert est.width_two_sided == pytest.approx(2.0 * est.width)
+    mean, width = model.estimate(0)
+    assert mean[0, 0] == 0.0
+    assert model.lcb_table(0)[0, 0] == pytest.approx(-tilde_beta(1.0, 4, 1, 0.1 / 2))
+    assert width[0, 0] == pytest.approx(tilde_beta(1.0, 4, 1, 0.1 / 2))
 
 
 def test_linear_single_sample_theta():
@@ -118,8 +118,8 @@ def test_linear_incremental_matches_batch_ridge():
 
 def test_linear_zero_feature_estimate():
     model = LinearCostModel(map_of(np.zeros((1, 4))), horizon=1)
-    est = model.predict(0, 0)
-    assert est.mean == 0.0 and est.width == 0.0 and est.value == 0.0
+    mean, width = model.estimate(0)
+    assert mean[0, 0] == 0.0 and width[0, 0] == 0.0 and model.lcb_table(0)[0, 0] == 0.0
 
 
 # A confidence level outside (0, 1), or a width multiplier that is negative,
@@ -197,13 +197,10 @@ def test_linear_condition_one_frequencies():
                                          -1, 1)))
             model.observe(rows, obs)
         for h in range(cmdp.horizon):
-            for s in range(cmdp.num_states):
-                for a in range(cmdp.num_actions):
-                    est = model.predict(h, s * cmdp.num_actions + a)
-                    true = cmdp.cost_mean[h, s, a]
-                    total += 1
-                    over += int(est.value > true)
-                    uncovered += int(true - est.value > est.width_two_sided)
+            lcb, (_, width), true = model.lcb_table(h), model.estimate(h), cmdp.cost_mean[h]
+            total += true.size
+            over += int((lcb > true).sum())
+            uncovered += int((true - lcb > 2.0 * width).sum())
     assert over / total <= p
     assert uncovered / total <= p
 
@@ -231,21 +228,30 @@ def test_gp_duplicate_point_stays_pd():
     assert model.count == 2
 
 
+def _posterior(model, h):
+    """The GP's posterior mean and standard deviation over the map's rows,
+    (S*A,) each: the mean and the width of estimate(h), the width divided
+    by its multiplier."""
+    mean, width = model.estimate(h)
+    beta = model.width_scale * gp_beta(model.info_gain(h), model.p / model.H)
+    return mean.ravel(), width.ravel() / beta
+
+
 def test_gp_prior_posterior():
     model = GpCostModel("sqexp", total_episodes=10, horizon=1,
                         feature_map=map_of([[0.1, 0.2]]))
-    mean, sigma = model.posterior(0, 0)
-    assert mean == 0.0
-    assert sigma == pytest.approx(1.0)
+    mean, sigma = _posterior(model, 0)
+    assert mean[0] == 0.0
+    assert sigma[0] == pytest.approx(1.0)
 
 
 def test_gp_posterior_shrinks_at_observed_point():
     model = GpCostModel("sqexp", total_episodes=50, horizon=1,
                         feature_map=map_of([[0.5, -0.2]]))
-    _, prior_sigma = model.posterior(0, 0)
+    _, prior_sigma = _posterior(model, 0)
     model.observe([0], [0.4])
-    _, post_sigma = model.posterior(0, 0)
-    assert post_sigma < prior_sigma
+    _, post_sigma = _posterior(model, 0)
+    assert post_sigma[0] < prior_sigma[0]
 
 
 # Points drawn from [-1, 1]^2 can leave the unit ball.  A map holds them
@@ -262,10 +268,10 @@ def test_gp_variance_monotone_in_observations():
     fmap = map_of(np.vstack([np.zeros(2)] + [y for y, _ in draws]) * SQRT_HALF)
     model = GpCostModel("sqexp", total_episodes=50, horizon=1,
                         lengthscale=0.8 * SQRT_HALF, feature_map=fmap)
-    last = model.posterior(0, 0)[1]
+    last = _posterior(model, 0)[1][0]
     for row, (_, cost) in enumerate(draws, start=1):
         model.observe([row], [cost])
-        sigma = model.posterior(0, 0)[1]
+        sigma = _posterior(model, 0)[1][0]
         assert sigma <= last + 1e-10
         last = sigma
 
@@ -301,9 +307,9 @@ def test_gp_kernel_ridge_matches_primal_mean():
     for i, cost in enumerate(costs):
         gp.observe([len(rows) + i], [cost])
         ridge.observe([len(rows) + i], [cost])
+    gp_mean = gp.estimate(0)[0].ravel()
     for row, q in enumerate(queries, start=len(rows) + n):
-        gp_mean, _ = gp.posterior(0, row)
-        assert abs(gp_mean - float(q @ ridge.theta(0))) <= 1e-8
+        assert abs(gp_mean[row] - float(q @ ridge.theta(0))) <= 1e-8
 
 
 def test_gp_lcb_matches_primal_with_aligned_widths():
@@ -325,8 +331,9 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
         gp.observe([row], [cost])
         ridge.observe([row], [cost])
     beta_aligned = gp_beta(gp.info_gain(0), 0.1 / 1) * math.sqrt(gp.lam)
+    table = gp.lcb_table(0).ravel()
     for row, q in enumerate(queries, start=len(points)):
-        lhs = gp.predict(0, row).value
+        lhs = table[row]
         rhs = (q @ ridge.theta(0)
                - beta_aligned * math.sqrt(q @ ridge.stats.inv[0] @ q))
         assert abs(lhs - rhs) <= 1e-8
@@ -335,8 +342,7 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
 def test_gp_prior_lcb():
     model = GpCostModel("sqexp", total_episodes=10, horizon=2, p=0.1,
                         feature_map=map_of([[0.2, 0.2]]))
-    est = model.predict(0, 0)
-    assert est.value == pytest.approx(-gp_beta(0.0, 0.1 / 2))
+    assert model.lcb_table(0)[0, 0] == pytest.approx(-gp_beta(0.0, 0.1 / 2))
 
 
 def test_gp_condition_one_on_gp_sampled_truth():
@@ -357,11 +363,10 @@ def test_gp_condition_one_on_gp_sampled_truth():
                             feature_map=map_of(pts * SQRT_HALF))
         for i in train:
             model.observe([i], [f[i]])
-        for i in test:
-            est = model.predict(0, i)
-            total += 1
-            over += int(est.value > f[i])
-            uncovered += int(f[i] - est.value > est.width_two_sided)
+        lcb, width = model.lcb_table(0).ravel()[test], model.estimate(0)[1].ravel()[test]
+        total += len(test)
+        over += int((lcb > f[test]).sum())
+        uncovered += int((f[test] - lcb > 2.0 * width).sum())
     assert over / total <= p
     assert uncovered / total <= p
 
@@ -610,20 +615,21 @@ def _dense_gp_lcb(model, points, costs):
     return (mean - beta * np.sqrt(np.maximum(var, 0.0))).reshape(S, A)
 
 
-def _assert_posterior_and_predict(model, h, table, points, costs, tol):
-    """posterior(h, row) matches the dense posterior at every row to tol,
-    and predict(h, row).value is the LCB table's entry, bit for bit."""
+def _assert_posterior_and_estimate(model, h, table, points, costs, tol):
+    """The mean of estimate(h) and its width over the multiplier match the
+    dense posterior's mean and standard deviation at every row to tol, and
+    mean - width is the LCB table, bit for bit."""
     mean, var, _ = _dense_gp_posterior(model, points, costs, model.fmap.flat)
-    got = np.array([model.posterior(h, row) for row in range(table.size)])
-    assert np.abs(got[:, 0] - mean).max() <= tol
-    assert np.abs(got[:, 1] - np.sqrt(np.maximum(var, 0.0))).max() <= tol
-    values = np.array([model.predict(h, row).value for row in range(table.size)])
-    assert values.tobytes() == table.ravel().tobytes()
+    got_mean, got_sigma = _posterior(model, h)
+    assert np.abs(got_mean - mean).max() <= tol
+    assert np.abs(got_sigma - np.sqrt(np.maximum(var, 0.0))).max() <= tol
+    est_mean, width = model.estimate(h)
+    assert (est_mean - width).tobytes() == table.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
 @given(kernel=GP_KERNELS, seed=SEEDS)
-def test_gp_lcb_table_equals_dense_posterior_and_predict(kernel, seed):
+def test_gp_lcb_table_equals_dense_posterior_and_estimate(kernel, seed):
     rng = np.random.default_rng(seed)
     model, data = _observed_gp(rng, *kernel, horizon=2)
     assert not model.one_hot
@@ -638,7 +644,7 @@ def test_gp_lcb_table_equals_dense_posterior_and_predict(kernel, seed):
     assert calls == []  # served from the cache, without a kernel call
     for h, (table, (points, costs)) in enumerate(zip(tables, data)):
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-8
-        _assert_posterior_and_predict(model, h, table, points, costs, 1e-8)
+        _assert_posterior_and_estimate(model, h, table, points, costs, 1e-8)
 
 
 @settings(max_examples=80, deadline=None)
@@ -700,7 +706,7 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-10
         _, _, gamma = _dense_gp_posterior(model, points, costs, fmap.flat)
         assert abs(model.info_gain(h) - gamma) <= 1e-10
-        _assert_posterior_and_predict(model, h, table, points, costs, 1e-10)
+        _assert_posterior_and_estimate(model, h, table, points, costs, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -791,11 +797,11 @@ def test_distinct_row_statistics_equal_full_row_references(seed):
     rng = np.random.default_rng(seed)
     fmap = _repeated_row_map(rng)
     flat, d, H = fmap.flat, fmap.dim, 2
-    assert fmap.unit_columns is None
+    assert fmap.distinct is not None
     first, index = _first_occurrences(flat)
-    assert np.array_equal(fmap.distinct_index, index)
+    assert np.array_equal(fmap.index, index)
     assert fmap.distinct.tobytes() == flat[first].tobytes()
-    assert fmap.distinct[fmap.distinct_index].tobytes() == flat.tobytes()
+    assert fmap.distinct[fmap.index].tobytes() == flat.tobytes()
 
     lam, num_episodes = float(rng.uniform(0.1, 3.0)), int(rng.integers(0, 15))
     linear = LinearCostModel(fmap, H, lam=lam, p=float(rng.uniform(0.01, 0.5)),
@@ -829,10 +835,10 @@ def test_distinct_row_statistics_equal_full_row_references(seed):
             assert values.tobytes() == values[first][index].tobytes()
 
 
-def _assert_linear_predict(model, h, X, costs):
-    """predict(h, row) matches a batch ridge fit on the step's observed
-    features X and costs at every row to 1e-10, and predict(h, row).value
-    is the LCB table's entry, bit for bit."""
+def _assert_linear_estimate(model, h, X, costs):
+    """estimate(h) matches a batch ridge fit on the step's observed features
+    X and costs at every row to 1e-10, and its mean - width is the LCB
+    table, bit for bit."""
     flat, table = model.fmap.flat, model.lcb_table(h)
     X, costs = np.reshape(X, (-1, model.d)), np.array(costs)
     gram = model.lam * np.eye(model.d) + X.T @ X
@@ -840,10 +846,10 @@ def _assert_linear_predict(model, h, X, costs):
                                           model.p / model.H)
     mean = flat @ np.linalg.solve(gram, X.T @ costs)
     width = beta * np.sqrt(np.einsum("nd,de,ne->n", flat, np.linalg.inv(gram), flat))
-    got = [model.predict(h, row) for row in range(len(flat))]
-    assert np.abs(np.array([e.mean for e in got]) - mean).max() <= 1e-10
-    assert np.abs(np.array([e.width for e in got]) - width).max() <= 1e-10
-    assert np.array([e.value for e in got]).tobytes() == table.ravel().tobytes()
+    got_mean, got_width = model.estimate(h)
+    assert np.abs(got_mean.ravel() - mean).max() <= 1e-10
+    assert np.abs(got_width.ravel() - width).max() <= 1e-10
+    assert (got_mean - got_width).tobytes() == table.tobytes()
 
 
 def _observed_linear(rng, fmap, horizon, num_episodes=None):
@@ -860,23 +866,24 @@ def _observed_linear(rng, fmap, horizon, num_episodes=None):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, one_hot=st.booleans())
-def test_linear_predict_is_its_lcb_table_entry(seed, one_hot):
+def test_linear_estimate_is_its_lcb_table(seed, one_hot):
     rng = np.random.default_rng(seed)
     fmap = one_hot_features(int(rng.integers(1, 5)), int(rng.integers(1, 4))) \
         if one_hot else _repeated_row_map(rng)
     model, data = _observed_linear(rng, fmap, horizon=2)
     for h, (X, costs) in enumerate(data):
-        _assert_linear_predict(model, h, X, costs)
+        _assert_linear_estimate(model, h, X, costs)
 
 
-def test_linear_predict_is_its_lcb_table_entry_on_the_hard_instance():
-    # Dense rows, most of them repeated: a predict with its own dot product
-    # and quadratic form differs from the table in the last bits here.
+def test_linear_estimate_is_its_lcb_table_on_the_hard_instance():
+    # Dense rows, most of them repeated: an estimate with its own dot
+    # product and quadratic form per row would differ from the table in the
+    # last bits here.
     _, fmap, _ = build_hard_instance(5, 3, 40)
     model, data = _observed_linear(np.random.default_rng(0), fmap, horizon=3, num_episodes=10)
     for h, (X, costs) in enumerate(data):
         assert X  # every step holds observations
-        _assert_linear_predict(model, h, X, costs)
+        _assert_linear_estimate(model, h, X, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +905,7 @@ def test_episode_updates_equal_a_per_step_loop_bitwise(seed, one_hot):
     # The reference: each step's arrays of their own, updated one sample at
     # a time, in the order and with the operands of a per-step update.
     d, flat, k_fn = fmap.dim, fmap.flat, gp._k
-    cols = fmap.unit_columns if one_hot else fmap.distinct_index
+    cols = fmap.index
     inv = [np.ones(d) / lam if one_hot else np.eye(d) / lam for _ in range(H)]
     b = [np.zeros(d) for _ in range(H)]
     if one_hot:
@@ -1015,3 +1022,32 @@ def test_a_row_outside_the_map_is_rejected_and_changes_nothing(entry, one_hot, b
         observe(rows, costs)
     for old, new in zip(before, snapshot()):
         assert np.asarray(old).tobytes() == np.asarray(new).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Step indices
+# ---------------------------------------------------------------------------
+
+def _step_queries(fmap):
+    """Every public query by step h, on fresh statistics of two steps over
+    fmap: name -> query(h)."""
+    g = GramState(fmap, 1.0, 2)
+    linear = LinearCostModel(fmap, horizon=2)
+    gp = GpCostModel("sqexp", total_episodes=4, horizon=2, feature_map=fmap)
+    w = np.zeros(fmap.dim)
+    return {"gram.solve": lambda h: g.solve(h, w), "gram.terms": lambda h: g.terms(h, w),
+            "gram.bounds": lambda h: g.bounds(h, w, 1.0), "gram.quad_forms": g.quad_forms,
+            "linear.theta": linear.theta, "linear.estimate": linear.estimate,
+            "linear.lcb_table": linear.lcb_table, "gp.estimate": gp.estimate,
+            "gp.lcb_table": gp.lcb_table, "gp.info_gain": gp.info_gain}
+
+
+@pytest.mark.parametrize("query", list(_step_queries(one_hot_features(2, 2))))
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+@pytest.mark.parametrize("h", [-1, 2])
+def test_a_step_outside_the_horizon_is_rejected(query, one_hot, h):
+    # Without the check, h = -1 would answer for the last step.
+    fmap = one_hot_features(2, 2) if one_hot else \
+        _toy_fmap(np.random.default_rng(0), S=2, A=2)
+    with pytest.raises(IndexError, match=rf"step {h} outside \[0, 2\)"):
+        _step_queries(fmap)[query](h)

@@ -303,7 +303,7 @@ def test_hard_instance_sign_vectors_and_distinct_rows():
         A = 2 ** (d - 1)
         assert len(fmap.distinct) == A + 1
         assert fmap.distinct.tobytes() == fmap.flat[np.r_[:A, (H + 1) * A]].tobytes()
-        assert fmap.distinct[fmap.distinct_index].tobytes() == fmap.flat.tobytes()
+        assert fmap.distinct[fmap.index].tobytes() == fmap.flat.tobytes()
         # The hash keys alone tell the distinct rows apart, so the map is
         # not grouped by bytes, the slower way.
         assert len(np.unique(_row_keys(fmap.flat))) == A + 1
@@ -438,13 +438,12 @@ def test_feature_map_finds_its_structure_once(table):
     rows = table.reshape(-1, table.shape[2])
     assert np.array_equal(fmap.flat, rows)
     one_hot = all(np.count_nonzero(row) == 1 and row.max() == 1.0 for row in rows)
-    assert (fmap.unit_columns is not None) == one_hot
-    if one_hot:
-        assert np.array_equal(rows[np.arange(len(rows)), fmap.unit_columns],
-                              np.ones(len(rows)))
     assert (fmap.distinct is None) == one_hot
-    if not one_hot:
-        assert fmap.distinct[fmap.distinct_index].tobytes() == rows.tobytes()
+    if one_hot:
+        assert np.array_equal(rows[np.arange(len(rows)), fmap.index],
+                              np.ones(len(rows)))
+    else:
+        assert fmap.distinct[fmap.index].tobytes() == rows.tobytes()
         assert len({row.tobytes() for row in fmap.distinct}) == len(fmap.distinct)
         expected_sq = [math.fsum(x * x for x in row) for row in fmap.distinct]
         assert np.allclose(fmap.distinct_sq_norms, expected_sq, rtol=1e-14, atol=0.0)

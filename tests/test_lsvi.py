@@ -452,9 +452,8 @@ def _dense_twin(fmap):
     it keep dense storage: a reference for the diagonal storage.  The rows
     of a one-hot map are all distinct, so they are their own distinct rows."""
     twin = copy.copy(fmap)
-    twin.unit_columns = None
     twin.distinct, twin.distinct_sq_norms = fmap.flat, np.ones(len(fmap.flat))
-    twin.distinct_index = np.arange(len(fmap.flat))
+    twin.index = np.arange(len(fmap.flat))
     return twin
 
 

@@ -1,9 +1,13 @@
 """tools/record_bench.py: the per-side summary and the pair counts it
-records, on synthetic run records (no benchmark run)."""
+records, on synthetic run records (no benchmark run), and one tiny CLI
+cell run through run_cell."""
 
+import hashlib
 import importlib.util
 import statistics
 from pathlib import Path
+
+import pytest
 
 
 def _load_record_bench():
@@ -62,3 +66,25 @@ def test_wins_counts_strict_improvements_in_the_metric_direction():
     # A tie counts for neither side.
     assert record_bench.wins(baseline, baseline, wall) == 0
     assert record_bench.wins(baseline, baseline, rate) == 0
+
+
+def test_run_cell_records_a_cli_run_of_the_checkout(tmp_path):
+    # A K=3 frozen-lake cell of this checkout: the digest is that of the
+    # results.csv it wrote, and the peak RSS is the child's own, at least
+    # what its numpy import takes.
+    args = ["--env", "frozen_lake", "--episodes", "3", "--seed", "0"]
+    run = record_bench.run_cell(record_bench.ROOT, args, tmp_path / "cell")
+    assert set(run) == {"wall_s", "peak_rss_mb", "digest"}
+    assert run["digest"] == hashlib.sha256(
+        (tmp_path / "cell" / "results.csv").read_bytes()).hexdigest()
+    assert run["wall_s"] > 0.0
+    assert 10.0 < run["peak_rss_mb"] < 1000.0
+    summary = record_bench.summarize_cell([run, {**run, "wall_s": run["wall_s"] + 2.0},
+                                           {**run, "wall_s": run["wall_s"] + 1.0}])
+    assert summary["median_wall_s"] == run["wall_s"] + 1.0
+    assert summary["median_peak_rss_mb"] == run["peak_rss_mb"]
+
+
+def test_run_cell_reports_a_failed_run(tmp_path):
+    with pytest.raises(RuntimeError, match="exited 2: error: --episodes"):
+        record_bench.run_cell(record_bench.ROOT, ["--episodes", "1.5"], tmp_path / "cell")

@@ -9,24 +9,47 @@ the working tree and on a checkout of the git revision REV, made with
 whose order alternates (the baseline first in odd pairs).  Per side it
 keeps, per end-to-end metric, each run's value with their median and
 quartiles, each run's results.csv digests and the failed and attempted
-counts, and per metric it counts the pairs the working tree wins.  The
-file also holds the machine line of the first run, and the revisions
-measured.
+counts, and per metric it counts the pairs the working tree wins.
+
+Under "cells" it records the whole CLI runs that perfbench does not cover
+(CLI_CELLS): the three K=1000 frozen-lake cells, the K=1000 GP lake run and
+the d=13/K=216 dense-GP hard-instance cell, each run three times per side
+in alternating order, with one BLAS thread.  Per run it keeps the wall
+time, the peak RSS of that process alone (from os.wait4, not the maximum
+over all children that RUSAGE_CHILDREN keeps) and the sha256 of its
+results.csv.  The file also holds the machine line of the first perfbench
+run, and the revisions measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 10  # a gain is claimed on at least nine of ten pairs
+CELL_RUNS = 3
+LAKE_K1000 = ["--env", "frozen_lake", "--episodes", "1000", "--horizon", "15",
+              "--beta-override", "1.0", "--cost-width-scale", "0.02", "--seed", "0"]
+CLI_CELLS = {
+    **{f"lake-{agent}-K1000": LAKE_K1000 + ["--agent", agent]
+       for agent in ("lsvi_ae", "lsvi", "lsvi_primal")},
+    "lake-gp-sqexp-K1000": LAKE_K1000 + ["--cost-model", "gp", "--kernel", "sqexp"],
+    "hard-gp-sqexp-d13-K216": [
+        "--env", "hard_instance", "--horizon", "3", "--dim", "13", "--episodes", "216",
+        "--cost-model", "gp", "--kernel", "sqexp", "--beta-override", "1.0",
+        "--cost-width-scale", "0.1", "--seed", "0"],
+}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _git(*args: str) -> str:
@@ -50,6 +73,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                     if ln.startswith("machine ")), None)
     digests = [ln.split()[-1] for ln in lines if ln.startswith("digest ")]
     return {"seed": seed, "machine": machine, "digests": digests, **result}
+
+
+def run_cell(checkout: Path, args: list, out: Path) -> dict:
+    """One CLI run of the checkout's package with one BLAS thread, writing
+    into out: its wall time, its own peak RSS and its results.csv digest."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
+           **{var: "1" for var in THREAD_VARS}}
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "safe_lsvi.cli", *args, "--out", str(out)],
+                            cwd=checkout, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE)
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    # wait4 reaped the child, so Popen must not wait for it again.
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"safe-lsvi {' '.join(args)} exited {proc.returncode}: "
+                           f"{stderr.decode().strip()[-500:]}")
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0, "digest": digest}
+
+
+def summarize_cell(runs: list) -> dict:
+    """A cell's runs in run order, with the median wall time and peak RSS."""
+    return {"runs": runs,
+            "median_wall_s": statistics.median(r["wall_s"] for r in runs),
+            "median_peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
 
 
 def summarize(runs: list, metrics: list) -> dict:
@@ -90,7 +142,7 @@ def main(argv=None) -> int:
               "runs": RUNS, "change": {"base": _git("rev-parse", "HEAD"),
                                             "dirty": bool(_git("status", "--porcelain"))},
               "baseline": {"rev": _git("rev-parse", args.baseline)},
-              "machine": None, "workloads": {}}
+              "machine": None, "workloads": {}, "cells": {}}
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "baseline.tar"
         subprocess.run(["git", "archive", "-o", str(archive), args.baseline],
@@ -114,6 +166,15 @@ def main(argv=None) -> int:
             entry["change_wins"] = {m["name"]: wins(runs["change"], runs["baseline"], m)
                                     for m in metrics}
             record["workloads"][workload] = entry
+        for name, cell_args in CLI_CELLS.items():
+            runs = {side: [] for side in sides}
+            for i in range(CELL_RUNS):
+                for side in sorted(sides, reverse=i % 2 == 1):  # baseline first when even
+                    run = run_cell(sides[side], cell_args, Path(tmp) / f"{name}-{side}-{i}")
+                    runs[side].append(run)
+                    print(f"{name} run {i} {side}: wall_s={run['wall_s']:.2f} "
+                          f"peak_rss_mb={run['peak_rss_mb']:.1f}", file=sys.stderr)
+            record["cells"][name] = {side: summarize_cell(runs[side]) for side in sides}
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(out.name)
