@@ -125,7 +125,7 @@ class ExperimentConfig:
             if value is None:
                 continue
             if f.name == "map_text":
-                value = value.strip().replace("\n", ";")
+                value = ";".join(value.strip().splitlines())
             lines.append(f"{f.name}={value}")
         return "\n".join(lines) + "\n"
 

@@ -43,6 +43,8 @@ def config_from_args(args) -> ExperimentConfig:
         text = getattr(args, f.name)
         if text is None:
             continue
+        if text == []:  # Python 3.11's argparse stores a value '--' (--out=--) as []
+            text = "--"
         if f.name == "map_text":  # --map names the file that holds it
             text = Path(text).read_text()
         try:

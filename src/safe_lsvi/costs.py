@@ -10,10 +10,11 @@ else.  observe(rows, costs) ingests one episode, the (H,) rows and costs of
 its steps, checked whole before anything changes.  Step h is read as tables
 over (s, a): lcb_table(h), the (S, A) lower-confidence costs, is the run's
 read, and estimate(h) gives its two parts, the (S, A) posterior mean and
-confidence width, with lcb_table(h) == mean - width bit for bit.  Both read
-state with a leading H axis that each episode updates, kept per column of a
-one-hot (tabular) feature map or per distinct row of a dense one and
-gathered once over the S*A rows through the map's index: the ridge model
+confidence width, with lcb_table(h) == mean - width bit for bit.  Both
+are defined once, over each model's _mean_width(h): the mean and width per
+column of a one-hot (tabular) feature map or per distinct row of a dense
+one, gathered once over the S*A rows by FeatureMap.gather.  Both models read
+state with a leading H axis that each episode updates: the ridge model
 from the shared design statistics; the GP, over a one-hot map, from
 per-column observation counts and cost sums (O(1) per step to add, one O(d)
 pass to query the posterior and the information gain together, through
@@ -32,6 +33,7 @@ shrink it).
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,28 +61,12 @@ def gp_beta(gamma: float, p: float) -> float:
     return 1.0 + math.sqrt(2.0 * (gamma + 1.0 + math.log(2.0 / p)))
 
 
-def _check_width_settings(p: float, width_scale: float) -> None:
-    """A cost model's confidence level p in (0, 1) and width multiplier in
-    [0, inf); NaN fails both."""
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
-    if not 0 <= width_scale < math.inf:
-        raise ValueError("width_scale must be >= 0 and finite")
-
-
 def _cost_episode(horizon: int, rows, costs) -> tuple[np.ndarray, np.ndarray]:
     """One episode's rows and costs as (H,) arrays, every cost in [-1, 1]."""
     rows, costs = _episode_arrays(horizon, "rows and costs", rows, costs)
     if not np.abs(costs).max() <= 1.0:  # a NaN fails too
         raise ValueError(f"observed costs {costs} not all in [-1, 1]")
     return rows, costs
-
-
-def _table(fmap: FeatureMap, values: np.ndarray) -> np.ndarray:
-    """Values per column (one-hot) or distinct row of fmap as the (S, A)
-    table over its rows, gathered once through fmap.index."""
-    S, A, _ = fmap.table.shape
-    return values[fmap.index].reshape(S, A)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +88,8 @@ def _pointwise_kernel(name: str, lengthscale: float) -> Callable:
     if name == "linear":
         return lambda aa, bb, ab: ab
     if name == "sqexp":
-        if lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
+        if not 0 < lengthscale < math.inf:
+            raise ValueError("lengthscale must be positive and finite")
         inv2 = 1.0 / (2.0 * lengthscale ** 2)
         # At a = b the squared distance is 0, or nan at a non-finite point.
         return lambda aa, bb, ab: np.exp(-np.maximum(aa + bb - 2.0 * ab, 0.0)
@@ -123,10 +109,43 @@ def make_kernel(name: str, lengthscale: float = 1.0) -> Callable:
 
 
 # ---------------------------------------------------------------------------
+# The read both estimators share
+# ---------------------------------------------------------------------------
+
+class _CostModel:
+    """A cost model over a feature map, read per step as (S, A) tables
+    gathered through the map from _mean_width(h), the posterior mean and
+    confidence width per column (one-hot) or distinct row."""
+
+    def __init__(self, feature_map: FeatureMap, horizon: int, p: float,
+                 width_scale: float):
+        if not 0 < p < 1:  # NaN fails both checks
+            raise ValueError("p must lie in (0, 1)")
+        if not 0 <= width_scale < math.inf:
+            raise ValueError("width_scale must be >= 0 and finite")
+        self.fmap = feature_map
+        self.H = horizon
+        self.p = p
+        self.width_scale = width_scale
+
+    def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and confidence width over all (state, action)
+        pairs, two (S, A) tables from the arrays lcb_table(h) reads."""
+        mean, width = self._mean_width(h)
+        return self.fmap.gather(mean), self.fmap.gather(width)
+
+    def lcb_table(self, h: int) -> np.ndarray:
+        """Lower-confidence costs over all (state, action) pairs, shape
+        (S, A), gathered once through the map's index."""
+        mean, width = self._mean_width(h)
+        return self.fmap.gather(mean - width)
+
+
+# ---------------------------------------------------------------------------
 # Linear estimator
 # ---------------------------------------------------------------------------
 
-class LinearCostModel:
+class LinearCostModel(_CostModel):
     """Per-step ridge regression of observed costs on features, queried as
     mean minus tilde_beta-width.  Incremental updates are algebraically
     identical to a batch refit.
@@ -141,13 +160,7 @@ class LinearCostModel:
     def __init__(self, feature_map: FeatureMap, horizon: int, lam: float = 1.0,
                  p: float = 0.1, width_scale: float = 1.0,
                  stats: Optional[GramState] = None):
-        _check_width_settings(p, width_scale)
-        self.fmap = feature_map
-        self.H = horizon
-        self.d = feature_map.dim
-        self.lam = lam
-        self.p = p
-        self.width_scale = width_scale
+        super().__init__(feature_map, horizon, p, width_scale)
         self._owns_stats = stats is None
         if stats is None:
             stats = GramState(feature_map, lam, horizon)
@@ -155,7 +168,7 @@ class LinearCostModel:
             raise ValueError("shared statistics must match the cost model's "
                              "horizon, lam and feature map")
         self.stats = stats
-        self.b = np.zeros((horizon, self.d))  # sum phi * cost, per step
+        self.b = np.zeros((horizon, feature_map.dim))  # sum phi * cost, per step
 
     def observe(self, rows, costs) -> None:
         """Add one episode's costs: costs[h] observed at row rows[h] of the
@@ -170,27 +183,20 @@ class LinearCostModel:
         _check_step(h, self.H)
         return self.stats.solve(h, self.b[h])
 
-    def _beta(self) -> float:
-        k = self.stats.count + 1  # episode index: data through k-1
-        return self.width_scale * tilde_beta(self.lam, self.d, k, self.p / self.H)
-
-    def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ridge mean and confidence width over all (state, action) pairs,
-        two (S, A) tables from the arrays lcb_table(h) reads."""
+    def _mean_width(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ridge mean and width tilde_beta * ||phi||_{Lambda_h^{-1}} per
+        column or distinct row."""
         mean, root = self.stats.terms(h, self.theta(h))
-        return _table(self.fmap, mean), _table(self.fmap, self._beta() * root)
-
-    def lcb_table(self, h: int) -> np.ndarray:
-        """Lower-confidence costs over all (state, action) pairs, shape (S, A)."""
-        S, A, _ = self.fmap.table.shape
-        return self.stats.bounds(h, self.theta(h), -self._beta()).reshape(S, A)
+        k = self.stats.count + 1  # episode index: data through k-1
+        beta = tilde_beta(self.stats.lam, self.fmap.dim, k, self.p / self.H)
+        return mean, self.width_scale * beta * root
 
 
 # ---------------------------------------------------------------------------
 # Gaussian-process estimator
 # ---------------------------------------------------------------------------
 
-class GpCostModel:
+class GpCostModel(_CostModel):
     """Per-step GP regression over the feature set (the S*A feature rows),
     with lower-confidence queries.  Costs are observed and queried only at
     rows of the feature map, by index: the posterior is the one over its
@@ -230,21 +236,18 @@ class GpCostModel:
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
                  lengthscale: float = 1.0, p: float = 0.1,
                  width_scale: float = 1.0, *, feature_map: FeatureMap):
-        if total_episodes < 1:
-            raise ValueError("total_episodes must be >= 1")
-        _check_width_settings(p, width_scale)
+        # A bool is a numbers.Integral too, but no count.
+        if isinstance(total_episodes, bool) or \
+                not isinstance(total_episodes, numbers.Integral) or total_episodes < 1:
+            raise ValueError("total_episodes must be an integer >= 1")
+        super().__init__(feature_map, horizon, p, width_scale)
         self.kern = make_kernel(kernel, lengthscale)
         self._k = _pointwise_kernel(kernel, lengthscale)
-        self.H = horizon
         self.K = total_episodes
         self.lam = 1.0 + 2.0 / total_episodes
-        self.p = p
-        self.width_scale = width_scale
-        self.fmap = feature_map
-        self.one_hot = feature_map.distinct is None
         self.count = 0  # episodes observed
         d = feature_map.dim
-        if self.one_hot:
+        if feature_map.one_hot:
             # k(e_i, e_j) between two distinct unit vectors: a + c on the
             # diagonal, c off it.  Read through the model's kernel, like
             # every other kernel value it uses.
@@ -276,7 +279,7 @@ class GpCostModel:
             raise ValueError(f"the model already holds K={self.K} episodes")
         y = self.fmap.row(rows)  # the type and range check
         cols = self.fmap.index[rows]
-        if self.one_hot:
+        if self.fmap.one_hot:
             steps = np.arange(self.H)
             self.n[steps, cols] += 1
             self.G[steps, cols] += costs
@@ -327,7 +330,7 @@ class GpCostModel:
         n_j = G_j = 0.
         """
         _check_step(h, self.H)
-        if not self.one_hot:
+        if not self.fmap.one_hot:
             # ln det(I + lam^-1 KER) >= 0, but observations that add nothing
             # (k(y, y) = 0) leave the difference of logs a rounding off 0.
             gain = 0.5 * (float(self.logdet[h]) - self.count * math.log(self.lam))
@@ -345,23 +348,8 @@ class GpCostModel:
         """Realized information gain 0.5 * ln det(I + lam^-1 KER) of step h."""
         return self._moments(h)[2]
 
-    def _beta(self, gain: float) -> float:
-        return self.width_scale * gp_beta(gain, self.p / self.H)
-
     def _mean_width(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and width beta * sigma per column or distinct row."""
         mean, var, gain = self._moments(h)
-        return mean, self._beta(gain) * np.sqrt(np.maximum(var, 0.0))
-
-    def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and confidence width over all (state, action)
-        pairs, two (S, A) tables from the arrays lcb_table(h) reads."""
-        mean, width = self._mean_width(h)
-        return _table(self.fmap, mean), _table(self.fmap, width)
-
-    def lcb_table(self, h: int) -> np.ndarray:
-        """Lower-confidence costs over all (state, action) pairs, shape
-        (S, A): per column from the counts, or from the cached posterior per
-        distinct row, gathered once through the map's index."""
-        mean, width = self._mean_width(h)
-        return _table(self.fmap, mean - width)
+        beta = gp_beta(gain, self.p / self.H)
+        return mean, self.width_scale * beta * np.sqrt(np.maximum(var, 0.0))

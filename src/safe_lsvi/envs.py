@@ -128,9 +128,9 @@ class FeatureMap:
     is not one-hot keeps its distinct rows, in order of first occurrence:
     distinct (U, d) and their squared norms distinct_sq_norms, so that
     distinct[index] has the bytes of flat; on a one-hot map both are None,
-    and distinct is None is the test for one-hot.  Statistics over a map
-    compute once per column or distinct row and gather through index.  The
-    table is not to be changed afterwards.
+    and one_hot says which.  Statistics over a map compute once per column
+    or distinct row, and gather takes them to the (S, A) table through
+    index.  The table is not to be changed afterwards.
     """
 
     dim: int
@@ -150,6 +150,16 @@ class FeatureMap:
         if self.index is None:
             first, self.index = _distinct_rows(self.flat)
             self.distinct, self.distinct_sq_norms = self.flat[first], sq_norms[first]
+
+    @property
+    def one_hot(self) -> bool:
+        return self.distinct is None
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """values, one per column (one-hot) or distinct row, as the (S, A)
+        table over the map's rows."""
+        S, A, _ = self.table.shape
+        return values[self.index].reshape(S, A)
 
     def row(self, i) -> np.ndarray:
         """Row i of flat, the feature of (s, a) with i = s*A + a; for an

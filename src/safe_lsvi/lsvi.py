@@ -20,10 +20,11 @@ form of a row is the inverse's entry at that column.  Otherwise it keeps
 the dense inverses, updated step by step by the rank-one identity in
 O(d^2), and downdates the cached quadratic forms of the map's U distinct
 rows with the same identity, which keeps the per-episode backward pass to a
-handful of matrix-vector products over those U rows.  Either way a table
-over the S*A rows is computed once per column or distinct row and gathered
-once (GramState.bounds).  On one-hot data the dense path only adds exact
-zeros to what the diagonal path computes, so both give the same bits.
+handful of matrix-vector products over those U rows.  Either way it is
+read through solve, the ridge weights, and terms, the mean and the norm
+per column or distinct row, which a model combines and gathers once over
+the S*A rows (FeatureMap.gather).  On one-hot data the dense path only adds
+exact zeros to what the one-hot path computes, so both give the same bits.
 
 The learner's regression targets r + V_{h+1}(x') need, per step, the
 features summed by observed next state x'.  The learner takes their storage
@@ -67,39 +68,34 @@ class GramState:
     """Design statistics of the H steps over a fixed feature map.
 
     inv[h] holds Lambda_h^{-1}: inv is (H, d, d), or (H, d), the diagonals,
-    when the map's features are one-hot.  count is the number of episodes
-    ingested.  Per-row quantities are kept per column of inv (one-hot) or
-    per distinct row of the map (dense); the map's index takes each row to
-    its entry.  Every query by step checks h against [0, H).
+    when the map's features are one-hot.  On a dense map quad[h] (H, U)
+    holds phi^T Lambda_h^{-1} phi per distinct row; on a one-hot map that
+    form is inv[h]'s entry at the row's column.  count is the number of
+    episodes ingested.  It is read through solve and terms, and every
+    query by step checks h against [0, H).
     """
 
     def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
-        if not lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError("lam must be positive and finite")
         self.lam = lam
         self.fmap = feature_map
         self.H = horizon
         self.count = 0
-        self._rows = feature_map.distinct  # None on one-hot maps
-        if self.diagonal:
+        if feature_map.one_hot:
             self.inv = np.ones((horizon, feature_map.dim)) / lam
         else:
             self.inv = np.tile(np.eye(feature_map.dim) / lam, (horizon, 1, 1))
-            self._quad = np.tile(feature_map.distinct_sq_norms / lam, (horizon, 1))
+            self.quad = np.tile(feature_map.distinct_sq_norms / lam, (horizon, 1))
 
-    @property
-    def diagonal(self) -> bool:
-        return self._rows is None
-
-    def update(self, rows) -> Optional[np.ndarray]:
+    def update(self, rows) -> None:
         """Ingest one episode: row rows[h] of the map is step h's sample,
         Lambda_h += phi phi^T.  The inverses and the cached quadratic forms
         follow by the rank-one identity; every step is checked before any
-        changes.  On one-hot maps it returns the episode's columns
-        fmap.index[rows], None on dense maps."""
+        changes."""
         (rows,) = _episode_arrays(self.H, "rows", rows)
         phi = self.fmap.row(rows)  # the range check, on both storages
-        if self.diagonal:
+        if self.fmap.one_hot:
             # Lambda_h^{-1} phi is inv[h, j] e_j: the dense update without
             # its zero terms, in the same order, elementwise over the steps.
             steps, j = np.arange(self.H), self.fmap.index[rows]
@@ -108,43 +104,30 @@ class GramState:
             if (denom <= DENOM_TOL).any():
                 raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
             self.inv[steps, j] -= vj * vj / denom
-            self.count += 1
-            return j
-        v = [self.inv[h] @ phi[h] for h in range(self.H)]
-        denom = [1.0 + float(phi[h] @ v[h]) for h in range(self.H)]
-        if any(x <= DENOM_TOL for x in denom):
-            raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
-        for h in range(self.H):
-            self.inv[h] -= np.outer(v[h], v[h]) / denom[h]
-            proj = self._rows @ v[h]
-            self._quad[h] -= proj * proj / denom[h]
+        else:
+            v = [self.inv[h] @ phi[h] for h in range(self.H)]
+            denom = [1.0 + float(phi[h] @ v[h]) for h in range(self.H)]
+            if any(x <= DENOM_TOL for x in denom):
+                raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
+            for h in range(self.H):
+                self.inv[h] -= np.outer(v[h], v[h]) / denom[h]
+                proj = self.fmap.distinct @ v[h]
+                self.quad[h] -= proj * proj / denom[h]
         self.count += 1
-        return None
 
     def solve(self, h: int, b: np.ndarray) -> np.ndarray:
         """Lambda_h^{-1} b: the ridge weights for target sums b."""
         _check_step(h, self.H)
-        return self.inv[h] * b if self.diagonal else self.inv[h] @ b
+        return self.inv[h] * b if self.fmap.one_hot else self.inv[h] @ b
 
     def terms(self, h: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """<phi, w> and sqrt(max(phi^T Lambda_h^{-1} phi, 0)) per column of
-        inv (one-hot) or per distinct row; entry fmap.index[row] belongs to
-        row."""
+        """<phi, w> and ||phi||_{Lambda_h^{-1}}, the quadratic form clamped
+        at 0, per column of inv (one-hot) or per distinct row, for
+        fmap.gather."""
         _check_step(h, self.H)
-        if self.diagonal:
+        if self.fmap.one_hot:
             return w, np.sqrt(np.maximum(self.inv[h], 0.0))
-        return self._rows @ w, np.sqrt(np.maximum(self._quad[h], 0.0))
-
-    def bounds(self, h: int, w: np.ndarray, scale: float) -> np.ndarray:
-        """<phi, w> + scale * ||phi||_{Lambda_h^{-1}} for every row phi of
-        the map, with the quadratic form clamped at 0."""
-        mean, root = self.terms(h, w)
-        return (mean + scale * root)[self.fmap.index]
-
-    def quad_forms(self, h: int) -> np.ndarray:
-        """phi^T Lambda_h^{-1} phi for every row of the map."""
-        _check_step(h, self.H)
-        return (self.inv if self.diagonal else self._quad)[h][self.fmap.index]
+        return self.fmap.distinct @ w, np.sqrt(np.maximum(self.quad[h], 0.0))
 
 
 def beta_schedule(d: int, horizon: int, episodes: int, p: float) -> float:
@@ -187,8 +170,6 @@ class LsviLearner:
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
                  horizon: int, lam: float, beta: float):
-        if not lam > 0:
-            raise ValueError("lam must be positive")
         if not 0 <= beta < math.inf:
             raise ValueError("beta must be >= 0 and finite")
         if feature_map.table.shape[:2] != (num_states, num_actions):
@@ -196,12 +177,11 @@ class LsviLearner:
                              f", the learner was given {(num_states, num_actions)}")
         self.S, self.A, self.H = num_states, num_actions, horizon
         self.d = feature_map.dim
-        self.lam = lam
         self.beta = beta
         self.fmap = feature_map
         self.stats = GramState(feature_map, lam, horizon)
         self.reward_feats = np.zeros((horizon, self.d))
-        if self.stats.diagonal:
+        if feature_map.one_hot:
             self.next_keys = np.zeros(0, dtype=np.int64)
             self.next_counts = np.zeros(0)
         else:
@@ -221,15 +201,16 @@ class LsviLearner:
         if not np.isfinite(rewards).all():
             raise ValueError(f"rewards {rewards} not all finite")
         # update checks the rows before it changes anything.
-        cols = self.stats.update(rows)
+        self.stats.update(rows)
         steps = np.arange(self.H)
-        if not self.stats.diagonal:
+        if not self.fmap.one_hot:
             phi = self.fmap.flat[rows]
             self.next_feats[steps, :, next_states] += phi
             self.reward_feats += phi * rewards[:, None]
             return
         # One-hot: phi = e_j, so the rows add rewards[h] at column j and
         # count 1 for the pair (j, next state); the other terms are zeros.
+        cols = self.fmap.index[rows]
         self.reward_feats[steps, cols] += rewards
         keys = (steps * self.S + next_states.astype(np.int64)) * self.d + cols
         pos = np.searchsorted(self.next_keys, keys)
@@ -245,7 +226,7 @@ class LsviLearner:
         """sum_x next_feats[h][:, x] * v_next[x] in order of x, each column
         starting from 0.0: per (d,) column on dense maps, per observed pair
         through bincount (which adds in array order) on one-hot maps."""
-        if self.stats.diagonal:
+        if self.fmap.one_hot:
             first = h * self.S * self.d
             lo, hi = np.searchsorted(self.next_keys, (first, first + self.S * self.d))
             nexts, cols = np.divmod(self.next_keys[lo:hi] - first, self.d)
@@ -278,7 +259,8 @@ class LsviLearner:
             w = self.stats.solve(h, b)
             if not np.isfinite(w).all():
                 raise FloatingPointError(f"non-finite regression weights at step {h}")
-            q = np.minimum(self.stats.bounds(h, w, self.beta), float(H)).reshape(S, A)
+            mean, root = self.stats.terms(h, w)
+            q = np.minimum(self.fmap.gather(mean + self.beta * root), float(H))
             a_star = q.argmax(axis=1) if ghat is None or z is None else \
                 penalized_argmax(q, ghat[h], z[h])
             weights[h] = w
@@ -288,8 +270,3 @@ class LsviLearner:
             v_table[h] = v_next
         return QModel(weights=weights, q_table=q_table, v_table=v_table,
                       policy=policy)
-
-    def weight_norm_bound(self) -> float:
-        """Theory bound 2H sqrt(dk/lam) for the current episode count."""
-        k = self.stats.count + 1
-        return 2.0 * self.H * math.sqrt(self.d * k / self.lam)

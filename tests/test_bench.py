@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import safe_lsvi
 from safe_lsvi.bench import (AGENTS, COST_MODELS, ENVS, ExperimentConfig,
-                             Metrics, emit_results, fit_growth_exponent,
+                             Metrics, build_env, emit_results, fit_growth_exponent,
                              run_experiment)
 from safe_lsvi.costs import KERNELS, GpCostModel, LinearCostModel, tilde_beta
 from safe_lsvi.envs import (TabularCmdp, build_synthetic_linear,
@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 from perfbench.harness import setup_cell  # noqa: E402
+from perfbench.tracing import Tracer  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
@@ -85,6 +86,17 @@ def test_config_roundtrip_lossless():
                               map_text="S.H\n..G", seed=99, out="/tmp/x")
     back = ExperimentConfig.from_text(config.to_text())
     assert back == config
+
+
+def test_config_text_roundtrip_keeps_a_map_with_crlf_line_ends():
+    # Written as "S.\r;.G", the map was a config line from_text rejects.
+    config = ExperimentConfig(map_text="S.\r\n.G\r\n", horizon=3)
+    back = ExperimentConfig.from_text(config.to_text())
+    (cmdp, _), (ref, _) = build_env(back, None), build_env(config, None)
+    assert cmdp.transition.tobytes() == ref.transition.tobytes()
+    assert cmdp.cost_mean.tobytes() == ref.cost_mean.tobytes()
+    assert cmdp.reward.tobytes() == ref.reward.tobytes()
+    assert back.map_text == "S.\n.G"
 
 
 def test_config_rejects_unknown_key():
@@ -199,6 +211,13 @@ def _flags_by_dest():
     for action in build_parser()._actions:
         flags.setdefault(action.dest, []).extend(action.option_strings)
     return flags
+
+
+def test_an_option_value_of_two_dashes_is_kept():
+    # Python 3.11's argparse stored [] for --out=--, and the run wrote into
+    # a directory named "[]".
+    from safe_lsvi.cli import build_parser, config_from_args
+    assert config_from_args(build_parser().parse_args(["--out=--"])).out == "--"
 
 
 def test_every_setting_has_exactly_one_flag():
@@ -703,3 +722,19 @@ def test_benchmark_sets_up_every_workload(name):
     for config in WORKLOADS[name].cells(0, True):
         cmdp, fmap = setup_cell(config)
         assert fmap.table.shape[:2] == (cmdp.num_states, cmdp.num_actions)
+
+
+@pytest.mark.parametrize("name", ["lake_linear", "lake_gp"])
+def test_a_traced_round_counts_each_model_call_once(name):
+    # perfbench's tracer wraps every public method where it is defined: an
+    # inherited method wrapped twice, or not at all, would miscount here.
+    configs = WORKLOADS[name].cells(3, True)
+    with Tracer() as tracer:
+        for config in configs:
+            run_experiment(config)
+    assert tracer.spans["costs.lcb_table"].calls == \
+        sum(c.episodes * c.horizon for c in configs)
+    assert tracer.spans["costs.observe"].calls == sum(c.episodes for c in configs)
+    if name == "lake_gp":
+        assert tracer.counters["costs.kernel.calls"] == 1
+        assert tracer.counters["costs.kernel.entries"] == 4

@@ -485,6 +485,35 @@ def test_dense_gp_rejects_a_kernel_not_finite_on_the_feature_set():
                     feature_map=_toy_fmap(np.random.default_rng(0)))
 
 
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+@pytest.mark.parametrize("K", [2.5, 2.0, True, 0], ids=["fraction", "float", "bool", "zero"])
+def test_gp_rejects_an_episode_count_that_is_not_a_positive_integer(K, one_hot):
+    # K = 2.5 would build with lam = 1.8 and, its cap count == K never met,
+    # accept any number of episodes.
+    fmap = one_hot_features(3, 2) if one_hot else _toy_fmap(np.random.default_rng(0))
+    with pytest.raises(ValueError, match="total_episodes must be"):
+        GpCostModel("linear", K, 2, feature_map=fmap)
+
+
+def test_gp_takes_a_numpy_integer_episode_count_and_holds_that_many():
+    model = GpCostModel("linear", np.int64(2), 1, feature_map=one_hot_features(3, 2))
+    model.observe([0], [0.5])
+    model.observe([1], [0.5])
+    with pytest.raises(ValueError, match="already holds K=2 episodes"):
+        model.observe([2], [0.5])
+
+
+@pytest.mark.parametrize("lengthscale", [math.nan, math.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_sqexp_rejects_a_lengthscale_outside_the_positive_reals(lengthscale):
+    # nan gave an all-nan kernel, inf a constant 1 (a one-hot GP with a = 0).
+    with pytest.raises(ValueError, match="lengthscale must be positive"):
+        make_kernel("sqexp", lengthscale)
+    with pytest.raises(ValueError, match="lengthscale must be positive"):
+        GpCostModel("sqexp", 5, 1, lengthscale=lengthscale,
+                    feature_map=one_hot_features(3, 2))
+
+
 def _array_bytes(model):
     """Bytes of every array a model holds, in lists of arrays too."""
     return sum(x.nbytes for v in vars(model).values()
@@ -632,7 +661,7 @@ def _assert_posterior_and_estimate(model, h, table, points, costs, tol):
 def test_gp_lcb_table_equals_dense_posterior_and_estimate(kernel, seed):
     rng = np.random.default_rng(seed)
     model, data = _observed_gp(rng, *kernel, horizon=2)
-    assert not model.one_hot
+    assert not model.fmap.one_hot
     kern, calls = model.kern, []
 
     def counted(a, b):
@@ -657,7 +686,7 @@ def test_dense_gp_variance_stays_within_its_prior(kernel, seed):
     variances = []
     model, _ = _observed_gp(np.random.default_rng(seed), *kernel, horizon=2,
                             on_episode=lambda m: variances.append(m.var.copy()))
-    assert not model.one_hot
+    assert not model.fmap.one_hot
     prior = np.diag(model.kern(model.fmap.distinct, model.fmap.distinct))
     for var in variances:
         assert var.min() >= -1e-12
@@ -682,7 +711,7 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
                         horizon=horizon, lengthscale=kernel[1],
                         p=float(rng.uniform(0.01, 0.5)),
                         width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
-    assert model.one_hot
+    assert model.fmap.one_hot
     if kernel == ("sqexp", 1e9):
         assert model._a == 0.0  # c rounds to 1: the formulas must not divide by a
     # Rows drawn from a few favourites, so repeats are common.
@@ -820,10 +849,11 @@ def test_distinct_row_statistics_equal_full_row_references(seed):
             b[h] += flat[row] * costs[h]
             data[h].append((row, costs[h]))
     # One (U, d) array of distinct rows, shared by every statistic over the map.
-    assert linear.stats._rows is fmap.distinct
+    assert linear.stats.fmap is fmap
     for h, ref in enumerate(grams):
         w, scale = rng.normal(size=d), float(rng.uniform(-3.0, 3.0))
-        bounds = linear.stats.bounds(h, w, scale)
+        mean, root = linear.stats.terms(h, w)
+        bounds = fmap.gather(mean + scale * root).ravel()
         assert np.abs(bounds - ref.bounds(w, scale)).max() <= 1e-12
         beta = linear.width_scale * tilde_beta(lam, d, ref.count + 1, linear.p / H)
         lcb = linear.lcb_table(h).ravel()
@@ -840,10 +870,10 @@ def _assert_linear_estimate(model, h, X, costs):
     X and costs at every row to 1e-10, and its mean - width is the LCB
     table, bit for bit."""
     flat, table = model.fmap.flat, model.lcb_table(h)
-    X, costs = np.reshape(X, (-1, model.d)), np.array(costs)
-    gram = model.lam * np.eye(model.d) + X.T @ X
-    beta = model.width_scale * tilde_beta(model.lam, model.d, len(costs) + 1,
-                                          model.p / model.H)
+    d, lam = model.fmap.dim, model.stats.lam
+    X, costs = np.reshape(X, (-1, d)), np.array(costs)
+    gram = lam * np.eye(d) + X.T @ X
+    beta = model.width_scale * tilde_beta(lam, d, len(costs) + 1, model.p / model.H)
     mean = flat @ np.linalg.solve(gram, X.T @ costs)
     width = beta * np.sqrt(np.einsum("nd,de,ne->n", flat, np.linalg.inv(gram), flat))
     got_mean, got_width = model.estimate(h)
@@ -947,8 +977,8 @@ def test_episode_updates_equal_a_per_step_loop_bitwise(seed, one_hot):
     assert g.inv.tobytes() == np.stack(inv).tobytes()
     assert linear.b.tobytes() == np.stack(b).tobytes()
     for h in range(H):
-        ref = inv[h][cols] if one_hot else quad[h][cols]
-        assert g.quad_forms(h).tobytes() == ref.tobytes()
+        got, ref = (g.inv[h], inv[h]) if one_hot else (g.quad[h], quad[h])
+        assert got[cols].tobytes() == ref[cols].tobytes()
     if one_hot:
         assert gp.n.tobytes() == n.tobytes() and gp.G.tobytes() == G.tobytes()
         return
@@ -960,26 +990,28 @@ def test_episode_updates_equal_a_per_step_loop_bitwise(seed, one_hot):
 # Malformed episodes
 # ---------------------------------------------------------------------------
 
+def _gram_arrays(g):
+    """The inverses, the cached quadratic forms of a dense map and the
+    episode count of a GramState."""
+    return [g.inv.copy()] + ([] if g.fmap.one_hot else [g.quad.copy()]) + [g.count]
+
+
 def _episode_entry_point(name, fmap, K=4):
     """observe(rows, costs) of an episode of two steps through one entry
     point on fresh statistics over fmap, and a snapshot of every array and
     count it changes.  The learner takes the costs as its rewards."""
     if name == "gram":
         g = GramState(fmap, 1.0, 2)
-        return (lambda rows, costs: g.update(rows),
-                lambda: [g.inv.copy(), g.quad_forms(0).copy(), g.quad_forms(1).copy(),
-                         g.count])
+        return (lambda rows, costs: g.update(rows), lambda: _gram_arrays(g))
     if name == "learner":
         lr = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
-        next_state = ("next_keys", "next_counts") if lr.stats.diagonal else ("next_feats",)
+        next_state = ("next_keys", "next_counts") if fmap.one_hot else ("next_feats",)
         return (lambda rows, costs: lr.ingest_episode(rows, costs, [0, 1]),
-                lambda: [lr.stats.inv.copy(), lr.stats.quad_forms(0).copy(),
-                         lr.stats.quad_forms(1).copy(), lr.stats.count,
-                         lr.reward_feats.copy()]
+                lambda: _gram_arrays(lr.stats) + [lr.reward_feats.copy()]
                 + [getattr(lr, name).copy() for name in next_state])
     if name == "gp":
         m = GpCostModel("sqexp", total_episodes=K, horizon=2, feature_map=fmap)
-        state = ("n", "G") if m.one_hot else ("Z", "mean", "var", "logdet")
+        state = ("n", "G") if fmap.one_hot else ("Z", "mean", "var", "logdet")
         return m.observe, lambda: [getattr(m, name).copy() for name in state] + [m.count]
     stats = GramState(fmap, 1.0, 2) if name == "linear-shared" else None
     m = LinearCostModel(fmap, horizon=2, stats=stats)
@@ -1036,7 +1068,6 @@ def _step_queries(fmap):
     gp = GpCostModel("sqexp", total_episodes=4, horizon=2, feature_map=fmap)
     w = np.zeros(fmap.dim)
     return {"gram.solve": lambda h: g.solve(h, w), "gram.terms": lambda h: g.terms(h, w),
-            "gram.bounds": lambda h: g.bounds(h, w, 1.0), "gram.quad_forms": g.quad_forms,
             "linear.theta": linear.theta, "linear.estimate": linear.estimate,
             "linear.lcb_table": linear.lcb_table, "gp.estimate": gp.estimate,
             "gp.lcb_table": gp.lcb_table, "gp.info_gain": gp.info_gain}

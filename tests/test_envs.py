@@ -448,7 +448,7 @@ def test_feature_map_finds_its_structure_once(table):
         expected_sq = [math.fsum(x * x for x in row) for row in fmap.distinct]
         assert np.allclose(fmap.distinct_sq_norms, expected_sq, rtol=1e-14, atol=0.0)
     g = GramState(fmap, 1.0, len(rows))
-    assert g.diagonal == one_hot
+    assert (g.inv.ndim == 2) == one_hot
     g.update(np.arange(len(rows)))  # every row of the map is a sample its statistics take
     assert g.count == 1
 

@@ -117,12 +117,12 @@ def test_gram_update_zero_feature_noop():
 def test_gram_update_detects_corrupted_inverse():
     g = GramState(map_of(BASIS_AND_DENSE), 1.0, 2)
     g.inv[1] = -np.eye(2)  # cannot arise from valid updates
-    before = g.inv.copy(), g.quad_forms(0).copy()
+    before = g.inv.copy(), g.quad[0].copy()
     with pytest.raises(RuntimeError, match="breakdown"):
         g.update(np.array([0, 0]))
     # The healthy step 0 is left as it was, too.
     assert g.inv.tobytes() == before[0].tobytes()
-    assert g.quad_forms(0).tobytes() == before[1].tobytes() and g.count == 0
+    assert g.quad[0].tobytes() == before[1].tobytes() and g.count == 0
 
 
 def test_one_hot_update_stops_when_the_inverse_overflows():
@@ -143,6 +143,20 @@ def test_one_hot_update_stops_when_the_inverse_overflows():
 def test_learner_rejects_bad_lam_and_beta(lam, beta, message):
     with pytest.raises(ValueError, match=message):
         LsviLearner(one_hot_features(2, 2), 2, 2, horizon=3, lam=lam, beta=beta)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0],
+                         ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("build", [
+    lambda fmap, lam: GramState(fmap, lam, 2),
+    lambda fmap, lam: LsviLearner(fmap, 3, 2, 2, lam, 1.0),
+    lambda fmap, lam: LinearCostModel(fmap, 2, lam=lam)],
+    ids=["gram", "learner", "linear-cost"])
+def test_lam_outside_the_positive_reals_is_rejected(build, lam):
+    # With lam = inf every inverse is 0, and a learner would ingest episodes
+    # and return all-zero weights.
+    with pytest.raises(ValueError, match="lam must be positive"):
+        build(one_hot_features(3, 2), lam)
 
 
 @pytest.mark.parametrize("S, A, shape", [(2, 2, (4, 1)), (3, 2, (2, 2))],
@@ -169,7 +183,7 @@ def test_ingest_rejects_wrong_length():
 
 def _next_state_arrays(learner):
     """The arrays of the learner's next-state sums, on either storage."""
-    if learner.stats.diagonal:
+    if learner.fmap.one_hot:
         return [learner.next_keys.copy(), learner.next_counts.copy()]
     return [learner.next_feats.copy()]
 
@@ -177,8 +191,9 @@ def _next_state_arrays(learner):
 def _learner_arrays(learner):
     """Every array of the learner's state, and its episode count."""
     g = learner.stats
-    return [g.inv.copy(), *(g.quad_forms(h).copy() for h in range(learner.H)),
-            learner.reward_feats.copy(), *_next_state_arrays(learner), g.count]
+    quad = [] if learner.fmap.one_hot else [g.quad.copy()]
+    return [g.inv.copy(), *quad, learner.reward_feats.copy(),
+            *_next_state_arrays(learner), g.count]
 
 
 def _assert_episode_rejected(rewards, next_states, message):
@@ -257,7 +272,7 @@ def test_bonus_shrinks_along_repeated_direction():
     g = fed(map_of([phi]), 1.0)
     values = []
     for _ in range(15):
-        values.append(math.sqrt(g.quad_forms(0)[0]))
+        values.append(math.sqrt(g.quad[0, g.fmap.index[0]]))
         g.update(np.array([0]))
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -383,7 +398,8 @@ def test_weight_norm_bound_on_generated_runs():
     learner = LsviLearner(fmap, S, A, H, 1.0, beta=1.0)
     for k in range(1, 60):
         plan = learner.backward_pass()
-        bound = learner.weight_norm_bound()
+        # 2H sqrt(dk/lam) at episode k, with lam = 1.
+        bound = 2.0 * H * math.sqrt(fmap.dim * (learner.stats.count + 1) / 1.0)
         assert np.linalg.norm(plan.weights, axis=1).max() <= bound
         ingest_steps(learner, random_steps(rng, S, A, H))
 
@@ -465,7 +481,7 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     fmap = one_hot_features(S, A)
     diag = LsviLearner(fmap, S, A, H, lam, beta=float(rng.uniform(0, 3)))
     dense = LsviLearner(_dense_twin(fmap), S, A, H, lam, beta=diag.beta)
-    assert diag.stats.diagonal and not dense.stats.diagonal
+    assert diag.fmap.one_hot and not dense.fmap.one_hot
     for rows, rewards, _, next_states in _random_episodes(rng, S, A, H,
                                                           int(rng.integers(0, 20))):
         diag.ingest_episode(rows, rewards, next_states)
@@ -475,7 +491,8 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     g, ref = diag.stats, dense.stats
     for h in range(H):
         assert np.diag(g.inv[h]).tobytes() == ref.inv[h].tobytes()
-        assert g.quad_forms(h).tobytes() == ref.quad_forms(h).tobytes()
+        # The twin's rows are its distinct rows: its index is the identity.
+        assert g.inv[h][fmap.index].tobytes() == ref.quad[h].tobytes()
         b = rng.normal(size=S * A)
         assert g.solve(h, b).tobytes() == ref.solve(h, b).tobytes()
     assert g.count == ref.count
@@ -504,12 +521,12 @@ def test_dense_rank_one_updates_equal_the_inverse_of_the_gram(lam, seed):
             extra.append(random_unit_features(rng, 1, d)[0] * rng.uniform(0.0, 1.0))
     fmap = map_of(np.vstack([feats] + extra))
     g = fed(fmap, lam, rows)
-    assert not g.diagonal
+    assert not g.fmap.one_hot
     samples = fmap.flat[rows]
     dense_inv = np.linalg.inv(gram_of(lam, d, samples))
     assert np.abs(g.inv[0] - dense_inv).max() <= 1e-8
     quad = np.einsum("nd,de,ne->n", fmap.flat, dense_inv, fmap.flat)
-    assert np.abs(g.quad_forms(0) - quad).max() <= 1e-8
+    assert np.abs(g.quad[0][fmap.index] - quad).max() <= 1e-8
     assert g.count == len(samples)
 
 
@@ -599,7 +616,7 @@ def test_cost_model_rejects_statistics_of_another_map():
 
 def test_one_hot_check_gives_up_on_dense_rows():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    assert not fed(map_of(feats), 1.0).diagonal
-    assert fed(map_of(feats[:2]), 1.0).diagonal
-    assert not fed(map_of([[0.0, 1.0], [0.0, 0.0]]), 1.0).diagonal
-    assert not fed(map_of([[-1.0, 0.0]]), 1.0).diagonal
+    assert not fed(map_of(feats), 1.0).fmap.one_hot
+    assert fed(map_of(feats[:2]), 1.0).fmap.one_hot
+    assert not fed(map_of([[0.0, 1.0], [0.0, 0.0]]), 1.0).fmap.one_hot
+    assert not fed(map_of([[-1.0, 0.0]]), 1.0).fmap.one_hot

@@ -1,6 +1,6 @@
 """tools/record_bench.py: the per-side summary and the pair counts it
-records, on synthetic run records (no benchmark run), and one tiny CLI
-cell run through run_cell."""
+records, on synthetic run records (no benchmark run), one tiny CLI cell run
+through run_cell and one Tier-1 run of a two-test selection."""
 
 import hashlib
 import importlib.util
@@ -88,3 +88,14 @@ def test_run_cell_records_a_cli_run_of_the_checkout(tmp_path):
 def test_run_cell_reports_a_failed_run(tmp_path):
     with pytest.raises(RuntimeError, match="exited 2: error: --episodes"):
         record_bench.run_cell(record_bench.ROOT, ["--episodes", "1.5"], tmp_path / "cell")
+
+
+def test_run_tier1_counts_the_passed_and_failed_tests(tmp_path):
+    # A checkout whose tests are one passing and one failing test.
+    (tmp_path / "test_two.py").write_text(
+        "def test_passes():\n    assert True\n\n\n"
+        "def test_fails():\n    assert False\n")
+    run = record_bench.run_tier1(tmp_path, ("test_two.py", "-p", "no:cacheprovider"))
+    assert (run["passed"], run["failed"]) == (1, 1)
+    assert run["wall_s"] > 0.0
+

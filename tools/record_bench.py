@@ -17,8 +17,11 @@ the d=13/K=216 dense-GP hard-instance cell, each run three times per side
 in alternating order, with one BLAS thread.  Per run it keeps the wall
 time, the peak RSS of that process alone (from os.wait4, not the maximum
 over all children that RUSAGE_CHILDREN keeps) and the sha256 of its
-results.csv.  The file also holds the machine line of the first perfbench
-run, and the revisions measured.
+results.csv.  Under "tier1" it records the Tier-1 verify command
+(TIER1_COMMAND), run three times per side in alternating order: each run's
+wall time and its passed and failed counts (an error counts as failed).
+The file also holds the machine line of the first perfbench run, and the
+revisions measured.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -50,6 +54,7 @@ CLI_CELLS = {
         "--cost-width-scale", "0.1", "--seed", "0"],
 }
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def _git(*args: str) -> str:
@@ -97,6 +102,26 @@ def run_cell(checkout: Path, args: list, out: Path) -> dict:
     return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0, "digest": digest}
 
 
+def run_tier1(checkout: Path, selection: tuple = ()) -> dict:
+    """One run of the checkout's Tier-1 verify command on its tests, or on
+    the pytest arguments selection: its wall time and the passed and failed
+    counts of pytest's summary line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(checkout / "src"), os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_COMMAND, *selection], cwd=checkout,
+                          env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    counts = {kind: int(n) for n, kind in re.findall(
+        r"(\d+) (passed|failed|errors?)\b", lines[-1] if lines else "")}
+    if not counts:
+        raise RuntimeError(f"Tier-1 in {checkout} printed no summary "
+                           f"(exit {proc.returncode}): {proc.stderr.strip()[-500:]}")
+    return {"wall_s": wall, "passed": counts.pop("passed", 0),
+            "failed": sum(counts.values())}
+
+
 def summarize_cell(runs: list) -> dict:
     """A cell's runs in run order, with the median wall time and peak RSS."""
     return {"runs": runs,
@@ -142,7 +167,7 @@ def main(argv=None) -> int:
               "runs": RUNS, "change": {"base": _git("rev-parse", "HEAD"),
                                             "dirty": bool(_git("status", "--porcelain"))},
               "baseline": {"rev": _git("rev-parse", args.baseline)},
-              "machine": None, "workloads": {}, "cells": {}}
+              "machine": None, "workloads": {}, "cells": {}, "tier1": {}}
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "baseline.tar"
         subprocess.run(["git", "archive", "-o", str(archive), args.baseline],
@@ -175,6 +200,14 @@ def main(argv=None) -> int:
                     print(f"{name} run {i} {side}: wall_s={run['wall_s']:.2f} "
                           f"peak_rss_mb={run['peak_rss_mb']:.1f}", file=sys.stderr)
             record["cells"][name] = {side: summarize_cell(runs[side]) for side in sides}
+        tier1 = {side: [] for side in sides}
+        for i in range(CELL_RUNS):
+            for side in sorted(sides, reverse=i % 2 == 1):  # baseline first when even
+                run = run_tier1(sides[side])
+                tier1[side].append(run)
+                print(f"tier1 run {i} {side}: wall_s={run['wall_s']:.1f} "
+                      f"passed={run['passed']} failed={run['failed']}", file=sys.stderr)
+        record["tier1"] = tier1
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(out.name)
