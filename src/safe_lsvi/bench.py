@@ -182,7 +182,6 @@ class Metrics:
     cum_violation: np.ndarray
     signed_costs: np.ndarray
     summary: dict
-    trace: Optional[list] = None
 
 
 def build_env(config: ExperimentConfig, builder_seed):
@@ -207,8 +206,7 @@ def _make_cost_model(config: ExperimentConfig, fmap, stats):
                        width_scale=config.cost_width_scale, feature_map=fmap)
 
 
-def run_experiment(config: ExperimentConfig, env_override=None,
-                   record_trace: bool = False) -> Metrics:
+def run_experiment(config: ExperimentConfig, env_override=None) -> Metrics:
     """Run one (config, seed) cell and return its metrics.
 
     The root seed is split into independent streams (builders, rollouts) so
@@ -241,29 +239,28 @@ def run_experiment(config: ExperimentConfig, env_override=None,
                           config.lam, beta)
     ledger = PenaltyLedger(H, AGENT_MODES[config.agent])
     # With the penalty off the estimated costs are never consumed, so the
-    # run skips fitting them.  A linear cost model shares the learner's
-    # design statistics.
+    # run skips fitting them and plans against one zero table: with Z = 0 the
+    # penalized argmax is then the plain argmax.  A linear cost model shares
+    # the learner's design statistics.
     cost_model = None if ledger.mode == "off" else \
         _make_cost_model(config, fmap, learner.stats)
+    ghat = np.zeros((H, cmdp.num_states, cmdp.num_actions)) if cost_model is None else None
 
     rewards = np.zeros(K)
     violations = np.zeros(K)
     regret_inc = np.zeros(K)
     signed = np.zeros(K)
-    trace = [] if record_trace else None
     # One episode: each step's feature row s*A + a, reward, observed cost
     # and next state.
     rows, next_states = np.zeros((2, H), dtype=np.int64)
     step_rewards, step_costs = np.zeros((2, H))
 
     for k in range(1, K + 1):
-        if cost_model is None:
-            ghat = None
-        else:
+        if cost_model is not None:
             ghat = np.stack([cost_model.lcb_table(h) for h in range(H)])
             if not np.isfinite(ghat).all():
                 raise FloatingPointError(f"non-finite cost estimate at episode {k}")
-        plan = learner.backward_pass(ghat=ghat, z=ledger.z)
+        plan = learner.backward_pass(ghat, ledger.z)
 
         state = cmdp.initial_state
         ep_reward = ep_violation = ep_signed = 0.0
@@ -288,13 +285,6 @@ def run_experiment(config: ExperimentConfig, env_override=None,
         signed[k - 1] = ep_signed
         regret_inc[k - 1] = v_star - policy_eval(cmdp, plan.policy)[0, cmdp.initial_state]
 
-        if record_trace:
-            trace.append({
-                "weights": plan.weights.copy(),
-                "z": ledger.z.copy(),
-                "actions": (rows % cmdp.num_actions).tolist(),
-            })
-
     # np.cumsum adds left to right, so the sums are those of a running loop.
     cum_regret = np.cumsum(regret_inc)
     cum_violation = np.cumsum(violations)
@@ -306,7 +296,7 @@ def run_experiment(config: ExperimentConfig, env_override=None,
     }
     return Metrics(rewards=rewards, violations=violations, regret_inc=regret_inc,
                    cum_regret=cum_regret, cum_violation=cum_violation,
-                   signed_costs=signed, summary=summary, trace=trace)
+                   signed_costs=signed, summary=summary)
 
 
 def fit_growth_exponent(series) -> float:

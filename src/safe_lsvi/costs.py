@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .envs import FeatureMap
+from .envs import FeatureMap, _check_horizon
 from .lsvi import GramState, _check_step, _episode_arrays
 
 
@@ -123,6 +123,7 @@ class _CostModel:
             raise ValueError("p must lie in (0, 1)")
         if not 0 <= width_scale < math.inf:
             raise ValueError("width_scale must be >= 0 and finite")
+        _check_horizon(horizon)
         self.fmap = feature_map
         self.H = horizon
         self.p = p

@@ -11,6 +11,7 @@ always feasible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +24,14 @@ NORM_SLACK = 1e-9
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 _MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
 _ORTHO = {UP: (LEFT, RIGHT), DOWN: (LEFT, RIGHT), LEFT: (UP, DOWN), RIGHT: (UP, DOWN)}
+
+
+def _check_horizon(horizon) -> None:
+    """The one check of a model's horizon H: an integer >= 1.  A bool is a
+    numbers.Integral too, but no count."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) \
+            or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, not {horizon!r}")
 
 
 @dataclass

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .envs import FeatureMap
+from .envs import FeatureMap, _check_horizon
 from .penalty import penalized_argmax
 
 DENOM_TOL = 1e-12
@@ -76,8 +75,10 @@ class GramState:
     """
 
     def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
-        if not 0 < lam < math.inf:
+        # A bool compares as 0 or 1, but is no regularizer.
+        if isinstance(lam, bool) or not 0 < lam < math.inf:
             raise ValueError("lam must be positive and finite")
+        _check_horizon(horizon)
         self.lam = lam
         self.fmap = feature_map
         self.H = horizon
@@ -237,15 +238,17 @@ class LsviLearner:
             total += self.next_feats[h][:, x] * v_next[x]
         return total
 
-    def backward_pass(self, ghat: Optional[np.ndarray] = None,
-                      z: Optional[np.ndarray] = None) -> QModel:
+    def backward_pass(self, ghat: np.ndarray, z: np.ndarray) -> QModel:
         """One sweep h = H..1 of ridge regression plus bonus.
 
         Regression targets are r + V_{h+1}(x') where V_{h+1} comes from this
         pass's own penalized argmax (SARSA-style backup: with constraints the
         next-step value is the value of the action the policy would take, not
         the unpenalized maximum).  ghat is the (H, S, A) optimistic cost
-        table and z the (H,) penalty factors; both default to zero.
+        table and z the (H,) penalty factors.  Every step's action is
+        penalty.penalized_argmax of its row; unpenalized LSVI passes a zero
+        table and z = 0, under which Q - 0*max(0, 0) is Q bit for bit and
+        the action is the plain argmax.
         """
         H, S, A = self.H, self.S, self.A
         weights = np.zeros((H, self.d))
@@ -261,8 +264,7 @@ class LsviLearner:
                 raise FloatingPointError(f"non-finite regression weights at step {h}")
             mean, root = self.stats.terms(h, w)
             q = np.minimum(self.fmap.gather(mean + self.beta * root), float(H))
-            a_star = q.argmax(axis=1) if ghat is None or z is None else \
-                penalized_argmax(q, ghat[h], z[h])
+            a_star = penalized_argmax(q, ghat[h], z[h])
             weights[h] = w
             q_table[h] = q
             policy[h] = a_star

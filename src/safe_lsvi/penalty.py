@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .envs import _check_horizon
+
 MODES = ("rectified", "virtual_queue", "off")
 
 
@@ -20,6 +22,7 @@ class PenaltyLedger:
     def __init__(self, horizon: int, mode: str):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        _check_horizon(horizon)
         self.mode = mode
         self.z = np.ones(horizon) if mode == "rectified" else np.zeros(horizon)
 

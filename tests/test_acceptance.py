@@ -22,6 +22,8 @@ from safe_lsvi.envs import build_hard_instance, build_synthetic_linear
 from safe_lsvi.lsvi import GramState
 from safe_lsvi.oracle import brute_force_enumerate, constrained_dp
 
+from episode_trace import traced_run
+
 SEEDS = range(5)
 
 # Benchmark bonus scales (see README): beta at the achievable-value scale for
@@ -293,9 +295,9 @@ def test_criterion_7_penalty_semantics():
     # rectified floor on a live run
     cfg = ExperimentConfig(env="synthetic_linear", agent="lsvi_ae",
                            episodes=150, horizon=4, dim=6, seed=0, **SYNTH)
-    metrics = run_experiment(cfg, record_trace=True)
+    _, trace = traced_run(cfg)
     floor_ok = all(np.all(snap["z"] >= k)
-                   for k, snap in enumerate(metrics.trace, start=1))
+                   for k, snap in enumerate(trace, start=1))
 
     # alternating-cost construction under the virtual queue
     P = np.ones((1, 1, 2, 1))
@@ -306,9 +308,9 @@ def test_criterion_7_penalty_semantics():
     vq_cfg = ExperimentConfig(env="synthetic_linear", agent="lsvi_primal",
                               episodes=600, horizon=1, beta_override=0.2,
                               seed=0)
-    vq = run_experiment(vq_cfg, env_override=(cmdp, fmap), record_trace=True)
+    vq, vq_trace = traced_run(vq_cfg, env_override=(cmdp, fmap))
     exponent = fit_growth_exponent(vq.cum_violation)
-    z_tail = [snap["z"][0] for snap in vq.trace[300:]]
+    z_tail = [snap["z"][0] for snap in vq_trace[300:]]
     queue_ok = exponent >= 0.9 and min(z_tail) == 0.0
 
     ok = floor_ok and queue_ok

@@ -20,6 +20,7 @@ from safe_lsvi.envs import (TabularCmdp, build_synthetic_linear,
 from safe_lsvi.lsvi import GramState
 
 from dense_reference import reference_lines_4_to_9
+from episode_trace import traced_run
 
 # The benchmark package lives at the root of the repository.
 ROOT = Path(__file__).resolve().parents[1]
@@ -310,8 +311,8 @@ def test_violation_never_below_positive_signed_cost_per_episode(agent, seed, env
 def test_rectified_floor_invariant_on_ae_run():
     cfg = ExperimentConfig(env="synthetic_linear", agent="lsvi_ae", episodes=80,
                            horizon=3, dim=4, beta_override=1.0, seed=1)
-    metrics = run_experiment(cfg, record_trace=True)
-    for k, snap in enumerate(metrics.trace, start=1):
+    _, trace = traced_run(cfg)
+    for k, snap in enumerate(trace, start=1):
         assert np.all(snap["z"] >= k)
 
 
@@ -392,9 +393,9 @@ def test_episode_loop_matches_manual_transcript():
     cfg = ExperimentConfig(env="synthetic_linear", agent="lsvi_ae", episodes=K,
                            horizon=cmdp.horizon, beta_override=beta, lam=lam,
                            p=p, cost_width_scale=ws, seed=0)
-    metrics = run_experiment(cfg, env_override=(cmdp, fmap), record_trace=True)
+    _, trace = traced_run(cfg, env_override=(cmdp, fmap))
     reference = _transcript_reference(cmdp, fmap, K, beta, lam, p, ws)
-    for got, want in zip(metrics.trace, reference):
+    for got, want in zip(trace, reference):
         assert np.abs(got["weights"] - want["weights"]).max() <= 1e-10
         assert np.array_equal(got["z"], want["z"])
         assert got["actions"] == want["actions"]
@@ -427,11 +428,11 @@ def test_virtual_queue_linear_hard_violation_bounded_soft():
     cmdp, fmap = alternating_cost_env()
     cfg = ExperimentConfig(env="synthetic_linear", agent="lsvi_primal",
                            episodes=600, horizon=1, beta_override=0.2, seed=0)
-    metrics = run_experiment(cfg, env_override=(cmdp, fmap), record_trace=True)
+    metrics, trace = traced_run(cfg, env_override=(cmdp, fmap))
     exponent = fit_growth_exponent(metrics.cum_violation)
     assert exponent >= 0.9
     # the queue keeps returning to zero in the steady state
-    z_tail = [snap["z"][0] for snap in metrics.trace[300:]]
+    z_tail = [snap["z"][0] for snap in trace[300:]]
     assert min(z_tail) == 0.0
     assert sum(1 for z in z_tail if z == 0.0) > 50
     # soft violation stays bounded while hard violation grows linearly
@@ -738,3 +739,14 @@ def test_a_traced_round_counts_each_model_call_once(name):
     if name == "lake_gp":
         assert tracer.counters["costs.kernel.calls"] == 1
         assert tracer.counters["costs.kernel.entries"] == 4
+
+
+def test_an_unpenalized_run_picks_every_action_by_the_penalized_argmax():
+    # agent=lsvi plans with z = 0 through the same argmax as the penalized
+    # agents: one call per episode and step.
+    cfg = ExperimentConfig(agent="lsvi", episodes=7, horizon=3,
+                           beta_override=1.0, map_text="S.H\n..G")
+    with Tracer() as tracer:
+        run_experiment(cfg)
+    assert tracer.spans["penalty.penalized_argmax"].calls == \
+        cfg.episodes * cfg.horizon

@@ -6,10 +6,12 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from safe_lsvi.costs import LinearCostModel
+from safe_lsvi.costs import GpCostModel, LinearCostModel
 from safe_lsvi.envs import FeatureMap, one_hot_features
 from safe_lsvi.lsvi import GramState, LsviLearner, beta_schedule
+from safe_lsvi.penalty import PenaltyLedger
 
 from dense_reference import reference_lines_4_to_9
 
@@ -157,6 +159,33 @@ def test_lam_outside_the_positive_reals_is_rejected(build, lam):
     # and return all-zero weights.
     with pytest.raises(ValueError, match="lam must be positive"):
         build(one_hot_features(3, 2), lam)
+
+
+@pytest.mark.parametrize("build", [
+    lambda fmap, lam: GramState(fmap, lam, 2),
+    lambda fmap, lam: LsviLearner(fmap, 3, 2, 2, lam, 1.0),
+    lambda fmap, lam: LinearCostModel(fmap, 2, lam=lam)],
+    ids=["gram", "learner", "linear-cost"])
+def test_a_bool_lam_is_rejected(build):
+    # True compares as 1, and would run as lam = 1.
+    with pytest.raises(ValueError, match="lam must be positive"):
+        build(one_hot_features(3, 2), True)
+
+
+@pytest.mark.parametrize("horizon", [0, -1, 2.5, True],
+                         ids=["zero", "negative", "fraction", "bool"])
+@pytest.mark.parametrize("build", [
+    lambda fmap, H: GramState(fmap, 1.0, H),
+    lambda fmap, H: LsviLearner(fmap, 3, 2, H, 1.0, 1.0),
+    lambda fmap, H: LinearCostModel(fmap, H),
+    lambda fmap, H: GpCostModel("linear", 5, H, feature_map=fmap),
+    lambda fmap, H: PenaltyLedger(H, "rectified")],
+    ids=["gram", "learner", "linear-cost", "gp-cost", "ledger"])
+def test_a_horizon_that_is_not_a_positive_integer_is_rejected(build, horizon):
+    # Each fails here, naming the horizon: not later, as an H = 0 learner
+    # rejecting every episode, nor inside numpy.
+    with pytest.raises(ValueError, match="horizon"):
+        build(one_hot_features(3, 2), horizon)
 
 
 @pytest.mark.parametrize("S, A, shape", [(2, 2, (4, 1)), (3, 2, (2, 2))],
@@ -310,7 +339,7 @@ def test_q_value_never_exceeds_cap():
     fmap = one_hot_features(2, 2)
     learner = LsviLearner(fmap, 2, 2, H, 1.0, beta=10.0)
     for k in range(20):
-        plan = learner.backward_pass()
+        plan = learner.backward_pass(np.zeros((H, 2, 2)), np.zeros(H))
         assert plan.q_table.max() <= H + 1e-12
         ingest_steps(learner, random_steps(rng, 2, 2, H))
 
@@ -322,13 +351,13 @@ def test_q_value_never_exceeds_cap():
 def test_backward_pass_empty_history():
     fmap = one_hot_features(3, 2)
     learner = LsviLearner(fmap, 3, 2, 4, 1.0, beta=1.5)
-    plan = learner.backward_pass()
+    plan = learner.backward_pass(np.zeros((4, 3, 2)), np.zeros(4))
     assert np.array_equal(plan.weights, np.zeros((4, 6)))
     # every Q value is min(beta * ||phi||, H) = 1.5 for unit one-hot features
     assert np.allclose(plan.q_table, 1.5)
     # a bonus far above the horizon clips every value at the cap H = 4
     learner = LsviLearner(fmap, 3, 2, 4, 1.0, beta=8.0)
-    plan = learner.backward_pass()
+    plan = learner.backward_pass(np.zeros((4, 3, 2)), np.zeros(4))
     assert np.array_equal(plan.q_table, np.full((4, 3, 2), 4.0))
     assert np.array_equal(plan.v_table, np.full((4, 3), 4.0))
 
@@ -371,7 +400,7 @@ def test_backward_pass_incremental_matches_dense_rebuild():
         trace = random_steps(rng, S, A, H)
         ingest_steps(learner, trace)
         episodes.append(trace)
-    plan_incremental = learner.backward_pass()
+    plan_incremental = learner.backward_pass(np.zeros((H, S, A)), np.zeros(H))
     dense_w, dense_q, _ = reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0,
                                                  1.2, np.zeros((H, S, A)), np.zeros(H))
     assert np.abs(plan_incremental.weights - dense_w).max() <= 1e-8
@@ -397,7 +426,7 @@ def test_weight_norm_bound_on_generated_runs():
     fmap = one_hot_features(S, A)
     learner = LsviLearner(fmap, S, A, H, 1.0, beta=1.0)
     for k in range(1, 60):
-        plan = learner.backward_pass()
+        plan = learner.backward_pass(np.zeros((H, S, A)), np.zeros(H))
         # 2H sqrt(dk/lam) at episode k, with lam = 1.
         bound = 2.0 * H * math.sqrt(fmap.dim * (learner.stats.count + 1) / 1.0)
         assert np.linalg.norm(plan.weights, axis=1).max() <= bound
@@ -620,3 +649,25 @@ def test_one_hot_check_gives_up_on_dense_rows():
     assert fed(map_of(feats[:2]), 1.0).fmap.one_hot
     assert not fed(map_of([[0.0, 1.0], [0.0, 0.0]]), 1.0).fmap.one_hot
     assert not fed(map_of([[-1.0, 0.0]]), 1.0).fmap.one_hot
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, one_hot=st.booleans(), data=st.data())
+def test_backward_pass_at_zero_penalty_is_the_plain_argmax(seed, one_hot, data):
+    # Unpenalized LSVI is the penalized argmax at z = 0: whatever the cost
+    # table, Q - 0*max(ghat, 0) is Q, so the plan is that of a zero table.
+    rng = np.random.default_rng(seed)
+    S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    fmap = one_hot_features(S, A) if one_hot else \
+        FeatureMap(3, random_unit_features(rng, S * A, 3).reshape(S, A, 3))
+    learner = LsviLearner(fmap, S, A, H, 1.0, beta=float(rng.uniform(0, 3)))
+    for rows, rewards, _, next_states in _random_episodes(rng, S, A, H,
+                                                          int(rng.integers(0, 10))):
+        learner.ingest_episode(rows, rewards, next_states)
+    ghat = data.draw(arrays(float, (H, S, A),
+                            elements=st.floats(allow_nan=False, allow_infinity=False)))
+    plan = learner.backward_pass(ghat, np.zeros(H))
+    assert np.array_equal(plan.policy, plan.q_table.argmax(axis=2))
+    ref = learner.backward_pass(np.zeros((H, S, A)), np.zeros(H))
+    for name in ("weights", "q_table", "v_table", "policy"):
+        assert getattr(plan, name).tobytes() == getattr(ref, name).tobytes()
