@@ -93,10 +93,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be one of {allowed}")
         for name, kind in SETTING_TYPES.items():
             value = getattr(self, name)
-            # A bool is a numbers.Integral too, but no count.
+            # A bool is a numbers.Integral too, but no count and no scale.
             if kind is int and (isinstance(value, bool)
                                 or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer")
+            if kind is float and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{name} must be a real number")
         if self.episodes < 1 or self.horizon < 1:
             raise ValueError("episodes and horizon must be >= 1")
         if self.seed < 0:

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .envs import FeatureMap, _check_horizon
-from .lsvi import GramState, _check_step, _episode_arrays
+from .lsvi import GramState, _check_lam, _check_step, _episode_arrays
 
 
 def tilde_beta(lam: float, d: int, k: int, p: float) -> float:
@@ -162,6 +162,7 @@ class LinearCostModel(_CostModel):
                  p: float = 0.1, width_scale: float = 1.0,
                  stats: Optional[GramState] = None):
         super().__init__(feature_map, horizon, p, width_scale)
+        _check_lam(lam)  # shared statistics would compare True as 1.0
         self._owns_stats = stats is None
         if stats is None:
             stats = GramState(feature_map, lam, horizon)

@@ -246,8 +246,7 @@ def build_frozen_lake(width: int, height: int, hazard_cells, goal_cell: int,
     n = width * height
     if n < 2:
         raise ValueError("grid must have at least 2 cells")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     hazards = set(int(c) for c in hazard_cells)
     if goal_cell in hazards:
         raise ValueError("goal cell cannot be a hazard")
@@ -343,6 +342,7 @@ def build_synthetic_linear(d: int, horizon: int, seed, cost_noise: float = 0.1,
     """
     if d < 2:
         raise ValueError("feature dimension must be >= 2")
+    _check_horizon(horizon)
     rng = np.random.default_rng(seed)
     num_actions = 2
     num_states = d // 2
@@ -424,6 +424,7 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
     H, K = horizon, episodes
     if d < 4:
         raise ValueError("dimension must be >= 4")
+    _check_horizon(H)
     if H < 3:
         raise ValueError("horizon must be >= 3")
     if d - 1 > 12:

@@ -27,12 +27,13 @@ the S*A rows (FeatureMap.gather).  On one-hot data the dense path only adds
 exact zeros to what the one-hot path computes, so both give the same bits.
 
 The learner's regression targets r + V_{h+1}(x') need, per step, the
-features summed by observed next state x'.  The learner takes their storage
-from the same choice: on one-hot maps the observed (column, next state)
-pairs with their counts, on dense maps the (d, S) sums.  Either way the
-product with V_{h+1} is added up in a fixed order, next state by next
-state, without BLAS, so both storages give the same bits on one-hot data
-and neither depends on the BLAS kernel.
+features summed by observed next state x'.  On every map the learner keeps
+them one way: the sums of phi_j over the samples at step h that moved to x',
+keyed by (step h, next state x', column j) and kept only for the triples
+that a sample's nonzero entry met.  A one-hot row has one such entry, so
+nothing is sized by d*S.  The product with V_{h+1} is added up in a fixed
+order, next state by next state, without BLAS, so it does not depend on the
+BLAS kernel, and the keys skip only terms that are exact zeros.
 """
 
 from __future__ import annotations
@@ -56,6 +57,13 @@ def _episode_arrays(horizon: int, names: str, *columns) -> tuple:
     return columns
 
 
+def _check_lam(lam) -> None:
+    """The one check of a ridge regularizer lam: positive and finite.  A
+    bool compares as 0 or 1, but is no regularizer."""
+    if isinstance(lam, bool) or not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
+
+
 def _check_step(h: int, horizon: int) -> None:
     """The one range check of a step index (a negative h would otherwise
     wrap around to a step from the end)."""
@@ -75,9 +83,7 @@ class GramState:
     """
 
     def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
-        # A bool compares as 0 or 1, but is no regularizer.
-        if isinstance(lam, bool) or not 0 < lam < math.inf:
-            raise ValueError("lam must be positive and finite")
+        _check_lam(lam)
         _check_horizon(horizon)
         self.lam = lam
         self.fmap = feature_map
@@ -161,17 +167,17 @@ class LsviLearner:
 
     Over the H steps it owns the design statistics stats (a GramState,
     which a LinearCostModel may share), the reward-weighted feature sums
-    reward_feats (H, d) and the features summed by observed next state.
-    The latter take the storage of stats.  On one-hot maps next_keys holds
-    the observed (step h, next state x, column j) triples as the sorted
-    int64 keys (h*S + x)*d + j, and next_counts (P,) how often each was
-    seen; nothing is sized by d*S.  On dense maps next_feats (H, d, S)
-    holds the sums.
+    reward_feats (H, d) and the features summed by observed next state:
+    next_keys holds the observed (step h, next state x, column j) triples,
+    those of a sample's nonzero entries, as the sorted int64 keys
+    (h*S + x)*d + j, and next_sums (P,) the sum of phi_j over the samples of
+    each (on one-hot maps, how often it was seen).
     """
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
                  horizon: int, lam: float, beta: float):
-        if not 0 <= beta < math.inf:
+        # A bool compares as 0 or 1, but is no bonus scale.
+        if isinstance(beta, bool) or not 0 <= beta < math.inf:
             raise ValueError("beta must be >= 0 and finite")
         if feature_map.table.shape[:2] != (num_states, num_actions):
             raise ValueError(f"feature table covers (S, A) = {feature_map.table.shape[:2]}"
@@ -182,17 +188,14 @@ class LsviLearner:
         self.fmap = feature_map
         self.stats = GramState(feature_map, lam, horizon)
         self.reward_feats = np.zeros((horizon, self.d))
-        if feature_map.one_hot:
-            self.next_keys = np.zeros(0, dtype=np.int64)
-            self.next_counts = np.zeros(0)
-        else:
-            self.next_feats = np.zeros((horizon, self.d, num_states))
+        self.next_keys = np.zeros(0, dtype=np.int64)
+        self.next_sums = np.zeros(0)
 
     def ingest_episode(self, rows, rewards, next_states) -> None:
         """Ingest one episode: at step h the feature row rows[h] = s*A + a
         earned rewards[h] and moved to state next_states[h].  The episode is
         checked whole before anything changes.  Each step adds to its own
-        slice of the target sums, so one indexed add per array gives the
+        entries of the target sums, so one indexed add per array gives the
         floats of per-step adds."""
         rows, rewards, next_states = _episode_arrays(
             self.H, "rows, rewards and next states", rows, rewards, next_states)
@@ -203,40 +206,35 @@ class LsviLearner:
             raise ValueError(f"rewards {rewards} not all finite")
         # update checks the rows before it changes anything.
         self.stats.update(rows)
-        steps = np.arange(self.H)
-        if not self.fmap.one_hot:
+        # The episode's nonzero entries phi_j, as (step, column, value).  A
+        # one-hot row is e_j, so its one entry is read from the map's index.
+        if self.fmap.one_hot:
+            steps, cols = np.arange(self.H), self.fmap.index[rows]
+            vals = np.ones(self.H)
+        else:
             phi = self.fmap.flat[rows]
-            self.next_feats[steps, :, next_states] += phi
-            self.reward_feats += phi * rewards[:, None]
-            return
-        # One-hot: phi = e_j, so the rows add rewards[h] at column j and
-        # count 1 for the pair (j, next state); the other terms are zeros.
-        cols = self.fmap.index[rows]
-        self.reward_feats[steps, cols] += rewards
-        keys = (steps * self.S + next_states.astype(np.int64)) * self.d + cols
+            steps, cols = np.nonzero(phi)
+            vals = phi[steps, cols]
+        self.reward_feats[steps, cols] += vals * rewards[steps]
+        # Each (step, column) pair occurs once, and the keys come sorted.
+        keys = (steps * self.S + next_states[steps].astype(np.int64)) * self.d + cols
         pos = np.searchsorted(self.next_keys, keys)
         seen = pos < len(self.next_keys)
         seen[seen] = self.next_keys[pos[seen]] == keys[seen]
-        self.next_counts[pos[seen]] += 1.0
+        self.next_sums[pos[seen]] += vals[seen]
         if not seen.all():
             new = ~seen
             self.next_keys = np.insert(self.next_keys, pos[new], keys[new])
-            self.next_counts = np.insert(self.next_counts, pos[new], 1.0)
+            self.next_sums = np.insert(self.next_sums, pos[new], vals[new])
 
     def _next_value_sums(self, h: int, v_next: np.ndarray) -> np.ndarray:
-        """sum_x next_feats[h][:, x] * v_next[x] in order of x, each column
-        starting from 0.0: per (d,) column on dense maps, per observed pair
-        through bincount (which adds in array order) on one-hot maps."""
-        if self.fmap.one_hot:
-            first = h * self.S * self.d
-            lo, hi = np.searchsorted(self.next_keys, (first, first + self.S * self.d))
-            nexts, cols = np.divmod(self.next_keys[lo:hi] - first, self.d)
-            return np.bincount(cols, self.next_counts[lo:hi] * v_next[nexts],
-                               minlength=self.d)
-        total = np.zeros(self.d)
-        for x in range(self.S):
-            total += self.next_feats[h][:, x] * v_next[x]
-        return total
+        """sum_x of the step-h sums of next state x times v_next[x]: per
+        column, bincount adds the keys' terms in array order, which is the
+        order of x, starting from 0.0."""
+        first = h * self.S * self.d
+        lo, hi = np.searchsorted(self.next_keys, (first, first + self.S * self.d))
+        nexts, cols = np.divmod(self.next_keys[lo:hi] - first, self.d)
+        return np.bincount(cols, self.next_sums[lo:hi] * v_next[nexts], minlength=self.d)
 
     def backward_pass(self, ghat: np.ndarray, z: np.ndarray) -> QModel:
         """One sweep h = H..1 of ridge regression plus bonus.

@@ -182,6 +182,20 @@ def test_config_validation():
                      map_text="S.G").validate()
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5"],
+                         ids=["true", "false", "numpy-true", "text"])
+@pytest.mark.parametrize("name", ["lam", "beta_override", "cost_width_scale",
+                                  "lengthscale", "p"])
+def test_config_rejects_a_bool_for_a_real_setting(name, value):
+    # True compares as 1 and would run as 1.0; lengthscale is read only by
+    # the sqexp GP.
+    gp = dict(cost_model="gp", kernel="sqexp") if name == "lengthscale" else {}
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        ExperimentConfig(**{name: value}, **gp).validate()
+    if name != "p":  # an integer is a real number (no integer lies in (0, 1))
+        ExperimentConfig(**{name: 2}, **gp).validate()
+
+
 # Canonical values: what to_text writes and from_text reads back unchanged
 # (no surrounding whitespace, no line breaks, no ';' inside map_text).
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -1005,10 +1005,9 @@ def _episode_entry_point(name, fmap, K=4):
         return (lambda rows, costs: g.update(rows), lambda: _gram_arrays(g))
     if name == "learner":
         lr = LsviLearner(fmap, 2, 2, horizon=2, lam=1.0, beta=1.0)
-        next_state = ("next_keys", "next_counts") if fmap.one_hot else ("next_feats",)
         return (lambda rows, costs: lr.ingest_episode(rows, costs, [0, 1]),
-                lambda: _gram_arrays(lr.stats) + [lr.reward_feats.copy()]
-                + [getattr(lr, name).copy() for name in next_state])
+                lambda: _gram_arrays(lr.stats) + [lr.reward_feats.copy(),
+                                                  lr.next_keys.copy(), lr.next_sums.copy()])
     if name == "gp":
         m = GpCostModel("sqexp", total_episodes=K, horizon=2, feature_map=fmap)
         state = ("n", "G") if fmap.one_hot else ("Z", "mean", "var", "logdet")

@@ -309,6 +309,17 @@ def test_hard_instance_sign_vectors_and_distinct_rows():
         assert len(np.unique(_row_keys(fmap.flat))) == A + 1
 
 
+@pytest.mark.parametrize("horizon", [2.5, True, np.float64(3.0), 0],
+                         ids=["float", "bool", "numpy-float", "zero"])
+@pytest.mark.parametrize("build", [
+    lambda H: build_frozen_lake(3, 3, {4}, goal_cell=8, horizon=H),
+    lambda H: build_synthetic_linear(4, H, seed=0),
+    lambda H: build_hard_instance(4, H, 1000)], ids=["lake", "synthetic", "hard"])
+def test_builders_reject_a_bad_horizon(build, horizon):
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+        build(horizon)
+
+
 def test_hard_instance_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build_hard_instance(3, 3, 1000)  # d too small

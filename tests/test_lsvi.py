@@ -140,8 +140,8 @@ def test_one_hot_update_stops_when_the_inverse_overflows():
 
 @pytest.mark.parametrize("lam, beta, message", [
     (math.nan, 1.0, "lam"), (1.0, math.nan, "beta"), (1.0, -5.0, "beta"),
-    (1.0, math.inf, "beta")], ids=["nan-lam", "nan-beta", "negative-beta",
-                                   "inf-beta"])
+    (1.0, math.inf, "beta"), (1.0, True, "beta must be >= 0 and finite")],
+    ids=["nan-lam", "nan-beta", "negative-beta", "inf-beta", "bool-beta"])
 def test_learner_rejects_bad_lam_and_beta(lam, beta, message):
     with pytest.raises(ValueError, match=message):
         LsviLearner(one_hot_features(2, 2), 2, 2, horizon=3, lam=lam, beta=beta)
@@ -210,19 +210,12 @@ def test_ingest_rejects_wrong_length():
     assert learner.stats.count == 0
 
 
-def _next_state_arrays(learner):
-    """The arrays of the learner's next-state sums, on either storage."""
-    if learner.fmap.one_hot:
-        return [learner.next_keys.copy(), learner.next_counts.copy()]
-    return [learner.next_feats.copy()]
-
-
 def _learner_arrays(learner):
     """Every array of the learner's state, and its episode count."""
     g = learner.stats
     quad = [] if learner.fmap.one_hot else [g.quad.copy()]
     return [g.inv.copy(), *quad, learner.reward_feats.copy(),
-            *_next_state_arrays(learner), g.count]
+            learner.next_keys.copy(), learner.next_sums.copy(), g.count]
 
 
 def _assert_episode_rejected(rewards, next_states, message):
@@ -585,6 +578,35 @@ def test_cost_model_on_shared_statistics_matches_standalone(lam, seed, one_hot):
         assert shared.lcb_table(h).tobytes() == alone.lcb_table(h).tobytes()
 
 
+def _assert_target_sums_equal_a_per_step_loop(learner, episodes, v_next):
+    """The learner, fed episodes, holds the target sums of a per-step loop
+    bit for bit: its keyed next-state sums scattered back into (d, S) per
+    step, its reward sums, and its sums against v_next, which run over the
+    next states in order, left to right, with no BLAS call."""
+    fmap, S, H, d = learner.fmap, learner.S, learner.H, learner.d
+    next_feats = [np.zeros((d, S)) for _ in range(H)]
+    reward_feats = [np.zeros(d) for _ in range(H)]
+    for rows, rewards, next_states in episodes:
+        learner.ingest_episode(rows, rewards, next_states)
+        for h in range(H):
+            phi = fmap.flat[rows[h]]
+            next_feats[h][:, next_states[h]] += phi
+            reward_feats[h] += phi * rewards[h]
+    keys = learner.next_keys
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    steps, rest = np.divmod(keys, S * d)
+    nexts, cols = np.divmod(rest, d)
+    scattered = np.zeros((H, d, S))
+    scattered[steps, cols, nexts] = learner.next_sums
+    for h in range(H):
+        assert scattered[h].tobytes() == next_feats[h].tobytes()
+        assert learner.reward_feats[h].tobytes() == reward_feats[h].tobytes()
+        ordered = np.zeros(d)
+        for x in range(S):
+            ordered += next_feats[h][:, x] * v_next[x]
+        assert learner._next_value_sums(h, v_next).tobytes() == ordered.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, one_hot=st.booleans())
 def test_episode_target_sums_equal_a_per_step_loop_bitwise(seed, one_hot):
@@ -592,37 +614,25 @@ def test_episode_target_sums_equal_a_per_step_loop_bitwise(seed, one_hot):
     S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
     fmap = _feature_map(rng, one_hot, S, A)
     learner = LsviLearner(fmap, S, A, H, lam=1.0, beta=1.0)
-    next_feats = [np.zeros((fmap.dim, S)) for _ in range(H)]
-    reward_feats = [np.zeros(fmap.dim) for _ in range(H)]
-    for rows, rewards, _, next_states in _random_episodes(rng, S, A, H,
-                                                          int(rng.integers(1, 15))):
-        learner.ingest_episode(rows, rewards, next_states)
-        for h in range(H):
-            phi = fmap.flat[rows[h]]
-            next_feats[h][:, next_states[h]] += phi
-            reward_feats[h] += phi * rewards[h]
+    episodes = [(rows, rewards, next_states) for rows, rewards, _, next_states
+                in _random_episodes(rng, S, A, H, int(rng.integers(1, 15)))]
+    _assert_target_sums_equal_a_per_step_loop(learner, episodes,
+                                              rng.uniform(-3.0, 3.0, size=S))
     if one_hot:
-        # The pairs, scattered back into (d, S) per step.
-        keys = learner.next_keys
-        assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
-        steps, rest = np.divmod(keys, S * fmap.dim)
-        nexts, cols = np.divmod(rest, fmap.dim)
-        scattered = np.zeros((H, fmap.dim, S))
-        scattered[steps, cols, nexts] = learner.next_counts
-        assert learner.next_counts.all()
-        assert not hasattr(learner, "next_feats")
-    else:
-        scattered = learner.next_feats
-    # The sums against a value vector run over the next states in order,
-    # left to right, with no BLAS call: the bits of this loop on any core.
-    v_next = rng.uniform(-3.0, 3.0, size=S)
-    for h in range(H):
-        assert scattered[h].tobytes() == next_feats[h].tobytes()
-        assert learner.reward_feats[h].tobytes() == reward_feats[h].tobytes()
-        ordered = np.zeros(fmap.dim)
-        for x in range(S):
-            ordered += next_feats[h][:, x] * v_next[x]
-        assert learner._next_value_sums(h, v_next).tobytes() == ordered.tobytes()
+        # Every key is a count of one or more samples.
+        assert learner.next_sums.all()
+
+
+def test_dense_target_sums_that_cancel_to_zero_equal_a_per_step_loop_bitwise():
+    # Rows (a, b) and (a, -b) that move to the same next state: the sum of
+    # the second column cancels to exactly 0.0, and its key stays.
+    table = np.array([[[0.6, 0.8], [0.6, -0.8]], [[1.0, 0.0], [0.0, 1.0]]])
+    learner = LsviLearner(FeatureMap(2, table), 2, 2, horizon=1, lam=1.0, beta=1.0)
+    episodes = [([0], [0.5], [1]), ([1], [0.5], [1]), ([3], [0.25], [0])]
+    _assert_target_sums_equal_a_per_step_loop(learner, episodes, np.array([-2.0, -3.0]))
+    assert learner.next_keys.tolist() == [1, 2, 3]
+    assert learner.next_sums.tobytes() == np.array([1.0, 1.2, 0.0]).tobytes()
+    assert learner.reward_feats.tobytes() == np.array([[0.6, 0.25]]).tobytes()
 
 
 def test_cost_model_rejects_mismatched_statistics():
@@ -632,6 +642,14 @@ def test_cost_model_rejects_mismatched_statistics():
         LinearCostModel(fmap, 3, lam=2.0, stats=learner.stats)
     with pytest.raises(ValueError, match="shared statistics"):
         LinearCostModel(fmap, 2, lam=1.0, stats=learner.stats)
+
+
+def test_cost_model_rejects_a_bool_lam_on_shared_statistics():
+    # True compares equal to the shared lam = 1.0, but is no regularizer.
+    fmap = one_hot_features(2, 2)
+    learner = LsviLearner(fmap, 2, 2, 3, lam=1.0, beta=1.0)
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        LinearCostModel(fmap, 3, lam=True, stats=learner.stats)
 
 
 def test_cost_model_rejects_statistics_of_another_map():
