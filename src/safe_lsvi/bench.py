@@ -20,7 +20,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .costs import KERNELS, GpCostModel, LinearCostModel
-from .envs import (DEFAULT_LAKE_MAP, build_hard_instance,
+from .envs import (DEFAULT_LAKE_MAP, _is_real, build_hard_instance,
                    build_synthetic_linear, frozen_lake_from_grid, step)
 from .lsvi import LsviLearner, beta_schedule
 from .oracle import constrained_dp, policy_eval
@@ -93,12 +93,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be one of {allowed}")
         for name, kind in SETTING_TYPES.items():
             value = getattr(self, name)
-            # A bool is a numbers.Integral too, but no count and no scale.
+            # A bool is a numbers.Integral too, but no count.
             if kind is int and (isinstance(value, bool)
                                 or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer")
-            if kind is float and value is not None and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            if kind is float and value is not None and not _is_real(value):
                 raise ValueError(f"{name} must be a real number")
         if self.episodes < 1 or self.horizon < 1:
             raise ValueError("episodes and horizon must be >= 1")

@@ -11,23 +11,27 @@ its steps, checked whole before anything changes.  Step h is read as tables
 over (s, a): lcb_table(h), the (S, A) lower-confidence costs, is the run's
 read, and estimate(h) gives its two parts, the (S, A) posterior mean and
 confidence width, with lcb_table(h) == mean - width bit for bit.  Both
-are defined once, over each model's _mean_width(h): the mean and width per
-column of a one-hot (tabular) feature map or per distinct row of a dense
-one, gathered once over the S*A rows by FeatureMap.gather.  Both models read
-state with a leading H axis that each episode updates: the ridge model
-from the shared design statistics; the GP, over a one-hot map, from
-per-column observation counts and cost sums (O(1) per step to add, one O(d)
-pass to query the posterior and the information gain together, through
-Sherman-Morrison and the matrix determinant lemma), and over a dense map
-from a cross factor L^-1 K(X, F) over the U distinct rows F that grows one
-row per episode and step, each new observation's pivot and innovation read
-from the cached posterior at its row (O(n * U) to add, O(U) to query).  A
-step outside [0, H) raises IndexError.  The GP holds at most K episodes;
-nothing of its one-hot state is sized by K, and its dense state lives in
-arrays allocated once, linear in K.  Widths spend p/H of the model's own p
+are defined once, over each model's _mean_width(): the mean and width of
+every step, (H, d) per column of a one-hot (tabular) feature map or (H, U)
+per distinct row of a dense one, computed in one pass once per data
+version (the episodes the model and its statistics have taken) and
+gathered once over the S*A rows by FeatureMap.gather into an (H, S, A)
+table, which lcb_table(h) hands out step by step as read-only views.  Both models read state with a leading H axis that each episode
+updates: the ridge model from the shared design statistics; the GP, over a
+one-hot map, from per-column observation counts and cost sums (O(1) per
+step to add, one O(H*d) pass to query the posterior and the information
+gain of every step together, through Sherman-Morrison and the matrix
+determinant lemma), and over a dense map from a cross factor L^-1 K(X, F)
+over the U distinct rows F that grows one row per episode and step, each
+new observation's pivot and innovation read from the cached posterior at
+its row (O(n * U) to add, O(H*U) to query).  A step outside [0, H) raises
+IndexError.  The GP holds at most K episodes; nothing of its one-hot state
+is sized by K, and its dense state lives in arrays allocated once, linear
+in K.  Widths spend p/H of the model's own p
 (one union-bound share per step), and width_scale is a practical multiplier
 on the theoretical width (1.0 reproduces the closed forms; benchmark configs
-shrink it).
+shrink it).  width_scale and the sqexp lengthscale are real numbers: a bool
+is rejected, though it compares as 0 or 1.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .envs import FeatureMap, _check_horizon
+from .envs import FeatureMap, _check_horizon, _is_real
 from .lsvi import GramState, _check_lam, _check_step, _episode_arrays
 
 
@@ -88,7 +92,7 @@ def _pointwise_kernel(name: str, lengthscale: float) -> Callable:
     if name == "linear":
         return lambda aa, bb, ab: ab
     if name == "sqexp":
-        if not 0 < lengthscale < math.inf:
+        if not (_is_real(lengthscale) and 0 < lengthscale < math.inf):
             raise ValueError("lengthscale must be positive and finite")
         inv2 = 1.0 / (2.0 * lengthscale ** 2)
         # At a = b the squared distance is 0, or nan at a non-finite point.
@@ -114,32 +118,51 @@ def make_kernel(name: str, lengthscale: float = 1.0) -> Callable:
 
 class _CostModel:
     """A cost model over a feature map, read per step as (S, A) tables
-    gathered through the map from _mean_width(h), the posterior mean and
-    confidence width per column (one-hot) or distinct row."""
+    gathered through the map from _mean_width(), the posterior mean and
+    confidence width of every step per column (one-hot) or distinct row.
+    The pass is made once per data version, _version(): the model's state
+    changes only with one, and each new pass makes new arrays."""
 
     def __init__(self, feature_map: FeatureMap, horizon: int, p: float,
                  width_scale: float):
         if not 0 < p < 1:  # NaN fails both checks
             raise ValueError("p must lie in (0, 1)")
-        if not 0 <= width_scale < math.inf:
+        if not (_is_real(width_scale) and 0 <= width_scale < math.inf):
             raise ValueError("width_scale must be >= 0 and finite")
         _check_horizon(horizon)
         self.fmap = feature_map
         self.H = horizon
         self.p = p
         self.width_scale = width_scale
+        self._pass = None  # (version, mean, width, read-only LCB table)
+
+    def _version(self):
+        """The data version: the episodes observed, count."""
+        return self.count
+
+    def _tables(self) -> tuple:
+        """The pass of the current data version: its mean and width, and
+        the (H, S, A) LCB table mean - width, read-only."""
+        version = self._version()
+        if self._pass is None or self._pass[0] != version:
+            mean, width = self._mean_width()
+            table = self.fmap.gather(mean - width)
+            table.flags.writeable = False
+            self._pass = (version, mean, width, table)
+        return self._pass
 
     def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and confidence width over all (state, action)
-        pairs, two (S, A) tables from the arrays lcb_table(h) reads."""
-        mean, width = self._mean_width(h)
-        return self.fmap.gather(mean), self.fmap.gather(width)
+        pairs, two (S, A) tables from the pass lcb_table(h) reads."""
+        _check_step(h, self.H)
+        _, mean, width, _ = self._tables()
+        return self.fmap.gather(mean[h]), self.fmap.gather(width[h])
 
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape
-        (S, A), gathered once through the map's index."""
-        mean, width = self._mean_width(h)
-        return self.fmap.gather(mean - width)
+        (S, A): a read-only view of step h of the pass's table."""
+        _check_step(h, self.H)
+        return self._tables()[3][h]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +194,7 @@ class LinearCostModel(_CostModel):
                              "horizon, lam and feature map")
         self.stats = stats
         self.b = np.zeros((horizon, feature_map.dim))  # sum phi * cost, per step
+        self.count = 0  # episodes observed
 
     def observe(self, rows, costs) -> None:
         """Add one episode's costs: costs[h] observed at row rows[h] of the
@@ -180,18 +204,23 @@ class LinearCostModel(_CostModel):
         if self._owns_stats:
             self.stats.update(rows)
         self.b += phi * costs[:, None]
+        self.count += 1
 
     def theta(self, h: int) -> np.ndarray:
         _check_step(h, self.H)
         return self.stats.solve(h, self.b[h])
 
-    def _mean_width(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ridge mean and width tilde_beta * ||phi||_{Lambda_h^{-1}} per
-        column or distinct row."""
-        mean, root = self.stats.terms(h, self.theta(h))
+    def _version(self) -> tuple[int, int]:
+        # Shared statistics change with the learner's ingest alone.
+        return self.stats.count, self.count
+
+    def _mean_width(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ridge means, one solve and product per step, and widths
+        tilde_beta * ||phi||_{Lambda_h^{-1}}, per column or distinct row."""
+        mean = np.stack([self.fmap.dot(self.theta(h)) for h in range(self.H)])
         k = self.stats.count + 1  # episode index: data through k-1
         beta = tilde_beta(self.stats.lam, self.fmap.dim, k, self.p / self.H)
-        return mean, self.width_scale * beta * root
+        return mean, self.width_scale * beta * self.stats.roots()
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +245,11 @@ class GpCostModel(_CostModel):
       only through the counts n[h] and cost sums G[h] of each column (both
       (H, d)); a and c are read from one kernel call at construction.  An
       episode adds to one entry of each per step, elementwise over the
-      steps.  A query makes one O(d) pass that yields the posterior mean
-      and variance of every column and, by the matrix determinant lemma,
-      the information gain; a table adds an O(S*A) gather, without a
-      kernel call or a solve.  Nothing is sized by K.
+      steps.  One O(H*d) pass over the (H, d) arrays yields the posterior
+      mean and variance of every column and step and, by the matrix
+      determinant lemma, each step's information gain; the tables add one
+      O(H*S*A) gather, without a kernel call or a solve.  Nothing is sized
+      by K.
     * Dense map: over the map's U distinct rows F, the cross factor
       Z = L^-1 K(X, F) (H, K, U), for L the Cholesky factor of
       K(X, X) + lam*I over the n rows X observed so far, beside logdet[h]
@@ -231,8 +261,8 @@ class GpCostModel(_CostModel):
       L^-1 K(X, y) from Z's column index[y] enters the one product with
       Z, O(n * U) per step.  The pivot is at least sqrt(lam) > 1, repeated
       rows included.  Neither L nor L^-1 g is needed, so neither is kept.
-      A table is O(U) plus an O(S*A) gather, without a kernel call or a
-      solve.
+      The pass reads the (H, U) mean and var whole, O(H*U) plus one
+      O(H*S*A) gather, without a kernel call or a solve.
     """
 
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
@@ -313,10 +343,10 @@ class GpCostModel(_CostModel):
             self.var[h] -= r * r
             self.logdet[h] += 2.0 * math.log(diag)
 
-    def _moments(self, h: int):
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, list]:
         """Posterior mean and variance per column (one-hot) or per distinct
-        row (dense), and the realized information gain
-        0.5 * ln det(I + lam^-1 KER), all in one pass.
+        row (dense), (H, d) or (H, U), and the realized information gain
+        0.5 * ln det(I + lam^-1 KER) of every step, all in one pass.
 
         On the count path, over the observed columns, K(X, X) + lam*I pushes
         through to M = diag(a + lam/n_j) + c*11^T acting on the column means
@@ -328,30 +358,36 @@ class GpCostModel(_CostModel):
 
         in closed form, free of cancellation, and the matrix determinant
         lemma gives the gain 0.5 * [sum_j ln(1 + a n_j/lam) + ln(1 + t)].
-        The sums run over all d columns: an unobserved one has
-        n_j = G_j = 0.
+        The sums run over all d columns of a step (an unobserved one has
+        n_j = G_j = 0), a row of the (H, d) arrays each, and t, s and the
+        gain are one scalar per step.
         """
-        _check_step(h, self.H)
         if not self.fmap.one_hot:
             # ln det(I + lam^-1 KER) >= 0, but observations that add nothing
             # (k(y, y) = 0) leave the difference of logs a rounding off 0.
-            gain = 0.5 * (float(self.logdet[h]) - self.count * math.log(self.lam))
-            return self.mean[h], self.var[h], max(gain, 0.0)
-        a, c, n = self._a, self._c, self.n[h]
+            offset = self.count * math.log(self.lam)
+            gains = [max(0.5 * (float(logdet) - offset), 0.0) for logdet in self.logdet]
+            return self.mean, self.var, gains
+        a, c, n = self._a, self._c, self.n
         w = 1.0 / (a * n + self.lam)
-        g = self.G[h] * w
-        t = c * float((n * w).sum())
+        g = self.G * w
+        t = c * (n * w).sum(axis=1)
         s = c / (1.0 + t)
         e = self.lam * w
-        gain = 0.5 * (float(np.log1p(n * (a / self.lam)).sum()) + math.log1p(t))
-        return a * g + (s * float(g.sum())) * e, a * e + s * e * e, gain
+        logs = np.log1p(n * (a / self.lam)).sum(axis=1)
+        gains = [0.5 * (float(lg) + math.log1p(float(th))) for lg, th in zip(logs, t)]
+        mean = a * g + (s * g.sum(axis=1))[:, None] * e
+        return mean, a * e + s[:, None] * e * e, gains
 
     def info_gain(self, h: int) -> float:
         """Realized information gain 0.5 * ln det(I + lam^-1 KER) of step h."""
-        return self._moments(h)[2]
+        _check_step(h, self.H)
+        return self._moments()[2][h]
 
-    def _mean_width(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and width beta * sigma per column or distinct row."""
-        mean, var, gain = self._moments(h)
-        beta = gp_beta(gain, self.p / self.H)
-        return mean, self.width_scale * beta * np.sqrt(np.maximum(var, 0.0))
+    def _mean_width(self) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior means and widths beta_h * sigma per column or distinct
+        row, beta_h from step h's information gain."""
+        mean, var, gains = self._moments()
+        scales = np.array([self.width_scale * gp_beta(gain, self.p / self.H)
+                           for gain in gains])
+        return mean, scales[:, None] * np.sqrt(np.maximum(var, 0.0))

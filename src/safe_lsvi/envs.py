@@ -34,6 +34,12 @@ def _check_horizon(horizon) -> None:
         raise ValueError(f"horizon must be an integer >= 1, not {horizon!r}")
 
 
+def _is_real(x) -> bool:
+    """The one test of a real-valued setting: a real number and not a bool
+    (nor numpy's), which compares as 0 or 1 but is no scale."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class TabularCmdp:
     """Finite constrained MDP: ground truth for simulation and exact oracles.
@@ -138,8 +144,8 @@ class FeatureMap:
     distinct (U, d) and their squared norms distinct_sq_norms, so that
     distinct[index] has the bytes of flat; on a one-hot map both are None,
     and one_hot says which.  Statistics over a map compute once per column
-    or distinct row, and gather takes them to the (S, A) table through
-    index.  The table is not to be changed afterwards.
+    or distinct row (dot gives <phi, w> so), and gather takes them to the
+    (S, A) table through index.  The table is not to be changed afterwards.
     """
 
     dim: int
@@ -164,11 +170,16 @@ class FeatureMap:
     def one_hot(self) -> bool:
         return self.distinct is None
 
+    def dot(self, w: np.ndarray) -> np.ndarray:
+        """<phi, w> per column (one-hot, where phi = e_j gives w itself) or
+        per distinct row, for gather."""
+        return w if self.one_hot else self.distinct @ w
+
     def gather(self, values: np.ndarray) -> np.ndarray:
-        """values, one per column (one-hot) or distinct row, as the (S, A)
-        table over the map's rows."""
+        """values, one per column (one-hot) or distinct row on the last
+        axis, as the (..., S, A) tables over the map's rows."""
         S, A, _ = self.table.shape
-        return values[self.index].reshape(S, A)
+        return values.take(self.index, axis=-1).reshape(*values.shape[:-1], S, A)
 
     def row(self, i) -> np.ndarray:
         """Row i of flat, the feature of (s, a) with i = s*A + a; for an

@@ -4,9 +4,9 @@ The Q-function and the linear cost LCB regress on the same features, so the
 design statistics are one GramState that the learner and the linear cost
 model share.  It holds, for every step h on a leading H axis, the inverse of
 Lambda_h = lam*I + sum phi phi^T (both models read Lambda_h only through it)
-and the quadratic forms phi^T Lambda_h^{-1} phi, one per distinct feature,
-beside one episode count.  The episode is the unit of ingestion: update
-takes the H rows of one episode, and each model keeps only its own
+and the quadratic forms phi^T Lambda_h^{-1} phi, one per column or distinct
+feature, beside one episode count.  The episode is the unit of ingestion:
+update takes the H rows of one episode, and each model keeps only its own
 regression targets (reward and next-state sums; cost sums) with the same H
 axis.
 
@@ -21,10 +21,17 @@ the dense inverses, updated step by step by the rank-one identity in
 O(d^2), and downdates the cached quadratic forms of the map's U distinct
 rows with the same identity, which keeps the per-episode backward pass to a
 handful of matrix-vector products over those U rows.  Either way it is
-read through solve, the ridge weights, and terms, the mean and the norm
-per column or distinct row, which a model combines and gathers once over
-the S*A rows (FeatureMap.gather).  On one-hot data the dense path only adds
+read through solve, the ridge weights of one step, and roots, the norms
+||phi||_{Lambda_h^{-1}} of every step at once, per column or distinct row,
+which a model combines with the means FeatureMap.dot and gathers over the
+S*A rows (FeatureMap.gather).  On one-hot data the dense path only adds
 exact zeros to what the one-hot path computes, so both give the same bits.
+
+A backward pass does the work that does not depend on V_{h+1} once, over
+the H axis: the bonuses beta * roots and the decoding of the next-state
+keys by step.  Each step then makes only its target sums, one solve, one
+gather and the penalized argmax, and the weights are checked finite once,
+after the sweep.
 
 The learner's regression targets r + V_{h+1}(x') need, per step, the
 features summed by observed next state x'.  On every map the learner keeps
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import FeatureMap, _check_horizon
+from .envs import FeatureMap, _check_horizon, _is_real
 from .penalty import penalized_argmax
 
 DENOM_TOL = 1e-12
@@ -58,9 +65,9 @@ def _episode_arrays(horizon: int, names: str, *columns) -> tuple:
 
 
 def _check_lam(lam) -> None:
-    """The one check of a ridge regularizer lam: positive and finite.  A
-    bool compares as 0 or 1, but is no regularizer."""
-    if isinstance(lam, bool) or not 0 < lam < math.inf:
+    """The one check of a ridge regularizer lam: a real number, positive
+    and finite."""
+    if not (_is_real(lam) and 0 < lam < math.inf):
         raise ValueError("lam must be positive and finite")
 
 
@@ -75,11 +82,11 @@ class GramState:
     """Design statistics of the H steps over a fixed feature map.
 
     inv[h] holds Lambda_h^{-1}: inv is (H, d, d), or (H, d), the diagonals,
-    when the map's features are one-hot.  On a dense map quad[h] (H, U)
-    holds phi^T Lambda_h^{-1} phi per distinct row; on a one-hot map that
-    form is inv[h]'s entry at the row's column.  count is the number of
-    episodes ingested.  It is read through solve and terms, and every
-    query by step checks h against [0, H).
+    when the map's features are one-hot.  quad[h] holds phi^T Lambda_h^{-1}
+    phi per distinct row, (H, U), on a dense map; on a one-hot map that
+    form is inv[h]'s entry at the row's column, and quad is inv itself.
+    count is the number of episodes ingested.  It is read through solve,
+    which checks h against [0, H), and roots.
     """
 
     def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
@@ -90,7 +97,7 @@ class GramState:
         self.H = horizon
         self.count = 0
         if feature_map.one_hot:
-            self.inv = np.ones((horizon, feature_map.dim)) / lam
+            self.inv = self.quad = np.ones((horizon, feature_map.dim)) / lam
         else:
             self.inv = np.tile(np.eye(feature_map.dim) / lam, (horizon, 1, 1))
             self.quad = np.tile(feature_map.distinct_sq_norms / lam, (horizon, 1))
@@ -127,14 +134,11 @@ class GramState:
         _check_step(h, self.H)
         return self.inv[h] * b if self.fmap.one_hot else self.inv[h] @ b
 
-    def terms(self, h: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """<phi, w> and ||phi||_{Lambda_h^{-1}}, the quadratic form clamped
-        at 0, per column of inv (one-hot) or per distinct row, for
-        fmap.gather."""
-        _check_step(h, self.H)
-        if self.fmap.one_hot:
-            return w, np.sqrt(np.maximum(self.inv[h], 0.0))
-        return self.fmap.distinct @ w, np.sqrt(np.maximum(self.quad[h], 0.0))
+    def roots(self) -> np.ndarray:
+        """||phi||_{Lambda_h^{-1}}, the quadratic form clamped at 0, per
+        column (one-hot) or distinct row of every step: (H, d) or (H, U),
+        for fmap.gather."""
+        return np.sqrt(np.maximum(self.quad, 0.0))
 
 
 def beta_schedule(d: int, horizon: int, episodes: int, p: float) -> float:
@@ -176,8 +180,7 @@ class LsviLearner:
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
                  horizon: int, lam: float, beta: float):
-        # A bool compares as 0 or 1, but is no bonus scale.
-        if isinstance(beta, bool) or not 0 <= beta < math.inf:
+        if not (_is_real(beta) and 0 <= beta < math.inf):
             raise ValueError("beta must be >= 0 and finite")
         if feature_map.table.shape[:2] != (num_states, num_actions):
             raise ValueError(f"feature table covers (S, A) = {feature_map.table.shape[:2]}"
@@ -227,14 +230,21 @@ class LsviLearner:
             self.next_keys = np.insert(self.next_keys, pos[new], keys[new])
             self.next_sums = np.insert(self.next_sums, pos[new], vals[new])
 
-    def _next_value_sums(self, h: int, v_next: np.ndarray) -> np.ndarray:
-        """sum_x of the step-h sums of next state x times v_next[x]: per
-        column, bincount adds the keys' terms in array order, which is the
-        order of x, starting from 0.0."""
-        first = h * self.S * self.d
-        lo, hi = np.searchsorted(self.next_keys, (first, first + self.S * self.d))
-        nexts, cols = np.divmod(self.next_keys[lo:hi] - first, self.d)
-        return np.bincount(cols, self.next_sums[lo:hi] * v_next[nexts], minlength=self.d)
+    def _keys_by_step(self) -> list:
+        """next_keys decoded once for a pass: per step h, the next state and
+        column of each of its keys, and their sums (views, in key order)."""
+        span = self.S * self.d
+        bounds = np.searchsorted(self.next_keys, np.arange(self.H + 1) * span)
+        nexts, cols = np.divmod(self.next_keys % span, self.d)
+        return [(nexts[lo:hi], cols[lo:hi], self.next_sums[lo:hi])
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def _next_value_sums(self, keys: tuple, v_next: np.ndarray) -> np.ndarray:
+        """sum_x of one step's sums of next state x times v_next[x], over its
+        keys from _keys_by_step: per column, bincount adds the keys' terms
+        in array order, which is the order of x, starting from 0.0."""
+        nexts, cols, sums = keys
+        return np.bincount(cols, sums * v_next[nexts], minlength=self.d)
 
     def backward_pass(self, ghat: np.ndarray, z: np.ndarray) -> QModel:
         """One sweep h = H..1 of ridge regression plus bonus.
@@ -246,27 +256,29 @@ class LsviLearner:
         table and z the (H,) penalty factors.  Every step's action is
         penalty.penalized_argmax of its row; unpenalized LSVI passes a zero
         table and z = 0, under which Q - 0*max(0, 0) is Q bit for bit and
-        the action is the plain argmax.
+        the action is the plain argmax.  The bonuses and the decoded keys are
+        made once for all H steps.  Non-finite weights (from target sums
+        that overflowed) raise FloatingPointError after the sweep, naming
+        the first step swept that had them.
         """
         H, S, A = self.H, self.S, self.A
         weights = np.zeros((H, self.d))
         q_table = np.zeros((H, S, A))
         v_table = np.zeros((H, S))
         policy = np.zeros((H, S), dtype=np.int64)
+        bonus = self.beta * self.stats.roots()
+        keys = self._keys_by_step()
         v_next = np.zeros(S)
-        rows = np.arange(S)
+        states = np.arange(S)
         for h in range(H - 1, -1, -1):
-            b = self.reward_feats[h] + self._next_value_sums(h, v_next)
-            w = self.stats.solve(h, b)
-            if not np.isfinite(w).all():
-                raise FloatingPointError(f"non-finite regression weights at step {h}")
-            mean, root = self.stats.terms(h, w)
-            q = np.minimum(self.fmap.gather(mean + self.beta * root), float(H))
-            a_star = penalized_argmax(q, ghat[h], z[h])
-            weights[h] = w
-            q_table[h] = q
-            policy[h] = a_star
-            v_next = q[rows, a_star]
-            v_table[h] = v_next
+            b = self.reward_feats[h] + self._next_value_sums(keys[h], v_next)
+            w = weights[h] = self.stats.solve(h, b)
+            q = np.minimum(self.fmap.gather(self.fmap.dot(w) + bonus[h]), float(H),
+                           out=q_table[h])
+            a_star = policy[h] = penalized_argmax(q, ghat[h], z[h])
+            v_next = v_table[h] = q[states, a_star]
+        if not np.isfinite(weights).all():
+            bad = np.flatnonzero(~np.isfinite(weights).all(axis=1))
+            raise FloatingPointError(f"non-finite regression weights at step {bad[-1]}")
         return QModel(weights=weights, q_table=q_table, v_table=v_table,
                       policy=policy)

@@ -739,16 +739,19 @@ def test_benchmark_sets_up_every_workload(name):
         assert fmap.table.shape[:2] == (cmdp.num_states, cmdp.num_actions)
 
 
-@pytest.mark.parametrize("name", ["lake_linear", "lake_gp"])
+@pytest.mark.parametrize("name", ["lake_linear", "lake_gp", "hard_wide"])
 def test_a_traced_round_counts_each_model_call_once(name):
     # perfbench's tracer wraps every public method where it is defined: an
     # inherited method wrapped twice, or not at all, would miscount here.
+    # A cost model computes its tables once per episode, but is still read
+    # once per step, and every step still takes its own penalized argmax.
     configs = WORKLOADS[name].cells(3, True)
     with Tracer() as tracer:
         for config in configs:
             run_experiment(config)
-    assert tracer.spans["costs.lcb_table"].calls == \
-        sum(c.episodes * c.horizon for c in configs)
+    for span in ("costs.lcb_table", "penalty.penalized_argmax"):
+        assert tracer.spans[span].calls == sum(c.episodes * c.horizon for c in configs)
+    assert tracer.spans["lsvi.backward_pass"].calls == sum(c.episodes for c in configs)
     assert tracer.spans["costs.observe"].calls == sum(c.episodes for c in configs)
     if name == "lake_gp":
         assert tracer.counters["costs.kernel.calls"] == 1

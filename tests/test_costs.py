@@ -514,6 +514,25 @@ def test_sqexp_rejects_a_lengthscale_outside_the_positive_reals(lengthscale):
                     feature_map=one_hot_features(3, 2))
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np-True"])
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+def test_cost_models_reject_a_bool_for_a_real_setting(value, one_hot):
+    # A bool compares as 0 or 1: width_scale=True and lengthscale=True ran
+    # as 1.0, and width_scale=False as 0.0.
+    fmap = one_hot_features(2, 2) if one_hot else map_of([[0.3, 0.4]])
+    builds = {
+        "width_scale": [lambda: LinearCostModel(fmap, 3, width_scale=value),
+                        lambda: GpCostModel("sqexp", 10, 3, width_scale=value,
+                                            feature_map=fmap)],
+        "lengthscale": [lambda: GpCostModel("sqexp", 10, 3, lengthscale=value,
+                                            feature_map=fmap),
+                        lambda: make_kernel("sqexp", value)]}
+    for message, makers in builds.items():
+        for make in makers:
+            with pytest.raises(ValueError, match=message):
+                make()
+
+
 def _array_bytes(model):
     """Bytes of every array a model holds, in lists of arrays too."""
     return sum(x.nbytes for v in vars(model).values()
@@ -739,6 +758,108 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
 
 
 # ---------------------------------------------------------------------------
+# One pass for every step, once per data version
+# ---------------------------------------------------------------------------
+
+def _count_moments_of_step(model, h):
+    """Step h's posterior mean, variance and information gain on the
+    one-hot GP's count path, evaluated for that step alone by the closed
+    forms of GpCostModel._moments."""
+    a, c, lam, n = model._a, model._c, model.lam, model.n[h]
+    w = 1.0 / (a * n + lam)
+    g = model.G[h] * w
+    t = c * float((n * w).sum())
+    s = c / (1.0 + t)
+    e = lam * w
+    gain = 0.5 * (float(np.log1p(n * (a / lam)).sum()) + math.log1p(t))
+    return a * g + (s * float(g.sum())) * e, a * e + s * e * e, gain
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, horizon=st.sampled_from([1, 3, 15]), kernel=GP_KERNELS)
+def test_all_steps_pass_equals_a_per_step_evaluation_bitwise(seed, horizon, kernel):
+    # One-hot maps, where the last column is never observed (n_j = G_j = 0)
+    # whenever there are two or more.
+    rng = np.random.default_rng(seed)
+    S, A = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+    fmap, K = one_hot_features(S, A), int(rng.integers(1, 25))
+    name, lengthscale = kernel
+    gp = GpCostModel(name, K, horizon, lengthscale=lengthscale,
+                     p=float(rng.uniform(0.01, 0.5)),
+                     width_scale=float(rng.uniform(0.0, 2.0)), feature_map=fmap)
+    gram = GramState(fmap, float(rng.uniform(0.05, 5.0)), horizon)
+    for _ in range(int(rng.integers(0, K + 1))):
+        rows = rng.integers(max(S * A - 1, 1), size=horizon)
+        gp.observe(rows, rng.uniform(-1, 1, size=horizon))
+        gram.update(rows)
+    mean, var, gains = gp._moments()
+    roots = gram.roots()
+    for h in range(horizon):
+        step_mean, step_var, step_gain = _count_moments_of_step(gp, h)
+        assert mean[h].tobytes() == step_mean.tobytes()
+        assert var[h].tobytes() == step_var.tobytes()
+        assert np.float64(gains[h]).tobytes() == np.float64(step_gain).tobytes()
+        width = gp.width_scale * gp_beta(step_gain, gp.p / horizon) * \
+            np.sqrt(np.maximum(step_var, 0.0))
+        assert gp.lcb_table(h).tobytes() == fmap.gather(step_mean - width).tobytes()
+        assert roots[h].tobytes() == np.sqrt(np.maximum(gram.inv[h], 0.0)).tobytes()
+
+
+def _random_episode(rng, S, A, H):
+    """rows, rewards, next states and costs of one random episode."""
+    return (rng.integers(S * A, size=H), rng.uniform(0, 1, size=H),
+            rng.integers(S, size=H), rng.uniform(-1, 1, size=H))
+
+
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+def test_shared_statistics_table_follows_the_learner_ingest(one_hot):
+    # The learner's ingest alone changes the shared statistics: the table
+    # read after it is that of a model built fresh on the same history.
+    rng = np.random.default_rng(3)
+    S, A, H = 3, 2, 4
+    fmap = one_hot_features(S, A) if one_hot else _toy_fmap(rng, S=S, A=A, d=3)
+    learner = LsviLearner(fmap, S, A, H, lam=1.0, beta=1.0)
+    model = LinearCostModel(fmap, H, stats=learner.stats)
+    costs = []
+    for _ in range(3):
+        rows, rewards, nexts, step_costs = _random_episode(rng, S, A, H)
+        learner.ingest_episode(rows, rewards, nexts)
+        model.observe(rows, step_costs)
+        costs.append((rows, step_costs))
+    before = [model.lcb_table(h).copy() for h in range(H)]
+    rows, rewards, nexts, _ = _random_episode(rng, S, A, H)
+    learner.ingest_episode(rows, rewards, nexts)
+    fresh = LinearCostModel(fmap, H, stats=learner.stats)
+    for rows, step_costs in costs:
+        fresh.observe(rows, step_costs)
+    after = [model.lcb_table(h) for h in range(H)]
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(after, before))
+    for h in range(H):
+        assert after[h].tobytes() == fresh.lcb_table(h).tobytes()
+        mean, width = model.estimate(h)
+        assert after[h].tobytes() == (mean - width).tobytes()
+
+
+@pytest.mark.parametrize("name", ["linear", "gp"])
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+def test_a_table_is_read_only_and_follows_each_observe(name, one_hot):
+    fmap = one_hot_features(2, 2) if one_hot else \
+        _toy_fmap(np.random.default_rng(0), S=2, A=2)
+    model = LinearCostModel(fmap, 2) if name == "linear" else \
+        GpCostModel("sqexp", 4, 2, feature_map=fmap)
+    model.observe(np.array([1, 3]), np.array([0.5, -0.25]))
+    table = model.lcb_table(0)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
+    assert model.lcb_table(0) is not table  # each read is a new view
+    kept = table.copy()
+    model.observe(np.array([1, 2]), np.array([0.75, 0.5]))
+    assert model.lcb_table(0).tobytes() != kept.tobytes()
+    # The rebuilt pass is new arrays: the table handed out before is unchanged.
+    assert table.tobytes() == kept.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # Dense maps over their distinct rows (property tests)
 # ---------------------------------------------------------------------------
 
@@ -852,7 +973,7 @@ def test_distinct_row_statistics_equal_full_row_references(seed):
     assert linear.stats.fmap is fmap
     for h, ref in enumerate(grams):
         w, scale = rng.normal(size=d), float(rng.uniform(-3.0, 3.0))
-        mean, root = linear.stats.terms(h, w)
+        mean, root = fmap.dot(w), linear.stats.roots()[h]
         bounds = fmap.gather(mean + scale * root).ravel()
         assert np.abs(bounds - ref.bounds(w, scale)).max() <= 1e-12
         beta = linear.width_scale * tilde_beta(lam, d, ref.count + 1, linear.p / H)
@@ -1066,7 +1187,7 @@ def _step_queries(fmap):
     linear = LinearCostModel(fmap, horizon=2)
     gp = GpCostModel("sqexp", total_episodes=4, horizon=2, feature_map=fmap)
     w = np.zeros(fmap.dim)
-    return {"gram.solve": lambda h: g.solve(h, w), "gram.terms": lambda h: g.terms(h, w),
+    return {"gram.solve": lambda h: g.solve(h, w),
             "linear.theta": linear.theta, "linear.estimate": linear.estimate,
             "linear.lcb_table": linear.lcb_table, "gp.estimate": gp.estimate,
             "gp.lcb_table": gp.lcb_table, "gp.info_gain": gp.info_gain}

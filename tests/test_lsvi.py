@@ -140,8 +140,11 @@ def test_one_hot_update_stops_when_the_inverse_overflows():
 
 @pytest.mark.parametrize("lam, beta, message", [
     (math.nan, 1.0, "lam"), (1.0, math.nan, "beta"), (1.0, -5.0, "beta"),
-    (1.0, math.inf, "beta"), (1.0, True, "beta must be >= 0 and finite")],
-    ids=["nan-lam", "nan-beta", "negative-beta", "inf-beta", "bool-beta"])
+    (1.0, math.inf, "beta"), (1.0, True, "beta must be >= 0 and finite"),
+    (1.0, np.True_, "beta must be >= 0 and finite"),
+    (np.True_, 1.0, "lam must be positive and finite")],
+    ids=["nan-lam", "nan-beta", "negative-beta", "inf-beta", "bool-beta",
+         "numpy-bool-beta", "numpy-bool-lam"])
 def test_learner_rejects_bad_lam_and_beta(lam, beta, message):
     with pytest.raises(ValueError, match=message):
         LsviLearner(one_hot_features(2, 2), 2, 2, horizon=3, lam=lam, beta=beta)
@@ -353,6 +356,22 @@ def test_backward_pass_empty_history():
     plan = learner.backward_pass(np.zeros((4, 3, 2)), np.zeros(4))
     assert np.array_equal(plan.q_table, np.full((4, 3, 2), 4.0))
     assert np.array_equal(plan.v_table, np.full((4, 3), 4.0))
+
+
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+def test_backward_pass_rejects_non_finite_weights(one_hot):
+    # Step 1's reward sums overflow to inf (1e308 + 1e308) and its weights
+    # with them; the pass names the first step swept that has them.
+    fmap = one_hot_features(2, 2) if one_hot else map_of([[1.0, 0.0], [0.6, 0.8]])
+    S, A = fmap.table.shape[:2]
+    learner = LsviLearner(fmap, S, A, 3, lam=1.0, beta=1.0)
+    with np.errstate(over="ignore"):
+        for _ in range(2):
+            learner.ingest_episode([0, 0, 0], [0.5, 1e308, 0.5], [0, 0, 0])
+    assert not np.isfinite(learner.reward_feats[1]).all()
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="non-finite regression weights at step 1"):
+        learner.backward_pass(np.zeros((3, S, A)), np.zeros(3))
 
 
 def test_backward_pass_matches_reference():
@@ -604,7 +623,8 @@ def _assert_target_sums_equal_a_per_step_loop(learner, episodes, v_next):
         ordered = np.zeros(d)
         for x in range(S):
             ordered += next_feats[h][:, x] * v_next[x]
-        assert learner._next_value_sums(h, v_next).tobytes() == ordered.tobytes()
+        assert learner._next_value_sums(learner._keys_by_step()[h], v_next).tobytes() == \
+            ordered.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

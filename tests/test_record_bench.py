@@ -1,6 +1,6 @@
-"""tools/record_bench.py: the per-side summary and the pair counts it
-records, on synthetic run records (no benchmark run), one tiny CLI cell run
-through run_cell and one Tier-1 run of a two-test selection."""
+"""tools/record_bench.py: the per-side summary, the pair counts and the
+verdicts it records, on synthetic run records (no benchmark run), one tiny
+CLI cell run through run_cell and one Tier-1 run of a two-test selection."""
 
 import hashlib
 import importlib.util
@@ -99,3 +99,58 @@ def test_run_tier1_counts_the_passed_and_failed_tests(tmp_path):
     assert (run["passed"], run["failed"]) == (1, 1)
     assert run["wall_s"] > 0.0
 
+
+
+BOUNDED = [{**m, "bound": 0.25} for m in METRICS]
+BASE_RATES = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]
+
+
+def _verdict(change_values, baseline_values, metric):
+    """The verdict on metric of synthetic runs with these values; the other
+    metric is 1.0 on every run."""
+    def runs(values):
+        if metric["name"] == "wall_s":
+            return [_run(i + 1, v, 1.0) for i, v in enumerate(values)]
+        return [_run(i + 1, 1.0, v) for i, v in enumerate(values)]
+    change, baseline = runs(change_values), runs(baseline_values)
+    summary = {side: record_bench.summarize(r, BOUNDED)["metrics"][metric["name"]]
+               for side, r in (("change", change), ("baseline", baseline))}
+    return record_bench.verdict(summary["change"], summary["baseline"],
+                                record_bench.wins(change, baseline, metric), metric)
+
+
+def test_verdict_calls_a_gain_on_nine_pairs_and_a_median_beyond_the_iqr():
+    wall, rate = BOUNDED
+    q1, _, q3 = statistics.quantiles(BASE_RATES, n=4)
+    assert q3 - q1 < 5.0
+    assert _verdict([v + 5.0 for v in BASE_RATES], BASE_RATES, rate) == "gain"
+    # Nine pairs won (the tenth lost) is still a gain; eight is not.
+    nine = [v + 5.0 for v in BASE_RATES[:9]] + [BASE_RATES[9] - 1.0]
+    assert _verdict(nine, BASE_RATES, rate) == "gain"
+    eight = [v + 5.0 for v in BASE_RATES[:8]] + [v - 1.0 for v in BASE_RATES[8:]]
+    assert _verdict(eight, BASE_RATES, rate) == "unchanged"
+    # Every pair won, by less than the baseline's interquartile range.
+    assert _verdict([v + 0.5 for v in BASE_RATES], BASE_RATES, rate) == "unchanged"
+    # Lower is better for a time: the same runs, read as wall times.
+    walls = [v / 100.0 for v in BASE_RATES]
+    assert _verdict([v - 0.05 for v in walls], walls, wall) == "gain"
+    assert _verdict([v + 0.05 for v in walls], walls, wall) == "unchanged"
+
+
+def test_verdict_calls_worse_beyond_the_bound_and_unresolved_beyond_the_spread():
+    wall, rate = BOUNDED
+    # 30 % fewer episodes per second, and 30 % more wall time, against a
+    # bound of 25 %; 20 % is within it.
+    assert _verdict([v * 0.7 for v in BASE_RATES], BASE_RATES, rate) == "worse"
+    assert _verdict([v * 0.8 for v in BASE_RATES], BASE_RATES, rate) == "unchanged"
+    walls = [v / 100.0 for v in BASE_RATES]
+    assert _verdict([v * 1.3 for v in walls], walls, wall) == "worse"
+    # A spread wider than the bound on either side cannot be told apart,
+    # even when every pair is won, unless every run of the change is better
+    # than every run of the baseline.
+    wide = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0, 65.0, 135.0]
+    assert _verdict([v + 50.0 for v in wide], wide, rate) == "unresolved"
+    assert _verdict(wide, BASE_RATES, rate) == "unresolved"
+    assert _verdict(BASE_RATES, wide, rate) == "unresolved"
+    assert _verdict([v + 81.0 for v in wide], wide, rate) == "gain"
+    assert _verdict([v + 200.0 for v in BASE_RATES], BASE_RATES, rate) == "gain"

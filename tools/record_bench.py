@@ -9,7 +9,8 @@ the working tree and on a checkout of the git revision REV, made with
 whose order alternates (the baseline first in odd pairs).  Per side it
 keeps, per end-to-end metric, each run's value with their median and
 quartiles, each run's results.csv digests and the failed and attempted
-counts, and per metric it counts the pairs the working tree wins.
+counts, and per metric it counts the pairs the working tree wins and
+gives a verdict (see verdict): gain, worse, unresolved or unchanged.
 
 Under "cells" it records the whole CLI runs that perfbench does not cover
 (CLI_CELLS): the three K=1000 frozen-lake cells, the K=1000 GP lake run and
@@ -40,7 +41,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = 10  # a gain is claimed on at least nine of ten pairs
+RUNS = 10
+GAIN_PAIRS = 9  # a gain is claimed on at least nine of ten pairs
 CELL_RUNS = 3
 LAKE_K1000 = ["--env", "frozen_lake", "--episodes", "1000", "--horizon", "15",
               "--beta-override", "1.0", "--cost-width-scale", "0.02", "--seed", "0"]
@@ -153,6 +155,34 @@ def wins(change: list, baseline: list, metric: dict) -> int:
                for c, b in zip(change, baseline))
 
 
+def verdict(change: dict, baseline: dict, won: int, metric: dict) -> str:
+    """One metric's verdict from each side's summary (values, median, q1,
+    q3), the pairs the change won and the metric's entry in BENCHMARK.json:
+
+    * worse: the change's median is worse than the baseline's by more than
+      the metric's bound, a fraction of the baseline's median;
+    * unresolved: either side's interquartile range is wider than the bound
+      times its median, too wide to tell a change of that size, unless
+      every run of the change reads better than every run of the baseline;
+    * gain: the change won at least GAIN_PAIRS pairs, and its median is
+      better by more than the baseline's interquartile range;
+    * unchanged otherwise.
+    """
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    better_by = sign * (change["median"] - baseline["median"])
+    bound = metric["bound"]
+    if -better_by > bound * abs(baseline["median"]):
+        return "worse"
+    separated = min(sign * v for v in change["values"]) > \
+        max(sign * v for v in baseline["values"])
+    if not separated and any(side["q3"] - side["q1"] > bound * abs(side["median"])
+                             for side in (change, baseline)):
+        return "unresolved"
+    if won >= GAIN_PAIRS and better_by > baseline["q3"] - baseline["q1"]:
+        return "gain"
+    return "unchanged"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/record_bench.py", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -190,6 +220,10 @@ def main(argv=None) -> int:
             entry = {side: summarize(runs[side], metrics) for side in sides}
             entry["change_wins"] = {m["name"]: wins(runs["change"], runs["baseline"], m)
                                     for m in metrics}
+            entry["verdict"] = {m["name"]: verdict(
+                entry["change"]["metrics"][m["name"]], entry["baseline"]["metrics"][m["name"]],
+                entry["change_wins"][m["name"]], m) for m in metrics}
+            print(f"{workload} verdicts: {entry['verdict']}", file=sys.stderr)
             record["workloads"][workload] = entry
         for name, cell_args in CLI_CELLS.items():
             runs = {side: [] for side in sides}
