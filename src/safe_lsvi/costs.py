@@ -9,29 +9,32 @@ of the feature map, so both models take row indices s*A + a and nothing
 else.  observe(rows, costs) ingests one episode, the (H,) rows and costs of
 its steps, checked whole before anything changes.  Step h is read as tables
 over (s, a): lcb_table(h), the (S, A) lower-confidence costs, is the run's
-read, and estimate(h) gives its two parts, the (S, A) posterior mean and
-confidence width, with lcb_table(h) == mean - width bit for bit.  Both
-are defined once, over each model's _mean_width(): the mean and width of
-every step, (H, d) per column of a one-hot (tabular) feature map or (H, U)
-per distinct row of a dense one, computed in one pass once per data
-version (the episodes the model and its statistics have taken) and
-gathered once over the S*A rows by FeatureMap.gather into an (H, S, A)
-table, which lcb_table(h) hands out step by step as read-only views.  Both models read state with a leading H axis that each episode
-updates: the ridge model from the shared design statistics; the GP, over a
-one-hot map, from per-column observation counts and cost sums (O(1) per
-step to add, one O(H*d) pass to query the posterior and the information
-gain of every step together, through Sherman-Morrison and the matrix
-determinant lemma), and over a dense map from a cross factor L^-1 K(X, F)
-over the U distinct rows F that grows one row per episode and step, each
-new observation's pivot and innovation read from the cached posterior at
-its row (O(n * U) to add, O(H*U) to query).  A step outside [0, H) raises
-IndexError.  The GP holds at most K episodes; nothing of its one-hot state
-is sized by K, and its dense state lives in arrays allocated once, linear
-in K.  Widths spend p/H of the model's own p
-(one union-bound share per step), and width_scale is a practical multiplier
-on the theoretical width (1.0 reproduces the closed forms; benchmark configs
-shrink it).  width_scale and the sqexp lengthscale are real numbers: a bool
-is rejected, though it compares as 0 or 1.
+read.  Each model's _mean_width() gives the mean and width of every step,
+(H, d) per column of a one-hot (tabular) feature map or (H, U) per distinct
+row of a dense one, in one pass.  Once per data version (the episodes the
+model and its statistics have taken) the base class makes from it one
+(H, S, A) table, mean - width gathered over the S*A rows by
+FeatureMap.gather, checks it finite there (FloatingPointError otherwise,
+with nothing cached) and keeps it alone: lcb_table(h) hands out its step h
+as a read-only view.  estimate(h) gives the two parts of step h, the (S, A)
+posterior mean and confidence width, from a pass of its own, with
+lcb_table(h) == mean - width bit for bit.
+
+Both models read state with a leading H axis that each episode updates: the
+ridge model from the shared design statistics; the GP, over a one-hot map,
+from per-column observation counts and cost sums (O(1) per step to add, one
+O(H*d) pass to query the posterior and the information gain of every step
+together, through Sherman-Morrison and the matrix determinant lemma), and
+over a dense map from a cross factor L^-1 K(X, F) over the U distinct rows F
+that grows one row per episode and step, each new observation's pivot and
+innovation read from the cached posterior at its row (O(n * U) to add,
+O(H*U) to query).  A step outside [0, H) raises IndexError.  The GP holds at
+most K episodes; nothing of its one-hot state is sized by K, and its dense
+state lives in arrays allocated once, linear in K.  Widths spend p/H of the
+model's own p (one union-bound share per step), and width_scale is a
+practical multiplier on the theoretical width (1.0 reproduces the closed
+forms; benchmark configs shrink it).  width_scale and the sqexp lengthscale
+are real numbers: a bool is rejected, though it compares as 0 or 1.
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ class _CostModel:
     """A cost model over a feature map, read per step as (S, A) tables
     gathered through the map from _mean_width(), the posterior mean and
     confidence width of every step per column (one-hot) or distinct row.
-    The pass is made once per data version, _version(): the model's state
-    changes only with one, and each new pass makes new arrays."""
+    The LCB table is made once per data version, _version(): the model's
+    state changes only with one, and each new table is a new array."""
 
     def __init__(self, feature_map: FeatureMap, horizon: int, p: float,
                  width_scale: float):
@@ -134,35 +137,38 @@ class _CostModel:
         self.H = horizon
         self.p = p
         self.width_scale = width_scale
-        self._pass = None  # (version, mean, width, read-only LCB table)
+        self._pass = None  # (version, read-only LCB table)
 
     def _version(self):
         """The data version: the episodes observed, count."""
         return self.count
 
-    def _tables(self) -> tuple:
-        """The pass of the current data version: its mean and width, and
-        the (H, S, A) LCB table mean - width, read-only."""
+    def _table(self) -> np.ndarray:
+        """The (H, S, A) LCB table mean - width of the current data version,
+        read-only, checked finite when it is made."""
         version = self._version()
         if self._pass is None or self._pass[0] != version:
             mean, width = self._mean_width()
             table = self.fmap.gather(mean - width)
+            if not np.isfinite(table).all():
+                raise FloatingPointError("non-finite cost estimate at episode "
+                                         f"{self.count + 1}")
             table.flags.writeable = False
-            self._pass = (version, mean, width, table)
-        return self._pass
+            self._pass = (version, table)
+        return self._pass[1]
 
     def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and confidence width over all (state, action)
-        pairs, two (S, A) tables from the pass lcb_table(h) reads."""
+        pairs, two (S, A) tables from a pass of their own."""
         _check_step(h, self.H)
-        _, mean, width, _ = self._tables()
+        mean, width = self._mean_width()
         return self.fmap.gather(mean[h]), self.fmap.gather(width[h])
 
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape
-        (S, A): a read-only view of step h of the pass's table."""
+        (S, A): a read-only view of step h of the version's table."""
         _check_step(h, self.H)
-        return self._tables()[3][h]
+        return self._table()[h]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +223,8 @@ class LinearCostModel(_CostModel):
     def _mean_width(self) -> tuple[np.ndarray, np.ndarray]:
         """Ridge means, one solve and product per step, and widths
         tilde_beta * ||phi||_{Lambda_h^{-1}}, per column or distinct row."""
-        mean = np.stack([self.fmap.dot(self.theta(h)) for h in range(self.H)])
+        mean = np.stack([self.fmap.dot(self.stats.solve(h, self.b[h]))
+                         for h in range(self.H)])
         k = self.stats.count + 1  # episode index: data through k-1
         beta = tilde_beta(self.stats.lam, self.fmap.dim, k, self.p / self.H)
         return mean, self.width_scale * beta * self.stats.roots()

@@ -246,13 +246,13 @@ DEFAULT_LAKE_MAP = "\n".join([
 
 
 def build_frozen_lake(width: int, height: int, hazard_cells, goal_cell: int,
-                      horizon: int, start_cell: int = 0,
-                      cost_noise: float = 0.0) -> tuple[TabularCmdp, FeatureMap]:
+                      horizon: int, start_cell: int = 0) -> tuple[TabularCmdp, FeatureMap]:
     """Slippery gridworld: intended move with prob 0.9, each orthogonal
     direction with prob 0.05; off-grid mass stays in place; the goal is
     absorbing.  Stepping toward a hazard (intended, not slipped, destination)
-    has mean cost +1; every other action costs -1.  Rewards are 6 at the goal
-    and 0.01 elsewhere, stored divided by 6 with reward_scale = 6.
+    has mean cost +1; every other action costs -1, observed without noise.
+    Rewards are 6 at the goal and 0.01 elsewhere, stored divided by 6 with
+    reward_scale = 6.
     """
     n = width * height
     if n < 2:
@@ -295,13 +295,11 @@ def build_frozen_lake(width: int, height: int, hazard_cells, goal_cell: int,
 
     cmdp = TabularCmdp(num_states=n, num_actions=4, horizon=horizon,
                        transition=P, reward=R, cost_mean=G,
-                       initial_state=start_cell, cost_noise=cost_noise,
-                       reward_scale=6.0)
+                       initial_state=start_cell, reward_scale=6.0)
     return cmdp, one_hot_features(n, 4)
 
 
-def frozen_lake_from_grid(text: str, horizon: int,
-                          cost_noise: float = 0.0) -> tuple[TabularCmdp, FeatureMap]:
+def frozen_lake_from_grid(text: str, horizon: int) -> tuple[TabularCmdp, FeatureMap]:
     """Parse an ASCII map: 'S' start, 'G' goal, 'H' hazard, '.' free."""
     rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
     height = len(rows)
@@ -329,16 +327,15 @@ def frozen_lake_from_grid(text: str, horizon: int,
                 raise ValueError(f"unknown map character {ch!r}")
     if start is None or goal is None:
         raise ValueError("map needs one 'S' and one 'G'")
-    return build_frozen_lake(width, height, hazards, goal, horizon,
-                             start_cell=start, cost_noise=cost_noise)
+    return build_frozen_lake(width, height, hazards, goal, horizon, start_cell=start)
 
 
 # ---------------------------------------------------------------------------
 # Synthetic CMDP with exactly linear costs
 # ---------------------------------------------------------------------------
 
-def build_synthetic_linear(d: int, horizon: int, seed, cost_noise: float = 0.1,
-                           ) -> tuple[TabularCmdp, FeatureMap, np.ndarray]:
+def build_synthetic_linear(d: int, horizon: int,
+                           seed) -> tuple[TabularCmdp, FeatureMap, np.ndarray]:
     """Random small tabular CMDP whose mean costs are exactly
     <phi(s,a), theta_h>, with the generating theta returned for oracle tests.
 
@@ -347,9 +344,11 @@ def build_synthetic_linear(d: int, horizon: int, seed, cost_noise: float = 0.1,
     of (s, a) is exactly linear and the value-iteration regression is well
     specified.  theta_h is the cost table itself, hence ||theta_h|| <=
     0.9 * sqrt(d); costs are drawn in [-0.9, 0.9] with at least one negative
-    entry per state.  Rewards on unsafe actions are damped and redrawn until
-    the optimal safe policy attains the unconstrained optimum, which keeps
-    benchmark regret increments nonnegative.
+    entry per state, observed with noise of scale 0.1 (the CMDP's
+    cost_noise; dataclasses.replace gives another).  Rewards on unsafe
+    actions are damped and redrawn until the optimal safe policy attains the
+    unconstrained optimum, which keeps benchmark regret increments
+    nonnegative.
     """
     if d < 2:
         raise ValueError("feature dimension must be >= 2")
@@ -390,8 +389,7 @@ def build_synthetic_linear(d: int, horizon: int, seed, cost_noise: float = 0.1,
         R[unsafe] *= 0.25
         cmdp = TabularCmdp(num_states=num_states, num_actions=num_actions,
                            horizon=horizon, transition=P, reward=R,
-                           cost_mean=costs, initial_state=0,
-                           cost_noise=cost_noise)
+                           cost_mean=costs, initial_state=0, cost_noise=0.1)
         _, safe_tab = constrained_dp(cmdp)
         v_unc = value_iteration(cmdp)
         if safe_tab.v[0, 0] == v_unc[0, 0]:

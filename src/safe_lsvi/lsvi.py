@@ -246,22 +246,27 @@ class LsviLearner:
         nexts, cols, sums = keys
         return np.bincount(cols, sums * v_next[nexts], minlength=self.d)
 
-    def backward_pass(self, ghat: np.ndarray, z: np.ndarray) -> QModel:
+    def backward_pass(self, ghat, z: np.ndarray) -> QModel:
         """One sweep h = H..1 of ridge regression plus bonus.
 
         Regression targets are r + V_{h+1}(x') where V_{h+1} comes from this
         pass's own penalized argmax (SARSA-style backup: with constraints the
         next-step value is the value of the action the policy would take, not
-        the unpenalized maximum).  ghat is the (H, S, A) optimistic cost
-        table and z the (H,) penalty factors.  Every step's action is
-        penalty.penalized_argmax of its row; unpenalized LSVI passes a zero
-        table and z = 0, under which Q - 0*max(0, 0) is Q bit for bit and
-        the action is the plain argmax.  The bonuses and the decoded keys are
-        made once for all H steps.  Non-finite weights (from target sums
-        that overflowed) raise FloatingPointError after the sweep, naming
-        the first step swept that had them.
+        the unpenalized maximum).  ghat holds the H optimistic cost tables,
+        ghat[h] step h's (S, A) table (an (H, S, A) array or a sequence of H
+        tables), and z the (H,) penalty factors, one scalar per step; any
+        other count of tables or shape of z raises ValueError before any
+        work.  Every step's action is penalty.penalized_argmax of its row;
+        unpenalized LSVI passes a zero table and z = 0, under which
+        Q - 0*max(0, 0) is Q bit for bit and the action is the plain
+        argmax.  The bonuses and the decoded keys are made once for all H
+        steps.  Non-finite weights (from target sums that overflowed) raise
+        FloatingPointError after the sweep, naming the first step swept that
+        had them.
         """
         H, S, A = self.H, self.S, self.A
+        if np.shape(z) != (H,) or len(ghat) != H:
+            raise ValueError(f"ghat must hold {H} tables and z have shape ({H},)")
         weights = np.zeros((H, self.d))
         q_table = np.zeros((H, S, A))
         v_table = np.zeros((H, S))

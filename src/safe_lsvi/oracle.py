@@ -5,13 +5,15 @@ a nonpositive-mean-cost action at every (step, state); it comes from plain
 backward induction with the maximization restricted to the safe action set.
 Brute-force policy enumeration provides an independent cross-check.
 
-The optimizing backups (constrained_dp, value_iteration) form the whole
-(S, A) table r_h + P_h v_{h+1} per step.  Evaluating a fixed policy needs
-one action per state, so policy_eval gathers the (S, S) transition rows of
-the chosen actions and backs up along them alone: per step one (S, S)
-matrix-vector product instead of the (S, A, S) one.  Each entry of v is
-the dot product of one transition row with v_{h+1} either way; both products
-still go through BLAS, so their bits are those of the OpenBLAS kernel in use.
+One backward induction, _backup, gives both optima: constrained_dp
+restricts each (h, s) to its safe actions and value_iteration lets every
+action count as safe.  It forms the whole (S, A) table r_h + P_h v_{h+1} per
+step.  Evaluating a fixed policy needs one action per state, so policy_eval
+gathers the (S, S) transition rows of the chosen actions and backs up along
+them alone: per step one (S, S) matrix-vector product instead of the
+(S, A, S) one.  Each entry of v is the dot product of one transition row with
+v_{h+1} either way; both products still go through BLAS, so their bits are
+those of the OpenBLAS kernel in use.
 """
 
 from __future__ import annotations
@@ -35,18 +37,10 @@ class ValueTable:
     q: np.ndarray
 
 
-def _q_layer(cmdp: TabularCmdp, h: int, v_next: np.ndarray) -> np.ndarray:
-    return cmdp.reward[h] + cmdp.transition[h] @ v_next
-
-
-def constrained_dp(cmdp: TabularCmdp) -> tuple[np.ndarray, ValueTable]:
-    """Backward induction restricted at each (h, s) to actions with mean cost
-    <= 0 (exact comparison, no tolerance).  Returns (policy, values) where
-    policy[h, s] is the safe argmax, ties broken by lowest action index.
-    Raises if some state has no safe action.
-    """
+def _backup(cmdp: TabularCmdp, safe: np.ndarray) -> tuple[np.ndarray, ValueTable]:
+    """Backward induction with the maximization at each (h, s) restricted
+    to the actions where safe[h, s] holds: the one optimal backup."""
     H, S, A = cmdp.horizon, cmdp.num_states, cmdp.num_actions
-    safe = cmdp.cost_mean <= 0.0
     v = np.zeros((H + 1, S))
     q = np.zeros((H, S, A))
     policy = np.zeros((H, S), dtype=np.int64)
@@ -55,20 +49,26 @@ def constrained_dp(cmdp: TabularCmdp) -> tuple[np.ndarray, ValueTable]:
         stuck = np.flatnonzero(~safe[h].any(axis=1))
         if stuck.size:
             raise ValueError(f"no safe action at (h={h}, s={stuck[0]})")
-        q[h] = _q_layer(cmdp, h, v[h + 1])
+        q[h] = cmdp.reward[h] + cmdp.transition[h] @ v[h + 1]
         # Unsafe entries become -inf, so argmax picks the first safe maximum.
         policy[h] = np.where(safe[h], q[h], -np.inf).argmax(axis=1)
         v[h] = q[h, rows, policy[h]]
     return policy, ValueTable(v=v, q=q)
 
 
+def constrained_dp(cmdp: TabularCmdp) -> tuple[np.ndarray, ValueTable]:
+    """Backward induction restricted at each (h, s) to actions with mean cost
+    <= 0 (exact comparison, no tolerance).  Returns (policy, values) where
+    policy[h, s] is the safe argmax, ties broken by lowest action index.
+    Raises if some state has no safe action.
+    """
+    return _backup(cmdp, cmdp.cost_mean <= 0.0)
+
+
 def value_iteration(cmdp: TabularCmdp) -> np.ndarray:
-    """Unconstrained optimal values, shape (H+1, S)."""
-    H, S = cmdp.horizon, cmdp.num_states
-    v = np.zeros((H + 1, S))
-    for h in range(H - 1, -1, -1):
-        v[h] = _q_layer(cmdp, h, v[h + 1]).max(axis=1)
-    return v
+    """Unconstrained optimal values, shape (H+1, S): the same backup with
+    every action safe, so each v[h, s] is its row's maximum."""
+    return _backup(cmdp, np.ones(cmdp.cost_mean.shape, dtype=bool))[1].v
 
 
 def policy_eval(cmdp: TabularCmdp, policy: np.ndarray) -> np.ndarray:

@@ -567,6 +567,18 @@ def test_cli_reports_a_run_that_cannot_allocate(monkeypatch, capsys):
     assert "error: Unable to allocate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cost_model", ["linear", "gp"])
+def test_cli_reports_a_non_finite_cost_estimate(cost_model, capsys):
+    # A width scale of 1e308 makes every width, and so every LCB, infinite:
+    # the cost model's table check stops the run in its first episode.
+    from safe_lsvi.cli import main
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["--episodes", "3", "--cost-width-scale", "1e308",
+                     "--cost-model", cost_model])
+    assert code == 2
+    assert "error: non-finite cost estimate at episode 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--beta-override", "-1.0"], "beta_override"),
     (["--kernel", "sqexp"], "kernel"),

@@ -181,8 +181,7 @@ def test_linear_condition_one_frequencies():
     p = 0.1
     over = uncovered = total = 0
     for seed in range(20):
-        cmdp, fmap, theta = build_synthetic_linear(8, 3, seed=seed,
-                                                   cost_noise=0.1)
+        cmdp, fmap, theta = build_synthetic_linear(8, 3, seed=seed)
         rng = np.random.default_rng(seed + 500)
         model = LinearCostModel(fmap, cmdp.horizon, lam=1.0, p=p)
         # About 500 observations, as ceil(500/H) episodes of one random
@@ -857,6 +856,26 @@ def test_a_table_is_read_only_and_follows_each_observe(name, one_hot):
     assert model.lcb_table(0).tobytes() != kept.tobytes()
     # The rebuilt pass is new arrays: the table handed out before is unchanged.
     assert table.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("name", ["linear", "gp"])
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+def test_a_non_finite_table_raises_and_is_not_kept(name, one_hot):
+    # Widths of scale 1e308 overflow to inf.  The table is checked when it
+    # is made, and a failed build keeps nothing: the next read makes and
+    # checks it again, and the mean and width stay readable.
+    fmap = one_hot_features(2, 2) if one_hot else \
+        _toy_fmap(np.random.default_rng(0), S=2, A=2)
+    model = LinearCostModel(fmap, 2, width_scale=1e308) if name == "linear" else \
+        GpCostModel("sqexp", 4, 2, width_scale=1e308, feature_map=fmap)
+    model.observe(np.array([1, 3]), np.array([0.5, -0.25]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            with pytest.raises(FloatingPointError,
+                               match="non-finite cost estimate at episode 2"):
+                model.lcb_table(0)
+        mean, width = model.estimate(0)
+    assert np.isfinite(mean).all() and np.isinf(width).any()
 
 
 # ---------------------------------------------------------------------------

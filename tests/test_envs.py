@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -158,8 +159,8 @@ def test_step_rejects_out_of_range():
 
 
 def test_step_noise_clipped_and_zero_mean():
-    cmdp, _ = build_frozen_lake(2, 2, {1}, goal_cell=3, horizon=2,
-                                cost_noise=0.3)
+    cmdp, _ = build_frozen_lake(2, 2, {1}, goal_cell=3, horizon=2)
+    cmdp = dataclasses.replace(cmdp, cost_noise=0.3)
     rng = np.random.default_rng(5)
     draws = np.array([step(cmdp, 0, 3, 0, rng)[1] for _ in range(4000)])
     assert draws.max() <= 1.0 and draws.min() >= -1.0

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import re
 from decimal import Decimal, getcontext
@@ -374,6 +375,21 @@ def test_backward_pass_rejects_non_finite_weights(one_hot):
         learner.backward_pass(np.zeros((3, S, A)), np.zeros(3))
 
 
+@pytest.mark.parametrize("tables, z_shape", [
+    (3, (3, 2)), (3, (3, 3, 2)), (3, (5,)), (3, (3, 1)), (3, ()), (2, (3,)), (4, (3,))],
+    ids=["z-per-action", "z-per-pair", "z-too-long", "z-column", "z-scalar",
+         "too-few-tables", "too-many-tables"])
+def test_backward_pass_rejects_a_penalty_or_tables_of_another_shape(tables, z_shape):
+    # A z of shape (H, A) or (H, S, A) would broadcast into a per-action
+    # penalty, another algorithm, and a longer z or ghat would be read in
+    # part.  Each is turned down before any work.
+    S, A, H = 3, 2, 3
+    learner = LsviLearner(one_hot_features(S, A), S, A, H, 1.0, beta=1.0)
+    learner.stats.roots = lambda: pytest.fail("the pass began its work")
+    with pytest.raises(ValueError, match=r"ghat must hold 3 tables and z have shape \(3,\)"):
+        learner.backward_pass([np.zeros((S, A))] * tables, np.zeros(z_shape))
+
+
 def test_backward_pass_matches_reference():
     rng = np.random.default_rng(5)
     # one-hot (diagonal statistics) and dense unit-norm features of d = 3
@@ -456,7 +472,8 @@ def test_overestimation_frequency_small_instances():
     p = 0.1
     under = total = 0
     for seed in range(20):
-        cmdp, fmap, _ = build_synthetic_linear(4, 3, seed=seed, cost_noise=0.0)
+        cmdp, fmap, _ = build_synthetic_linear(4, 3, seed=seed)
+        cmdp = dataclasses.replace(cmdp, cost_noise=0.0)
         _, star = constrained_dp(cmdp)
         K = 30
         beta = beta_schedule(fmap.dim, cmdp.horizon, K, p)

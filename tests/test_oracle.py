@@ -76,20 +76,45 @@ def _constrained_dp_loop(cmdp):
     return policy, v, q
 
 
-def test_dp_equals_the_per_state_loop_bitwise():
-    rng = np.random.default_rng(31)
+def _tied_cmdps(seed):
+    """200 random CMDPs of up to 4 states, actions and steps whose rewards
+    from a few levels and, in about half, deterministic rows tie many
+    actions."""
+    rng = np.random.default_rng(seed)
     for _ in range(200):
         S, A, H = (int(x) for x in rng.integers(1, 5, size=3))
         cmdp = random_cmdp(rng, S, A, H)
-        # Rewards from a few levels and deterministic rows tie many actions.
         cmdp.reward[:] = rng.integers(0, 3, size=cmdp.reward.shape) / 2.0
         if rng.uniform() < 0.5:
             cmdp.transition[:] = np.eye(S)[rng.integers(S, size=(H, S, A))]
+        yield cmdp
+
+
+def test_dp_equals_the_per_state_loop_bitwise():
+    for cmdp in _tied_cmdps(31):
         policy, tab = constrained_dp(cmdp)
         ref_policy, ref_v, ref_q = _constrained_dp_loop(cmdp)
         assert np.array_equal(policy, ref_policy)
         assert tab.v.tobytes() == ref_v.tobytes()
         assert tab.q.tobytes() == ref_q.tobytes()
+
+
+def _value_iteration_loop(cmdp):
+    """Reference: each state's maximum, one state at a time."""
+    H, S = cmdp.horizon, cmdp.num_states
+    v = np.zeros((H + 1, S))
+    for h in range(H - 1, -1, -1):
+        q = cmdp.reward[h] + cmdp.transition[h] @ v[h + 1]
+        for s in range(S):
+            v[h, s] = q[s].max()
+    return v
+
+
+def test_value_iteration_equals_the_per_state_max_loop_bitwise():
+    # value_iteration is the safe backup with every action safe: the argmax
+    # of a row picks its maximum, ties included.
+    for cmdp in _tied_cmdps(37):
+        assert value_iteration(cmdp).tobytes() == _value_iteration_loop(cmdp).tobytes()
 
 
 def test_dp_infeasible_raises_with_location():

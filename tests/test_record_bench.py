@@ -1,6 +1,7 @@
 """tools/record_bench.py: the per-side summary, the pair counts and the
 verdicts it records, on synthetic run records (no benchmark run), one tiny
-CLI cell run through run_cell and one Tier-1 run of a two-test selection."""
+CLI cell run through run_cell, one Tier-1 run of a two-test selection and
+the code-line count of a checkout."""
 
 import hashlib
 import importlib.util
@@ -98,6 +99,16 @@ def test_run_tier1_counts_the_passed_and_failed_tests(tmp_path):
     run = record_bench.run_tier1(tmp_path, ("test_two.py", "-p", "no:cacheprovider"))
     assert (run["passed"], run["failed"]) == (1, 1)
     assert run["wall_s"] > 0.0
+
+
+def test_code_lines_counts_a_checkout_with_this_tree_s_tool(tmp_path):
+    # The checkout has no tools/ of its own: the working tree's counter
+    # counts its package, three code lines in a.py and two in b.py.
+    package = tmp_path / "src" / "safe_lsvi"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\n\nx = 1  # one\n\n\ndef f():\n    return x\n')
+    (package / "b.py").write_text("y = (1,\n     2)\n")
+    assert record_bench.code_lines(tmp_path) == 5
 
 
 

@@ -21,8 +21,10 @@ over all children that RUSAGE_CHILDREN keeps) and the sha256 of its
 results.csv.  Under "tier1" it records the Tier-1 verify command
 (TIER1_COMMAND), run three times per side in alternating order: each run's
 wall time and its passed and failed counts (an error counts as failed).
-The file also holds the machine line of the first perfbench run, and the
-revisions measured.
+Under "code_lines" it records each side's code lines in src/safe_lsvi,
+counted by this tree's tools/count_lines.py on both checkouts (an older
+revision may lack the tool).  The file also holds the machine line of the
+first perfbench run, and the revisions measured.
 """
 
 from __future__ import annotations
@@ -124,6 +126,15 @@ def run_tier1(checkout: Path, selection: tuple = ()) -> dict:
             "failed": sum(counts.values())}
 
 
+def code_lines(checkout: Path) -> int:
+    """The code lines of the checkout's src/safe_lsvi, by this tree's
+    tools/count_lines.py."""
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "count_lines.py"),
+                          str(checkout / "src" / "safe_lsvi")],
+                         check=True, capture_output=True, text=True).stdout
+    return int(out.split()[-1])
+
+
 def summarize_cell(runs: list) -> dict:
     """A cell's runs in run order, with the median wall time and peak RSS."""
     return {"runs": runs,
@@ -205,6 +216,8 @@ def main(argv=None) -> int:
         with tarfile.open(archive) as tar:
             tar.extractall(Path(tmp) / "baseline", filter="data")
         sides = {"change": ROOT, "baseline": Path(tmp) / "baseline"}
+        record["code_lines"] = {side: code_lines(path) for side, path in sides.items()}
+        print(f"code lines: {record['code_lines']}", file=sys.stderr)
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in sides}
             for seed in range(1, RUNS + 1):
