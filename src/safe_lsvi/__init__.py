@@ -11,8 +11,8 @@ from .envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp,
                    build_synthetic_linear, frozen_lake_from_grid,
                    one_hot_features, step)
 from .lsvi import GramState, LsviLearner, QModel, beta_schedule
-from .oracle import (ValueTable, brute_force_enumerate, constrained_dp,
-                     policy_eval, value_iteration)
+from .oracle import (PolicyRows, ValueTable, brute_force_enumerate,
+                     constrained_dp, policy_eval, value_iteration)
 from .penalty import PenaltyLedger, penalized_argmax
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "FeatureMap", "TabularCmdp", "build_frozen_lake",
     "build_hard_instance", "build_synthetic_linear", "frozen_lake_from_grid",
     "one_hot_features", "step",
-    "GramState", "LsviLearner", "QModel", "beta_schedule", "ValueTable",
-    "brute_force_enumerate", "constrained_dp", "policy_eval",
+    "GramState", "LsviLearner", "QModel", "beta_schedule", "PolicyRows",
+    "ValueTable", "brute_force_enumerate", "constrained_dp", "policy_eval",
     "value_iteration", "PenaltyLedger", "penalized_argmax",
 ]

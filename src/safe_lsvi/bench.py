@@ -23,7 +23,7 @@ from .costs import KERNELS, GpCostModel, LinearCostModel
 from .envs import (DEFAULT_LAKE_MAP, _is_real, build_hard_instance,
                    build_synthetic_linear, frozen_lake_from_grid, step)
 from .lsvi import LsviLearner, beta_schedule
-from .oracle import constrained_dp, policy_eval
+from .oracle import PolicyRows, constrained_dp, policy_eval
 from .penalty import PenaltyLedger
 
 ENVS = ("frozen_lake", "synthetic_linear", "hard_instance")
@@ -233,6 +233,9 @@ def run_experiment(config: ExperimentConfig, env_override=None) -> Metrics:
 
     _, star = constrained_dp(cmdp)
     v_star = star.v[0, cmdp.initial_state]
+    # Successive policies differ in a few (h, s): one store of the evaluated
+    # policy's rows serves all K evaluations.
+    policy_rows = PolicyRows(cmdp)
 
     # One bonus scale per run: the override, or the schedule itself.
     beta = config.beta_override if config.beta_override is not None else \
@@ -283,7 +286,8 @@ def run_experiment(config: ExperimentConfig, env_override=None) -> Metrics:
         rewards[k - 1] = ep_reward * cmdp.reward_scale
         violations[k - 1] = ep_violation
         signed[k - 1] = ep_signed
-        regret_inc[k - 1] = v_star - policy_eval(cmdp, plan.policy)[0, cmdp.initial_state]
+        regret_inc[k - 1] = v_star - \
+            policy_eval(cmdp, plan.policy, policy_rows)[0, cmdp.initial_state]
 
     # np.cumsum adds left to right, so the sums are those of a running loop.
     cum_regret = np.cumsum(regret_inc)

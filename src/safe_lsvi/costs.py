@@ -212,10 +212,6 @@ class LinearCostModel(_CostModel):
         self.b += phi * costs[:, None]
         self.count += 1
 
-    def theta(self, h: int) -> np.ndarray:
-        _check_step(h, self.H)
-        return self.stats.solve(h, self.b[h])
-
     def _version(self) -> tuple[int, int]:
         # Shared statistics change with the learner's ingest alone.
         return self.stats.count, self.count

@@ -96,6 +96,7 @@ class GramState:
         self.fmap = feature_map
         self.H = horizon
         self.count = 0
+        self._roots = None  # (count, read-only roots)
         if feature_map.one_hot:
             self.inv = self.quad = np.ones((horizon, feature_map.dim)) / lam
         else:
@@ -137,8 +138,13 @@ class GramState:
     def roots(self) -> np.ndarray:
         """||phi||_{Lambda_h^{-1}}, the quadratic form clamped at 0, per
         column (one-hot) or distinct row of every step: (H, d) or (H, U),
-        for fmap.gather."""
-        return np.sqrt(np.maximum(self.quad, 0.0))
+        for fmap.gather.  One read-only array per count, made at its first
+        read: the learner and a cost model on the same statistics share it."""
+        if self._roots is None or self._roots[0] != self.count:
+            roots = np.sqrt(np.maximum(self.quad, 0.0))
+            roots.flags.writeable = False
+            self._roots = (self.count, roots)
+        return self._roots[1]
 
 
 def beta_schedule(d: int, horizon: int, episodes: int, p: float) -> float:

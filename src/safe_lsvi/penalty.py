@@ -9,6 +9,8 @@ cost sum and therefore lets negative costs cancel violations.  Off: Z = 0.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .envs import _check_horizon
@@ -32,13 +34,15 @@ class PenaltyLedger:
         Rectified: Z_h <- max(Z_h + max(g_h, 0), k).  Virtual queue:
         Z_h <- max(Z_h + g_h, 0).  Off: Z stays 0.
         """
+        # A NaN, infinite or fractional k would floor every Z_h with it.  A
+        # bool is a numbers.Integral too (numpy's is not), but no index.
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"episode index must be an integer >= 1, not {k!r}")
         g = np.asarray(costs, dtype=float)
         if g.shape != self.z.shape:
             raise ValueError(f"{g.size} costs for horizon {self.z.size}")
         if not (np.abs(g) <= 1.0).all():
             raise ValueError("observed cost outside [-1, 1]")
-        if k < 1:
-            raise ValueError("episode index must be >= 1")
         if self.mode == "rectified":
             self.z[:] = np.maximum(self.z + np.maximum(g, 0.0), float(k))
         elif self.mode == "virtual_queue":

@@ -264,9 +264,9 @@ def test_criterion_6_numerical_identities():
         gp.observe([row], [cost])
         ridge.observe([row], [cost])
     gp_mean = gp.estimate(0)[0].ravel()
+    theta = ridge.stats.solve(0, ridge.b[0])
     for row in range(30, 50):
-        ridge_err = max(ridge_err, abs(gp_mean[row]
-                                       - float(points[row] @ ridge.theta(0))))
+        ridge_err = max(ridge_err, abs(gp_mean[row] - float(points[row] @ theta)))
 
     # incremental information gain vs batch log det
     info_err = 0.0

@@ -97,7 +97,7 @@ def test_linear_single_sample_theta():
     fmap = one_hot_features(1, 2)
     model = LinearCostModel(fmap, horizon=1, lam=1.0)
     model.observe([0], [1.0])  # row 0 is [1, 0]
-    assert np.allclose(model.theta(0), [0.5, 0.0])
+    assert np.allclose(model.stats.solve(0, model.b[0]), [0.5, 0.0])
 
 
 def test_linear_incremental_matches_batch_ridge():
@@ -113,7 +113,7 @@ def test_linear_incremental_matches_batch_ridge():
         model.observe([len(toy.flat) + i], [cost])
     X = np.array(feats)
     batch = np.linalg.solve(X.T @ X + np.eye(4), X.T @ np.array(costs))
-    assert np.abs(model.theta(0) - batch).max() <= 1e-8
+    assert np.abs(model.stats.solve(0, model.b[0]) - batch).max() <= 1e-8
 
 
 def test_linear_zero_feature_estimate():
@@ -151,10 +151,10 @@ def test_linear_rejects_a_nan_cost_and_keeps_its_state():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=1)
     model.observe([1], [0.5])
-    theta, table = model.theta(0), model.lcb_table(0)
+    theta, table = model.stats.solve(0, model.b[0]), model.lcb_table(0)
     with pytest.raises(ValueError, match="nan"):
         model.observe([0], [math.nan])
-    assert np.array_equal(model.theta(0), theta)
+    assert np.array_equal(model.stats.solve(0, model.b[0]), theta)
     assert np.array_equal(model.lcb_table(0), table)
 
 
@@ -171,7 +171,7 @@ def test_linear_lcb_below_mean():
     for i, cost in enumerate(costs):
         model.observe([len(toy.flat) + i], [cost])
     table = model.lcb_table(0)
-    means = (fmap.flat @ model.theta(0)).reshape(table.shape)
+    means = (fmap.flat @ model.stats.solve(0, model.b[0])).reshape(table.shape)
     assert np.all(table <= means + 1e-12)
 
 
@@ -308,7 +308,7 @@ def test_gp_kernel_ridge_matches_primal_mean():
         ridge.observe([len(rows) + i], [cost])
     gp_mean = gp.estimate(0)[0].ravel()
     for row, q in enumerate(queries, start=len(rows) + n):
-        assert abs(gp_mean[row] - float(q @ ridge.theta(0))) <= 1e-8
+        assert abs(gp_mean[row] - float(q @ ridge.stats.solve(0, ridge.b[0]))) <= 1e-8
 
 
 def test_gp_lcb_matches_primal_with_aligned_widths():
@@ -333,7 +333,7 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     table = gp.lcb_table(0).ravel()
     for row, q in enumerate(queries, start=len(points)):
         lhs = table[row]
-        rhs = (q @ ridge.theta(0)
+        rhs = (q @ ridge.stats.solve(0, ridge.b[0])
                - beta_aligned * math.sqrt(q @ ridge.stats.inv[0] @ q))
         assert abs(lhs - rhs) <= 1e-8
 
@@ -1207,7 +1207,7 @@ def _step_queries(fmap):
     gp = GpCostModel("sqexp", total_episodes=4, horizon=2, feature_map=fmap)
     w = np.zeros(fmap.dim)
     return {"gram.solve": lambda h: g.solve(h, w),
-            "linear.theta": linear.theta, "linear.estimate": linear.estimate,
+            "linear.estimate": linear.estimate,
             "linear.lcb_table": linear.lcb_table, "gp.estimate": gp.estimate,
             "gp.lcb_table": gp.lcb_table, "gp.info_gain": gp.info_gain}
 

@@ -610,8 +610,30 @@ def test_cost_model_on_shared_statistics_matches_standalone(lam, seed, one_hot):
         shared.observe(rows, costs)
         alone.observe(rows, costs)
     for h in range(H):
-        assert shared.theta(h).tobytes() == alone.theta(h).tobytes()
+        assert shared.stats.solve(h, shared.b[h]).tobytes() == \
+            alone.stats.solve(h, alone.b[h]).tobytes()
         assert shared.lcb_table(h).tobytes() == alone.lcb_table(h).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=LAMS, seed=SEEDS, one_hot=st.booleans())
+def test_roots_are_one_read_only_array_per_count(lam, seed, one_hot):
+    # The learner's bonuses and the widths of a cost model on the same
+    # statistics read one array per count; the next update makes a new one
+    # and leaves the old one as it was.
+    rng = np.random.default_rng(seed)
+    S, A, H = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    stats = GramState(_feature_map(rng, one_hot, S, A), lam, H)
+    for rows, _, _, _ in _random_episodes(rng, S, A, H, int(rng.integers(1, 6))):
+        roots = stats.roots()
+        kept = roots.tobytes()
+        assert stats.roots() is roots
+        assert roots.tobytes() == np.sqrt(np.maximum(stats.quad, 0.0)).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            roots[0, 0] = 0.0
+        stats.update(rows)
+        assert stats.roots() is not roots
+        assert roots.tobytes() == kept
 
 
 def _assert_target_sums_equal_a_per_step_loop(learner, episodes, v_next):

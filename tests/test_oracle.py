@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from safe_lsvi.envs import (DEFAULT_LAKE_MAP, TabularCmdp, build_frozen_lake,
                             build_hard_instance, build_synthetic_linear,
                             frozen_lake_from_grid, step)
-from safe_lsvi.oracle import (brute_force_enumerate, constrained_dp,
+from safe_lsvi.oracle import (PolicyRows, brute_force_enumerate, constrained_dp,
                               policy_eval, value_iteration)
 from test_output_bytes import blas_core
 
@@ -245,6 +246,78 @@ def test_policy_eval_equals_the_full_table_backup_bitwise(env, seed):
     # on pre-Haswell ones (Prescott, Sandybridge).
     assert policy_eval(cmdp, policy).tobytes() == _full_table_eval(cmdp, policy).tobytes(), \
         f"policy_eval differs from the full-table backup (OpenBLAS core {blas_core()})"
+
+
+def _store_cmdp(kind, rng, seed):
+    """A CMDP for the store tests: a random one of up to 12 states, one of
+    the tied ones, or the lake."""
+    if kind == "random":
+        S, A, H = int(rng.integers(1, 13)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        return random_cmdp(rng, S, A, H)
+    if kind == "tied":
+        return next(_tied_cmdps(seed))
+    return _env(kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["random", "tied", "frozen_lake"]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       moves=st.lists(st.sampled_from(["repeat", "one", "step", "new"]),
+                      min_size=1, max_size=12))
+def test_a_store_serves_any_policy_sequence_bitwise(kind, seed, moves):
+    # One store, fed repeats, one-entry changes, whole-step changes and
+    # all-new policies (the first policy is new too), each changed in place
+    # as brute_force_enumerate does, gives every time the bytes of a fresh
+    # evaluation.
+    rng = np.random.default_rng(seed)
+    cmdp = _store_cmdp(kind, rng, seed)
+    H, S, A = cmdp.horizon, cmdp.num_states, cmdp.num_actions
+    rows = PolicyRows(cmdp)
+    policy = rng.integers(A, size=(H, S))
+    for move in moves:
+        if move == "one":
+            policy[rng.integers(H), rng.integers(S)] = rng.integers(A)
+        elif move == "step":
+            policy[rng.integers(H)] = rng.integers(A, size=S)
+        elif move == "new":
+            policy[:] = rng.integers(A, size=(H, S))
+        v = policy_eval(cmdp, policy, rows)
+        assert v.tobytes() == policy_eval(cmdp, policy).tobytes(), move
+
+
+BAD_POLICIES = {
+    "wrong-shape": lambda p, A: p[:, :-1],
+    "negative": lambda p, A: np.where(np.arange(p.size).reshape(p.shape) == 1, -1, p),
+    "past-the-last": lambda p, A: np.where(np.arange(p.size).reshape(p.shape) == 1, A, p),
+    "float": lambda p, A: p.astype(float),
+    "bool": lambda p, A: p.astype(bool),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_POLICIES))
+def test_an_invalid_policy_leaves_the_store_exact(bad):
+    # The whole policy is checked before the store changes: the next call,
+    # with the last policy or another, is still exact.
+    rng = np.random.default_rng(3)
+    cmdp = random_cmdp(rng, 3, 3, 2)
+    rows = PolicyRows(cmdp)
+    first = rng.integers(3, size=(2, 3))
+    policy_eval(cmdp, first, rows)
+    with pytest.raises(ValueError, match="policy must"):
+        policy_eval(cmdp, BAD_POLICIES[bad](first, 3), rows)
+    for policy in (first, (first + 1) % 3):
+        assert policy_eval(cmdp, policy, rows).tobytes() == \
+            policy_eval(cmdp, policy).tobytes()
+
+
+def test_a_store_of_another_cmdp_is_rejected():
+    # An equal copy is another CMDP too: the store holds no check of the
+    # arrays, only of which CMDP it serves.
+    cmdp = random_cmdp(np.random.default_rng(4), 2, 2, 2)
+    rows = PolicyRows(cmdp)
+    policy = np.zeros((2, 2), dtype=int)
+    with pytest.raises(ValueError, match="another CMDP"):
+        policy_eval(dataclasses.replace(cmdp), policy, rows)
 
 
 # ---------------------------------------------------------------------------

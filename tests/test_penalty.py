@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,3 +217,29 @@ def test_argmax_on_a_table_equals_the_argmax_of_each_row(data, shape, z):
     for index in np.ndindex(*shape[:-1]):
         objective = [qa - z * max(ga, 0.0) for qa, ga in zip(q[index], ghat[index])]
         assert got[index] == objective.index(max(objective))
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 1.5, 2.0, 0, -3, True, np.True_,
+                               np.float64(2.0)],
+                         ids=["nan", "inf", "fraction", "float", "zero", "negative",
+                              "bool", "numpy-bool", "numpy-float"])
+@pytest.mark.parametrize("mode", MODES)
+def test_end_episode_rejects_an_index_that_is_not_an_integer_of_at_least_one(mode, k):
+    # k = NaN would set every Z_h to NaN, under which the penalized argmax
+    # picks action 0 everywhere; inf, 1.5 and True would floor Z_h at inf,
+    # 1.5 and 1.
+    ledger = PenaltyLedger(2, mode)
+    ledger.end_episode([0.5, -0.5], k=1)
+    before = ledger.z.copy()
+    with pytest.raises(ValueError, match="episode index must be an integer >= 1"):
+        ledger.end_episode([0.5, 0.5], k)
+    assert ledger.z.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)],
+                         ids=["int64", "int32", "uint8"])
+def test_end_episode_accepts_a_numpy_integer_index(k):
+    ledger, ref = PenaltyLedger(2, "rectified"), PenaltyLedger(2, "rectified")
+    ledger.end_episode([0.5, -0.5], k)
+    ref.end_episode([0.5, -0.5], 2)
+    assert ledger.z.tobytes() == ref.z.tobytes()
