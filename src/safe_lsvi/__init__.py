@@ -11,8 +11,7 @@ from .envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp,
                    build_synthetic_linear, frozen_lake_from_grid,
                    one_hot_features, step)
 from .lsvi import GramState, LsviLearner, QModel, beta_schedule
-from .oracle import (PolicyRows, ValueTable, brute_force_enumerate,
-                     constrained_dp, policy_eval, value_iteration)
+from .oracle import PolicyRows, constrained_dp, policy_eval, value_iteration
 from .penalty import PenaltyLedger, penalized_argmax
 
 __all__ = [
@@ -23,6 +22,6 @@ __all__ = [
     "build_hard_instance", "build_synthetic_linear", "frozen_lake_from_grid",
     "one_hot_features", "step",
     "GramState", "LsviLearner", "QModel", "beta_schedule", "PolicyRows",
-    "ValueTable", "brute_force_enumerate", "constrained_dp", "policy_eval",
-    "value_iteration", "PenaltyLedger", "penalized_argmax",
+    "constrained_dp", "policy_eval", "value_iteration", "PenaltyLedger",
+    "penalized_argmax",
 ]

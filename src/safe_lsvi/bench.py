@@ -187,16 +187,13 @@ class Metrics:
 
 
 def build_env(config: ExperimentConfig, builder_seed):
+    """The config's (cmdp, feature map), from its env's builder."""
     if config.env == "frozen_lake":
         text = DEFAULT_LAKE_MAP if config.map_text is None else config.map_text
-        cmdp, fmap = frozen_lake_from_grid(text, config.horizon)
-    elif config.env == "synthetic_linear":
-        cmdp, fmap, _ = build_synthetic_linear(config.dim, config.horizon,
-                                               builder_seed)
-    else:
-        cmdp, fmap, _ = build_hard_instance(config.dim, config.horizon,
-                                            config.episodes)
-    return cmdp, fmap
+        return frozen_lake_from_grid(text, config.horizon)
+    if config.env == "synthetic_linear":
+        return build_synthetic_linear(config.dim, config.horizon, builder_seed)
+    return build_hard_instance(config.dim, config.horizon, config.episodes)
 
 
 def _make_cost_model(config: ExperimentConfig, fmap, stats):
@@ -231,8 +228,7 @@ def run_experiment(config: ExperimentConfig, env_override=None) -> Metrics:
         cmdp, fmap = build_env(config, builder_seed)
     H, K = cmdp.horizon, config.episodes
 
-    _, star = constrained_dp(cmdp)
-    v_star = star.v[0, cmdp.initial_state]
+    v_star = constrained_dp(cmdp)[1][0, cmdp.initial_state]
     # Successive policies differ in a few (h, s): one store of the evaluated
     # policy's rows serves all K evaluations.
     policy_rows = PolicyRows(cmdp)

@@ -16,9 +16,7 @@ model and its statistics have taken) the base class makes from it one
 (H, S, A) table, mean - width gathered over the S*A rows by
 FeatureMap.gather, checks it finite there (FloatingPointError otherwise,
 with nothing cached) and keeps it alone: lcb_table(h) hands out its step h
-as a read-only view.  estimate(h) gives the two parts of step h, the (S, A)
-posterior mean and confidence width, from a pass of its own, with
-lcb_table(h) == mean - width bit for bit.
+as a read-only view.
 
 Both models read state with a leading H axis that each episode updates: the
 ridge model from the shared design statistics; the GP, over a one-hot map,
@@ -157,13 +155,6 @@ class _CostModel:
             self._pass = (version, table)
         return self._pass[1]
 
-    def estimate(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and confidence width over all (state, action)
-        pairs, two (S, A) tables from a pass of their own."""
-        _check_step(h, self.H)
-        mean, width = self._mean_width()
-        return self.fmap.gather(mean[h]), self.fmap.gather(width[h])
-
     def lcb_table(self, h: int) -> np.ndarray:
         """Lower-confidence costs over all (state, action) pairs, shape
         (S, A): a read-only view of step h of the version's table."""
@@ -235,8 +226,7 @@ class GpCostModel(_CostModel):
     with lower-confidence queries.  Costs are observed and queried only at
     rows of the feature map, by index: the posterior is the one over its
     rows, held once per column (one-hot) or distinct row (dense) and read
-    as (S, A) tables through the map's index, lcb_table(h) and its parts
-    estimate(h).
+    as (S, A) tables through the map's index, lcb_table(h).
 
     The regularizer is 1 + 2/K with K declared up front.  Each episode adds
     one observation to every step, and the model holds at most K episodes
@@ -276,7 +266,6 @@ class GpCostModel(_CostModel):
                 not isinstance(total_episodes, numbers.Integral) or total_episodes < 1:
             raise ValueError("total_episodes must be an integer >= 1")
         super().__init__(feature_map, horizon, p, width_scale)
-        self.kern = make_kernel(kernel, lengthscale)
         self._k = _pointwise_kernel(kernel, lengthscale)
         self.K = total_episodes
         self.lam = 1.0 + 2.0 / total_episodes
@@ -284,9 +273,8 @@ class GpCostModel(_CostModel):
         d = feature_map.dim
         if feature_map.one_hot:
             # k(e_i, e_j) between two distinct unit vectors: a + c on the
-            # diagonal, c off it.  Read through the model's kernel, like
-            # every other kernel value it uses.
-            kk = self.kern(np.eye(2), np.eye(2))
+            # diagonal, c off it, from one call of the registry's kernel.
+            kk = make_kernel(kernel, lengthscale)(np.eye(2), np.eye(2))
             self._c = float(kk[0, 1])
             self._a = float(kk[0, 0]) - self._c
             if not (0.0 <= self._a < math.inf and 0.0 <= self._c < math.inf):
@@ -381,11 +369,6 @@ class GpCostModel(_CostModel):
         gains = [0.5 * (float(lg) + math.log1p(float(th))) for lg, th in zip(logs, t)]
         mean = a * g + (s * g.sum(axis=1))[:, None] * e
         return mean, a * e + s[:, None] * e * e, gains
-
-    def info_gain(self, h: int) -> float:
-        """Realized information gain 0.5 * ln det(I + lam^-1 KER) of step h."""
-        _check_step(h, self.H)
-        return self._moments()[2][h]
 
     def _mean_width(self) -> tuple[np.ndarray, np.ndarray]:
         """Posterior means and widths beta_h * sigma per column or distinct

@@ -335,17 +335,18 @@ def frozen_lake_from_grid(text: str, horizon: int) -> tuple[TabularCmdp, Feature
 # ---------------------------------------------------------------------------
 
 def build_synthetic_linear(d: int, horizon: int,
-                           seed) -> tuple[TabularCmdp, FeatureMap, np.ndarray]:
+                           seed) -> tuple[TabularCmdp, FeatureMap]:
     """Random small tabular CMDP whose mean costs are exactly
-    <phi(s,a), theta_h>, with the generating theta returned for oracle tests.
+    <phi(s,a), theta_h>.
 
     Features are one-hot over (state, action) with 2 actions and d // 2
     states (one padding coordinate when d is odd), so every tabular function
     of (s, a) is exactly linear and the value-iteration regression is well
-    specified.  theta_h is the cost table itself, hence ||theta_h|| <=
-    0.9 * sqrt(d); costs are drawn in [-0.9, 0.9] with at least one negative
-    entry per state, observed with noise of scale 0.1 (the CMDP's
-    cost_noise; dataclasses.replace gives another).  Rewards on unsafe
+    specified.  theta_h is the cost table itself, zero on the padding
+    coordinate, hence ||theta_h|| <= 0.9 * sqrt(d); costs are drawn in
+    [-0.9, 0.9] with at least one negative entry per state, observed with
+    noise of scale 0.1 (the CMDP's cost_noise; dataclasses.replace gives
+    another).  Rewards on unsafe
     actions are damped and redrawn until the optimal safe policy attains the
     unconstrained optimum, which keeps benchmark regret increments
     nonnegative.
@@ -374,8 +375,6 @@ def build_synthetic_linear(d: int, horizon: int,
             if np.abs(c).min() > 1e-6:
                 costs[h] = c
                 break
-    theta = np.zeros((horizon, d))
-    theta[:, :cells] = costs.reshape(horizon, cells)
 
     P = rng.random((horizon, num_states, num_actions, num_states)) + 0.1
     P /= P.sum(axis=-1, keepdims=True)
@@ -390,10 +389,8 @@ def build_synthetic_linear(d: int, horizon: int,
         cmdp = TabularCmdp(num_states=num_states, num_actions=num_actions,
                            horizon=horizon, transition=P, reward=R,
                            cost_mean=costs, initial_state=0, cost_noise=0.1)
-        _, safe_tab = constrained_dp(cmdp)
-        v_unc = value_iteration(cmdp)
-        if safe_tab.v[0, 0] == v_unc[0, 0]:
-            return cmdp, fmap, theta
+        if constrained_dp(cmdp)[1][0, 0] == value_iteration(cmdp)[0, 0]:
+            return cmdp, fmap
     raise RuntimeError("could not align safe and unconstrained optima")
 
 
@@ -401,34 +398,20 @@ def build_synthetic_linear(d: int, horizon: int,
 # Hard lower-bound instance
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HardInstanceParams:
-    """Linear parametrization returned alongside the tabular instance so the
-    two representations can be cross-validated."""
-
-    alpha: float
-    beta: float
-    delta: float
-    gap: float  # per-coordinate magnitude of u_h
-    u: np.ndarray  # (H, d-1)
-    actions: np.ndarray  # (A, d-1) sign vectors
-    mu: np.ndarray  # (H, d+1, S): mu[h][:, x'] is the measure of state x'
-    theta: np.ndarray  # (d+1,) reward parameter
-
-
 def build_hard_instance(d: int, horizon: int, episodes: int,
                         u_signs: Optional[np.ndarray] = None,
-                        ) -> tuple[TabularCmdp, FeatureMap, HardInstanceParams]:
+                        ) -> tuple[TabularCmdp, FeatureMap]:
     """Chain CMDP whose transitions leak to a rewarding absorbing state with
-    probability delta + <u_h, a> over the sign-vector action set {-1,+1}^(d-1).
+    probability delta + <u_h, a> over the sign-vector action set {-1,+1}^(d-1),
+    u_h = gap * u_signs[h] (all +1 by default).
 
     delta = 1/H and the per-coordinate gap is sqrt(delta/K) / (4*sqrt(2)).
     Features are (alpha, beta*a, 0) on chain states and the last basis vector
     on the rewarding state; alpha uses 1/(1 + gap*(d-1)) so that
-    alpha^2 + (d-1)*beta^2 = 1 exactly.  The returned mu assigns, at step h,
-    the stay-on-chain measure to the step-h successor state: this reproduces
-    the chain dynamics at every reachable (h, state) pair and makes the
-    tabular rows equal <phi, mu_h> entrywise.
+    alpha^2 + (d-1)*beta^2 = 1 exactly.  The instance is a linear MDP in
+    these features: a measure mu_h that gives the stay-on-chain mass to the
+    step-h successor state makes the tabular rows equal <phi, mu_h>
+    entrywise, and the reward is <phi, e_d>.
     """
     H, K = horizon, episodes
     if d < 4:
@@ -470,18 +453,6 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
     feat[reward_state, :, d] = 1.0
     fmap = FeatureMap(dim=d + 1, table=feat)
 
-    theta = np.zeros(d + 1)
-    theta[d] = 1.0
-
-    mu = np.zeros((H, d + 1, S))
-    for h in range(H):
-        succ = h + 1
-        mu[h, 0, succ] = (1.0 - delta) / alpha
-        mu[h, 1:d, succ] = -u[h] / beta
-        mu[h, 0, reward_state] = delta / alpha
-        mu[h, 1:d, reward_state] = u[h] / beta
-        mu[h, d, reward_state] = 1.0
-
     P = np.zeros((H, S, A, S))
     G = np.zeros((H, S, A))
     for h in range(H):
@@ -500,6 +471,4 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
 
     cmdp = TabularCmdp(num_states=S, num_actions=A, horizon=H,
                        transition=P, reward=R, cost_mean=G, initial_state=0)
-    params = HardInstanceParams(alpha=alpha, beta=beta, delta=delta, gap=gap,
-                                u=u, actions=actions, mu=mu, theta=theta)
-    return cmdp, fmap, params
+    return cmdp, fmap

@@ -159,15 +159,14 @@ def beta_schedule(d: int, horizon: int, episodes: int, p: float) -> float:
 
 @dataclass
 class QModel:
-    """Clipped optimistic Q-function of one episode's backward pass.
-
-    q_table holds min(<w_h, phi> + beta * ||phi||_{Lambda_h^-1}, H) over every
-    (state, action), policy the penalized argmax of each row and v_table the
-    Q value of that action.
+    """One episode's plan from the backward pass: the ridge weights w_h,
+    policy the penalized argmax of each state's row of the clipped optimistic
+    Q-function min(<w_h, phi> + beta * ||phi||_{Lambda_h^-1}, H), and v_table
+    the Q value of that action.  The pass forms one step's (S, A) Q table
+    at a time and keeps none of them.
     """
 
     weights: np.ndarray  # (H, d)
-    q_table: np.ndarray  # (H, S, A)
     v_table: np.ndarray  # (H, S)
     policy: np.ndarray  # (H, S) int
 
@@ -260,21 +259,23 @@ class LsviLearner:
         next-step value is the value of the action the policy would take, not
         the unpenalized maximum).  ghat holds the H optimistic cost tables,
         ghat[h] step h's (S, A) table (an (H, S, A) array or a sequence of H
-        tables), and z the (H,) penalty factors, one scalar per step; any
-        other count of tables or shape of z raises ValueError before any
-        work.  Every step's action is penalty.penalized_argmax of its row;
-        unpenalized LSVI passes a zero table and z = 0, under which
-        Q - 0*max(0, 0) is Q bit for bit and the action is the plain
-        argmax.  The bonuses and the decoded keys are made once for all H
-        steps.  Non-finite weights (from target sums that overflowed) raise
-        FloatingPointError after the sweep, naming the first step swept that
-        had them.
+        tables), and z the (H,) penalty factors, one finite scalar per step;
+        any other count of tables, shape of z or a NaN or infinite z raises
+        ValueError before any work (Q - NaN*max(ghat, 0) is NaN in every
+        entry, and inf*0 is NaN too).  Every step's action is
+        penalty.penalized_argmax of its row; unpenalized LSVI passes a zero
+        table and z = 0, under which Q - 0*max(0, 0) is Q bit for bit and
+        the action is the plain argmax.  The bonuses and the decoded keys
+        are made once for all H steps.  Non-finite weights (from target sums
+        that overflowed) raise FloatingPointError after the sweep, naming the
+        first step swept that had them.
         """
-        H, S, A = self.H, self.S, self.A
+        H, S = self.H, self.S
         if np.shape(z) != (H,) or len(ghat) != H:
             raise ValueError(f"ghat must hold {H} tables and z have shape ({H},)")
+        if not np.isfinite(z).all():
+            raise ValueError(f"penalty factors z {z} not all finite")
         weights = np.zeros((H, self.d))
-        q_table = np.zeros((H, S, A))
         v_table = np.zeros((H, S))
         policy = np.zeros((H, S), dtype=np.int64)
         bonus = self.beta * self.stats.roots()
@@ -284,12 +285,10 @@ class LsviLearner:
         for h in range(H - 1, -1, -1):
             b = self.reward_feats[h] + self._next_value_sums(keys[h], v_next)
             w = weights[h] = self.stats.solve(h, b)
-            q = np.minimum(self.fmap.gather(self.fmap.dot(w) + bonus[h]), float(H),
-                           out=q_table[h])
+            q = np.minimum(self.fmap.gather(self.fmap.dot(w) + bonus[h]), float(H))
             a_star = policy[h] = penalized_argmax(q, ghat[h], z[h])
             v_next = v_table[h] = q[states, a_star]
         if not np.isfinite(weights).all():
             bad = np.flatnonzero(~np.isfinite(weights).all(axis=1))
             raise FloatingPointError(f"non-finite regression weights at step {bad[-1]}")
-        return QModel(weights=weights, q_table=q_table, v_table=v_table,
-                      policy=policy)
+        return QModel(weights=weights, v_table=v_table, policy=policy)

@@ -9,6 +9,7 @@ cost sum and therefore lets negative costs cancel violations.  Off: Z = 0.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -51,7 +52,10 @@ class PenaltyLedger:
 
 def penalized_argmax(q: np.ndarray, ghat: np.ndarray, z: float) -> np.ndarray:
     """argmax over the last axis of Q - z * max(ghat, 0): the action of every
-    row of a (..., A) table.  Ties go to the lowest index."""
+    row of a (..., A) table.  Ties go to the lowest index.  z must be finite:
+    a NaN would make every entry NaN and every action 0, and inf*0 is NaN."""
+    if not math.isfinite(z):
+        raise ValueError(f"penalty factor z={z} is not finite")
     if q.shape != ghat.shape:
         raise ValueError(f"Q shape {q.shape} != cost shape {ghat.shape}")
     if not q.shape or q.shape[-1] == 0:

@@ -20,8 +20,10 @@ from safe_lsvi.bench import (ExperimentConfig, emit_results, fit_growth_exponent
 from safe_lsvi.costs import GpCostModel, LinearCostModel, make_kernel
 from safe_lsvi.envs import build_hard_instance, build_synthetic_linear
 from safe_lsvi.lsvi import GramState
-from safe_lsvi.oracle import brute_force_enumerate, constrained_dp
+from safe_lsvi.oracle import constrained_dp
 
+from dense_reference import (brute_force_enumerate, estimate, hard_instance_params,
+                             info_gain)
 from episode_trace import traced_run
 
 SEEDS = range(5)
@@ -151,7 +153,7 @@ def test_criterion_4_condition_one_optimism():
     # linear estimator against known linear ground truth, noisy observations
     lin_over = lin_uncov = lin_total = 0
     for seed in range(20):
-        cmdp, fmap, _ = build_synthetic_linear(8, 3, seed=seed)
+        cmdp, fmap = build_synthetic_linear(8, 3, seed=seed)
         rng = np.random.default_rng(seed + 10_000)
         model = LinearCostModel(fmap, cmdp.horizon, lam=1.0, p=p)
         # About 500 observations, as ceil(500/H) episodes of one random
@@ -166,7 +168,7 @@ def test_criterion_4_condition_one_optimism():
                                          -1, 1)))
             model.observe(rows, obs)
         for h in range(cmdp.horizon):
-            lcb, (_, width), true = model.lcb_table(h), model.estimate(h), cmdp.cost_mean[h]
+            lcb, (_, width), true = model.lcb_table(h), estimate(model, h), cmdp.cost_mean[h]
             lin_total += true.size
             lin_over += int((lcb > true).sum())
             lin_uncov += int((true - lcb > 2.0 * width).sum())
@@ -184,7 +186,7 @@ def test_criterion_4_condition_one_optimism():
                             feature_map=_map_of(pts * SQRT_HALF))
         for i in range(25):
             model.observe([i], [truth[i]])
-        lcb, width = model.lcb_table(0).ravel()[25:], model.estimate(0)[1].ravel()[25:]
+        lcb, width = model.lcb_table(0).ravel()[25:], estimate(model, 0)[1].ravel()[25:]
         gp_total += len(lcb)
         gp_over += int((lcb > truth[25:]).sum())
         gp_uncov += int((truth[25:] - lcb > 2.0 * width).sum())
@@ -215,9 +217,9 @@ def test_criterion_5_oracle_equivalence():
             if G[h, s].min() > 0:
                 G[h, s, rng.integers(A)] = -rng.uniform(0.1, 1.0)
         cmdp = sl.TabularCmdp(S, A, H, P, R, G)
-        _, tab = constrained_dp(cmdp)
+        _, v = constrained_dp(cmdp)
         _, bf_value = brute_force_enumerate(cmdp, safe_only=True)
-        worst = max(worst, abs(tab.v[0, cmdp.initial_state] - bf_value))
+        worst = max(worst, abs(v[0, cmdp.initial_state] - bf_value))
         checked += 1
     assert _report("criterion-5", worst <= 1e-10,
                    f"max |DP - brute force| over 50 instances = {worst:.2e} "
@@ -263,7 +265,7 @@ def test_criterion_6_numerical_identities():
     for row, cost in enumerate(costs):
         gp.observe([row], [cost])
         ridge.observe([row], [cost])
-    gp_mean = gp.estimate(0)[0].ravel()
+    gp_mean = estimate(gp, 0)[0].ravel()
     theta = ridge.stats.solve(0, ridge.b[0])
     for row in range(30, 50):
         ridge_err = max(ridge_err, abs(gp_mean[row] - float(points[row] @ theta)))
@@ -277,7 +279,7 @@ def test_criterion_6_numerical_identities():
         model.observe([row], [np.clip(rng.normal(0, 0.3), -1, 1)])
     kern = make_kernel("sqexp", 0.6)
     _, logdet = np.linalg.slogdet(np.eye(30) + kern(pts, pts) / model.lam)
-    info_err = abs(model.info_gain(0) - 0.5 * logdet)
+    info_err = abs(info_gain(model, 0) - 0.5 * logdet)
 
     # elliptical potential bound on 100 random sequences
     elliptical_ok = True
@@ -333,7 +335,8 @@ def test_criterion_7_penalty_semantics():
 
 
 def test_criterion_8_hard_instance_validity():
-    cmdp, fmap, pp = build_hard_instance(4, 3, 1000)
+    cmdp, fmap = build_hard_instance(4, 3, 1000)
+    pp = hard_instance_params(4, 3, 1000)
     S, A, H = cmdp.num_states, cmdp.num_actions, cmdp.horizon
 
     norm_err = np.abs(np.linalg.norm(fmap.flat, axis=1) - 1.0).max()

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -26,9 +27,13 @@ from episode_trace import traced_run
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
+from perfbench import harness  # noqa: E402
 from perfbench.harness import setup_cell  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
+
+# The workloads BENCHMARK.json gates on.
+GATED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def alternating_cost_env():
@@ -418,7 +423,7 @@ def test_episode_loop_matches_manual_transcript():
 @pytest.mark.parametrize("cost_model", COST_MODELS)
 @pytest.mark.parametrize("horizon", [2, 5])
 def test_env_override_with_another_horizon_is_rejected(cost_model, horizon):
-    cmdp, fmap, _ = build_synthetic_linear(4, 3, np.random.SeedSequence(0))
+    cmdp, fmap = build_synthetic_linear(4, 3, np.random.SeedSequence(0))
     cfg = ExperimentConfig(env="synthetic_linear", dim=4, episodes=3,
                            horizon=horizon, beta_override=1.0,
                            cost_model=cost_model)
@@ -769,6 +774,21 @@ def test_a_traced_round_counts_each_model_call_once(name):
     if name == "lake_gp":
         assert tracer.counters["costs.kernel.calls"] == 1
         assert tracer.counters["costs.kernel.entries"] == 4
+
+
+@pytest.mark.parametrize("name", GATED)
+def test_a_traced_round_produces_every_layer_the_benchmark_reports(name, tmp_path,
+                                                                   monkeypatch):
+    # perfbench reports each span of its LAYERS table per gated workload; a
+    # span that is renamed or no longer called reads as zeros there without
+    # failing its checks.  One tiny traced seed-3 round, through the harness
+    # itself, with the set-up timed once.
+    monkeypatch.setattr(harness, "SETUP_BUDGET_S", 0.0)
+    monkeypatch.setattr(harness, "MIN_SETUP_REPS", 1)
+    report = harness.run_workload(WORKLOADS[name], 3, 0.0, True, tmp_path, tiny=True)
+    assert report.correct and not report.failed, report.errors
+    produced = {span for span, stats in report.layer_table if stats["calls"]}
+    assert sorted(set(harness.LAYERS) - produced) == []
 
 
 def test_an_unpenalized_run_picks_every_action_by_the_penalized_argmax():

@@ -12,6 +12,8 @@ from safe_lsvi.envs import (FeatureMap, build_hard_instance, build_synthetic_lin
                             one_hot_features)
 from safe_lsvi.lsvi import GramState, LsviLearner
 
+from dense_reference import estimate, gp_kernel, info_gain
+
 
 def ball_features(rng, n, d):
     x = rng.normal(size=(n, d))
@@ -87,7 +89,7 @@ def _toy_fmap(rng, S=3, A=2, d=4):
 def test_linear_no_data_prior():
     fmap = one_hot_features(2, 2)
     model = LinearCostModel(fmap, horizon=2, lam=1.0, p=0.1)
-    mean, width = model.estimate(0)
+    mean, width = estimate(model, 0)
     assert mean[0, 0] == 0.0
     assert model.lcb_table(0)[0, 0] == pytest.approx(-tilde_beta(1.0, 4, 1, 0.1 / 2))
     assert width[0, 0] == pytest.approx(tilde_beta(1.0, 4, 1, 0.1 / 2))
@@ -118,7 +120,7 @@ def test_linear_incremental_matches_batch_ridge():
 
 def test_linear_zero_feature_estimate():
     model = LinearCostModel(map_of(np.zeros((1, 4))), horizon=1)
-    mean, width = model.estimate(0)
+    mean, width = estimate(model, 0)
     assert mean[0, 0] == 0.0 and width[0, 0] == 0.0 and model.lcb_table(0)[0, 0] == 0.0
 
 
@@ -181,7 +183,7 @@ def test_linear_condition_one_frequencies():
     p = 0.1
     over = uncovered = total = 0
     for seed in range(20):
-        cmdp, fmap, theta = build_synthetic_linear(8, 3, seed=seed)
+        cmdp, fmap = build_synthetic_linear(8, 3, seed=seed)
         rng = np.random.default_rng(seed + 500)
         model = LinearCostModel(fmap, cmdp.horizon, lam=1.0, p=p)
         # About 500 observations, as ceil(500/H) episodes of one random
@@ -196,7 +198,7 @@ def test_linear_condition_one_frequencies():
                                          -1, 1)))
             model.observe(rows, obs)
         for h in range(cmdp.horizon):
-            lcb, (_, width), true = model.lcb_table(h), model.estimate(h), cmdp.cost_mean[h]
+            lcb, (_, width), true = model.lcb_table(h), estimate(model, h), cmdp.cost_mean[h]
             total += true.size
             over += int((lcb > true).sum())
             uncovered += int((true - lcb > 2.0 * width).sum())
@@ -229,10 +231,10 @@ def test_gp_duplicate_point_stays_pd():
 
 def _posterior(model, h):
     """The GP's posterior mean and standard deviation over the map's rows,
-    (S*A,) each: the mean and the width of estimate(h), the width divided
-    by its multiplier."""
-    mean, width = model.estimate(h)
-    beta = model.width_scale * gp_beta(model.info_gain(h), model.p / model.H)
+    (S*A,) each: the mean and the width of estimate(model, h), the width
+    divided by its multiplier."""
+    mean, width = estimate(model, h)
+    beta = model.width_scale * gp_beta(info_gain(model, h), model.p / model.H)
     return mean.ravel(), width.ravel() / beta
 
 
@@ -306,7 +308,7 @@ def test_gp_kernel_ridge_matches_primal_mean():
     for i, cost in enumerate(costs):
         gp.observe([len(rows) + i], [cost])
         ridge.observe([len(rows) + i], [cost])
-    gp_mean = gp.estimate(0)[0].ravel()
+    gp_mean = estimate(gp, 0)[0].ravel()
     for row, q in enumerate(queries, start=len(rows) + n):
         assert abs(gp_mean[row] - float(q @ ridge.stats.solve(0, ridge.b[0]))) <= 1e-8
 
@@ -329,7 +331,7 @@ def test_gp_lcb_matches_primal_with_aligned_widths():
     for row, cost in enumerate(costs):
         gp.observe([row], [cost])
         ridge.observe([row], [cost])
-    beta_aligned = gp_beta(gp.info_gain(0), 0.1 / 1) * math.sqrt(gp.lam)
+    beta_aligned = gp_beta(info_gain(gp, 0), 0.1 / 1) * math.sqrt(gp.lam)
     table = gp.lcb_table(0).ravel()
     for row, q in enumerate(queries, start=len(points)):
         lhs = table[row]
@@ -362,7 +364,7 @@ def test_gp_condition_one_on_gp_sampled_truth():
                             feature_map=map_of(pts * SQRT_HALF))
         for i in train:
             model.observe([i], [f[i]])
-        lcb, width = model.lcb_table(0).ravel()[test], model.estimate(0)[1].ravel()[test]
+        lcb, width = model.lcb_table(0).ravel()[test], estimate(model, 0)[1].ravel()[test]
         total += len(test)
         over += int((lcb > f[test]).sum())
         uncovered += int((f[test] - lcb > 2.0 * width).sum())
@@ -377,8 +379,8 @@ def test_gp_condition_one_on_gp_sampled_truth():
 def test_info_gain_empty():
     model = GpCostModel("sqexp", total_episodes=10, horizon=2,
                         feature_map=map_of([[0.3, 0.4]]))
-    assert model.info_gain(0) == 0.0
-    assert model.info_gain(1) == 0.0
+    assert info_gain(model, 0) == 0.0
+    assert info_gain(model, 1) == 0.0
 
 
 def test_info_gain_single_unit_kernel_point():
@@ -387,7 +389,7 @@ def test_info_gain_single_unit_kernel_point():
                         feature_map=map_of([[0.0, 0.0]]))
     model.observe([0], [0.1])
     lam = 1.0 + 2.0 / K
-    assert model.info_gain(0) == pytest.approx(0.5 * math.log(1.0 + 1.0 / lam))
+    assert info_gain(model, 0) == pytest.approx(0.5 * math.log(1.0 + 1.0 / lam))
 
 
 def test_info_gain_matches_dense_logdet():
@@ -399,7 +401,7 @@ def test_info_gain_matches_dense_logdet():
         model.observe([row], [np.clip(rng.normal(0, 0.3), -1, 1)])
     kern = make_kernel("sqexp", 0.6)
     _, logdet = np.linalg.slogdet(np.eye(30) + kern(pts, pts) / model.lam)
-    assert abs(model.info_gain(0) - 0.5 * logdet) <= 1e-8
+    assert abs(info_gain(model, 0) - 0.5 * logdet) <= 1e-8
 
 
 def test_info_gain_nondecreasing():
@@ -411,7 +413,7 @@ def test_info_gain_nondecreasing():
     last = 0.0
     for row, (_, cost) in enumerate(draws):
         model.observe([row], [cost])
-        gamma = model.info_gain(0)
+        gamma = info_gain(model, 0)
         assert gamma >= last - 1e-10
         last = gamma
 
@@ -569,7 +571,7 @@ def test_dense_gp_information_gain_of_uninformative_observations_is_zero():
                         feature_map=map_of([[0.0, 0.0], [0.6, 0.0]]))
     for _ in range(10):
         model.observe([0], [0.1])
-    assert model.info_gain(0) == 0.0
+    assert info_gain(model, 0) == 0.0
     assert model.lcb_table(0)[0, 0] == 0.0  # no prior variance at a zero row
 
 
@@ -641,7 +643,7 @@ def _observed_gp(rng, kernel, lengthscale, horizon, on_episode=None):
 def _dense_gp_posterior(model, points, costs, Y):
     """Posterior mean and variance at the rows of Y and the information
     gain, dense: np.linalg.solve on K(X, X) + lam*I, and slogdet."""
-    kern, lam = model.kern, model.lam
+    kern, lam = gp_kernel(model), model.lam
     prior = np.diag(kern(Y, Y))
     if not points:
         return np.zeros(len(Y)), prior, 0.0
@@ -663,14 +665,14 @@ def _dense_gp_lcb(model, points, costs):
 
 
 def _assert_posterior_and_estimate(model, h, table, points, costs, tol):
-    """The mean of estimate(h) and its width over the multiplier match the
-    dense posterior's mean and standard deviation at every row to tol, and
-    mean - width is the LCB table, bit for bit."""
+    """The mean of estimate(model, h) and its width over the multiplier
+    match the dense posterior's mean and standard deviation at every row to
+    tol, and mean - width is the LCB table, bit for bit."""
     mean, var, _ = _dense_gp_posterior(model, points, costs, model.fmap.flat)
     got_mean, got_sigma = _posterior(model, h)
     assert np.abs(got_mean - mean).max() <= tol
     assert np.abs(got_sigma - np.sqrt(np.maximum(var, 0.0))).max() <= tol
-    est_mean, width = model.estimate(h)
+    est_mean, width = estimate(model, h)
     assert (est_mean - width).tobytes() == table.tobytes()
 
 
@@ -680,14 +682,14 @@ def test_gp_lcb_table_equals_dense_posterior_and_estimate(kernel, seed):
     rng = np.random.default_rng(seed)
     model, data = _observed_gp(rng, *kernel, horizon=2)
     assert not model.fmap.one_hot
-    kern, calls = model.kern, []
+    k, calls = model._k, []
 
-    def counted(a, b):
-        calls.append((a, b))
-        return kern(a, b)
-    model.kern = counted
+    def counted(*args):
+        calls.append(args)
+        return k(*args)
+    model._k = counted
     tables = [model.lcb_table(h) for h in range(model.H)]
-    model.kern = kern
+    model._k = k
     assert calls == []  # served from the cache, without a kernel call
     for h, (table, (points, costs)) in enumerate(zip(tables, data)):
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-8
@@ -705,7 +707,7 @@ def test_dense_gp_variance_stays_within_its_prior(kernel, seed):
     model, _ = _observed_gp(np.random.default_rng(seed), *kernel, horizon=2,
                             on_episode=lambda m: variances.append(m.var.copy()))
     assert not model.fmap.one_hot
-    prior = np.diag(model.kern(model.fmap.distinct, model.fmap.distinct))
+    prior = np.diag(gp_kernel(model)(model.fmap.distinct, model.fmap.distinct))
     for var in variances:
         assert var.min() >= -1e-12
         assert (var <= prior + 1e-12).all()
@@ -743,16 +745,16 @@ def test_one_hot_gp_count_posterior_equals_dense_posteriors(kernel, seed):
             calls.append(args)
             return f(*args)
         return call
-    kern, k = model.kern, model._k
-    model.kern, model._k = counted(kern), counted(k)
+    k = model._k
+    model._k = counted(k)
     tables = [model.lcb_table(h) for h in range(horizon)]
-    model.kern, model._k = kern, k
-    assert calls == []  # no kernel call, neither through kern nor pointwise
+    model._k = k
+    assert calls == []  # no kernel call
     for h, (table, (points, costs)) in enumerate(zip(tables, data)):
         assert model.count == len(points)
         assert np.abs(table - _dense_gp_lcb(model, points, costs)).max() <= 1e-10
         _, _, gamma = _dense_gp_posterior(model, points, costs, fmap.flat)
-        assert abs(model.info_gain(h) - gamma) <= 1e-10
+        assert abs(info_gain(model, h) - gamma) <= 1e-10
         _assert_posterior_and_estimate(model, h, table, points, costs, 1e-10)
 
 
@@ -835,7 +837,7 @@ def test_shared_statistics_table_follows_the_learner_ingest(one_hot):
     assert any(a.tobytes() != b.tobytes() for a, b in zip(after, before))
     for h in range(H):
         assert after[h].tobytes() == fresh.lcb_table(h).tobytes()
-        mean, width = model.estimate(h)
+        mean, width = estimate(model, h)
         assert after[h].tobytes() == (mean - width).tobytes()
 
 
@@ -874,7 +876,7 @@ def test_a_non_finite_table_raises_and_is_not_kept(name, one_hot):
             with pytest.raises(FloatingPointError,
                                match="non-finite cost estimate at episode 2"):
                 model.lcb_table(0)
-        mean, width = model.estimate(0)
+        mean, width = estimate(model, 0)
     assert np.isfinite(mean).all() and np.isinf(width).any()
 
 
@@ -942,15 +944,15 @@ def _full_row_gp_lcb(model, observations):
     """The dense GP's LCBs by its cross-factor recursion run over all S*A
     rows of the map, for one step's (row, cost) observations: a reference
     for the recursion over the distinct rows."""
-    flat, lam = model.fmap.flat, model.lam
+    flat, lam, kern = model.fmap.flat, model.lam, gp_kernel(model)
     Z, alpha = np.zeros((0, len(flat))), np.zeros(0)
-    mean, var, logdet = np.zeros(len(flat)), np.diag(model.kern(flat, flat)).copy(), 0.0
+    mean, var, logdet = np.zeros(len(flat)), np.diag(kern(flat, flat)).copy(), 0.0
     for row, cost in observations:
         y = flat[row]
         z = Z[:, row]
-        diag = math.sqrt(float(model.kern(y, y)[0, 0]) + lam - z @ z)
+        diag = math.sqrt(float(kern(y, y)[0, 0]) + lam - z @ z)
         a = (cost - z @ alpha) / diag
-        r = (model.kern(y, flat)[0] - z @ Z) / diag
+        r = (kern(y, flat)[0] - z @ Z) / diag
         Z, alpha = np.vstack([Z, r]), np.append(alpha, a)
         mean += a * r
         var -= r * r
@@ -1006,9 +1008,9 @@ def test_distinct_row_statistics_equal_full_row_references(seed):
 
 
 def _assert_linear_estimate(model, h, X, costs):
-    """estimate(h) matches a batch ridge fit on the step's observed features
-    X and costs at every row to 1e-10, and its mean - width is the LCB
-    table, bit for bit."""
+    """estimate(model, h) matches a batch ridge fit on the step's observed
+    features X and costs at every row to 1e-10, and its mean - width is the
+    LCB table, bit for bit."""
     flat, table = model.fmap.flat, model.lcb_table(h)
     d, lam = model.fmap.dim, model.stats.lam
     X, costs = np.reshape(X, (-1, d)), np.array(costs)
@@ -1016,7 +1018,7 @@ def _assert_linear_estimate(model, h, X, costs):
     beta = model.width_scale * tilde_beta(lam, d, len(costs) + 1, model.p / model.H)
     mean = flat @ np.linalg.solve(gram, X.T @ costs)
     width = beta * np.sqrt(np.einsum("nd,de,ne->n", flat, np.linalg.inv(gram), flat))
-    got_mean, got_width = model.estimate(h)
+    got_mean, got_width = estimate(model, h)
     assert np.abs(got_mean.ravel() - mean).max() <= 1e-10
     assert np.abs(got_width.ravel() - width).max() <= 1e-10
     assert (got_mean - got_width).tobytes() == table.tobytes()
@@ -1049,7 +1051,7 @@ def test_linear_estimate_is_its_lcb_table_on_the_hard_instance():
     # Dense rows, most of them repeated: an estimate with its own dot
     # product and quadratic form per row would differ from the table in the
     # last bits here.
-    _, fmap, _ = build_hard_instance(5, 3, 40)
+    _, fmap = build_hard_instance(5, 3, 40)
     model, data = _observed_linear(np.random.default_rng(0), fmap, horizon=3, num_episodes=10)
     for h, (X, costs) in enumerate(data):
         assert X  # every step holds observations
@@ -1207,9 +1209,7 @@ def _step_queries(fmap):
     gp = GpCostModel("sqexp", total_episodes=4, horizon=2, feature_map=fmap)
     w = np.zeros(fmap.dim)
     return {"gram.solve": lambda h: g.solve(h, w),
-            "linear.estimate": linear.estimate,
-            "linear.lcb_table": linear.lcb_table, "gp.estimate": gp.estimate,
-            "gp.lcb_table": gp.lcb_table, "gp.info_gain": gp.info_gain}
+            "linear.lcb_table": linear.lcb_table, "gp.lcb_table": gp.lcb_table}
 
 
 @pytest.mark.parametrize("query", list(_step_queries(one_hot_features(2, 2))))

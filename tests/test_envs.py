@@ -11,6 +11,8 @@ from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp, _row_keys
                             build_synthetic_linear, frozen_lake_from_grid, step)
 from safe_lsvi.lsvi import GramState
 
+from dense_reference import hard_instance_params, synthetic_theta
+
 
 # ---------------------------------------------------------------------------
 # Frozen lake
@@ -189,7 +191,8 @@ def test_simulation_deterministic_given_seed():
 # ---------------------------------------------------------------------------
 
 def test_synthetic_cost_is_inner_product():
-    cmdp, fmap, theta = build_synthetic_linear(4, 3, seed=7)
+    cmdp, fmap = build_synthetic_linear(4, 3, seed=7)
+    theta = synthetic_theta(cmdp, 4)
     for h in range(3):
         recomputed = (fmap.flat @ theta[h]).reshape(cmdp.num_states,
                                                     cmdp.num_actions)
@@ -198,12 +201,13 @@ def test_synthetic_cost_is_inner_product():
 
 def test_synthetic_feasible_every_state():
     for seed in range(6):
-        cmdp, _, _ = build_synthetic_linear(4, 3, seed=seed)
+        cmdp, _ = build_synthetic_linear(4, 3, seed=seed)
         assert (cmdp.cost_mean <= 0).any(axis=2).all()
 
 
 def test_synthetic_costs_bounded():
-    cmdp, _, theta = build_synthetic_linear(4, 3, seed=7)
+    cmdp, _ = build_synthetic_linear(4, 3, seed=7)
+    theta = synthetic_theta(cmdp, 4)
     assert np.abs(cmdp.cost_mean).max() <= 1.0
     assert all(np.linalg.norm(theta[h]) <= np.sqrt(4) for h in range(3))
 
@@ -213,7 +217,7 @@ def test_synthetic_deterministic_per_seed():
     b = build_synthetic_linear(6, 2, seed=11)
     assert np.array_equal(a[0].transition, b[0].transition)
     assert np.array_equal(a[0].reward, b[0].reward)
-    assert np.array_equal(a[2], b[2])
+    assert np.array_equal(a[0].cost_mean, b[0].cost_mean)
 
 
 def test_synthetic_rejects_small_dimension():
@@ -223,9 +227,9 @@ def test_synthetic_rejects_small_dimension():
 
 def test_synthetic_safe_optimum_matches_unconstrained():
     from safe_lsvi.oracle import constrained_dp, value_iteration
-    cmdp, _, _ = build_synthetic_linear(8, 5, seed=3)
-    _, tab = constrained_dp(cmdp)
-    assert tab.v[0, cmdp.initial_state] == value_iteration(cmdp)[0, cmdp.initial_state]
+    cmdp, _ = build_synthetic_linear(8, 5, seed=3)
+    _, v = constrained_dp(cmdp)
+    assert v[0, cmdp.initial_state] == value_iteration(cmdp)[0, cmdp.initial_state]
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +237,37 @@ def test_synthetic_safe_optimum_matches_unconstrained():
 # ---------------------------------------------------------------------------
 
 def test_hard_instance_feature_norms_exactly_one():
-    cmdp, fmap, _ = build_hard_instance(4, 3, 1000)
+    cmdp, fmap = build_hard_instance(4, 3, 1000)
     norms = np.linalg.norm(fmap.flat, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
 
 
 def test_hard_instance_rows_sum_to_one():
-    cmdp, _, _ = build_hard_instance(4, 3, 1000)
+    cmdp, _ = build_hard_instance(4, 3, 1000)
     assert np.abs(cmdp.transition.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
-def test_hard_instance_transition_roundtrip():
-    cmdp, fmap, pp = build_hard_instance(4, 3, 1000)
+# (d, H, K): the size the tests use most, and two more up to d = 13
+# (4096 actions) at the smallest K the builder accepts.
+HARD_SIZES = pytest.mark.parametrize("d, H, K", [(4, 3, 1000), (8, 4, 98), (13, 3, 216)])
+
+
+@HARD_SIZES
+def test_hard_instance_transition_roundtrip(d, H, K):
+    # The rows are <phi, mu_h> for the parametrization derived from the
+    # definition, at every (h, state, action).
+    cmdp, fmap = build_hard_instance(d, H, K)
+    pp = hard_instance_params(d, H, K)
     S, A = cmdp.num_states, cmdp.num_actions
     for h in range(cmdp.horizon):
         via_features = (fmap.flat @ pp.mu[h]).reshape(S, A, S)
         assert np.abs(via_features - cmdp.transition[h]).max() <= 1e-12
 
 
-def test_hard_instance_reward_roundtrip():
-    cmdp, fmap, pp = build_hard_instance(4, 3, 1000)
+@HARD_SIZES
+def test_hard_instance_reward_roundtrip(d, H, K):
+    cmdp, fmap = build_hard_instance(d, H, K)
+    pp = hard_instance_params(d, H, K)
     via_features = (fmap.flat @ pp.theta).reshape(cmdp.num_states,
                                                   cmdp.num_actions)
     for h in range(cmdp.horizon):
@@ -260,7 +275,8 @@ def test_hard_instance_reward_roundtrip():
 
 
 def test_hard_instance_measure_norm_bound():
-    cmdp, _, pp = build_hard_instance(4, 3, 1000)
+    cmdp, _ = build_hard_instance(4, 3, 1000)
+    pp = hard_instance_params(4, 3, 1000)
     bound = np.sqrt(4 + 1)
     for signs in product((-1.0, 1.0), repeat=cmdp.num_states):
         v = np.array(signs)
@@ -269,7 +285,8 @@ def test_hard_instance_measure_norm_bound():
 
 
 def test_hard_instance_chain_dynamics_on_diagonal():
-    cmdp, _, pp = build_hard_instance(4, 3, 1000)
+    cmdp, _ = build_hard_instance(4, 3, 1000)
+    pp = hard_instance_params(4, 3, 1000)
     H = cmdp.horizon
     reward_state = cmdp.num_states - 1
     for h in range(H):
@@ -282,7 +299,8 @@ def test_hard_instance_chain_dynamics_on_diagonal():
 
 
 def test_hard_instance_costs():
-    cmdp, _, pp = build_hard_instance(4, 3, 1000)
+    cmdp, _ = build_hard_instance(4, 3, 1000)
+    pp = hard_instance_params(4, 3, 1000)
     for h in range(cmdp.horizon):
         best = int(np.argmax(pp.actions @ pp.u[h]))
         assert np.all(cmdp.cost_mean[h, :3, best] == 0.0)
@@ -294,9 +312,12 @@ def test_hard_instance_costs():
 def test_hard_instance_sign_vectors_and_distinct_rows():
     H = 3
     for d in range(4, 14):
-        _, fmap, pp = build_hard_instance(d, H, math.ceil((d - 1) ** 2 * H / 2))
+        _, fmap = build_hard_instance(d, H, math.ceil((d - 1) ** 2 * H / 2))
         expected = np.array(list(product((-1.0, 1.0), repeat=d - 1)))
-        assert pp.actions.tobytes() == expected.tobytes()
+        # The actions in itertools.product order: the signs of every chain
+        # state's middle features.
+        assert np.sign(fmap.table[:H + 1, :, 1:d]).tobytes() == \
+            np.broadcast_to(expected, (H + 1,) + expected.shape).tobytes()
         # Every state but the rewarding one has the features (alpha, beta*a,
         # 0); the rewarding state's are all the last basis vector.  The
         # distinct rows keep their old positions: the first state's rows,
@@ -308,6 +329,18 @@ def test_hard_instance_sign_vectors_and_distinct_rows():
         # The hash keys alone tell the distinct rows apart, so the map is
         # not grouped by bytes, the slower way.
         assert len(np.unique(_row_keys(fmap.flat))) == A + 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_frozen_lake(3, 3, {4}, goal_cell=8, horizon=2),
+    lambda: frozen_lake_from_grid(DEFAULT_LAKE_MAP, 3),
+    lambda: build_synthetic_linear(5, 3, seed=0),
+    lambda: build_hard_instance(4, 3, 1000)], ids=["lake", "lake-map", "synthetic", "hard"])
+def test_every_builder_returns_a_cmdp_and_its_feature_map(build):
+    # bench.build_env unpacks every builder one way.
+    cmdp, fmap = build()
+    assert isinstance(cmdp, TabularCmdp) and isinstance(fmap, FeatureMap)
+    assert fmap.table.shape[:2] == (cmdp.num_states, cmdp.num_actions)
 
 
 @pytest.mark.parametrize("horizon", [2.5, True, np.float64(3.0), 0],
@@ -334,8 +367,15 @@ def test_hard_instance_rejects_bad_parameters():
 
 def test_hard_instance_custom_signs():
     signs = -np.ones((3, 3))
-    cmdp, _, pp = build_hard_instance(4, 3, 1000, u_signs=signs)
-    assert np.all(pp.u == -pp.gap)
+    cmdp, _ = build_hard_instance(4, 3, 1000, u_signs=signs)
+    pp = hard_instance_params(4, 3, 1000, u_signs=signs)
+    # u = -gap: the leak follows <u, a>, and the all -1 action is the safe one.
+    reward_state = cmdp.num_states - 1
+    for h in range(cmdp.horizon):
+        leak = pp.delta + pp.actions @ pp.u[h]
+        assert np.allclose(cmdp.transition[h, h, :, reward_state], leak)
+        assert np.all(cmdp.cost_mean[h, :3, 0] == 0.0)
+        assert np.all(cmdp.cost_mean[h, :3, 1:] == 1.0)
     with pytest.raises(ValueError):
         build_hard_instance(4, 3, 1000, u_signs=np.zeros((3, 3)))
 

@@ -14,7 +14,7 @@ from safe_lsvi.envs import FeatureMap, one_hot_features
 from safe_lsvi.lsvi import GramState, LsviLearner, beta_schedule
 from safe_lsvi.penalty import PenaltyLedger
 
-from dense_reference import reference_lines_4_to_9
+from dense_reference import backup_q, plan_q_table, reference_lines_4_to_9
 
 
 def random_unit_features(rng, n, d, scale=1.0):
@@ -337,7 +337,7 @@ def test_q_value_never_exceeds_cap():
     learner = LsviLearner(fmap, 2, 2, H, 1.0, beta=10.0)
     for k in range(20):
         plan = learner.backward_pass(np.zeros((H, 2, 2)), np.zeros(H))
-        assert plan.q_table.max() <= H + 1e-12
+        assert plan_q_table(learner, plan).max() <= H + 1e-12
         ingest_steps(learner, random_steps(rng, 2, 2, H))
 
 
@@ -351,11 +351,11 @@ def test_backward_pass_empty_history():
     plan = learner.backward_pass(np.zeros((4, 3, 2)), np.zeros(4))
     assert np.array_equal(plan.weights, np.zeros((4, 6)))
     # every Q value is min(beta * ||phi||, H) = 1.5 for unit one-hot features
-    assert np.allclose(plan.q_table, 1.5)
+    assert np.allclose(plan_q_table(learner, plan), 1.5)
     # a bonus far above the horizon clips every value at the cap H = 4
     learner = LsviLearner(fmap, 3, 2, 4, 1.0, beta=8.0)
     plan = learner.backward_pass(np.zeros((4, 3, 2)), np.zeros(4))
-    assert np.array_equal(plan.q_table, np.full((4, 3, 2), 4.0))
+    assert np.array_equal(plan_q_table(learner, plan), np.full((4, 3, 2), 4.0))
     assert np.array_equal(plan.v_table, np.full((4, 3), 4.0))
 
 
@@ -390,6 +390,19 @@ def test_backward_pass_rejects_a_penalty_or_tables_of_another_shape(tables, z_sh
         learner.backward_pass([np.zeros((S, A))] * tables, np.zeros(z_shape))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_backward_pass_rejects_a_non_finite_penalty(bad):
+    # Q - NaN*max(ghat, 0) is NaN in every entry, so every action would be
+    # 0, and inf*0 is NaN where ghat <= 0.  Turned down before any work.
+    S, A, H = 3, 2, 3
+    learner = LsviLearner(one_hot_features(S, A), S, A, H, 1.0, beta=1.0)
+    learner.stats.roots = lambda: pytest.fail("the pass began its work")
+    z = np.ones(H)
+    z[1] = bad
+    with pytest.raises(ValueError, match=r"penalty factors z .* not all finite"):
+        learner.backward_pass(np.zeros((H, S, A)), z)
+
+
 def test_backward_pass_matches_reference():
     rng = np.random.default_rng(5)
     # one-hot (diagonal statistics) and dense unit-norm features of d = 3
@@ -413,7 +426,7 @@ def test_backward_pass_matches_reference():
         ref_w, ref_q, _ = reference_lines_4_to_9(episodes, fmap.flat, S, A, H,
                                                  1.0, beta, ghat, z)
         assert np.abs(plan.weights - ref_w).max() <= tol
-        assert np.abs(plan.q_table - ref_q).max() <= tol
+        assert np.abs(plan_q_table(learner, plan) - ref_q).max() <= tol
 
 
 def test_backward_pass_incremental_matches_dense_rebuild():
@@ -432,7 +445,7 @@ def test_backward_pass_incremental_matches_dense_rebuild():
     dense_w, dense_q, _ = reference_lines_4_to_9(episodes, fmap.flat, S, A, H, 1.0,
                                                  1.2, np.zeros((H, S, A)), np.zeros(H))
     assert np.abs(plan_incremental.weights - dense_w).max() <= 1e-8
-    assert np.abs(plan_incremental.q_table - dense_q).max() <= 1e-8
+    assert np.abs(plan_q_table(learner, plan_incremental) - dense_q).max() <= 1e-8
 
 
 def test_backward_pass_penalty_dominates():
@@ -444,8 +457,9 @@ def test_backward_pass_penalty_dominates():
     z = np.full(H, 1e6)
     plan = learner.backward_pass(ghat=ghat, z=z)
     assert np.all(plan.policy == 1)
-    assert np.allclose(plan.v_table, plan.q_table[:, :, 1][np.arange(H)[:, None],
-                                                           np.arange(S)[None, :]])
+    q_table = plan_q_table(learner, plan)
+    assert np.allclose(plan.v_table, q_table[:, :, 1][np.arange(H)[:, None],
+                                                      np.arange(S)[None, :]])
 
 
 def test_weight_norm_bound_on_generated_runs():
@@ -472,9 +486,9 @@ def test_overestimation_frequency_small_instances():
     p = 0.1
     under = total = 0
     for seed in range(20):
-        cmdp, fmap, _ = build_synthetic_linear(4, 3, seed=seed)
+        cmdp, fmap = build_synthetic_linear(4, 3, seed=seed)
         cmdp = dataclasses.replace(cmdp, cost_noise=0.0)
-        _, star = constrained_dp(cmdp)
+        q_star = backup_q(cmdp, constrained_dp(cmdp)[1])
         K = 30
         beta = beta_schedule(fmap.dim, cmdp.horizon, K, p)
         learner = LsviLearner(fmap, cmdp.num_states, cmdp.num_actions,
@@ -485,8 +499,9 @@ def test_overestimation_frequency_small_instances():
         for k in range(1, K + 1):
             ghat = np.stack([cost.lcb_table(h) for h in range(cmdp.horizon)])
             plan = learner.backward_pass(ghat=ghat, z=ledger.z)
-            under += int((plan.q_table < star.q - 1e-9).sum())
-            total += plan.q_table.size
+            q_table = plan_q_table(learner, plan)
+            under += int((q_table < q_star - 1e-9).sum())
+            total += q_table.size
             s = cmdp.initial_state
             ep = []
             for h in range(cmdp.horizon):
@@ -556,7 +571,7 @@ def test_diagonal_statistics_equal_dense_bitwise(lam, seed):
     assert g.count == ref.count
     plan, ref_plan = diag.backward_pass(ghat, z), dense.backward_pass(ghat, z)
     assert plan.weights.tobytes() == ref_plan.weights.tobytes()
-    assert plan.q_table.tobytes() == ref_plan.q_table.tobytes()
+    assert plan_q_table(diag, plan).tobytes() == plan_q_table(dense, ref_plan).tobytes()
     assert np.array_equal(plan.policy, ref_plan.policy)
 
 
@@ -744,7 +759,8 @@ def test_backward_pass_at_zero_penalty_is_the_plain_argmax(seed, one_hot, data):
     ghat = data.draw(arrays(float, (H, S, A),
                             elements=st.floats(allow_nan=False, allow_infinity=False)))
     plan = learner.backward_pass(ghat, np.zeros(H))
-    assert np.array_equal(plan.policy, plan.q_table.argmax(axis=2))
+    assert np.array_equal(plan.policy, plan_q_table(learner, plan).argmax(axis=2))
     ref = learner.backward_pass(np.zeros((H, S, A)), np.zeros(H))
-    for name in ("weights", "q_table", "v_table", "policy"):
+    for name in ("weights", "v_table", "policy"):
         assert getattr(plan, name).tobytes() == getattr(ref, name).tobytes()
+    assert plan_q_table(learner, plan).tobytes() == plan_q_table(learner, ref).tobytes()

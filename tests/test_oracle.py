@@ -3,13 +3,14 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from safe_lsvi.envs import (DEFAULT_LAKE_MAP, TabularCmdp, build_frozen_lake,
                             build_hard_instance, build_synthetic_linear,
                             frozen_lake_from_grid, step)
-from safe_lsvi.oracle import (PolicyRows, brute_force_enumerate, constrained_dp,
-                              policy_eval, value_iteration)
+from safe_lsvi.oracle import PolicyRows, constrained_dp, policy_eval, value_iteration
+
+from dense_reference import backup_q, brute_force_enumerate
 from test_output_bytes import blas_core
 
 
@@ -35,28 +36,32 @@ def test_dp_constraint_eliminates_better_arm():
     R = np.array([[[0.3, 0.9]]])
     G = np.array([[[-1.0, 1.0]]])
     cmdp = TabularCmdp(1, 2, 1, P, R, G)
-    policy, tab = constrained_dp(cmdp)
+    policy, v = constrained_dp(cmdp)
     assert policy[0, 0] == 0
-    assert tab.v[0, 0] == pytest.approx(0.3)
+    assert v[0, 0] == pytest.approx(0.3)
 
 
 def test_dp_vacuous_constraint_equals_value_iteration():
     rng = np.random.default_rng(0)
     cmdp = random_cmdp(rng, 3, 3, 4)
     cmdp.cost_mean[:] = -np.abs(cmdp.cost_mean)
-    policy, tab = constrained_dp(cmdp)
-    assert np.abs(tab.v - value_iteration(cmdp)).max() <= 1e-12
+    policy, v = constrained_dp(cmdp)
+    assert np.abs(v - value_iteration(cmdp)).max() <= 1e-12
 
 
 def test_dp_matches_brute_force_4state():
     rng = np.random.default_rng(5)
     cmdp = random_cmdp(rng, 4, 3, 3)
-    policy, tab = constrained_dp(cmdp)
+    policy, v = constrained_dp(cmdp)
     _, bf_value = brute_force_enumerate(cmdp, safe_only=True)
-    assert abs(tab.v[0, cmdp.initial_state] - bf_value) <= 1e-10
+    assert abs(v[0, cmdp.initial_state] - bf_value) <= 1e-10
+    q = backup_q(cmdp, v)
+    rows = np.arange(4)
     for h in range(3):
-        q_ref = cmdp.reward[h] + cmdp.transition[h] @ tab.v[h + 1]
-        assert np.abs(tab.q[h] - q_ref).max() <= 1e-10
+        q_ref = cmdp.reward[h] + cmdp.transition[h] @ v[h + 1]
+        assert np.abs(q[h] - q_ref).max() <= 1e-10
+        # v is the backup read at the policy's actions.
+        assert v[h].tobytes() == q[h, rows, policy[h]].tobytes()
         for s in range(4):
             assert cmdp.cost_mean[h, s, policy[h, s]] <= 0
 
@@ -93,11 +98,11 @@ def _tied_cmdps(seed):
 
 def test_dp_equals_the_per_state_loop_bitwise():
     for cmdp in _tied_cmdps(31):
-        policy, tab = constrained_dp(cmdp)
+        policy, v = constrained_dp(cmdp)
         ref_policy, ref_v, ref_q = _constrained_dp_loop(cmdp)
         assert np.array_equal(policy, ref_policy)
-        assert tab.v.tobytes() == ref_v.tobytes()
-        assert tab.q.tobytes() == ref_q.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
+        assert backup_q(cmdp, v).tobytes() == ref_q.tobytes()
 
 
 def _value_iteration_loop(cmdp):
@@ -267,8 +272,8 @@ def _store_cmdp(kind, rng, seed):
 def test_a_store_serves_any_policy_sequence_bitwise(kind, seed, moves):
     # One store, fed repeats, one-entry changes, whole-step changes and
     # all-new policies (the first policy is new too), each changed in place
-    # as brute_force_enumerate does, gives every time the bytes of a fresh
-    # evaluation.
+    # as dense_reference.brute_force_enumerate does, gives every time the
+    # bytes of a fresh evaluation.
     rng = np.random.default_rng(seed)
     cmdp = _store_cmdp(kind, rng, seed)
     H, S, A = cmdp.horizon, cmdp.num_states, cmdp.num_actions
@@ -361,15 +366,46 @@ def test_dp_equals_brute_force_battery():
         if (A ** (S * H)) > 10 ** 5:
             continue
         cmdp = random_cmdp(rng, S, A, H)
-        _, tab = constrained_dp(cmdp)
+        _, v = constrained_dp(cmdp)
         _, bf_value = brute_force_enumerate(cmdp, safe_only=True)
-        assert abs(tab.v[0, cmdp.initial_state] - bf_value) <= 1e-10
+        assert abs(v[0, cmdp.initial_state] - bf_value) <= 1e-10
+
+
+# Cost means on a grid that holds 0.0, so that the safe set's boundary
+# (mean cost <= 0 is safe) is met exactly.
+COST_LEVELS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 4), A=st.integers(1, 4), H=st.integers(1, 4),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_the_oracle_equals_enumeration_on_tiny_cmdps(S, A, H, seed):
+    # Every deterministic policy of a CMDP with at most 4096 of them, against
+    # the one optimal backup: the best safe policy's value is
+    # constrained_dp's v[0, s0], which policy_eval of its policy gives too,
+    # and the best of all policies is value_iteration's.
+    assume(A ** (S * H) <= 4096)
+    rng = np.random.default_rng(seed)
+    cmdp = random_cmdp(rng, S, A, H)
+    cmdp.reward[:] = rng.integers(0, 4, size=cmdp.reward.shape) / 3.0  # ties
+    cmdp.cost_mean[:] = rng.choice(COST_LEVELS, size=cmdp.cost_mean.shape)
+    safe = rng.integers(A, size=(H, S))  # one safe action per (h, s) at least
+    cmdp.cost_mean[np.arange(H)[:, None], np.arange(S), safe] = \
+        rng.choice(COST_LEVELS[:3], size=(H, S))
+    s0 = cmdp.initial_state
+    policy, v = constrained_dp(cmdp)
+    _, bf_safe = brute_force_enumerate(cmdp, safe_only=True)
+    assert abs(v[0, s0] - bf_safe) <= 1e-12
+    assert (cmdp.cost_mean[np.arange(H)[:, None], np.arange(S), policy] <= 0.0).all()
+    assert abs(policy_eval(cmdp, policy)[0, s0] - v[0, s0]) <= 1e-12
+    _, bf_all = brute_force_enumerate(cmdp, safe_only=False)
+    assert abs(value_iteration(cmdp)[0, s0] - bf_all) <= 1e-12
 
 
 def test_safe_optimum_never_exceeds_unconstrained():
     rng = np.random.default_rng(20)
     for _ in range(10):
         cmdp = random_cmdp(rng, 3, 3, 3)
-        _, tab = constrained_dp(cmdp)
+        _, v = constrained_dp(cmdp)
         v_unc = value_iteration(cmdp)
-        assert np.all(tab.v[0] <= v_unc[0] + 1e-12)
+        assert np.all(v[0] <= v_unc[0] + 1e-12)

@@ -200,6 +200,17 @@ def test_argmax_rejects_empty_and_mismatched():
         penalized_argmax(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_argmax_rejects_a_non_finite_z(bad):
+    # Q - NaN*max(ghat, 0) is NaN in every entry, and the argmax of NaNs is
+    # 0 for every row; inf*0 is NaN where ghat <= 0.
+    q = np.array([[1.0, 3.0, 4.0], [5.0, 1.0, 0.0]])
+    ghat = np.array([[-1.0, 0.0, 0.5], [0.0, -1.0, 1.0]])
+    assert penalized_argmax(q, ghat, 1.0).tolist() == [2, 0]
+    with pytest.raises(ValueError, match="penalty factor z=.* is not finite"):
+        penalized_argmax(q, ghat, bad)
+
+
 # Small integers make ties common, so the tie rule is exercised.
 SMALL = st.integers(min_value=-3, max_value=3).map(float)
 
