@@ -26,12 +26,21 @@ _MOVES = {UP: (-1, 0), DOWN: (1, 0), LEFT: (0, -1), RIGHT: (0, 1)}
 _ORTHO = {UP: (LEFT, RIGHT), DOWN: (LEFT, RIGHT), LEFT: (UP, DOWN), RIGHT: (UP, DOWN)}
 
 
+def _is_integer(x) -> bool:
+    """The one test of an integer setting: a python or numpy integer and
+    not a bool, which is a numbers.Integral too but no count or cell."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """The one check of a count (a horizon, a number of states or actions):
+    an integer >= 1."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 def _check_horizon(horizon) -> None:
-    """The one check of a model's horizon H: an integer >= 1.  A bool is a
-    numbers.Integral too, but no count."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) \
-            or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, not {horizon!r}")
+    _check_count("horizon", horizon)
 
 
 def _is_real(x) -> bool:
@@ -62,6 +71,12 @@ class TabularCmdp:
 
     def __post_init__(self):
         H, S, A = self.horizon, self.num_states, self.num_actions
+        # Checked first: a float S equal to an integer passes the shape
+        # comparisons below and fails late, in a run's indexing.
+        for name in ("num_states", "num_actions", "horizon"):
+            _check_count(name, getattr(self, name))
+        if not _is_integer(self.initial_state):
+            raise ValueError(f"initial_state must be an integer, not {self.initial_state!r}")
         if self.transition.shape != (H, S, A, S):
             raise ValueError(f"transition shape {self.transition.shape} != {(H, S, A, S)}")
         if self.reward.shape != (H, S, A) or self.cost_mean.shape != (H, S, A):
@@ -90,9 +105,10 @@ class TabularCmdp:
 
 def _unit_columns(flat: np.ndarray) -> Optional[np.ndarray]:
     """Column of the 1 in each row when every row of flat is a unit basis
-    vector, else None.  A dense feature set is turned down by the nonzero
-    count alone."""
-    if len(flat) == 0 or np.count_nonzero(flat) != len(flat):
+    vector, else None.  A dense feature set is turned down by its first row
+    alone, or else by the nonzero count."""
+    if len(flat) == 0 or np.count_nonzero(flat[0]) != 1 or flat[0].max() != 1.0 \
+            or np.count_nonzero(flat) != len(flat):
         return None
     cols = flat.argmax(axis=1)
     return cols if (flat[np.arange(len(flat)), cols] == 1.0).all() else None
@@ -258,6 +274,10 @@ def build_frozen_lake(width: int, height: int, hazard_cells, goal_cell: int,
     if n < 2:
         raise ValueError("grid must have at least 2 cells")
     _check_horizon(horizon)
+    hazard_cells = list(hazard_cells)
+    for c in hazard_cells + [goal_cell, start_cell]:
+        if not _is_integer(c):
+            raise ValueError(f"cell {c!r} is not an integer")
     hazards = set(int(c) for c in hazard_cells)
     if goal_cell in hazards:
         raise ValueError("goal cell cannot be a hazard")
@@ -265,34 +285,36 @@ def build_frozen_lake(width: int, height: int, hazard_cells, goal_cell: int,
         if not 0 <= c < n:
             raise ValueError(f"cell {c} outside {width}x{height} grid")
 
-    def dest(cell: int, direction: int) -> int:
-        # Deterministic destination: off-grid moves stay put, goal absorbs.
-        if cell == goal_cell:
-            return cell
-        r, c = divmod(cell, width)
-        dr, dc = _MOVES[direction]
-        r2, c2 = r + dr, c + dc
-        if not (0 <= r2 < height and 0 <= c2 < width):
-            return cell
-        return r2 * width + c2
+    # dest[a, s]: the deterministic destination of direction a from cell s;
+    # off-grid moves stay put, the goal absorbs.
+    cells = np.arange(n)
+    r, c = np.divmod(cells, width)
+    dest = np.empty((4, n), dtype=np.intp)
+    for a, (dr, dc) in _MOVES.items():
+        inside = (0 <= r + dr) & (r + dr < height) & (0 <= c + dc) & (c + dc < width)
+        dest[a] = np.where(inside, cells + dr * width + dc, cells)
+    dest[:, goal_cell] = goal_cell
 
-    P = np.zeros((horizon, n, 4, n))
-    R = np.zeros((horizon, n, 4))
-    G = np.zeros((horizon, n, 4))
-    for s in range(n):
-        for a in range(4):
-            if s == goal_cell:
-                P[0, s, a, s] = 1.0
-            else:
-                P[0, s, a, dest(s, a)] += 0.9
-                for o in _ORTHO[a]:
-                    P[0, s, a, dest(s, o)] += 0.05
-            G[0, s, a] = 1.0 if dest(s, a) in hazards else -1.0
-        R[0, s, :] = 1.0 if s == goal_cell else 0.01 / 6.0
-    P[:] = P[0]
-    R[:] = R[0]
-    G[:] = G[0]
+    # One step's rows: each adds the intended move's 0.9 and then each
+    # orthogonal slip's 0.05, in _ORTHO's order, to a row of zeros.  Where
+    # moves land on one cell (an edge, a 1-wide grid) their probabilities
+    # add up; with these three values every order gives the same bits.
+    rows, acts = cells[:, None], np.arange(4)
+    T = np.zeros((n, 4, n))
+    T[rows, acts, dest.T] += 0.9
+    for i in (0, 1):
+        T[rows, acts, dest[[_ORTHO[a][i] for a in range(4)]].T] += 0.05
+    T[goal_cell] = 0.0
+    T[goal_cell, :, goal_cell] = 1.0
+    hazard = np.zeros(n, dtype=bool)
+    hazard[list(hazards)] = True
+    G = np.where(hazard[dest.T], 1.0, -1.0)
+    R = np.full((n, 4), 0.01 / 6.0)
+    R[goal_cell] = 1.0
 
+    # Dense copies, not broadcast views: policy_eval's reshape of the
+    # transitions would copy a view on every call.
+    P, R, G = (np.broadcast_to(x, (horizon, *x.shape)).copy() for x in (T, R, G))
     cmdp = TabularCmdp(num_states=n, num_actions=4, horizon=horizon,
                        transition=P, reward=R, cost_mean=G,
                        initial_state=start_cell, reward_scale=6.0)

@@ -14,7 +14,10 @@ lives here:
   and width (estimate) and a GP's information gain (info_gain);
 - the linear parametrizations of the two synthetic builders, derived from
   their definitions apart from the builders (hard_instance_params,
-  synthetic_theta).
+  synthetic_theta);
+- reference_frozen_lake, the frozen lake built by a Python loop over
+  (cell, action) pairs, against which the array builder is checked byte
+  for byte.
 """
 
 import math
@@ -23,6 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from safe_lsvi.envs import _MOVES, _ORTHO, TabularCmdp, _check_horizon
 from safe_lsvi.oracle import PolicyRows, policy_eval
 
 ENUMERATION_CAP = 10 ** 6
@@ -174,3 +178,53 @@ def synthetic_theta(cmdp, d):
     theta = np.zeros((H, d))
     theta[:, :cells] = cmdp.cost_mean.reshape(H, cells)
     return theta
+
+
+def reference_frozen_lake(width, height, hazard_cells, goal_cell, horizon,
+                          start_cell=0):
+    """envs.build_frozen_lake's lake, built one (cell, action) pair at a
+    time: each row adds the intended move's 0.9 and then each orthogonal
+    slip's 0.05, in _ORTHO's order, to a row of zeros.  It checks its cells
+    as the builder does, with the same messages, but takes a cell of any
+    type that int() and comparison accept."""
+    n = width * height
+    if n < 2:
+        raise ValueError("grid must have at least 2 cells")
+    _check_horizon(horizon)
+    hazards = set(int(c) for c in hazard_cells)
+    if goal_cell in hazards:
+        raise ValueError("goal cell cannot be a hazard")
+    for c in hazards | {goal_cell, start_cell}:
+        if not 0 <= c < n:
+            raise ValueError(f"cell {c} outside {width}x{height} grid")
+
+    def dest(cell, direction):
+        # Deterministic destination: off-grid moves stay put, goal absorbs.
+        if cell == goal_cell:
+            return cell
+        r, c = divmod(cell, width)
+        dr, dc = _MOVES[direction]
+        r2, c2 = r + dr, c + dc
+        if not (0 <= r2 < height and 0 <= c2 < width):
+            return cell
+        return r2 * width + c2
+
+    P = np.zeros((horizon, n, 4, n))
+    R = np.zeros((horizon, n, 4))
+    G = np.zeros((horizon, n, 4))
+    for s in range(n):
+        for a in range(4):
+            if s == goal_cell:
+                P[0, s, a, s] = 1.0
+            else:
+                P[0, s, a, dest(s, a)] += 0.9
+                for o in _ORTHO[a]:
+                    P[0, s, a, dest(s, o)] += 0.05
+            G[0, s, a] = 1.0 if dest(s, a) in hazards else -1.0
+        R[0, s, :] = 1.0 if s == goal_cell else 0.01 / 6.0
+    P[:] = P[0]
+    R[:] = R[0]
+    G[:] = G[0]
+    return TabularCmdp(num_states=n, num_actions=4, horizon=horizon,
+                       transition=P, reward=R, cost_mean=G,
+                       initial_state=start_cell, reward_scale=6.0)

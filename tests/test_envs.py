@@ -1,17 +1,19 @@
 import dataclasses
+import hashlib
 import math
+import re
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp, _row_keys,
                             build_frozen_lake, build_hard_instance,
                             build_synthetic_linear, frozen_lake_from_grid, step)
 from safe_lsvi.lsvi import GramState
 
-from dense_reference import hard_instance_params, synthetic_theta
+from dense_reference import hard_instance_params, reference_frozen_lake, synthetic_theta
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,83 @@ def test_lake_rejects_bad_inputs():
         build_frozen_lake(3, 3, {8}, goal_cell=8, horizon=2)
     with pytest.raises(ValueError):
         build_frozen_lake(1, 1, set(), goal_cell=0, horizon=2)
+
+
+@pytest.mark.parametrize("cells, bad", [
+    (dict(goal_cell=22.5), "22.5"),
+    (dict(goal_cell=True), "True"),
+    (dict(start_cell=1.5), "1.5"),
+    (dict(hazard_cells={7, 2.7}), "2.7"),
+], ids=["fractional-goal", "bool-goal", "fractional-start", "fractional-hazard"])
+def test_lake_rejects_a_cell_that_is_not_an_integer(cells, bad):
+    # Each of these used to build some other lake: one without a goal, the
+    # goal at cell 1, initial_state 1.5 and a hazard at cell 2.
+    args = dict(hazard_cells={7}, goal_cell=24, start_cell=0) | cells
+    with pytest.raises(ValueError, match=f"cell {re.escape(bad)} is not an integer"):
+        build_frozen_lake(5, 5, horizon=3, **args)
+
+
+def test_lake_takes_numpy_integer_cells():
+    cmdp, _ = build_frozen_lake(5, 5, [np.int64(7)], goal_cell=np.int32(24),
+                                horizon=np.int64(3), start_cell=np.uint8(1))
+    ref, _ = build_frozen_lake(5, 5, {7}, goal_cell=24, horizon=3, start_cell=1)
+    assert cmdp.initial_state == 1
+    for name in ("transition", "reward", "cost_mean"):
+        assert getattr(cmdp, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@st.composite
+def lake_arguments(draw):
+    """build_frozen_lake's arguments on grids of 1-7 x 1-7 cells, H <= 3: a
+    goal and a start one cell beyond either end of the grid at times, a goal
+    among the hazards, a 1x1 grid or H = 0 make some draws invalid."""
+    width, height = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    n = width * height
+    hazards = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    goal, start = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+    return width, height, hazards, goal, draw(st.integers(0, 3)), start
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=lake_arguments())
+@example(args=(1, 5, {1}, 4, 2, 0))
+@example(args=(6, 1, {2}, 0, 3, 5))
+@example(args=(1, 2, set(), 1, 1, 0))
+def test_lake_builder_equals_the_reference_loop(args):
+    try:
+        ref = reference_frozen_lake(*args)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            build_frozen_lake(*args)
+        assert str(raised.value) == str(error)
+        return
+    cmdp, _ = build_frozen_lake(*args)
+    for name in ("transition", "reward", "cost_mean"):
+        built, expected = getattr(cmdp, name), getattr(ref, name)
+        assert built.shape == expected.shape and built.tobytes() == expected.tobytes()
+    assert cmdp.initial_state == ref.initial_state
+
+
+# sha256 of the default 10x10 lake's tables at H = 15, so that a change to
+# the builder that moves a byte is named here and not only by run digests.
+DEFAULT_LAKE_SHA256 = {
+    "transition": "e23944925377667ab98a5f8c98b4a760a3328592a306bbbf970fb4bd7712a72a",
+    "reward": "7589d023d35614c9ffda683d2e64165b0f822ad6c5b0ebd12f049f4105a7215c",
+    "cost_mean": "32b47b6f03764174e2e744e537539ecdbe84469eb9d957e5973764b51c014963",
+}
+
+
+def test_default_lake_tables_keep_their_bytes():
+    text = DEFAULT_LAKE_MAP.replace("\n", "")
+    hazards = {i for i, ch in enumerate(text) if ch == "H"}
+    cmdp, _ = frozen_lake_from_grid(DEFAULT_LAKE_MAP, horizon=15)
+    ref = reference_frozen_lake(10, 10, hazards, text.index("G"), 15, text.index("S"))
+    for name, digest in DEFAULT_LAKE_SHA256.items():
+        table = getattr(cmdp, name)
+        # Dense and writable: a run reshapes the transitions without a copy.
+        assert table.flags.c_contiguous and table.flags.writeable
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(getattr(ref, name).tobytes()).hexdigest() == digest
 
 
 def test_grid_parsing_roundtrip():
@@ -405,6 +484,23 @@ def test_cmdp_row_sum_tolerance(excess, ok):
     else:
         with pytest.raises(ValueError, match="sum to 1"):
             TabularCmdp(2, 3, 2, **tables)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("num_states", 100.0, "num_states must be an integer >= 1"),
+    ("num_actions", np.float64(4), "num_actions must be an integer >= 1"),
+    ("horizon", 3.0, "horizon must be an integer >= 1"),
+    ("initial_state", True, "initial_state must be an integer"),
+    ("initial_state", 1.5, "initial_state must be an integer"),
+    ("initial_state", 2.0, "initial_state must be an integer"),
+], ids=["float-states", "numpy-float-actions", "float-horizon",
+        "bool-start", "fractional-start", "float-start"])
+def test_cmdp_rejects_a_float_or_bool_integer_field(field, value, message):
+    # Each equals or compares as an integer, so the shape and range checks
+    # let it through and a run failed late, with a TypeError or IndexError.
+    cmdp, _ = build_frozen_lake(10, 10, {11}, goal_cell=55, horizon=3)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(cmdp, **{field: value})
 
 
 def test_cmdp_rejects_infeasible_state():
