@@ -11,8 +11,6 @@ mean costs along the realized trajectory.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -20,7 +18,8 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .costs import KERNELS, GpCostModel, LinearCostModel
-from .envs import (DEFAULT_LAKE_MAP, _is_real, build_hard_instance,
+from .envs import (DEFAULT_LAKE_MAP, _check_count, _check_p, _check_scale,
+                   _is_integer, _is_real, build_hard_instance,
                    build_synthetic_linear, frozen_lake_from_grid, step)
 from .lsvi import LsviLearner, beta_schedule
 from .oracle import PolicyRows, constrained_dp, policy_eval
@@ -93,29 +92,23 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be one of {allowed}")
         for name, kind in SETTING_TYPES.items():
             value = getattr(self, name)
-            # A bool is a numbers.Integral too, but no count.
-            if kind is int and (isinstance(value, bool)
-                                or not isinstance(value, numbers.Integral)):
+            if kind is int and not _is_integer(value):
                 raise ValueError(f"{name} must be an integer")
             if kind is float and value is not None and not _is_real(value):
                 raise ValueError(f"{name} must be a real number")
-        if self.episodes < 1 or self.horizon < 1:
-            raise ValueError("episodes and horizon must be >= 1")
+        for name in ("episodes", "horizon"):
+            _check_count(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.out is not None and not self.out.strip():
             raise ValueError("out must name a directory")
-        if not 0 < self.p < 1:
-            raise ValueError("p must lie in (0, 1)")
+        _check_p(self.p)
         # Each check fails on NaN and on +-inf as well.
-        if not 0 < self.lam < math.inf:
-            raise ValueError("lambda must be positive and finite")
-        if self.beta_override is not None and not 0 <= self.beta_override < math.inf:
-            raise ValueError("beta_override must be >= 0 and finite")
-        if not 0 <= self.cost_width_scale < math.inf:
-            raise ValueError("cost_width_scale must be >= 0 and finite")
-        if not 0 < self.lengthscale < math.inf:
-            raise ValueError("lengthscale must be positive and finite")
+        _check_scale("lambda", self.lam, positive=True)
+        if self.beta_override is not None:
+            _check_scale("beta_override", self.beta_override)
+        _check_scale("cost_width_scale", self.cost_width_scale)
+        _check_scale("lengthscale", self.lengthscale, positive=True)
         for name, (read, reader) in READ_WHEN.items():
             if getattr(self, name) != DEFAULTS[name] and not read(self):
                 raise ValueError(f"{name} {reader}")

@@ -66,7 +66,7 @@ def main(argv=None) -> int:
               f"total_violation={summary['total_violation']:.6g} "
               f"total_regret={summary['total_regret']:.6g}")
         return 0
-    except (ValueError, OSError, FloatingPointError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,32 +38,33 @@ are real numbers: a bool is rejected, though it compares as 0 or 1.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable, Optional
 
 import numpy as np
 
-from .envs import FeatureMap, _check_horizon, _is_real
-from .lsvi import GramState, _check_lam, _check_step, _episode_arrays
+from .envs import FeatureMap, _check_count, _check_horizon, _check_p, _check_scale
+from .lsvi import GramState, _check_step, _episode_arrays
 
 
 def tilde_beta(lam: float, d: int, k: int, p: float) -> float:
     """Ridge confidence width sqrt(lam*d) + sqrt(d*log((1+k/lam)/p))."""
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
+    _check_p(p)
     arg = (1.0 + k / lam) / p
-    if arg <= 1.0:
-        raise ValueError("(1 + k/lam)/p must exceed 1")
+    if not 1.0 < arg < math.inf:  # a tiny p or lam overflows it
+        raise ValueError(f"(1 + k/lam)/p must lie in (1, inf), not {arg!r} "
+                         f"(lam={lam!r}, p={p!r})")
     return math.sqrt(lam * d) + math.sqrt(d * math.log(arg))
 
 
 def gp_beta(gamma: float, p: float) -> float:
     """GP confidence multiplier 1 + sqrt(2*(gamma + 1 + ln(2/p)))."""
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
+    _check_p(p)
     if gamma < 0:
         raise ValueError("information gain must be nonnegative")
-    return 1.0 + math.sqrt(2.0 * (gamma + 1.0 + math.log(2.0 / p)))
+    arg = 2.0 / p
+    if not 1.0 < arg < math.inf:  # a tiny p overflows it
+        raise ValueError(f"2/p must lie in (1, inf), not {arg!r} (p={p!r})")
+    return 1.0 + math.sqrt(2.0 * (gamma + 1.0 + math.log(arg)))
 
 
 def _cost_episode(horizon: int, rows, costs) -> tuple[np.ndarray, np.ndarray]:
@@ -89,13 +90,25 @@ KERNELS = ("linear", "sqexp")
 def _pointwise_kernel(name: str, lengthscale: float) -> Callable:
     """The kernel as one pointwise function k(|a|^2, |b|^2, <a, b>) of
     arrays that broadcast.  Every kernel value the package computes is an
-    evaluation of it."""
+    evaluation of it.  A sqexp lengthscale must be positive and finite, and
+    1/(2*lengthscale**2) a finite positive float (lengthscale from about
+    5.3e-155 to 9.4e153): then every kernel value lies in [0, 1], and
+    k(x, x) = 1."""
     if name == "linear":
         return lambda aa, bb, ab: ab
     if name == "sqexp":
-        if not (_is_real(lengthscale) and 0 < lengthscale < math.inf):
-            raise ValueError("lengthscale must be positive and finite")
-        inv2 = 1.0 / (2.0 * lengthscale ** 2)
+        _check_scale("lengthscale", lengthscale, positive=True)
+        # Out of range, a python float's square overflows (OverflowError)
+        # or leaves 1/0 (ZeroDivisionError); a numpy float raises
+        # FloatingPointError under errstate.
+        try:
+            with np.errstate(over="raise", divide="raise"):
+                inv2 = 1.0 / (2.0 * lengthscale ** 2)
+        except ArithmeticError:
+            inv2 = math.nan
+        if not 0 < inv2 < math.inf:
+            raise ValueError(f"lengthscale {lengthscale!r} out of range: "
+                             "1/(2*lengthscale**2) is not finite and positive")
         # At a = b the squared distance is 0, or nan at a non-finite point.
         return lambda aa, bb, ab: np.exp(-np.maximum(aa + bb - 2.0 * ab, 0.0)
                                          * inv2)
@@ -126,10 +139,8 @@ class _CostModel:
 
     def __init__(self, feature_map: FeatureMap, horizon: int, p: float,
                  width_scale: float):
-        if not 0 < p < 1:  # NaN fails both checks
-            raise ValueError("p must lie in (0, 1)")
-        if not (_is_real(width_scale) and 0 <= width_scale < math.inf):
-            raise ValueError("width_scale must be >= 0 and finite")
+        _check_p(p)
+        _check_scale("width_scale", width_scale)
         _check_horizon(horizon)
         self.fmap = feature_map
         self.H = horizon
@@ -182,7 +193,8 @@ class LinearCostModel(_CostModel):
                  p: float = 0.1, width_scale: float = 1.0,
                  stats: Optional[GramState] = None):
         super().__init__(feature_map, horizon, p, width_scale)
-        _check_lam(lam)  # shared statistics would compare True as 1.0
+        # Checked here too: shared statistics would compare True as 1.0.
+        _check_scale("lam", lam, positive=True)
         self._owns_stats = stats is None
         if stats is None:
             stats = GramState(feature_map, lam, horizon)
@@ -261,10 +273,7 @@ class GpCostModel(_CostModel):
     def __init__(self, kernel: str, total_episodes: int, horizon: int,
                  lengthscale: float = 1.0, p: float = 0.1,
                  width_scale: float = 1.0, *, feature_map: FeatureMap):
-        # A bool is a numbers.Integral too, but no count.
-        if isinstance(total_episodes, bool) or \
-                not isinstance(total_episodes, numbers.Integral) or total_episodes < 1:
-            raise ValueError("total_episodes must be an integer >= 1")
+        _check_count("total_episodes", total_episodes)
         super().__init__(feature_map, horizon, p, width_scale)
         self._k = _pointwise_kernel(kernel, lengthscale)
         self.K = total_episodes
@@ -277,18 +286,12 @@ class GpCostModel(_CostModel):
             kk = make_kernel(kernel, lengthscale)(np.eye(2), np.eye(2))
             self._c = float(kk[0, 1])
             self._a = float(kk[0, 0]) - self._c
-            if not (0.0 <= self._a < math.inf and 0.0 <= self._c < math.inf):
-                raise ValueError("kernel is not finite and positive semi-definite "
-                                 "on the unit vectors")
             self.n = np.zeros((horizon, d), dtype=int)
             self.G = np.zeros((horizon, d))
             return
         K, m = total_episodes, len(feature_map.distinct)
         f_sq = feature_map.distinct_sq_norms
         prior = self._k(f_sq, f_sq, f_sq)  # diag k(F, F)
-        if not ((0.0 <= prior) & (prior < math.inf)).all():
-            raise ValueError("kernel is not finite and nonnegative on the "
-                             "feature set")
         self.logdet = np.zeros(horizon)
         self.mean = np.zeros((horizon, m))
         self.var = np.tile(prior, (horizon, 1))

@@ -49,6 +49,20 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _check_scale(name: str, value, positive: bool = False) -> None:
+    """The one check of a scale (a regularizer, a bonus or width multiplier,
+    a lengthscale, a noise level): a real number, finite, and >= 0, or > 0
+    when positive.  A NaN fails it."""
+    if not (_is_real(value) and 0 <= value < math.inf and (value > 0 or not positive)):
+        raise ValueError(f"{name} must be {'positive' if positive else '>= 0'} and finite")
+
+
+def _check_p(p) -> None:
+    """The one check of a confidence level p: a real number in (0, 1)."""
+    if not (_is_real(p) and 0 < p < 1):
+        raise ValueError("p must lie in (0, 1)")
+
+
 @dataclass
 class TabularCmdp:
     """Finite constrained MDP: ground truth for simulation and exact oracles.
@@ -97,10 +111,9 @@ class TabularCmdp:
             raise ValueError(f"no safe action at (h={bad[0]}, s={bad[1]})")
         if not 0 <= self.initial_state < S:
             raise ValueError("initial_state out of range")
-        if not 0 <= self.cost_noise < math.inf:
-            raise ValueError("cost_noise must be finite and >= 0")
-        if not math.isfinite(self.reward_scale):
-            raise ValueError("reward_scale must be finite")
+        _check_scale("cost_noise", self.cost_noise)
+        if not (_is_real(self.reward_scale) and math.isfinite(self.reward_scale)):
+            raise ValueError("reward_scale must be a finite real number")
 
 
 def _unit_columns(flat: np.ndarray) -> Optional[np.ndarray]:
@@ -446,6 +459,8 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
     k_min = max((d - 1) ** 2 * H / 2.0, (d - 1) / (32.0 * H * (math.sqrt(d) - 1)))
     if K < k_min:
         raise ValueError(f"episodes must be >= {k_min:.1f} for d={d}, H={H}")
+    # K >= (d-1)^2 H/2 gives gap*(d-1) <= 1/(4H): every leak probability
+    # delta + <u_h, a> lies in [3/(4H), 5/(4H)], inside (0, 1).
 
     delta = 1.0 / H
     gap = math.sqrt(delta / K) / (4.0 * math.sqrt(2.0))
@@ -455,8 +470,6 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
     if u_signs.shape != (H, d - 1) or not np.all(np.abs(u_signs) == 1.0):
         raise ValueError(f"u_signs must be +-1 with shape {(H, d - 1)}")
     u = gap * u_signs
-    if delta + gap * (d - 1) > 1.0 or delta - gap * (d - 1) < 0.0:
-        raise ValueError("leak probability delta + <u, a> leaves [0, 1]")
 
     S = H + 2  # chain states x_1..x_H, then the sink and the rewarding state
     sink, reward_state = H, H + 1

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import FeatureMap, _check_horizon, _is_real
+from .envs import FeatureMap, _check_horizon, _check_p, _check_scale
 from .penalty import penalized_argmax
 
 DENOM_TOL = 1e-12
@@ -62,13 +62,6 @@ def _episode_arrays(horizon: int, names: str, *columns) -> tuple:
     if any(c.shape != (horizon,) for c in columns):
         raise ValueError(f"{names} must have shape ({horizon},)")
     return columns
-
-
-def _check_lam(lam) -> None:
-    """The one check of a ridge regularizer lam: a real number, positive
-    and finite."""
-    if not (_is_real(lam) and 0 < lam < math.inf):
-        raise ValueError("lam must be positive and finite")
 
 
 def _check_step(h: int, horizon: int) -> None:
@@ -90,7 +83,7 @@ class GramState:
     """
 
     def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
-        _check_lam(lam)
+        _check_scale("lam", lam, positive=True)
         _check_horizon(horizon)
         self.lam = lam
         self.fmap = feature_map
@@ -149,11 +142,10 @@ class GramState:
 
 def beta_schedule(d: int, horizon: int, episodes: int, p: float) -> float:
     """Theory-scale bonus multiplier d * H * sqrt(log(2dHK/p))."""
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
+    _check_p(p)
     arg = 2.0 * d * horizon * episodes / p
-    if arg <= 1.0:
-        raise ValueError("2dHK/p must exceed 1")
+    if not 1.0 < arg < math.inf:  # a tiny p overflows it
+        raise ValueError(f"2dHK/p must lie in (1, inf), not {arg!r} (p={p!r})")
     return d * horizon * math.sqrt(math.log(arg))
 
 
@@ -185,8 +177,7 @@ class LsviLearner:
 
     def __init__(self, feature_map: FeatureMap, num_states: int, num_actions: int,
                  horizon: int, lam: float, beta: float):
-        if not (_is_real(beta) and 0 <= beta < math.inf):
-            raise ValueError("beta must be >= 0 and finite")
+        _check_scale("beta", beta)
         if feature_map.table.shape[:2] != (num_states, num_actions):
             raise ValueError(f"feature table covers (S, A) = {feature_map.table.shape[:2]}"
                              f", the learner was given {(num_states, num_actions)}")

@@ -10,11 +10,10 @@ cost sum and therefore lets negative costs cancel violations.  Off: Z = 0.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .envs import _check_horizon
+from .envs import _check_count, _check_horizon
 
 MODES = ("rectified", "virtual_queue", "off")
 
@@ -35,10 +34,8 @@ class PenaltyLedger:
         Rectified: Z_h <- max(Z_h + max(g_h, 0), k).  Virtual queue:
         Z_h <- max(Z_h + g_h, 0).  Off: Z stays 0.
         """
-        # A NaN, infinite or fractional k would floor every Z_h with it.  A
-        # bool is a numbers.Integral too (numpy's is not), but no index.
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(f"episode index must be an integer >= 1, not {k!r}")
+        # A NaN, infinite, fractional or bool k would floor every Z_h with it.
+        _check_count("episode index", k)
         g = np.asarray(costs, dtype=float)
         if g.shape != self.z.shape:
             raise ValueError(f"{g.size} costs for horizon {self.z.size}")

@@ -77,6 +77,16 @@ def test_gp_beta_rejects_bad_inputs():
         gp_beta(1.0, 2.0)
 
 
+@pytest.mark.parametrize("p", [1e-320, 5e-324], ids=["1e-320", "least-subnormal"])
+def test_widths_name_a_p_so_small_that_their_log_argument_overflows(p):
+    # (1 + k/lam)/p and 2/p overflow to inf: the widths were inf, and a run
+    # stopped on a non-finite cost estimate that did not name p.
+    with pytest.raises(ValueError, match=r"must lie in \(1, inf\), not inf .*p="):
+        tilde_beta(1.0, 4, 1, p)
+    with pytest.raises(ValueError, match=r"2/p must lie in \(1, inf\), not inf \(p="):
+        gp_beta(0.0, p)
+
+
 # ---------------------------------------------------------------------------
 # Linear estimator
 # ---------------------------------------------------------------------------
@@ -513,6 +523,21 @@ def test_sqexp_rejects_a_lengthscale_outside_the_positive_reals(lengthscale):
     with pytest.raises(ValueError, match="lengthscale must be positive"):
         GpCostModel("sqexp", 5, 1, lengthscale=lengthscale,
                     feature_map=one_hot_features(3, 2))
+
+
+@pytest.mark.parametrize("lengthscale", [5e-324, 1e-200, 1e-160, 5e-155, 9.5e153,
+                                         1e200, 1.7e308],
+                         ids=["least-subnormal", "1e-200", "1e-160", "5e-155",
+                              "9.5e153", "1e200", "1.7e308"])
+def test_sqexp_rejects_a_lengthscale_whose_inverse_square_is_not_finite(lengthscale):
+    # 1/(2 l^2) was a ZeroDivisionError at 1e-200, an OverflowError at 1e200,
+    # and at 1e-160 an inf that made k(x, x) = 0 * inf = nan.
+    with pytest.raises(ValueError, match="lengthscale .* not finite"):
+        make_kernel("sqexp", lengthscale)
+    # The ends of the range are accepted, with k(x, x) = 1 exactly.
+    x = np.array([[1.0, 0.0]])
+    for inside in (5.3e-155, 9.4e153):
+        assert make_kernel("sqexp", inside)(x, x)[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np-True"])

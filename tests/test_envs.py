@@ -503,6 +503,15 @@ def test_cmdp_rejects_a_float_or_bool_integer_field(field, value, message):
         dataclasses.replace(cmdp, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["cost_noise", "reward_scale"])
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_cmdp_rejects_a_bool_scale(field, value):
+    # True compares as 1: cost_noise=True ran with noise of scale 1.0.
+    cmdp, _ = build_frozen_lake(3, 3, {1}, goal_cell=8, horizon=2)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(cmdp, **{field: value})
+
+
 def test_cmdp_rejects_infeasible_state():
     P = np.zeros((1, 2, 2, 2))
     P[..., 0] = 1.0

@@ -326,6 +326,13 @@ def test_beta_schedule_rejects_bad_p():
         beta_schedule(2, 2, 10, 1.5)
 
 
+def test_beta_schedule_names_a_p_so_small_that_2dhk_over_p_overflows():
+    # The schedule was inf, and the learner then blamed beta.
+    with pytest.raises(ValueError, match=r"2dHK/p must lie in \(1, inf\), not inf "
+                                         r"\(p=1e-320\)"):
+        beta_schedule(8, 15, 1000, 1e-320)
+
+
 # ---------------------------------------------------------------------------
 # Optimistic Q-table
 # ---------------------------------------------------------------------------
