@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .envs import FeatureMap, _check_count, _check_horizon, _check_p, _check_scale
+from .envs import FeatureMap, _check_count, _check_p, _check_scale
 from .lsvi import GramState, _check_step, _episode_arrays
 
 
@@ -50,7 +50,7 @@ def tilde_beta(lam: float, d: int, k: int, p: float) -> float:
     """Ridge confidence width sqrt(lam*d) + sqrt(d*log((1+k/lam)/p))."""
     _check_p(p)
     arg = (1.0 + k / lam) / p
-    if not 1.0 < arg < math.inf:  # a tiny p or lam overflows it
+    if not 1.0 < arg < math.inf:  # a tiny p overflows it (lam is at least 1e-150)
         raise ValueError(f"(1 + k/lam)/p must lie in (1, inf), not {arg!r} "
                          f"(lam={lam!r}, p={p!r})")
     return math.sqrt(lam * d) + math.sqrt(d * math.log(arg))
@@ -90,28 +90,18 @@ KERNELS = ("linear", "sqexp")
 def _pointwise_kernel(name: str, lengthscale: float) -> Callable:
     """The kernel as one pointwise function k(|a|^2, |b|^2, <a, b>) of
     arrays that broadcast.  Every kernel value the package computes is an
-    evaluation of it.  A sqexp lengthscale must be positive and finite, and
-    1/(2*lengthscale**2) a finite positive float (lengthscale from about
-    5.3e-155 to 9.4e153): then every kernel value lies in [0, 1], and
+    evaluation of it.  A sqexp lengthscale must lie in the range of every
+    positive scale, [1e-150, 1e150] (envs._check_scale): there
+    1/(2*lengthscale**2) and the largest exponent between two feature rows
+    are finite positive floats, so every kernel value lies in [0, 1], and
     k(x, x) = 1."""
     if name == "linear":
         return lambda aa, bb, ab: ab
     if name == "sqexp":
         _check_scale("lengthscale", lengthscale, positive=True)
-        # Out of range, a python float's square overflows (OverflowError)
-        # or leaves 1/0 (ZeroDivisionError); a numpy float raises
-        # FloatingPointError under errstate.
-        try:
-            with np.errstate(over="raise", divide="raise"):
-                inv2 = 1.0 / (2.0 * lengthscale ** 2)
-        except ArithmeticError:
-            inv2 = math.nan
-        if not 0 < inv2 < math.inf:
-            raise ValueError(f"lengthscale {lengthscale!r} out of range: "
-                             "1/(2*lengthscale**2) is not finite and positive")
+        inv2 = 1.0 / (2.0 * lengthscale ** 2)
         # At a = b the squared distance is 0, or nan at a non-finite point.
-        return lambda aa, bb, ab: np.exp(-np.maximum(aa + bb - 2.0 * ab, 0.0)
-                                         * inv2)
+        return lambda aa, bb, ab: np.exp(-np.maximum(aa + bb - 2.0 * ab, 0.0) * inv2)
     raise ValueError(f"unknown kernel {name!r} (choose from {KERNELS})")
 
 
@@ -141,7 +131,7 @@ class _CostModel:
                  width_scale: float):
         _check_p(p)
         _check_scale("width_scale", width_scale)
-        _check_horizon(horizon)
+        _check_count("horizon", horizon)
         self.fmap = feature_map
         self.H = horizon
         self.p = p

@@ -39,22 +39,28 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
 
 
-def _check_horizon(horizon) -> None:
-    _check_count("horizon", horizon)
-
-
 def _is_real(x) -> bool:
     """The one test of a real-valued setting: a real number and not a bool
     (nor numpy's), which compares as 0 or 1 but is no scale."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+# The one range of a positive scale, the ridge lam or the sqexp lengthscale.
+# Inside it 1/x**2, x*n for any count n up to 1e9 and the sqexp kernel's
+# largest exponent between two feature rows, 4*(1 + 1e-9)**2/(2*x**2), are
+# all finite floats.
+_SCALE_MIN, _SCALE_MAX = 1e-150, 1e150
+
+
 def _check_scale(name: str, value, positive: bool = False) -> None:
     """The one check of a scale (a regularizer, a bonus or width multiplier,
-    a lengthscale, a noise level): a real number, finite, and >= 0, or > 0
-    when positive.  A NaN fails it."""
+    a lengthscale, a noise level): a real number, finite, and >= 0, or, when
+    positive, in [_SCALE_MIN, _SCALE_MAX].  A NaN fails it."""
     if not (_is_real(value) and 0 <= value < math.inf and (value > 0 or not positive)):
         raise ValueError(f"{name} must be {'positive' if positive else '>= 0'} and finite")
+    if positive and not _SCALE_MIN <= value <= _SCALE_MAX:
+        raise ValueError(f"{name} must lie in [{_SCALE_MIN:g}, {_SCALE_MAX:g}], not {value!r}:"
+                         f" outside it, 1/{name}**2 or a product of it may be not finite")
 
 
 def _check_p(p) -> None:
@@ -286,7 +292,7 @@ def build_frozen_lake(width: int, height: int, hazard_cells, goal_cell: int,
     n = width * height
     if n < 2:
         raise ValueError("grid must have at least 2 cells")
-    _check_horizon(horizon)
+    _check_count("horizon", horizon)
     hazard_cells = list(hazard_cells)
     for c in hazard_cells + [goal_cell, start_cell]:
         if not _is_integer(c):
@@ -388,7 +394,7 @@ def build_synthetic_linear(d: int, horizon: int,
     """
     if d < 2:
         raise ValueError("feature dimension must be >= 2")
-    _check_horizon(horizon)
+    _check_count("horizon", horizon)
     rng = np.random.default_rng(seed)
     num_actions = 2
     num_states = d // 2
@@ -451,7 +457,8 @@ def build_hard_instance(d: int, horizon: int, episodes: int,
     H, K = horizon, episodes
     if d < 4:
         raise ValueError("dimension must be >= 4")
-    _check_horizon(H)
+    _check_count("horizon", H)
+    _check_count("episodes", K)
     if H < 3:
         raise ValueError("horizon must be >= 3")
     if d - 1 > 12:

@@ -50,10 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import FeatureMap, _check_horizon, _check_p, _check_scale
+from .envs import FeatureMap, _check_count, _check_p, _check_scale
 from .penalty import penalized_argmax
 
 DENOM_TOL = 1e-12
+_BREAKDOWN = "Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12 (lam={!r})"
 
 
 def _episode_arrays(horizon: int, names: str, *columns) -> tuple:
@@ -84,7 +85,7 @@ class GramState:
 
     def __init__(self, feature_map: FeatureMap, lam: float, horizon: int):
         _check_scale("lam", lam, positive=True)
-        _check_horizon(horizon)
+        _check_count("horizon", horizon)
         self.lam = lam
         self.fmap = feature_map
         self.H = horizon
@@ -110,13 +111,13 @@ class GramState:
             vj = self.inv[steps, j]
             denom = 1.0 + vj
             if (denom <= DENOM_TOL).any():
-                raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
+                raise RuntimeError(_BREAKDOWN.format(self.lam))
             self.inv[steps, j] -= vj * vj / denom
         else:
             v = [self.inv[h] @ phi[h] for h in range(self.H)]
             denom = [1.0 + float(phi[h] @ v[h]) for h in range(self.H)]
             if any(x <= DENOM_TOL for x in denom):
-                raise RuntimeError("Gram inverse breakdown: 1 + phi^T A^-1 phi <= 1e-12")
+                raise RuntimeError(_BREAKDOWN.format(self.lam))
             for h in range(self.H):
                 self.inv[h] -= np.outer(v[h], v[h]) / denom[h]
                 proj = self.fmap.distinct @ v[h]

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .envs import _check_count, _check_horizon
+from .envs import _check_count
 
 MODES = ("rectified", "virtual_queue", "off")
 
@@ -24,7 +24,7 @@ class PenaltyLedger:
     def __init__(self, horizon: int, mode: str):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        _check_horizon(horizon)
+        _check_count("horizon", horizon)
         self.mode = mode
         self.z = np.ones(horizon) if mode == "rectified" else np.zeros(horizon)
 

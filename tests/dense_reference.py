@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from safe_lsvi.envs import _MOVES, _ORTHO, TabularCmdp, _check_horizon
+from safe_lsvi.envs import _MOVES, _ORTHO, TabularCmdp, _check_count
 from safe_lsvi.oracle import PolicyRows, policy_eval
 
 ENUMERATION_CAP = 10 ** 6
@@ -190,7 +190,7 @@ def reference_frozen_lake(width, height, hazard_cells, goal_cell, horizon,
     n = width * height
     if n < 2:
         raise ValueError("grid must have at least 2 cells")
-    _check_horizon(horizon)
+    _check_count("horizon", horizon)
     hazards = set(int(c) for c in hazard_cells)
     if goal_cell in hazards:
         raise ValueError("goal cell cannot be a hazard")

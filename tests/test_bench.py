@@ -603,14 +603,67 @@ def test_cli_reports_an_arithmetic_error(monkeypatch, capsys):
 def test_cli_rejects_a_sqexp_lengthscale_out_of_range(lengthscale, capsys):
     # 1/(2 l^2) was a ZeroDivisionError traceback at 1e-200 and an
     # OverflowError one at 1e200; at 1e-160 it was inf, and the error named
-    # a kernel value, not the lengthscale.
+    # a kernel value, not the lengthscale.  The lengthscale shares the one
+    # range of a positive scale with lambda.
     from safe_lsvi.cli import main
     code = main(["--episodes", "2", "--horizon", "2", "--cost-model", "gp",
                  "--kernel", "sqexp", "--lengthscale", lengthscale])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"error: lengthscale {float(lengthscale)!r} out of range: "
-        "1/(2*lengthscale**2) is not finite and positive\n")
+        f"error: lengthscale must lie in [1e-150, 1e+150], not {float(lengthscale)!r}: "
+        "outside it, 1/lengthscale**2 or a product of it may be not finite\n")
+
+
+SQEXP = ["--cost-model", "gp", "--kernel", "sqexp"]
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--lambda", "1e-300"], "lambda"), (["--lambda", "9e-151"], "lambda"),
+    (["--lambda", "1.1e150"], "lambda"), (["--lambda", "1.7e308"], "lambda"),
+    (SQEXP + ["--lengthscale", "6e-155"], "lengthscale"),
+    (SQEXP + ["--lengthscale", "1.1e150"], "lengthscale")],
+    ids=["lambda-1e-300", "lambda-9e-151", "lambda-1.1e150", "lambda-1.7e308",
+         "lengthscale-6e-155", "lengthscale-1.1e150"])
+def test_cli_rejects_a_positive_scale_outside_its_range(flags, name, capsys):
+    # lambda = 1e-300 and 1.7e308 stopped on a non-finite cost estimate,
+    # 9e-151 and 1.1e150 ran, and the sqexp kernel at 6e-155 warned of an
+    # overflow.  Both scales share the range [1e-150, 1e150].
+    from safe_lsvi.cli import main
+    assert main(["--episodes", "2", "--horizon", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must lie in [1e-150, 1e+150], "
+                          f"not {float(flags[-1])!r}: ") and err.count("\n") == 1
+
+
+def test_cli_names_lambda_when_the_dense_gram_update_breaks_down(capsys):
+    # lambda = 1e-150 is in range, but the dense rank-one update loses every
+    # digit of 1 + phi^T A^-1 phi on the hard instance.
+    from safe_lsvi.cli import main
+    assert main(["--env", "hard_instance", "--dim", "5", "--horizon", "3",
+                 "--episodes", "30", "--beta-override", "1.0", "--lambda", "1e-150"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Gram inverse breakdown") and "lam=1e-150" in err
+
+
+# Log-uniform over [1e-150, 1e150], clamped so that a rounded power of ten
+# stays inside.
+IN_RANGE_SCALES = st.floats(-150.0, 150.0).map(lambda e: min(max(10.0 ** e, 1e-150), 1e150))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=IN_RANGE_SCALES, lengthscale=IN_RANGE_SCALES)
+@example(lam=1e-150, lengthscale=1e-150)
+@example(lam=1e150, lengthscale=1e150)
+@example(lam=1e-150, lengthscale=1e150)
+@example(lam=1e150, lengthscale=1e-150)
+def test_cli_runs_any_positive_scale_in_range_without_a_warning(lam, lengthscale):
+    # The whole range of lambda and of the sqexp lengthscale runs a small
+    # lake cell to the end, with every warning raised as an error.
+    from safe_lsvi.cli import main
+    for flags in ([], SQEXP + ["--lengthscale", repr(lengthscale)]):
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            assert main(["--episodes", "2", "--lambda", repr(lam)] + flags) == 0
 
 
 @pytest.mark.parametrize("flags, message", [

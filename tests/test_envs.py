@@ -444,6 +444,15 @@ def test_hard_instance_rejects_bad_parameters():
         build_hard_instance(15, 3, 10 ** 6)  # action cap
 
 
+@pytest.mark.parametrize("episodes", [math.nan, math.inf, 216.5, True],
+                         ids=["nan", "inf", "fraction", "bool"])
+def test_hard_instance_rejects_episodes_that_are_no_count(episodes):
+    # NaN passed K < k_min and failed late, on the feature norms; inf built
+    # an instance with gap 0, and 216.5 built one too.
+    with pytest.raises(ValueError, match="episodes must be an integer >= 1"):
+        build_hard_instance(4, 3, episodes)
+
+
 def test_hard_instance_custom_signs():
     signs = -np.ones((3, 3))
     cmdp, _ = build_hard_instance(4, 3, 1000, u_signs=signs)

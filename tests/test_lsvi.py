@@ -129,12 +129,21 @@ def test_gram_update_detects_corrupted_inverse():
 
 
 def test_one_hot_update_stops_when_the_inverse_overflows():
-    # 1/lam squared overflows: the first update warns and leaves -inf in
-    # the inverse, and the denominator check stops the second.
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        g = fed(one_hot_features(2, 1), 1e-160, [0])
-    assert g.inv[0, 0] == -math.inf
-    with pytest.raises(RuntimeError, match="breakdown"):
+    # 1/lam squared overflowed: the first update warned and left -inf in
+    # the inverse, and the denominator check stopped the second.  Such a
+    # lam lies outside the range of a positive scale, so the statistics are
+    # not built.
+    with pytest.raises(ValueError, match=r"lam must lie in \[1e-150, 1e\+150\], not 1e-160"):
+        GramState(one_hot_features(2, 1), 1e-160, 1)
+
+
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "dense"])
+def test_gram_breakdown_names_lam(one_hot):
+    # lam = 3e-19 is in range, but the first update rounds the inverse at
+    # the row to a negative value, so the second one's denominator
+    # 1 + phi^T A^-1 phi is negative.
+    g = fed(one_hot_features(2, 1) if one_hot else map_of([[0.6, 0.8]]), 3e-19, [0])
+    with pytest.raises(RuntimeError, match=r"breakdown: .* \(lam=3e-19\)"):
         g.update(np.array([0]))
     assert g.count == 1
 

@@ -111,6 +111,15 @@ def test_code_lines_counts_a_checkout_with_this_tree_s_tool(tmp_path):
     assert record_bench.code_lines(tmp_path) == 5
 
 
+def test_module_lines_counts_each_module_of_a_checkout(tmp_path):
+    # The same two-module checkout, read per module beside the total.
+    package = tmp_path / "src" / "safe_lsvi"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\n\nx = 1  # one\n\n\ndef f():\n    return x\n')
+    (package / "b.py").write_text("y = (1,\n     2)\n")
+    assert record_bench.module_lines(tmp_path) == {"a.py": 3, "b.py": 2, "total": 5}
+
+
 
 BOUNDED = [{**m, "bound": 0.25} for m in METRICS]
 BASE_RATES = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 101.5, 98.5, 100.0]

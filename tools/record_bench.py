@@ -23,7 +23,8 @@ results.csv.  Under "tier1" it records the Tier-1 verify command
 wall time and its passed and failed counts (an error counts as failed).
 Under "code_lines" it records each side's code lines in src/safe_lsvi,
 counted by this tree's tools/count_lines.py on both checkouts (an older
-revision may lack the tool).  The file also holds the machine line of the
+revision may lack the tool), and under "module_lines" each side's lines per
+module, by file name.  The file also holds the machine line of the
 first perfbench run, and the revisions measured.
 """
 
@@ -126,13 +127,19 @@ def run_tier1(checkout: Path, selection: tuple = ()) -> dict:
             "failed": sum(counts.values())}
 
 
-def code_lines(checkout: Path) -> int:
-    """The code lines of the checkout's src/safe_lsvi, by this tree's
+def module_lines(checkout: Path) -> dict:
+    """The code lines of each module of the checkout's src/safe_lsvi, by
+    file name, and their sum under "total", by this tree's
     tools/count_lines.py."""
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "count_lines.py"),
                           str(checkout / "src" / "safe_lsvi")],
                          check=True, capture_output=True, text=True).stdout
-    return int(out.split()[-1])
+    return {name: int(count) for name, count in map(str.split, out.splitlines())}
+
+
+def code_lines(checkout: Path) -> int:
+    """The code lines of the checkout's src/safe_lsvi."""
+    return module_lines(checkout)["total"]
 
 
 def summarize_cell(runs: list) -> dict:
@@ -216,7 +223,9 @@ def main(argv=None) -> int:
         with tarfile.open(archive) as tar:
             tar.extractall(Path(tmp) / "baseline", filter="data")
         sides = {"change": ROOT, "baseline": Path(tmp) / "baseline"}
-        record["code_lines"] = {side: code_lines(path) for side, path in sides.items()}
+        lines = {side: module_lines(path) for side, path in sides.items()}
+        record["code_lines"] = {side: counts.pop("total") for side, counts in lines.items()}
+        record["module_lines"] = lines
         print(f"code lines: {record['code_lines']}", file=sys.stderr)
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {side: [] for side in sides}
