@@ -5,7 +5,9 @@ probability row over next states, ``reward`` and ``cost_mean`` are (H, S, A)
 tables.  The cost table holds the *mean* of the observed safety signal; an
 action is safe at (h, s) when its mean cost is <= 0, and every builder
 guarantees at least one safe action per state so constrained planning is
-always feasible.
+always feasible.  A time-homogeneous builder (the frozen lake) stores its
+one step once: its tables are read-only np.broadcast_to views whose step
+axis has stride 0, which every reader takes as they are.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ class TabularCmdp:
     zero-mean Gaussian noise of that scale, with observations clipped back
     into [-1, 1].  reward_scale is a display factor only: internal rewards
     stay in [0, 1] and metrics multiply by it when reporting.
+
+    The tables are real floating-point arrays.  A table may repeat one step
+    as a read-only view whose step axis has stride 0 (np.broadcast_to):
+    its first step is the memory of every step, so it is checked once.
     """
 
     num_states: int
@@ -97,23 +103,28 @@ class TabularCmdp:
             _check_count(name, getattr(self, name))
         if not _is_integer(self.initial_state):
             raise ValueError(f"initial_state must be an integer, not {self.initial_state!r}")
-        if self.transition.shape != (H, S, A, S):
-            raise ValueError(f"transition shape {self.transition.shape} != {(H, S, A, S)}")
-        if self.reward.shape != (H, S, A) or self.cost_mean.shape != (H, S, A):
-            raise ValueError("reward/cost tables must have shape (H, S, A)")
+        for name, shape in (("transition", (H, S, A, S)), ("reward", (H, S, A)),
+                            ("cost_mean", (H, S, A))):
+            table = getattr(self, name)
+            if not (isinstance(table, np.ndarray) and table.dtype.kind == "f"):
+                raise ValueError(f"{name} must be a real floating-point numpy array")
+            if table.shape != shape:
+                raise ValueError(f"{name} shape {table.shape} != {shape}")
+        # A table whose step axis has stride 0 holds one step: its first.
+        P, R, G = (t[:1] if t.strides[0] == 0 else t
+                   for t in (self.transition, self.reward, self.cost_mean))
         # Each range check is written so that a NaN fails it.
-        sums = np.einsum("...s->...", self.transition)
-        row_err = np.abs(np.subtract(sums, 1.0, out=sums), out=sums).max()
+        row_err = np.abs(np.einsum("...s->...", P) - 1.0).max()
         if not row_err <= ROW_SUM_TOL:
             raise ValueError(f"transition rows must sum to 1 (max error {row_err:.3e})")
-        if not self.transition.min() >= 0:
+        if not P.min() >= 0:
             raise ValueError("transition rows must be nonnegative")
-        if not (self.reward.min() >= 0 and self.reward.max() <= 1):
+        if not (R.min() >= 0 and R.max() <= 1):
             raise ValueError("rewards must lie in [0, 1]")
-        if not np.abs(self.cost_mean).max() <= 1:
+        if not np.abs(G).max() <= 1:
             raise ValueError("cost means must lie in [-1, 1]")
-        if not (self.cost_mean <= 0).any(axis=2).all():
-            bad = np.argwhere(~(self.cost_mean <= 0).any(axis=2))[0]
+        if not (G <= 0).any(axis=2).all():
+            bad = np.argwhere(~(G <= 0).any(axis=2))[0]
             raise ValueError(f"no safe action at (h={bad[0]}, s={bad[1]})")
         if not 0 <= self.initial_state < S:
             raise ValueError("initial_state out of range")
@@ -331,9 +342,7 @@ def build_frozen_lake(width: int, height: int, hazard_cells, goal_cell: int,
     R = np.full((n, 4), 0.01 / 6.0)
     R[goal_cell] = 1.0
 
-    # Dense copies, not broadcast views: policy_eval's reshape of the
-    # transitions would copy a view on every call.
-    P, R, G = (np.broadcast_to(x, (horizon, *x.shape)).copy() for x in (T, R, G))
+    P, R, G = (np.broadcast_to(x, (horizon, *x.shape)) for x in (T, R, G))
     cmdp = TabularCmdp(num_states=n, num_actions=4, horizon=horizon,
                        transition=P, reward=R, cost_mean=G,
                        initial_state=start_cell, reward_scale=6.0)

@@ -17,12 +17,14 @@ kernel in use.
 
 The rows come from a PolicyRows store: the (H, S, S) transition rows and
 (H, S) rewards of the policy it last served, H*S*S floats.  Each call
-re-gathers only the (h, s) whose action differs from that policy, and the
-backup reads the store's C-contiguous (S, S) blocks, the bytes a fresh
-gather would copy.  A run's successive policies differ in a few (h, s), so
-it keeps one store for all its evaluations.  A store serves the one CMDP it
-was made for, whose arrays must not change while it is in use; another
-CMDP's store is rejected.
+re-gathers only the (h, s) whose action differs from that policy, indexing
+the CMDP's tables at those (h, s, a) in place: a table that repeats one
+step as a read-only view (the lake's) is read as it is and never copied
+whole.  The backup reads the store's C-contiguous (S, S) blocks, which hold
+the bytes of the gathered rows.  A run's successive policies differ in a
+few (h, s), so it keeps one store for all its evaluations.  A store serves
+the one CMDP it was made for, whose arrays must not change while it is in
+use; another CMDP's store is rejected.
 """
 
 from __future__ import annotations
@@ -100,13 +102,13 @@ def policy_eval(cmdp: TabularCmdp, policy: np.ndarray,
         rows = PolicyRows(cmdp)
     elif rows.cmdp is not cmdp:
         raise ValueError("the PolicyRows store was made for another CMDP")
-    # The changed (h, s) as flat indices h*S + s; (h, s, a) is row
-    # (h*S + s)*A + a of the CMDP's arrays flattened the same way.
+    # The changed (h, s) as flat indices h*S + s, gathered from the CMDP's
+    # arrays in place: a reshape would copy a broadcast view whole.
     changed = np.flatnonzero(policy != rows.policy)
-    actions = policy.ravel()[changed].astype(np.int64)
-    source = changed * A + actions
-    rows.transition.reshape(H * S, S)[changed] = cmdp.transition.reshape(-1, S)[source]
-    rows.reward.ravel()[changed] = cmdp.reward.ravel()[source]
+    h, s = divmod(changed, S)
+    actions = policy[h, s]
+    rows.transition.reshape(H * S, S)[changed] = cmdp.transition[h, s, actions]
+    rows.reward.ravel()[changed] = cmdp.reward[h, s, actions]
     rows.policy.ravel()[changed] = actions
     v = np.zeros((H + 1, S))
     for h in range(H - 1, -1, -1):

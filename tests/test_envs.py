@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from safe_lsvi.envs import (DEFAULT_LAKE_MAP, FeatureMap, TabularCmdp, _row_keys,
-                            build_frozen_lake, build_hard_instance,
+from safe_lsvi.envs import (DEFAULT_LAKE_MAP, ROW_SUM_TOL, FeatureMap, TabularCmdp,
+                            _row_keys, build_frozen_lake, build_hard_instance,
                             build_synthetic_linear, frozen_lake_from_grid, step)
 from safe_lsvi.lsvi import GramState
 
@@ -166,8 +166,10 @@ def test_default_lake_tables_keep_their_bytes():
     ref = reference_frozen_lake(10, 10, hazards, text.index("G"), 15, text.index("S"))
     for name, digest in DEFAULT_LAKE_SHA256.items():
         table = getattr(cmdp, name)
-        # Dense and writable: a run reshapes the transitions without a copy.
-        assert table.flags.c_contiguous and table.flags.writeable
+        # One step stored once: a read-only view whose step axis has stride 0.
+        assert table.strides[0] == 0 and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0.0
         assert hashlib.sha256(table.tobytes()).hexdigest() == digest
         assert hashlib.sha256(getattr(ref, name).tobytes()).hexdigest() == digest
 
@@ -556,6 +558,111 @@ def test_cmdp_rejects_nan(edit, message):
     edit(tables)
     with pytest.raises(ValueError, match=message):
         TabularCmdp(2, 2, 1, **tables)
+
+
+def _one_step_tables():
+    """A valid (transition, reward, cost_mean) of H = 2, S = 1, A = 2."""
+    return dict(transition=np.ones((2, 1, 2, 1)), reward=np.zeros((2, 1, 2)),
+                cost_mean=-np.ones((2, 1, 2)))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("transition", np.ones((2, 1, 2, 1), dtype=np.int64)),
+    ("transition", np.ones((2, 1, 2, 1), dtype=bool)),
+    ("transition", [[[[1.0], [1.0]]], [[[1.0], [1.0]]]]),
+    ("cost_mean", np.full((2, 1, 2), -1.0 + 0j)),
+    ("reward", np.zeros((2, 1, 2), dtype=np.int64)),
+], ids=["int-transition", "bool-transition", "list-transition", "complex-cost",
+        "int-reward"])
+def test_cmdp_rejects_a_table_that_is_not_a_real_float_array(name, value):
+    # An integer or bool transition used to fail inside the row-sum check
+    # with numpy's casting error, a list with an AttributeError, and a
+    # complex cost or an integer reward was accepted.
+    TabularCmdp(1, 2, 2, **_one_step_tables())
+    with pytest.raises(ValueError, match=f"{name} must be a real floating-point numpy array"):
+        TabularCmdp(1, 2, 2, **(_one_step_tables() | {name: value}))
+
+
+STEP_DEFECTS = ("valid", "row-sum", "negative", "nan", "reward", "cost", "no-safe-action")
+
+
+@st.composite
+def one_step(draw):
+    """One step's (P, R, G) of 1-4 states and actions, valid or with one
+    defect, and the start of the message that rejects it (None if valid)."""
+    defect = draw(st.sampled_from(STEP_DEFECTS))
+    S = draw(st.integers(2 if defect == "negative" else 1, 4))
+    A = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = rng.random((S, A, S)) + 0.05
+    P /= P.sum(axis=-1, keepdims=True)
+    R = rng.random((S, A))
+    G = rng.uniform(-1.0, 1.0, size=(S, A))
+    G[np.arange(S), rng.integers(A, size=S)] = -0.5
+    s, a, t = (int(rng.integers(n)) for n in (S, A, S))
+    message = {"row-sum": "transition rows must sum to 1",
+               "negative": "transition rows must be nonnegative",
+               "reward": "rewards must lie", "cost": "cost means must lie",
+               "no-safe-action": f"no safe action at (h=0, s={s})"}.get(defect)
+    if defect == "row-sum":
+        P[s, a, t] += 10 * ROW_SUM_TOL
+    elif defect == "negative":
+        P[s, a] = 0.0
+        P[s, a, t], P[s, a, (t + 1) % S] = -0.25, 1.25
+    elif defect == "nan":
+        table, message = draw(st.sampled_from([(P, "transition rows must sum to 1"),
+                                               (R, "rewards must lie"),
+                                               (G, "cost means must lie")]))
+        table[(s, a, t)[:table.ndim]] = np.nan
+    elif defect == "reward":
+        R[s, a] = 1.5
+    elif defect == "cost":
+        G[s, a] = -1.5
+    elif defect == "no-safe-action":
+        G[s] = 0.5
+    return (P, R, G), message
+
+
+@settings(max_examples=300, deadline=None)
+@given(step=one_step(), H=st.integers(1, 5))
+def test_a_repeated_step_is_checked_once_as_its_dense_copy(step, H):
+    # The H steps of a broadcast view are its first step's memory, checked
+    # once: it is accepted or rejected, with the same message, as the dense
+    # copy checked over all H steps.
+    (P, R, G), message = step
+    S, A = R.shape
+    views = [np.broadcast_to(x, (H, *x.shape)) for x in (P, R, G)]
+    assert all(v.strides[0] == 0 and not v.flags.writeable for v in views)
+    dense = [v.copy() for v in views]
+    if message is None:
+        TabularCmdp(S, A, H, *views)
+        TabularCmdp(S, A, H, *dense)
+        return
+    with pytest.raises(ValueError, match=re.escape(message)) as from_view:
+        TabularCmdp(S, A, H, *views)
+    with pytest.raises(ValueError) as from_dense:
+        TabularCmdp(S, A, H, *dense)
+    assert str(from_view.value) == str(from_dense.value)
+
+
+@pytest.mark.parametrize("name, axis, message", [
+    ("transition", 1, "sum to 1"), ("transition", 2, "sum to 1"),
+    ("transition", 3, "sum to 1"), ("reward", 1, "rewards"), ("reward", 2, "rewards"),
+    ("cost_mean", 1, r"no safe action at \(h=2, s=0\)"),
+    ("cost_mean", 2, r"no safe action at \(h=2, s=0\)"),
+])
+def test_a_table_with_stride_zero_off_the_step_axis_is_checked_whole(name, axis, message):
+    # Three distinct steps, each repeated along another axis by a broadcast
+    # view: only the last step is invalid, and the check finds it.
+    tables = dict(transition=np.full((3, 2, 2, 2), 0.5), reward=np.full((3, 2, 2), 0.5),
+                  cost_mean=np.full((3, 2, 2), -0.5))
+    TabularCmdp(2, 2, 3, **tables)
+    one = tables[name].take([0], axis=axis)
+    one[-1] = {"transition": 0.6, "reward": 1.5, "cost_mean": 0.5}[name]
+    view = np.broadcast_to(one, tables[name].shape)
+    assert view.strides[axis] == 0 and view.strides[0] != 0
+    with pytest.raises(ValueError, match=message):
+        TabularCmdp(2, 2, 3, **(tables | {name: view}))
 
 
 def test_feature_map_rejects_nan_rows():

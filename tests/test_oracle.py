@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,76 @@ def test_a_store_of_another_cmdp_is_rejected():
     policy = np.zeros((2, 2), dtype=int)
     with pytest.raises(ValueError, match="another CMDP"):
         policy_eval(dataclasses.replace(cmdp), policy, rows)
+
+
+def test_a_lake_evaluation_that_changes_one_entry_gathers_in_place():
+    # The lake's tables are read-only views of its one step.  A call that
+    # changes one (h, s) gathers that row from the view as it is; a reshape
+    # of the view to rows would copy all H steps, 4.8 MB.
+    cmdp = _env("frozen_lake")
+    assert cmdp.transition.strides[0] == 0 and cmdp.transition.nbytes > 4 << 20
+    rows = PolicyRows(cmdp)
+    policy = np.zeros((cmdp.horizon, cmdp.num_states), dtype=np.int64)
+    policy_eval(cmdp, policy, rows)
+    policy[7, 42] = 3
+    tracemalloc.start()
+    try:
+        v = policy_eval(cmdp, policy, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert v.tobytes() == policy_eval(cmdp, policy).tobytes()
+
+
+TABLES = ("transition", "reward", "cost_mean")
+
+
+def _one_step_cmdp(kind, rng, H):
+    """A CMDP whose H steps repeat one step as read-only views: a random one
+    of 1-4 states and actions with tied rewards, a random lake of up to 4x4
+    cells, or the default lake."""
+    if kind == "default-lake":
+        return _env("frozen_lake")
+    if kind == "lake":
+        width, height = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        n = width * height
+        goal, start = (int(x) for x in rng.integers(n, size=2))
+        hazards = set(rng.choice(n, size=int(rng.integers(n)), replace=False).tolist())
+        try:
+            return build_frozen_lake(width, height, hazards - {goal}, goal, H, start)[0]
+        except ValueError:  # a cell whose every move meets a hazard
+            return build_frozen_lake(width, height, set(), goal, H, start)[0]
+    S, A = (int(x) for x in rng.integers(1, 5, size=2))
+    one = random_cmdp(rng, S, A, 1)
+    one.reward[:] = rng.integers(0, 4, size=one.reward.shape) / 3.0  # ties
+    return dataclasses.replace(one, horizon=H, **{
+        name: np.broadcast_to(getattr(one, name), (H, *getattr(one, name).shape[1:]))
+        for name in TABLES})
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["random", "lake", "default-lake"]), H=st.integers(1, 6),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_the_oracle_reads_a_repeated_step_as_its_dense_copy_bitwise(kind, H, seed):
+    # constrained_dp, value_iteration and a store's policy_eval calls give
+    # the same bytes on the views as on a dense copy of all H steps.
+    rng = np.random.default_rng(seed)
+    view = _one_step_cmdp(kind, rng, H)
+    assert all(getattr(view, name).strides[0] == 0 for name in TABLES)
+    dense = dataclasses.replace(view, **{name: getattr(view, name).copy() for name in TABLES})
+    (policy, v), (dense_policy, dense_v) = constrained_dp(view), constrained_dp(dense)
+    assert np.array_equal(policy, dense_policy) and v.tobytes() == dense_v.tobytes()
+    assert value_iteration(view).tobytes() == value_iteration(dense).tobytes()
+    H, S, A = view.horizon, view.num_states, view.num_actions
+    stores = PolicyRows(view), PolicyRows(dense)
+    for _ in range(4):
+        assert policy_eval(view, policy, stores[0]).tobytes() == \
+            policy_eval(dense, policy, stores[1]).tobytes()
+        assert stores[0].transition.tobytes() == stores[1].transition.tobytes()
+        assert stores[0].reward.tobytes() == stores[1].reward.tobytes()
+        policy = policy.copy()
+        policy[rng.integers(H), rng.integers(S)] = rng.integers(A)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """tools/record_bench.py: the per-side summary, the pair counts and the
-verdicts it records, on synthetic run records (no benchmark run), one tiny
-CLI cell run through run_cell, one Tier-1 run of a two-test selection and
-the code-line count of a checkout."""
+verdicts it records, on synthetic run records (no benchmark run), the
+minor page faults run_once counts for a stand-in perfbench, one tiny CLI
+cell run through run_cell, one Tier-1 run of a two-test selection and the
+code-line count of a checkout."""
 
 import hashlib
 import importlib.util
@@ -28,7 +29,7 @@ def _run(seed, wall, rate, correct=True, attempted=4, failed=0):
     """One run record as record_bench.run_once returns it, without the
     machine line."""
     return {"seed": seed, "digests": [f"digest-{seed}"], "correct": correct,
-            "attempted": attempted, "failed": failed,
+            "attempted": attempted, "failed": failed, "minor_faults": 1000 + seed,
             "metrics": {"wall_s": {"value": wall}, "episodes_per_s": {"value": rate}}}
 
 
@@ -43,6 +44,7 @@ def test_summarize_takes_quartiles_and_sums_the_counts():
     assert out["correct"] is False  # run 7 failed a check
     assert record_bench.summarize(runs[:6], METRICS)["correct"] is True
     assert out["digests"] == {str(i + 1): [f"digest-{i + 1}"] for i in range(10)}
+    assert out["minor_faults"] == [1000 + i + 1 for i in range(10)]  # run order
     for metric, values in zip(METRICS, (walls, rates)):
         entry = out["metrics"][metric["name"]]
         q1, median, q3 = statistics.quantiles(values, n=4)
@@ -75,15 +77,47 @@ def test_run_cell_records_a_cli_run_of_the_checkout(tmp_path):
     # what its numpy import takes.
     args = ["--env", "frozen_lake", "--episodes", "3", "--seed", "0"]
     run = record_bench.run_cell(record_bench.ROOT, args, tmp_path / "cell")
-    assert set(run) == {"wall_s", "peak_rss_mb", "digest"}
+    assert set(run) == {"wall_s", "peak_rss_mb", "minor_faults", "digest"}
     assert run["digest"] == hashlib.sha256(
         (tmp_path / "cell" / "results.csv").read_bytes()).hexdigest()
     assert run["wall_s"] > 0.0
     assert 10.0 < run["peak_rss_mb"] < 1000.0
-    summary = record_bench.summarize_cell([run, {**run, "wall_s": run["wall_s"] + 2.0},
-                                           {**run, "wall_s": run["wall_s"] + 1.0}])
+    # Its own faults: at least one per page of its numpy import's memory.
+    assert type(run["minor_faults"]) is int and run["minor_faults"] > 1000
+    summary = record_bench.summarize_cell(
+        [run, {**run, "wall_s": run["wall_s"] + 2.0, "minor_faults": 5},
+         {**run, "wall_s": run["wall_s"] + 1.0, "minor_faults": 7}])
     assert summary["median_wall_s"] == run["wall_s"] + 1.0
     assert summary["median_peak_rss_mb"] == run["peak_rss_mb"]
+    assert summary["median_minor_faults"] == 7
+
+
+# A stand-in for perfbench/run.py: it writes to --seed MiB of fresh memory,
+# one byte per 4 KiB page, and prints the lines run_once reads.
+FAKE_PERFBENCH = """\
+import json, mmap, sys
+size = int(sys.argv[sys.argv.index("--seed") + 1]) << 20
+buf = mmap.mmap(-1, max(size, 1))
+for i in range(0, size, 4096):
+    buf[i] = 1
+print("machine", json.dumps({"cpu": "stand-in"}))
+print("digest w seed 0 results.csv sha256 abc")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {}}))
+"""
+
+
+def test_run_once_counts_the_minor_faults_of_its_own_process(tmp_path):
+    # Each run's count is its own process's: a run that writes 64 MiB takes
+    # at least one fault per 2 MiB (huge) page of it more than one that
+    # writes none, made after it, and the later run is not charged the
+    # earlier one's faults.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_PERFBENCH)
+    big = record_bench.run_once(tmp_path, "w", 64, 1.0)
+    small = record_bench.run_once(tmp_path, "w", 0, 1.0)
+    assert big["digests"] == ["abc"] and big["machine"] == {"cpu": "stand-in"}
+    assert type(small["minor_faults"]) is int and small["minor_faults"] > 0
+    assert big["minor_faults"] > small["minor_faults"] + 32
 
 
 def test_run_cell_reports_a_failed_run(tmp_path):

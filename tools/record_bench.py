@@ -8,23 +8,25 @@ the working tree and on a checkout of the git revision REV, made with
 ``git archive`` in a temporary directory: ten pairs (pair i with seed i),
 whose order alternates (the baseline first in odd pairs).  Per side it
 keeps, per end-to-end metric, each run's value with their median and
-quartiles, each run's results.csv digests and the failed and attempted
-counts, and per metric it counts the pairs the working tree wins and
-gives a verdict (see verdict): gain, worse, unresolved or unchanged.
+quartiles, each run's results.csv digests, each run's minor page faults
+(that process's own, the RUSAGE_CHILDREN delta around it) and the failed
+and attempted counts, and per metric it counts the pairs the working tree
+wins and gives a verdict (see verdict): gain, worse, unresolved or
+unchanged.
 
 Under "cells" it records the whole CLI runs that perfbench does not cover
 (CLI_CELLS): the three K=1000 frozen-lake cells, the K=1000 GP lake run and
 the d=13/K=216 dense-GP hard-instance cell, each run three times per side
 in alternating order, with one BLAS thread.  Per run it keeps the wall
-time, the peak RSS of that process alone (from os.wait4, not the maximum
-over all children that RUSAGE_CHILDREN keeps) and the sha256 of its
-results.csv.  Under "tier1" it records the Tier-1 verify command
-(TIER1_COMMAND), run three times per side in alternating order: each run's
-wall time and its passed and failed counts (an error counts as failed).
-Under "code_lines" it records each side's code lines in src/safe_lsvi,
-counted by this tree's tools/count_lines.py on both checkouts (an older
-revision may lack the tool), and under "module_lines" each side's lines per
-module, by file name.  The file also holds the machine line of the
+time, the peak RSS and the minor page faults of that process alone (from
+os.wait4, not the maximum over all children that RUSAGE_CHILDREN keeps)
+and the sha256 of its results.csv.  Under "tier1" it records the Tier-1
+verify command (TIER1_COMMAND), run three times per side in alternating
+order: each run's wall time and its passed and failed counts (an error
+counts as failed).  Under "code_lines" it records each side's code lines
+in src/safe_lsvi, counted by this tree's tools/count_lines.py on both
+checkouts (an older revision may lack the tool), and under "module_lines"
+each side's lines per module, by file name.  The file also holds the machine line of the
 first perfbench run, and the revisions measured.
 """
 
@@ -35,6 +37,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -68,12 +71,15 @@ def _git(*args: str) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its machine record, digests and last
-    JSON line."""
+    """One untraced perfbench run: its machine record, digests, minor page
+    faults and last JSON line.  The runs are made one at a time, so the
+    growth of RUSAGE_CHILDREN's count over this one is its own."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise RuntimeError(f"perfbench/run.py {workload} seed {seed} printed no result "
@@ -82,12 +88,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     machine = next((json.loads(ln.split(" ", 1)[1]) for ln in lines
                     if ln.startswith("machine ")), None)
     digests = [ln.split()[-1] for ln in lines if ln.startswith("digest ")]
-    return {"seed": seed, "machine": machine, "digests": digests, **result}
+    return {"seed": seed, "machine": machine, "digests": digests,
+            "minor_faults": faults, **result}
 
 
 def run_cell(checkout: Path, args: list, out: Path) -> dict:
     """One CLI run of the checkout's package with one BLAS thread, writing
-    into out: its wall time, its own peak RSS and its results.csv digest."""
+    into out: its wall time, its own peak RSS and minor page faults and its
+    results.csv digest."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
            **{var: "1" for var in THREAD_VARS}}
     start = time.perf_counter()
@@ -104,7 +112,8 @@ def run_cell(checkout: Path, args: list, out: Path) -> dict:
         raise RuntimeError(f"safe-lsvi {' '.join(args)} exited {proc.returncode}: "
                            f"{stderr.decode().strip()[-500:]}")
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
-    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0, "digest": digest}
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
+            "minor_faults": usage.ru_minflt, "digest": digest}
 
 
 def run_tier1(checkout: Path, selection: tuple = ()) -> dict:
@@ -143,18 +152,22 @@ def code_lines(checkout: Path) -> int:
 
 
 def summarize_cell(runs: list) -> dict:
-    """A cell's runs in run order, with the median wall time and peak RSS."""
+    """A cell's runs in run order, with the median wall time, peak RSS and
+    minor page faults."""
     return {"runs": runs,
             "median_wall_s": statistics.median(r["wall_s"] for r in runs),
-            "median_peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs)}
+            "median_peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "median_minor_faults": statistics.median(r["minor_faults"] for r in runs)}
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per metric: the values in run order, their median and quartiles."""
+    """Per metric: the values in run order, their median and quartiles;
+    and each run's minor page faults, in run order."""
     out = {"correct": all(r["correct"] for r in runs),
            "attempted": sum(r["attempted"] for r in runs),
            "failed": sum(r["failed"] for r in runs),
            "digests": {str(r["seed"]): r["digests"] for r in runs},
+           "minor_faults": [r["minor_faults"] for r in runs],
            "metrics": {}}
     for m in metrics:
         values = [r["metrics"][m["name"]]["value"] for r in runs]
@@ -238,7 +251,8 @@ def main(argv=None) -> int:
                     runs[side].append(run)
                     value = run["metrics"]["episodes_per_s"]["value"]
                     print(f"{workload} seed {seed} {side}: correct={run['correct']} "
-                          f"episodes_per_s={value:.1f}", file=sys.stderr)
+                          f"episodes_per_s={value:.1f} "
+                          f"minor_faults={run['minor_faults']}", file=sys.stderr)
             entry = {side: summarize(runs[side], metrics) for side in sides}
             entry["change_wins"] = {m["name"]: wins(runs["change"], runs["baseline"], m)
                                     for m in metrics}
@@ -254,7 +268,8 @@ def main(argv=None) -> int:
                     run = run_cell(sides[side], cell_args, Path(tmp) / f"{name}-{side}-{i}")
                     runs[side].append(run)
                     print(f"{name} run {i} {side}: wall_s={run['wall_s']:.2f} "
-                          f"peak_rss_mb={run['peak_rss_mb']:.1f}", file=sys.stderr)
+                          f"peak_rss_mb={run['peak_rss_mb']:.1f} "
+                          f"minor_faults={run['minor_faults']}", file=sys.stderr)
             record["cells"][name] = {side: summarize_cell(runs[side]) for side in sides}
         tier1 = {side: [] for side in sides}
         for i in range(CELL_RUNS):
